@@ -11,19 +11,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
 
 from .basis import Material, elastic_basis
-from .geometry import (
-    Ellipsoid,
-    Sphere,
-    StarShaped,
-    classify_symmetry,
-    make_quadrature,
-    tangential_rotation_fields,
-)
+from .geometry import Ellipsoid, Sphere, StarShaped, make_quadrature
 from .harness import (
     BasisElementSource,
     CsvSource,
@@ -31,7 +25,7 @@ from .harness import (
     RotationSource,
     StudyConfig,
     betti_check,
-    build_data,
+    prepare,
     run_study,
     somigliana_check,
 )
@@ -51,12 +45,16 @@ class _Parser(argparse.ArgumentParser):
 
 # -- config file ------------------------------------------------------------------
 
+# A comment starts at a '#' at line start or after whitespace, so values such
+# as paths may contain '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 
 def parse_config(text: str, origin: str = "<config>") -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -166,10 +164,11 @@ def source_from_config(cfg):
     raise CliError(f"[data] source must be kelvin, basis_element, rotation or csv, got {name!r}")
 
 
-def study_config_from(cfg) -> StudyConfig:
-    degrees = tuple(
-        _int(v, "[problem] degrees") for v in _get(cfg, "problem", "degrees", required=True).split()
-    )
+def _degrees(cfg) -> tuple[int, ...]:
+    return tuple(_int(v, "[problem] degrees") for v in _get(cfg, "problem", "degrees", required=True).split())
+
+
+def study_config_from(cfg, degrees: tuple[int, ...]) -> StudyConfig:
     try:
         return StudyConfig(
             material=material_from_config(cfg),
@@ -302,26 +301,15 @@ def _load_config(args) -> dict[str, dict[str, str]]:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    config = study_config_from(cfg) if "degrees" in cfg.get("problem", {}) else None
-    if config is None:
-        degree = _int(_get(cfg, "problem", "degree", required=True), "[problem] degree")
-        cfg.setdefault("problem", {})["degrees"] = str(degree)
-        config = study_config_from(cfg)
-    degree = max(config.degrees)
+    if "degrees" in cfg.get("problem", {}):
+        degrees = _degrees(cfg)
+    else:
+        degrees = (_int(_get(cfg, "problem", "degree", required=True), "[problem] degree"),)
+    config = study_config_from(cfg, degrees)
     project = _get(cfg, "problem", "project_tangential", "off").lower() in ("on", "true", "1", "yes")
-
-    quad = make_quadrature(config.surface, config.n_theta, config.n_phi)
     try:
-        data, _ = build_data(config, quad)
-    except (ValueError, OSError) as exc:
-        raise CliError(str(exc)) from None
-    basis = elastic_basis(config.material, degree)
-    gammas = (
-        tangential_rotation_fields(classify_symmetry(config.surface), quad)
-        if config.problem == "III"
-        else []
-    )
-    try:
+        quad, data, _, gammas = prepare(config)
+        basis = elastic_basis(config.material, max(config.degrees))
         result = fit(
             config.problem,
             data,
@@ -332,13 +320,13 @@ def cmd_solve(args) -> int:
             project_tangential=project,
             rotation_fields=gammas or None,
         )
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
 
     names = ["fit.json", "misfit.csv"] + (["quadrature.csv"] if args.export_quadrature else [])
     _prepare_output(args.output, names, args.force)
     _write(args.output, "fit.json", fit_result_json(result))
-    _write(args.output, "misfit.csv", misfit_csv(config.problem, data, result, basis, quad))
+    _write(args.output, "misfit.csv", misfit_csv(result, quad))
     if args.export_quadrature:
         _write(args.output, "quadrature.csv", quad.to_csv())
     print(
@@ -350,7 +338,7 @@ def cmd_solve(args) -> int:
 
 def cmd_study(args) -> int:
     cfg = _load_config(args)
-    config = study_config_from(cfg)
+    config = study_config_from(cfg, _degrees(cfg))
     try:
         report = run_study(config)
     except (ValueError, OSError) as exc:

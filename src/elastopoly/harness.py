@@ -42,11 +42,12 @@ from .solver import (
     PROBLEM_IV,
     BoundaryDataIII,
     BoundaryDataIV,
+    boundary_data,
     compatibility_defect,
     evaluate_solution,
     fit,
     max_misfit,
-    pointwise_misfit,
+    split_trace,
 )
 
 PROBE_SEED = 715
@@ -82,16 +83,8 @@ def kelvin_data(
             f"<= surface radius {r_surface:.6g} in that direction"
         )
     fld = KelvinField(KelvinParams(material), tuple(y0), row)
-    u = fld.eval(quad.points)
-    t = fld.traction(quad.points, quad.normals)
-    nu = quad.normals
-    u_n = np.einsum("ni,ni->n", u, nu)
-    t_n = np.einsum("ni,ni->n", t, nu)
-    if problem == PROBLEM_III:
-        return BoundaryDataIII(phi=u_n, Phi=t - t_n[:, None] * nu), fld
-    if problem == PROBLEM_IV:
-        return BoundaryDataIV(Psi=u - u_n[:, None] * nu, psi=t_n), fld
-    raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
+    u, t = _field_samples(material, fld, quad)
+    return boundary_data(problem, *split_trace(problem, u, t, quad.normals)), fld
 
 
 # -- identity checks --------------------------------------------------------------
@@ -201,6 +194,10 @@ class StudyConfig:
             raise ValueError(f"problem must be 'III' or 'IV', got {self.problem!r}")
         if not self.degrees:
             raise ValueError("at least one degree is required")
+        if min(self.degrees) < 0:
+            raise ValueError(f"degrees must be non-negative, got {list(self.degrees)}")
+        if len(set(self.degrees)) != len(self.degrees):
+            raise ValueError(f"degrees must not repeat, got {list(self.degrees)}")
 
 
 @dataclass(frozen=True)
@@ -289,10 +286,10 @@ def _read_csv_source(path: str, problem: str, n_samples: int):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line[0].isalpha():
-                continue
-            rows.append([float(v) for v in line.replace(",", " ").split()])
+            fields = line.replace(",", " ").split()
+            if not fields or not _is_float(fields[0]):
+                continue  # blank, comment or header line
+            rows.append([float(v) for v in fields])
     table = np.asarray(rows, dtype=float)
     if table.shape != (n_samples, 4):
         raise ValueError(
@@ -301,8 +298,16 @@ def _read_csv_source(path: str, problem: str, n_samples: int):
             f"got shape {table.shape}"
         )
     if problem == PROBLEM_III:
-        return BoundaryDataIII(phi=table[:, 0], Phi=table[:, 1:4])
-    return BoundaryDataIV(Psi=table[:, 0:3], psi=table[:, 3])
+        return boundary_data(problem, table[:, 0], table[:, 1:4])
+    return boundary_data(problem, table[:, 3], table[:, 0:3])
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def build_data(config: StudyConfig, quad: SurfaceQuadrature):
@@ -315,32 +320,23 @@ def build_data(config: StudyConfig, quad: SurfaceQuadrature):
         if not (0 <= source.index < len(basis)):
             raise ValueError(f"basis element index {source.index} out of range 0..{len(basis) - 1}")
         fld = basis.elements[source.index].field
-        u = fld.eval(quad.points)
-        t = traction(config.material, fld, quad.points, quad.normals)
-        nu = quad.normals
-        u_n = np.einsum("ni,ni->n", u, nu)
-        t_n = np.einsum("ni,ni->n", t, nu)
-        if problem == PROBLEM_III:
-            return BoundaryDataIII(phi=u_n, Phi=t - t_n[:, None] * nu), fld
-        return BoundaryDataIV(Psi=u - u_n[:, None] * nu, psi=t_n), fld
+        u, t = _field_samples(config.material, fld, quad)
+        return boundary_data(problem, *split_trace(problem, u, t, quad.normals)), fld
     if isinstance(source, RotationSource):
         gammas = tangential_rotation_fields(classify_symmetry(quad.spec), quad)
         if not gammas:
             raise ValueError("rotation data source requires a sphere or axisymmetric surface")
         if not (0 <= source.index < len(gammas)):
             raise ValueError(f"rotation index {source.index} out of range 0..{len(gammas) - 1}")
-        g = gammas[source.index]
-        zeros = np.zeros(quad.n_samples)
-        if problem == PROBLEM_III:
-            return BoundaryDataIII(phi=zeros, Phi=g), None
-        return BoundaryDataIV(Psi=g, psi=zeros), None
+        return boundary_data(problem, np.zeros(quad.n_samples), gammas[source.index]), None
     if isinstance(source, CsvSource):
         return _read_csv_source(source.path, problem, quad.n_samples), None
     raise TypeError(f"unsupported data source {type(source).__name__}")
 
 
-def run_study(config: StudyConfig) -> StudyReport:
-    """Sweep basis degrees against fixed data; one report row per degree."""
+def prepare(config: StudyConfig):
+    """Quadrature, boundary data, exact evaluator (or None) and, for problem
+    III, the tangential rotation fields of the configured surface."""
     quad = make_quadrature(config.surface, config.n_theta, config.n_phi)
     data, exact = build_data(config, quad)
     gammas = (
@@ -348,6 +344,12 @@ def run_study(config: StudyConfig) -> StudyReport:
         if config.problem == PROBLEM_III
         else []
     )
+    return quad, data, exact, gammas
+
+
+def run_study(config: StudyConfig) -> StudyReport:
+    """Sweep basis degrees against fixed data; one report row per degree."""
+    quad, data, exact, gammas = prepare(config)
     probes = probe_points(config.surface)
     exact_at_probes = exact.eval(probes) if exact is not None else None
 
@@ -363,8 +365,7 @@ def run_study(config: StudyConfig) -> StudyReport:
             scalar_weight=config.scalar_weight,
             rotation_fields=gammas or None,
         )
-        ds, dv = pointwise_misfit(config.problem, data, result, basis, quad)
-        residual_max = max_misfit(ds, dv, config.scalar_weight)
+        residual_max = max_misfit(result.scalar_misfit, result.vector_misfit, config.scalar_weight)
 
         defects = [float("nan")] * 3
         if gammas and isinstance(data, BoundaryDataIII):

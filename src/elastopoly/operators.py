@@ -25,6 +25,21 @@ def lame_apply(material: Material, v: VecPoly3) -> VecPoly3:
     return material.mu * laplacian(v) + (material.lam + material.mu) * gradient(divergence(v))
 
 
+def traction_of_gradient(material: Material, grad: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Hooke contraction lam tr(g) nu + mu (g^T nu + g nu) of gradients g (..., 3, 3).
+
+    Normals broadcast against the gradients' leading axes.  The result is
+    unchanged when g is transposed, so either index convention of the
+    gradient (d_a v_j or d_j v_a) gives the traction.  Never forms g + g^T,
+    which at basis scale would be a second copy of the whole gradient table.
+    """
+    t = np.einsum("...ab,...a->...b", grad, normals)
+    t += np.einsum("...ab,...b->...a", grad, normals)
+    t *= material.mu
+    t += material.lam * np.trace(grad, axis1=-2, axis2=-1)[..., None] * normals
+    return t
+
+
 def _check_unit_normals(normals: np.ndarray) -> None:
     err = np.abs(np.einsum("...i,...i->...", normals, normals) - 1.0)
     if np.max(err) > 2.0 * _UNIT_NORMAL_TOL:  # |n.n - 1| ~ 2 |n| d|n|
@@ -54,11 +69,7 @@ def traction(material: Material, v: VecPoly3, points, normals) -> np.ndarray:
     dpolys = _partials(v)
     flat = [dpolys[a][j] for a in range(3) for j in range(3)]
     d = batch_eval(flat, pts2).reshape(-1, 3, 3)  # d[n, a, j]
-    div = np.trace(d, axis1=1, axis2=2)
-    strain2 = d + np.swapaxes(d, 1, 2)            # d_a v_j + d_j v_a
-    t = material.lam * div[:, None] * nrm2 + material.mu * np.einsum(
-        "naj,na->nj", strain2, nrm2
-    )
+    t = traction_of_gradient(material, d, nrm2)
     return t[0] if single else t
 
 
@@ -149,15 +160,6 @@ def kelvin_gradient(params: KelvinParams, x) -> np.ndarray:
     return grad[0] if single else grad
 
 
-def _traction_of_gradient(material: Material, d: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Traction rows from d[n, i, j, k] = d(field_i)_j / d y_k at sample n."""
-    div = np.trace(d, axis1=2, axis2=3)                       # (n, i)
-    strain2 = d + np.swapaxes(d, 2, 3)                        # d_k v_j + d_j v_k
-    return material.lam * div[:, :, None] * normals[:, None, :] + material.mu * np.einsum(
-        "nijk,nk->nij", strain2, normals
-    )
-
-
 def kelvin_traction(params: KelvinParams, x, y, normal_y) -> np.ndarray:
     """Traction kernel: row i is T at y (normal nu(y)) of the field Gamma_i(x - .).
 
@@ -175,7 +177,7 @@ def kelvin_traction(params: KelvinParams, x, y, normal_y) -> np.ndarray:
         raise ValueError("Kelvin traction kernel is singular at x = y")
     # d/dy_k Gamma_ij(x - y) = -(d Gamma_ij / d z_k)(x - y)
     d = -kelvin_gradient(params, z)                           # d[n, i, j, k] = d(field_i)_j / d y_k
-    t = _traction_of_gradient(params.material, d, n2)
+    t = traction_of_gradient(params.material, d, n2[:, None, :])
     return t[0] if single else t
 
 
@@ -207,8 +209,7 @@ class KelvinField:
         z = pts2 - np.asarray(self.pole, dtype=float)
         # d u_j / d x_k = + d Gamma_{row j} / d z_k
         g = kelvin_gradient(self.params, z)[:, self.row - 1, :, :]   # (n, j, k)
-        d = g[:, None, :, :]                                          # fake row axis
-        t = _traction_of_gradient(self.params.material, d, n2)[:, 0, :]
+        t = traction_of_gradient(self.params.material, g, n2)
         return t[0] if single else t
 
     __call__ = eval

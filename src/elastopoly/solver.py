@@ -19,12 +19,20 @@ import numpy as np
 from .basis import Material, ElasticBasis
 from .geometry import SurfaceQuadrature
 from .ioutil import fmt17
+from .operators import traction_of_gradient
 from .polyalg import VecPoly3, batch_eval
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
 
 PROBLEM_III = "III"
 PROBLEM_IV = "IV"
+
+
+def _check_finite(**arrays: np.ndarray) -> None:
+    for name, arr in arrays.items():
+        bad = np.count_nonzero(~np.isfinite(arr))
+        if bad:
+            raise ValueError(f"boundary data {name} has {bad} non-finite (nan or inf) values")
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,7 @@ class BoundaryDataIII:
         object.__setattr__(self, "Phi", np.asarray(self.Phi, dtype=float))
         if self.phi.ndim != 1 or self.Phi.shape != (self.phi.size, 3):
             raise ValueError("phi must be (N,) and Phi (N, 3)")
+        _check_finite(phi=self.phi, Phi=self.Phi)
 
     @property
     def n_samples(self) -> int:
@@ -65,6 +74,7 @@ class BoundaryDataIV:
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
         if self.psi.ndim != 1 or self.Psi.shape != (self.psi.size, 3):
             raise ValueError("psi must be (N,) and Psi (N, 3)")
+        _check_finite(Psi=self.Psi, psi=self.psi)
 
     @property
     def n_samples(self) -> int:
@@ -91,6 +101,8 @@ class FitResult:
     singular_values: np.ndarray = field(repr=False)
     svd_tol: float
     rotation_components: np.ndarray | None = field(default=None, repr=False)
+    scalar_misfit: np.ndarray | None = field(default=None, repr=False)
+    vector_misfit: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -122,45 +134,51 @@ def _eval_values_and_gradients(fields: list[VecPoly3], points) -> tuple[np.ndarr
     return table[:, :, :3], table[:, :, 3:].reshape(n_pts, n_fields, 3, 3)
 
 
-def _tractions(material: Material, grads: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Traction samples (N, E, 3) from gradients (N, E, 3, 3)."""
-    div = np.trace(grads, axis1=2, axis2=3)
-    strain2 = grads + np.swapaxes(grads, 2, 3)
-    return material.lam * div[:, :, None] * normals[:, None, :] + material.mu * np.einsum(
-        "neaj,na->nej", strain2, normals
-    )
+def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar and vector boundary data of displacements u and tractions t (..., 3).
+
+    Problem III: (u . nu, t - (t . nu) nu); problem IV: (t . nu, u - (u . nu) nu).
+    The vector part is tangential by construction.  Normals broadcast against
+    the samples' leading axes.
+    """
+    if problem == PROBLEM_III:
+        scalar, full = np.einsum("...j,...j->...", u, normals), t
+    elif problem == PROBLEM_IV:
+        scalar, full = np.einsum("...j,...j->...", t, normals), u
+    else:
+        raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
+    return scalar, full - np.einsum("...j,...j->...", full, normals)[..., None] * normals
+
+
+def boundary_data(problem: str, scalar: np.ndarray, vector: np.ndarray) -> BoundaryDataIII | BoundaryDataIV:
+    """The data pair of the problem from its scalar and vector parts."""
+    if problem == PROBLEM_III:
+        return BoundaryDataIII(phi=scalar, Phi=vector)
+    if problem == PROBLEM_IV:
+        return BoundaryDataIV(Psi=vector, psi=scalar)
+    raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
 
 
 def assemble_traces(
     problem: str, material: Material, fields: list[VecPoly3], quad: SurfaceQuadrature
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar (N, E) and tangential-vector (N, E, 3) trace blocks of the fields."""
-    if problem not in (PROBLEM_III, PROBLEM_IV):
-        raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (N, E, 3) of the fields and their scalar (N, E) and tangential-vector
+    (N, E, 3) trace blocks."""
     values, grads = _eval_values_and_gradients(fields, quad.points)
-    tract = _tractions(material, grads, quad.normals)
-    nu = quad.normals
-    if problem == PROBLEM_III:
-        scalar = np.einsum("nej,nj->ne", values, nu)
-        t_n = np.einsum("nej,nj->ne", tract, nu)
-        vector = tract - t_n[:, :, None] * nu[:, None, :]
-    else:
-        u_n = np.einsum("nej,nj->ne", values, nu)
-        vector = values - u_n[:, :, None] * nu[:, None, :]
-        scalar = np.einsum("nej,nj->ne", tract, nu)
-    return scalar, vector
+    nu = quad.normals[:, None, :]
+    return (values, *split_trace(problem, values, traction_of_gradient(material, grads, nu), nu))
 
 
 def trace_III(material: Material, p: VecPoly3, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """(u . nu, Tu - (Tu . nu) nu) samples of one field; the vector part is
     exactly tangential by construction."""
-    scalar, vector = assemble_traces(PROBLEM_III, material, [p], quad)
+    _, scalar, vector = assemble_traces(PROBLEM_III, material, [p], quad)
     return scalar[:, 0], vector[:, 0, :]
 
 
 def trace_IV(material: Material, p: VecPoly3, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """(u - (u . nu) nu, Tu . nu) samples of one field."""
-    scalar, vector = assemble_traces(PROBLEM_IV, material, [p], quad)
+    _, scalar, vector = assemble_traces(PROBLEM_IV, material, [p], quad)
     return vector[:, 0, :], scalar[:, 0]
 
 
@@ -197,7 +215,9 @@ def fit(
     svd_tol * sigma_max are discarded (minimum-norm solution).  If
     `rotation_fields` are passed (problem III on a symmetric surface), the
     weighted components of the fitted displacement along them are reported,
-    making the arbitrary rigid part of the solution visible.
+    making the arbitrary rigid part of the solution visible.  The traces are
+    assembled once; the per-sample misfits against the data as given are
+    kept on the result.
     """
     expected = BoundaryDataIII if problem == PROBLEM_III else BoundaryDataIV
     if problem not in (PROBLEM_III, PROBLEM_IV):
@@ -216,7 +236,10 @@ def fit(
     else:
         check_tangential(vec_data, quad, "Phi" if problem == PROBLEM_III else "Psi")
 
-    scalar, vector = assemble_traces(problem, basis.material, basis.fields(), quad)
+    values, scalar, vector = assemble_traces(problem, basis.material, basis.fields(), quad)
+    # Project onto the rotations now so the (N, E, 3) values are not held through the SVD.
+    rotations = [quad.weights @ np.einsum("nej,nj->ne", values, g) for g in rotation_fields or ()]
+    del values
     sw = np.sqrt(quad.weights)
     rows_scalar = np.sqrt(scalar_weight) * sw[:, None] * scalar
     rows_vector = (sw[:, None, None] * vector).transpose(0, 2, 1).reshape(-1, len(basis))
@@ -239,11 +262,7 @@ def fit(
 
     residual = float(np.linalg.norm(a @ coeffs - b))
     data_norm = float(np.linalg.norm(b))
-
-    rotation_components = None
-    if rotation_fields:
-        disp = np.einsum("nej,e->nj", _eval_values_and_gradients(basis.fields(), quad.points)[0], coeffs)
-        rotation_components = np.array([quad.inner(disp, g) for g in rotation_fields])
+    scalar_misfit, vector_misfit = pointwise_misfit(data, scalar, vector, coeffs)
 
     return FitResult(
         problem=problem,
@@ -253,21 +272,19 @@ def fit(
         kept_rank=int(np.count_nonzero(keep)),
         singular_values=sigma,
         svd_tol=svd_tol,
-        rotation_components=rotation_components,
+        rotation_components=np.array(rotations) @ coeffs if rotations else None,
+        scalar_misfit=scalar_misfit,
+        vector_misfit=vector_misfit,
     )
 
 
 def pointwise_misfit(
-    problem: str,
-    data: BoundaryDataIII | BoundaryDataIV,
-    result: FitResult,
-    basis: ElasticBasis,
-    quad: SurfaceQuadrature,
+    data: BoundaryDataIII | BoundaryDataIV, scalar: np.ndarray, vector: np.ndarray, coefficients: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample scalar and vector misfits of a fitted solution."""
-    scalar, vector = assemble_traces(problem, basis.material, basis.fields(), quad)
-    ds = scalar @ result.coefficients - data.scalar
-    dv = np.einsum("nej,e->nj", vector, result.coefficients) - data.vector
+    """Per-sample scalar (N,) and vector (N, 3) misfits of the coefficients
+    over the trace blocks, against the data as given (never projected)."""
+    ds = scalar @ coefficients - data.scalar
+    dv = np.einsum("nej,e->nj", vector, coefficients) - data.vector
     return ds, dv
 
 
@@ -292,19 +309,16 @@ def evaluate_solution(
 
     The stress is lam (div u) I + mu (grad u + grad u^T), symmetric by
     construction; contracting with a surface normal reproduces the traction
-    of the fitted field.
+    of the fitted field.  Evaluates every basis field at the points, which
+    takes 12 * M * len(basis) floats.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    combined = VecPoly3.zero()
-    for c, element in zip(result.coefficients, basis.elements):
-        if c != 0.0:
-            combined = combined + float(c) * element.field
-    values, grads = _eval_values_and_gradients([combined], pts)
-    disp = values[:, 0, :]
-    g = grads[:, 0, :, :]
-    div = np.trace(g, axis1=1, axis2=2)
-    lam, mu = basis.material.lam, basis.material.mu
-    stress = lam * div[:, None, None] * np.eye(3)[None, :, :] + mu * (g + np.swapaxes(g, 1, 2))
+    values, grads = _eval_values_and_gradients(basis.fields(), pts)
+    c = result.coefficients
+    disp = np.einsum("mej,e->mj", values, c)
+    g = np.einsum("meaj,e->maj", grads, c)
+    # Row k is the traction sigma e_k on the plane with normal e_k; sigma is symmetric.
+    stress = traction_of_gradient(basis.material, g[:, None, :, :], np.eye(3))
     return disp, stress
 
 
@@ -314,15 +328,8 @@ def fit_result_json(result: FitResult) -> str:
     return json_dumps(result.to_dict()) + "\n"
 
 
-def misfit_csv(
-    problem: str,
-    data: BoundaryDataIII | BoundaryDataIV,
-    result: FitResult,
-    basis: ElasticBasis,
-    quad: SurfaceQuadrature,
-) -> str:
-    ds, dv = pointwise_misfit(problem, data, result, basis, quad)
+def misfit_csv(result: FitResult, quad: SurfaceQuadrature) -> str:
     lines = ["x,y,z,w,scalar_misfit,vec_misfit_x,vec_misfit_y,vec_misfit_z"]
-    for p, w, s, v in zip(quad.points, quad.weights, ds, dv):
+    for p, w, s, v in zip(quad.points, quad.weights, result.scalar_misfit, result.vector_misfit):
         lines.append(",".join(fmt17(val) for val in (*p, w, s, *v)))
     return "\n".join(lines) + "\n"

@@ -1,0 +1,50 @@
+"""Every function the benchmark tracer wraps must exist, so that a refactor
+which drops or renames one fails here instead of in a `--trace 1` run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_resolves():
+    tracer = load_tracer()
+    missing = []
+    for mod_name, attrs in tracer.TARGETS.items():
+        module = importlib.import_module(f"elastopoly.{mod_name}")
+        for attr in attrs:
+            obj = module
+            for part in attr.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{mod_name}.{attr}")
+    assert not missing, f"bench/tracer.py traces names elastopoly no longer has: {missing}"
+
+
+def test_fit_calls_svd_through_solver_numpy(monkeypatch):
+    # the tracer counts SVDs by swapping the `np` that elastopoly.solver holds
+    from elastopoly import BoundaryDataIV, Material, Sphere, elastic_basis, fit, make_quadrature
+
+    tracer = load_tracer()
+    solver = importlib.import_module("elastopoly.solver")
+    calls = []
+
+    def svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return np.linalg.svd(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "np", tracer._Proxy(np, linalg=tracer._Proxy(np.linalg, svd=svd)))
+    quad = make_quadrature(Sphere(), 8, 16)
+    data = BoundaryDataIV(Psi=np.zeros((quad.n_samples, 3)), psi=np.ones(quad.n_samples))
+    fit("IV", data, elastic_basis(Material(1.0, 1.0), 1), quad)
+    assert calls == [(4 * quad.n_samples, 12)]

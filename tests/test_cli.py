@@ -45,6 +45,11 @@ def test_parse_config_sections_and_comments():
     assert cfg == {"a": {"x": "1"}, "b": {"y": "two words"}}
 
 
+def test_parse_config_hash_inside_value_is_not_a_comment():
+    cfg = parse_config("[data]\npath = /tmp/d#1.csv  # comment\nrow = 1\t# tab comment\n")
+    assert cfg == {"data": {"path": "/tmp/d#1.csv", "row": "1"}}
+
+
 def test_parse_config_reports_line_numbers():
     with pytest.raises(CliError, match="cfg:3"):
         parse_config("[a]\nx = 1\nbroken-line\n", origin="cfg")
@@ -214,6 +219,37 @@ def test_solve_projection_flag_accepts_same_data(tmp_path):
     )
     cfg = write_config(tmp_path, cfg_text, "solve4.cfg")
     assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+
+
+def _csv_config(tmp_path, data_path, degree_line="degree = 2"):
+    cfg_text = STUDY_CONFIG.replace("kind = IV", "kind = III").replace("degrees = 2 3", degree_line).replace(
+        "source = kelvin\ny0 = 0 0 3\nrow = 1", f"source = csv\npath = {data_path}"
+    )
+    return write_config(tmp_path, cfg_text, "csv.cfg")
+
+
+def test_csv_path_may_contain_hash(tmp_path):
+    data_path = tmp_path / "d#1.csv"
+    data_path.write_text("0.0 0.0 0.0 0.0\n" * (16 * 32))
+    cfg = _csv_config(tmp_path, data_path)
+    assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command, degree_line", [("solve", "degree = 2"), ("study", "degrees = 1 2")])
+def test_non_finite_csv_data_exits_1(tmp_path, capsys, command, degree_line):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("0.0 0.0 0.0 0.0\n" * (16 * 32 - 1) + "0.0 nan 0.0 0.0\n")
+    cfg = _csv_config(tmp_path, data_path, degree_line)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--output", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_study_repeated_degrees_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", "degrees = 2 2"))
+    assert run(["study", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    assert "must not repeat" in capsys.readouterr().err
 
 
 def test_unknown_arguments_exit_1(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from elastopoly import (
     BasisElementSource,
+    CsvSource,
     Ellipsoid,
     KelvinField,
     KelvinParams,
@@ -239,3 +240,22 @@ def test_study_invariants_residual_column(sphere_quad):
     res = [row.residual_l2 for row in report.rows]
     for a, b in zip(res, res[1:]):
         assert b <= a * (1.0 + 1e-9) + 1e-14 * report.rows[0].data_norm
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2, 3), (-1,), (2, -1)])
+def test_study_config_rejects_negative_or_repeated_degrees(degrees):
+    with pytest.raises(ValueError, match="degrees must"):
+        StudyConfig(M, Sphere(), "III", degrees, KelvinSource((0.0, 0.0, 3.0)))
+
+
+def test_csv_source_keeps_rows_starting_with_nan_or_inf(tmp_path):
+    # a row whose first field is nan/inf is data, not a header: it must reach
+    # the finiteness check instead of being dropped
+    quad = make_quadrature(Sphere(), 4, 8)
+    rows = ["phi,Phi_x,Phi_y,Phi_z"] + ["0.0,0.0,0.0,0.0"] * (quad.n_samples - 1)
+    for first in ("nan", "inf", "-inf"):
+        path = tmp_path / f"{first}.csv"
+        path.write_text("\n".join(rows + [f"{first},0.0,0.0,0.0"]) + "\n")
+        config = StudyConfig(M, Sphere(), "III", (1,), CsvSource(str(path)), n_theta=4, n_phi=8)
+        with pytest.raises(ValueError, match="phi has 1 non-finite"):
+            run_study(config)

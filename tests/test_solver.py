@@ -80,9 +80,7 @@ def test_fit_recovers_basis_element_data(sphere_quad):
             result = fit(problem, data, basis, sphere_quad)
             assert result.residual_norm <= 1e-10 * max(result.data_norm, 1e-30)
             # recovered coefficients reproduce the element's trace pointwise
-            from elastopoly.solver import pointwise_misfit
-
-            ds, dv = pointwise_misfit(problem, data, result, basis, sphere_quad)
+            ds, dv = result.scalar_misfit, result.vector_misfit
             scale = max(1.0, float(np.max(np.abs(data.vector))), float(np.max(np.abs(data.scalar))))
             assert max(np.max(np.abs(ds)), np.max(np.abs(dv))) <= 1e-9 * scale
 
@@ -119,6 +117,21 @@ def test_fit_validates_inputs(sphere_quad):
         fit("IV", BoundaryDataIV(Psi=np.zeros((7, 3)), psi=np.ones(7)), basis, sphere_quad)
     with pytest.raises(ValueError):
         fit("IV", good, basis, sphere_quad, svd_tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_boundary_data_rejects_non_finite_values(bad):
+    phi, vec = np.zeros(5), np.zeros((5, 3))
+    vec[2, 1] = bad
+    with pytest.raises(ValueError, match="Phi has 1 non-finite"):
+        BoundaryDataIII(phi=phi, Phi=vec)
+    with pytest.raises(ValueError, match="Psi has 1 non-finite"):
+        BoundaryDataIV(Psi=vec, psi=phi)
+    phi[0] = bad
+    with pytest.raises(ValueError, match="phi has 1 non-finite"):
+        BoundaryDataIII(phi=phi, Phi=np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="psi has 1 non-finite"):
+        BoundaryDataIV(Psi=np.zeros((5, 3)), psi=phi)
 
 
 def test_fit_rejects_non_tangential_data(sphere_quad):
