@@ -44,7 +44,7 @@ from .operators import (
     lame_apply,
     traction,
 )
-from .polyalg import Poly3, VecPoly3, batch_eval, curl, divergence, gradient, laplacian
+from .polyalg import Poly3, VecPoly3, batch_eval, divergence, gradient, laplacian
 from .solver import (
     BoundaryDataIII,
     BoundaryDataIV,
@@ -67,7 +67,7 @@ __all__ = [
     "betti_check", "kelvin_data", "probe_points", "run_study", "somigliana_check",
     "KelvinField", "KelvinParams", "RigidDisplacement",
     "kelvin_gradient", "kelvin_matrix", "kelvin_traction", "lame_apply", "traction",
-    "Poly3", "VecPoly3", "batch_eval", "curl", "divergence", "gradient", "laplacian",
+    "Poly3", "VecPoly3", "batch_eval", "divergence", "gradient", "laplacian",
     "BoundaryDataIII", "BoundaryDataIV", "FitResult",
     "compatibility_defect", "evaluate_solution", "fit", "trace_III", "trace_IV",
 ]

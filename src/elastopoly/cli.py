@@ -4,12 +4,13 @@ Exit codes: 0 success, 1 validation/configuration error, 2 numerical check
 failure in `check`.  Configs are flat `key = value` text under `[section]`
 headers; `--set section.key=value` overrides win.  All floating-point output
 carries 17 significant digits so files round-trip exactly and repeated runs
-are byte-identical.
+at a fixed BLAS thread count are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -97,6 +98,8 @@ def _floats(text: str, what: str, n: int | None = None) -> tuple[float, ...]:
         vals = tuple(float(v) for v in text.split())
     except ValueError:
         raise CliError(f"{what}: expected numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise CliError(f"{what}: expected finite numbers, got {text!r}")
     if n is not None and len(vals) != n:
         raise CliError(f"{what}: expected {n} numbers, got {len(vals)}")
     return vals
@@ -141,7 +144,8 @@ def surface_from_config(cfg):
                 parts = block.split()
                 if len(parts) != 3:
                     raise CliError(f"[surface] coeffs: each entry is 'k s c', got {block!r}")
-                coeffs.append((_int(parts[0], "coeff degree"), _int(parts[1], "coeff index"), float(parts[2])))
+                coeffs.append((_int(parts[0], "coeff degree"), _int(parts[1], "coeff index"),
+                               _float(parts[2], "[surface] coeffs coefficient")))
             axis_text = _get(cfg, "surface", "axis")
             axis = _floats(axis_text, "[surface] axis", 3) if axis_text else None
             return StarShaped(center=center, coeffs=tuple(coeffs), axis=axis)
@@ -348,8 +352,7 @@ def cmd_study(args) -> int:
     _write(args.output, "study.csv", report.to_csv())
     _write(args.output, "study.json", report.metadata_json())
     if args.export_quadrature:
-        quad = make_quadrature(config.surface, config.n_theta, config.n_phi)
-        _write(args.output, "quadrature.csv", quad.to_csv())
+        _write(args.output, "quadrature.csv", report.quadrature.to_csv())
     last = report.rows[-1]
     print(
         f"study: degrees {config.degrees[0]}..{config.degrees[-1]}, final residual "

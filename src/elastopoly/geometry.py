@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ioutil import fmt17
-from .polyalg import batch_eval, gradient
+from .polyalg import Poly3, batch_eval, gradient
 from .basis import solid_harmonics
 
 _TANGENCY_DROP_TOL = 1e-13
@@ -77,9 +77,12 @@ def radial_function(spec: SurfaceSpec, directions) -> np.ndarray:
     if isinstance(spec, Ellipsoid):
         a, b, c = spec.semi_axes
         return 1.0 / np.sqrt((u[:, 0] / a) ** 2 + (u[:, 1] / b) ** 2 + (u[:, 2] / c) ** 2)
-    polys = [solid_harmonics(k)[s - 1] for k, s, _ in spec.coeffs]
-    vals = batch_eval(polys, u)
-    return vals @ np.array([c for _, _, c in spec.coeffs])
+    return _star_radius(spec).eval(u)
+
+
+def _star_radius(spec: StarShaped) -> Poly3:
+    """r(x) = sum of c * h_{k,s}(x) as one polynomial; r(u) is the radius at direction u."""
+    return sum((float(c) * solid_harmonics(k)[s - 1] for k, s, c in spec.coeffs), Poly3())
 
 
 @dataclass(frozen=True)
@@ -165,18 +168,11 @@ def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadr
         return SurfaceQuadrature(spec, points, normals, weights, (n_theta, n_phi))
 
     # star-shaped: x = center + r(u) u with analytic dr along the angular tangents
-    polys = [solid_harmonics(k)[s - 1] for k, s, _ in spec.coeffs]
-    cvec = np.array([c for _, _, c in spec.coeffs])
-    r = batch_eval(polys, u) @ cvec
+    radius = _star_radius(spec)
+    vals = batch_eval([radius, *gradient(radius)], u)
+    r, gvals = vals[:, 0], vals[:, 1:]
     if np.min(r) <= 0.0:
         raise ValueError(f"radial function must be positive on the sphere (min {np.min(r):.3e})")
-    grads = [gradient(p) for p in polys]
-    gvals = np.stack(
-        [batch_eval([g[0] for g in grads], u) @ cvec,
-         batch_eval([g[1] for g in grads], u) @ cvec,
-         batch_eval([g[2] for g in grads], u) @ cvec],
-        axis=1,
-    )
     u_th = np.stack([ct * cphi, ct * sphi, -st], axis=1)
     u_ph = np.stack([-st * sphi, st * cphi, np.zeros_like(st)], axis=1)
     r_th = np.einsum("ni,ni->n", gvals, u_th)

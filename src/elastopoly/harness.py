@@ -43,6 +43,7 @@ from .solver import (
     BoundaryDataIII,
     BoundaryDataIV,
     boundary_data,
+    check_scalar_weight,
     compatibility_defect,
     evaluate_solution,
     fit,
@@ -92,11 +93,10 @@ def kelvin_data(
 
 def _field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """Displacement and traction samples of a polynomial, rigid or Kelvin field."""
+    if isinstance(obj, RigidDisplacement):
+        obj = obj.as_vecpoly()
     if isinstance(obj, VecPoly3):
         return obj.eval(quad.points), traction(material, obj, quad.points, quad.normals)
-    if isinstance(obj, RigidDisplacement):
-        v = obj.as_vecpoly()
-        return v.eval(quad.points), traction(material, v, quad.points, quad.normals)
     if isinstance(obj, KelvinField):
         if obj.params.material != material:
             raise ValueError("Kelvin field material differs from the check material")
@@ -198,6 +198,7 @@ class StudyConfig:
             raise ValueError(f"degrees must be non-negative, got {list(self.degrees)}")
         if len(set(self.degrees)) != len(self.degrees):
             raise ValueError(f"degrees must not repeat, got {list(self.degrees)}")
+        check_scalar_weight(self.scalar_weight)
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,7 @@ class StudyReport:
     config: StudyConfig
     rows: tuple[StudyRow, ...]
     metadata: dict = field(repr=False)
+    quadrature: SurfaceQuadrature = field(repr=False, compare=False)
 
     def to_csv(self) -> str:
         lines = ["K,residual_l2,residual_max,data_norm,kept_rank,defect_1,defect_2,defect_3,probe_err_max"]
@@ -390,4 +392,4 @@ def run_study(config: StudyConfig) -> StudyReport:
                 probe_err_max=probe_err,
             )
         )
-    return StudyReport(config=config, rows=tuple(rows), metadata=config_metadata(config))
+    return StudyReport(config=config, rows=tuple(rows), metadata=config_metadata(config), quadrature=quad)

@@ -46,11 +46,6 @@ def _check_unit_normals(normals: np.ndarray) -> None:
         raise ValueError(f"normals must be unit vectors (max ||n|-1| defect {np.max(err):.2e})")
 
 
-def _partials(v: VecPoly3) -> list[list[Poly3]]:
-    """D[a][j] = d v_j / d x_a."""
-    return [[v[j].diff(a + 1) for j in range(3)] for a in range(3)]
-
-
 def traction(material: Material, v: VecPoly3, points, normals) -> np.ndarray:
     """Boundary force density of v at the points, for the given unit normals.
 
@@ -66,9 +61,7 @@ def traction(material: Material, v: VecPoly3, points, normals) -> np.ndarray:
         raise ValueError("points and normals must have matching shapes")
     _check_unit_normals(nrm2)
 
-    dpolys = _partials(v)
-    flat = [dpolys[a][j] for a in range(3) for j in range(3)]
-    d = batch_eval(flat, pts2).reshape(-1, 3, 3)  # d[n, a, j]
+    d = batch_eval(v.jacobian(), pts2).reshape(-1, 3, 3)  # d[n, a, j]
     t = traction_of_gradient(material, d, nrm2)
     return t[0] if single else t
 

@@ -68,10 +68,6 @@ class Poly3:
         mono[axis - 1] = 1
         return cls({tuple(mono): 1.0})
 
-    @classmethod
-    def monomial(cls, mono: Monomial, coeff: float = 1.0) -> "Poly3":
-        return cls({tuple(mono): coeff})
-
     # -- predicates and metrics --------------------------------------------
 
     @property
@@ -166,14 +162,6 @@ class Poly3:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly3":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = Poly3.constant(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly3):
             return NotImplemented
@@ -205,12 +193,8 @@ class Poly3:
     def eval(self, points):
         """Evaluate at one point (3,) or a batch (..., 3) of points."""
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        out = np.zeros(x.shape)
-        for (i, j, k), c in self.terms.items():
-            out = out + c * (x**i) * (y**j) * (z**k)
-        return float(out) if single else out
+        vals = batch_eval([self], pts.reshape(-1, 3))[:, 0]
+        return float(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
 
     __call__ = eval
 
@@ -329,11 +313,15 @@ class VecPoly3:
     def diff(self, axis: int) -> "VecPoly3":
         return VecPoly3(*(c.diff(axis) for c in self.components))
 
+    def jacobian(self) -> list[Poly3]:
+        """The nine partials d v_j / d x_a in a-major order (entry 3a + j)."""
+        return [c.diff(a) for a in _AXES for c in self.components]
+
     def eval(self, points):
         """Evaluate at (3,) or (..., 3) points; returns matching (..., 3)."""
         pts = np.asarray(points, dtype=float)
-        vals = np.stack([c.eval(np.atleast_2d(pts)) for c in self.components], axis=-1)
-        return vals[0] if pts.ndim == 1 else vals
+        vals = batch_eval(self.components, pts.reshape(-1, 3))
+        return vals[0] if pts.ndim == 1 else vals.reshape(pts.shape)
 
     __call__ = eval
 
@@ -346,14 +334,6 @@ class VecPoly3:
 
 def divergence(v: VecPoly3) -> Poly3:
     return v[0].diff(1) + v[1].diff(2) + v[2].diff(3)
-
-
-def curl(v: VecPoly3) -> VecPoly3:
-    return VecPoly3(
-        v[2].diff(2) - v[1].diff(3),
-        v[0].diff(3) - v[2].diff(1),
-        v[1].diff(1) - v[0].diff(2),
-    )
 
 
 def gradient(s: Poly3) -> VecPoly3:

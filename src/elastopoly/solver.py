@@ -127,7 +127,7 @@ def _eval_values_and_gradients(fields: list[VecPoly3], points) -> tuple[np.ndarr
     polys = []
     for v in fields:
         polys.extend(v.components)
-        polys.extend(v[j].diff(a + 1) for a in range(3) for j in range(3))
+        polys.extend(v.jacobian())
     table = batch_eval(polys, points)
     n_pts, n_fields = table.shape[0], len(fields)
     table = table.reshape(n_pts, n_fields, 12)
@@ -185,6 +185,11 @@ def trace_IV(material: Material, p: VecPoly3, quad: SurfaceQuadrature) -> tuple[
 # -- fitting ----------------------------------------------------------------------
 
 
+def check_scalar_weight(scalar_weight: float) -> None:
+    if not (np.isfinite(scalar_weight) and scalar_weight >= 0.0):
+        raise ValueError(f"scalar_weight must be a finite number >= 0, got {scalar_weight}")
+
+
 def check_tangential(vector: np.ndarray, quad: SurfaceQuadrature, what: str) -> None:
     """Reject data violating the necessary condition F . nu = 0 on the surface."""
     defect = np.abs(np.einsum("ni,ni->n", vector, quad.normals))
@@ -228,6 +233,7 @@ def fit(
         raise ValueError(f"data has {data.n_samples} samples but quadrature has {quad.n_samples}")
     if not (0.0 < svd_tol < 1.0):
         raise ValueError(f"svd_tol must be in (0, 1), got {svd_tol}")
+    check_scalar_weight(scalar_weight)
 
     vec_data = data.vector
     if project_tangential:

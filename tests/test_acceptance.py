@@ -211,4 +211,4 @@ row = 2
             for fname in ("study.csv", "study.json")
         })
     assert outs[0] == outs[1]
-    report("criterion 9 (determinism)", "repeated study runs are byte-identical (CSV and JSON)")
+    report("criterion 9 (determinism)", "repeated study runs at a fixed BLAS thread count are byte-identical (CSV and JSON)")

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from elastopoly.cli import parse_config, run, CliError
+from elastopoly.geometry import make_quadrature
 from elastopoly.polyalg import Poly3
 
 STUDY_CONFIG = """\
@@ -250,6 +251,36 @@ def test_study_repeated_degrees_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", "degrees = 2 2"))
     assert run(["study", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
     assert "must not repeat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["problem.scalar_weight=-1"], "scalar_weight must be a finite number >= 0"),
+    (["problem.scalar_weight=nan"], "[problem] scalar_weight: expected finite numbers"),
+    (["data.y0=nan 0 0"], "[data] y0: expected finite numbers"),
+    (["surface.center=0 inf 0"], "[surface] center: expected finite numbers"),
+    (["surface.kind=star", "surface.coeffs=0 1 1.0; 2 1 nan"], "[surface] coeffs coefficient: expected finite"),
+])
+def test_bad_config_number_exits_1_naming_key(tmp_path, capsys, overrides, message):
+    out = tmp_path / "o"
+    args = ["study", "--config", write_config(tmp_path), "--output", str(out)]
+    assert run(args + [f"--set={item}" for item in overrides]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_study_builds_the_quadrature_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr("elastopoly.harness.make_quadrature", counting)
+    monkeypatch.setattr("elastopoly.cli.make_quadrature", counting)
+    out = tmp_path / "out"
+    assert run(["study", "--config", write_config(tmp_path), "--output", str(out), "--export-quadrature"]) == 0
+    assert len(calls) == 1
+    assert (out / "quadrature.csv").read_text() == make_quadrature(*calls[0]).to_csv()
 
 
 def test_unknown_arguments_exit_1(capsys):

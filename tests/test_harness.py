@@ -248,6 +248,12 @@ def test_study_config_rejects_negative_or_repeated_degrees(degrees):
         StudyConfig(M, Sphere(), "III", degrees, KelvinSource((0.0, 0.0, 3.0)))
 
 
+@pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+def test_study_config_rejects_bad_scalar_weight(weight):
+    with pytest.raises(ValueError, match="scalar_weight"):
+        StudyConfig(M, Sphere(), "III", (1,), KelvinSource((0.0, 0.0, 3.0)), scalar_weight=weight)
+
+
 def test_csv_source_keeps_rows_starting_with_nan_or_inf(tmp_path):
     # a row whose first field is nan/inf is data, not a header: it must reach
     # the finiteness check instead of being dropped

@@ -1,5 +1,6 @@
-"""The shared Hooke contraction, III/IV split and single-assembly fit against
-the formulas they replaced, written out here as the reference."""
+"""The shared Hooke contraction, III/IV split, single-assembly fit and
+star-surface radius against the formulas they replaced, written out here as
+the reference."""
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from elastopoly import (
     BoundaryDataIII,
     BoundaryDataIV,
     Material,
+    StarShaped,
     classify_symmetry,
     elastic_basis,
     fit,
     kelvin_data,
+    make_quadrature,
+    radial_function,
+    solid_harmonics,
     tangential_rotation_fields,
 )
 from elastopoly.operators import traction_of_gradient
-from elastopoly.polyalg import VecPoly3, batch_eval
+from elastopoly.polyalg import VecPoly3, batch_eval, gradient
 from elastopoly.solver import assemble_traces, evaluate_solution, split_trace
 
 rng = np.random.default_rng(2024)
@@ -93,3 +98,35 @@ def test_rotation_components_match_projection_of_fitted_displacement(spheroid_qu
     disp = np.einsum("nej,e->nj", values, result.coefficients)
     expected = [spheroid_quad.inner(disp, g) for g in gammas]
     assert np.allclose(result.rotation_components, expected, rtol=0.0, atol=1e-14 * spheroid_quad.norm(disp))
+
+
+@pytest.mark.parametrize("coeffs", [
+    ((0, 1, 3.0), (2, 3, 0.3), (3, 2, 0.1), (1, 1, 0.2)),
+    ((0, 1, 2.0), (2, 3, 0.3), (4, 5, 0.05), (2, 3, -0.1)),  # a repeated harmonic
+])
+def test_star_radius_matches_per_harmonic_sum(coeffs):
+    spec = StarShaped(center=(0.1, 0.0, -0.1), coeffs=coeffs)
+    quad = make_quadrature(spec, 12, 24)
+    # the old path: r and grad r as coefficient sums of per-harmonic values,
+    # on the theta-major grid of directions u with its angular tangents
+    t, wt = np.polynomial.legendre.leggauss(12)
+    st, ct = np.repeat(np.sqrt(1.0 - t**2), 24), np.repeat(t, 24)
+    phi = np.tile(2.0 * np.pi * np.arange(24) / 24, 12)
+    u = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=1)
+    u_th = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
+    u_ph = np.stack([-st * np.sin(phi), st * np.cos(phi), np.zeros_like(st)], axis=1)
+    polys = [solid_harmonics(k)[s - 1] for k, s, _ in coeffs]
+    cvec = np.array([c for _, _, c in coeffs])
+    r = batch_eval(polys, u) @ cvec
+    grads = [gradient(p) for p in polys]
+    gvals = np.stack([batch_eval([g[a] for g in grads], u) @ cvec for a in range(3)], axis=1)
+    x_th = np.einsum("ni,ni->n", gvals, u_th)[:, None] * u + r[:, None] * u_th
+    x_ph = np.einsum("ni,ni->n", gvals, u_ph)[:, None] * u + r[:, None] * u_ph
+    cross = np.cross(x_th, x_ph)
+    jac = np.linalg.norm(cross, axis=1)
+
+    assert np.allclose(radial_function(spec, u), r, rtol=1e-13, atol=0.0)
+    points = np.asarray(spec.center) + r[:, None] * u
+    assert np.max(np.abs(quad.points - points)) <= 1e-13 * np.max(np.abs(points))
+    assert np.max(np.abs(quad.normals - cross / jac[:, None])) <= 1e-13
+    assert np.allclose(quad.weights, np.repeat(wt, 24) * (2.0 * np.pi / 24) * jac / st, rtol=1e-13, atol=0.0)

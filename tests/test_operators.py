@@ -12,7 +12,7 @@ from elastopoly import (
     lame_apply,
     traction,
 )
-from elastopoly.polyalg import Poly3, VecPoly3, X, Y, Z, curl, divergence
+from elastopoly.polyalg import Poly3, VecPoly3, X, Y, Z, divergence
 
 rng = np.random.default_rng(2024)
 M = Material(1.0, 1.0)
@@ -82,7 +82,7 @@ def test_traction_equals_three_term_formula():
     pts = rng.uniform(-1, 1, size=(15, 3))
     nrm = random_unit(15)
     div_u = divergence(u)
-    curl_u = curl(u)
+    curl_u = VecPoly3(u[2].diff(2) - u[1].diff(3), u[0].diff(3) - u[2].diff(1), u[1].diff(1) - u[0].diff(2))
     grads = [[u[j].diff(a + 1) for j in range(3)] for a in range(3)]
     expected = np.empty((15, 3))
     for n, (p, nu) in enumerate(zip(pts, nrm)):

@@ -3,10 +3,28 @@ import pytest
 
 from elastopoly.polyalg import (
     Poly3, VecPoly3, X, Y, Z, R2,
-    batch_eval, curl, divergence, gradient, laplacian,
+    batch_eval, divergence, gradient, laplacian,
 )
 
 rng = np.random.default_rng(1905)
+
+
+def curl(v):
+    """Reference curl, written out for the vector-calculus identities below."""
+    return VecPoly3(
+        v[2].diff(2) - v[1].diff(3),
+        v[0].diff(3) - v[2].diff(1),
+        v[1].diff(1) - v[0].diff(2),
+    )
+
+
+def term_sum(p, pts):
+    """Reference evaluation: the explicit per-term sum of c x^i y^j z^k."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    out = np.zeros(len(pts))
+    for (i, j, k), c in p.terms.items():
+        out = out + c * x**i * y**j * z**k
+    return out
 
 
 def random_poly(max_degree=4, n_terms=6):
@@ -64,6 +82,17 @@ def test_eval_batch_matches_pointwise():
     assert vals.shape == (17,)
     for point, val in zip(pts, vals):
         assert val == pytest.approx(p.eval(point), abs=1e-14)
+    nested = pts[:16].reshape(2, 8, 3)
+    assert p.eval(nested).shape == (2, 8)
+    assert np.allclose(p.eval(nested), vals[:16].reshape(2, 8), rtol=0.0, atol=1e-14)
+    v = VecPoly3(p, random_poly(), Poly3.zero())
+    assert v.eval(pts[0]).shape == (3,) and v.eval(nested).shape == (2, 8, 3)
+    assert np.allclose(v.eval(nested)[..., 0], p.eval(nested), rtol=0.0, atol=1e-14)
+
+
+def test_jacobian_is_a_major():
+    v = random_vecpoly()
+    assert v.jacobian() == [v[j].diff(a) for a in (1, 2, 3) for j in range(3)]
 
 
 def test_zero_polynomial_is_empty_map():
@@ -168,7 +197,8 @@ def test_batch_eval_matches_single_eval():
     table = batch_eval(polys, pts)
     assert table.shape == (23, 8)
     for col, p in enumerate(polys):
-        assert np.allclose(table[:, col], p.eval(pts), atol=1e-13)
+        assert np.allclose(table[:, col], term_sum(p, pts), rtol=0.0, atol=1e-13)
+        assert np.allclose(p.eval(pts), term_sum(p, pts), rtol=0.0, atol=1e-13)
 
 
 def test_normalized_scales_to_unit_max():

@@ -117,6 +117,10 @@ def test_fit_validates_inputs(sphere_quad):
         fit("IV", BoundaryDataIV(Psi=np.zeros((7, 3)), psi=np.ones(7)), basis, sphere_quad)
     with pytest.raises(ValueError):
         fit("IV", good, basis, sphere_quad, svd_tol=0.0)
+    for weight in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="scalar_weight"):
+            fit("IV", good, basis, sphere_quad, scalar_weight=weight)
+    assert fit("IV", good, basis, sphere_quad, scalar_weight=0.0).kept_rank > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
