@@ -52,6 +52,7 @@ from .solver import (
     compatibility_defect,
     evaluate_solution,
     fit,
+    fit_degrees,
     trace_III,
     trace_IV,
 )
@@ -69,5 +70,5 @@ __all__ = [
     "kelvin_gradient", "kelvin_matrix", "kelvin_traction", "lame_apply", "traction",
     "Poly3", "VecPoly3", "batch_eval", "divergence", "gradient", "laplacian",
     "BoundaryDataIII", "BoundaryDataIV", "FitResult",
-    "compatibility_defect", "evaluate_solution", "fit", "trace_III", "trace_IV",
+    "compatibility_defect", "evaluate_solution", "fit", "fit_degrees", "trace_III", "trace_IV",
 ]

@@ -14,6 +14,7 @@ harmonic index), for a total of 3(K+1)^2 through degree K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,9 @@ class Material:
     mu: float
 
     def __post_init__(self):
+        for name, value in (("lambda", self.lam), ("mu", self.mu)):
+            if not math.isfinite(value):
+                raise ValueError(f"inadmissible material: {name} = {value} must be finite")
         if not (self.mu > 0.0):
             raise ValueError(f"inadmissible material: mu = {self.mu} must be > 0")
         if not (3.0 * self.lam + 2.0 * self.mu > 0.0):

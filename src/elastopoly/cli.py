@@ -210,10 +210,9 @@ def _write(outdir: str, name: str, content: str) -> None:
 
 def cmd_basis(args) -> int:
     try:
-        material = Material(args.lam, args.mu)
+        basis = elastic_basis(Material(args.lam, args.mu), args.degree)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    basis = elastic_basis(material, args.degree)
     blocks = []
     for el in basis:
         lines = [f"# degree={el.degree} s={el.harmonic_index} row={el.row}"]
@@ -238,6 +237,8 @@ def cmd_basis(args) -> int:
 def cmd_check(args) -> int:
     try:
         material = Material(args.lam, args.mu)
+        basis = elastic_basis(material, args.degree)
+        quad = make_quadrature(Sphere(), args.n_theta, args.n_phi)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     failures = 0
@@ -250,7 +251,6 @@ def cmd_check(args) -> int:
 
     from .operators import lame_apply
 
-    basis = elastic_basis(material, args.degree)
     worst = max(lame_apply(material, el.field.normalized()).max_abs_coeff() for el in basis)
     count_ok = len(basis) == 3 * (args.degree + 1) ** 2
     report(
@@ -268,7 +268,6 @@ def cmd_check(args) -> int:
     worst_t = float(np.max(np.abs(t)))
     report("rigid-traction", worst_t <= 1e-13 * 2.0, f"max |T(rigid)| = {worst_t:.3e} (tol 1e-13 scale)")
 
-    quad = make_quadrature(Sphere(), args.n_theta, args.n_phi)
     worst_b = 0.0
     for _ in range(20):
         i, j = rng.integers(0, len(basis), size=2)

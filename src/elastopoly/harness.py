@@ -36,7 +36,7 @@ from .operators import (
     kelvin_traction,
     traction,
 )
-from .polyalg import VecPoly3
+from .polyalg import VecPoly3, batch_eval
 from .solver import (
     PROBLEM_III,
     PROBLEM_IV,
@@ -45,8 +45,7 @@ from .solver import (
     boundary_data,
     check_scalar_weight,
     compatibility_defect,
-    evaluate_solution,
-    fit,
+    fit_degrees,
     max_misfit,
     split_trace,
 )
@@ -350,46 +349,34 @@ def prepare(config: StudyConfig):
 
 
 def run_study(config: StudyConfig) -> StudyReport:
-    """Sweep basis degrees against fixed data; one report row per degree."""
+    """Sweep basis degrees against fixed data; one report row per degree.  The
+    traces, their factorization and the probe values are computed once."""
     quad, data, exact, gammas = prepare(config)
-    probes = probe_points(config.surface)
-    exact_at_probes = exact.eval(probes) if exact is not None else None
+    basis = elastic_basis(config.material, max(config.degrees))
+    results = fit_degrees(config.problem, data, basis, quad, config.degrees, svd_tol=config.svd_tol,
+                          scalar_weight=config.scalar_weight, rotation_fields=gammas or None)
+
+    found = compatibility_defect(data, gammas, quad) if isinstance(data, BoundaryDataIII) else []
+    defects = tuple(found + [float("nan")] * (3 - len(found)))
+
+    if exact is not None:
+        probes = probe_points(config.surface)
+        exact_at_probes = exact.eval(probes)
+        den = float(np.max(np.linalg.norm(exact_at_probes, axis=1)))
+        components = [c for f in basis.fields() for c in f.components]
+        probe_values = batch_eval(components, probes).reshape(len(probes), len(basis), 3)
 
     rows: list[StudyRow] = []
-    for degree in config.degrees:
-        basis = elastic_basis(config.material, degree)
-        result = fit(
-            config.problem,
-            data,
-            basis,
-            quad,
-            svd_tol=config.svd_tol,
-            scalar_weight=config.scalar_weight,
-            rotation_fields=gammas or None,
-        )
-        residual_max = max_misfit(result.scalar_misfit, result.vector_misfit, config.scalar_weight)
-
-        defects = [float("nan")] * 3
-        if gammas and isinstance(data, BoundaryDataIII):
-            for idx, val in enumerate(compatibility_defect(data, gammas, quad)):
-                defects[idx] = val
-
+    for degree, result in zip(config.degrees, results):
         probe_err = float("nan")
-        if exact_at_probes is not None:
-            fitted, _ = evaluate_solution(result, basis, probes)
+        if exact is not None:
+            fitted = np.einsum("mej,e->mj", probe_values[:, : len(result.coefficients)], result.coefficients)
             num = float(np.max(np.linalg.norm(fitted - exact_at_probes, axis=1)))
-            den = float(np.max(np.linalg.norm(exact_at_probes, axis=1)))
             probe_err = num / den if den > 0.0 else num
 
-        rows.append(
-            StudyRow(
-                degree=degree,
-                residual_l2=result.residual_norm,
-                residual_max=residual_max,
-                data_norm=result.data_norm,
-                kept_rank=result.kept_rank,
-                defects=tuple(defects),
-                probe_err_max=probe_err,
-            )
-        )
+        residual_max = max_misfit(result.scalar_misfit, result.vector_misfit, config.scalar_weight)
+        rows.append(StudyRow(
+            degree=degree, residual_l2=result.residual_norm, residual_max=residual_max, data_norm=result.data_norm,
+            kept_rank=result.kept_rank, defects=defects, probe_err_max=probe_err,
+        ))
     return StudyReport(config=config, rows=tuple(rows), metadata=config_metadata(config), quadrature=quad)

@@ -6,8 +6,14 @@ normal traction) for problem IV — sampled on a surface quadrature.  Fitting
 minimizes the weighted-L2 misfit over basis coefficients with per-column
 normalization and a truncated SVD, the standard regularization for the
 exponentially ill-conditioned collocation matrices these bases produce.
-Truncation only affects the solution below the cutoff; the reported residual
-is always the directly recomputed misfit.
+
+The basis is ordered by degree and the scaling is per column, so the scaled
+degree-k matrix is a column prefix of the degree-K one.  A degree sweep
+therefore assembles the traces once, at K, and takes one Householder QR of
+[A | b] (R only, Q never formed); each degree then needs just the truncated
+SVD of the leading n x n block of R, n = 3(k+1)^2, whose last column holds
+Q^T b.  Truncation only affects the solution below the cutoff; the reported
+residual is always the directly recomputed misfit ||A c - b||.
 """
 
 from __future__ import annotations
@@ -203,26 +209,29 @@ def check_tangential(vector: np.ndarray, quad: SurfaceQuadrature, what: str) -> 
         )
 
 
-def fit(
+def fit_degrees(
     problem: str,
     data: BoundaryDataIII | BoundaryDataIV,
     basis: ElasticBasis,
     quad: SurfaceQuadrature,
+    degrees: tuple[int, ...],
     svd_tol: float = 1e-12,
     scalar_weight: float = 1.0,
     project_tangential: bool = False,
     rotation_fields: list[np.ndarray] | None = None,
-) -> FitResult:
-    """Weighted least-squares fit of the boundary data over the basis traces.
+) -> list[FitResult]:
+    """Weighted least-squares fits of the boundary data over the basis traces
+    through each of `degrees`, in the order given.
 
-    Minimizes sum_n w_n (scalar_weight * |scalar misfit|^2 + |vector misfit|^2).
-    Columns are scaled to unit weighted norm, then singular values below
+    Each fit minimizes sum_n w_n (scalar_weight * |scalar misfit|^2 +
+    |vector misfit|^2) over the 3(k+1)^2 elements of degree <= k.  Columns
+    are scaled to unit weighted norm, then singular values below
     svd_tol * sigma_max are discarded (minimum-norm solution).  If
     `rotation_fields` are passed (problem III on a symmetric surface), the
     weighted components of the fitted displacement along them are reported,
     making the arbitrary rigid part of the solution visible.  The traces are
-    assembled once; the per-sample misfits against the data as given are
-    kept on the result.
+    assembled and factored once, at basis.max_degree; the per-sample misfits
+    against the data as given are kept on each result.
     """
     expected = BoundaryDataIII if problem == PROBLEM_III else BoundaryDataIV
     if problem not in (PROBLEM_III, PROBLEM_IV):
@@ -234,6 +243,8 @@ def fit(
     if not (0.0 < svd_tol < 1.0):
         raise ValueError(f"svd_tol must be in (0, 1), got {svd_tol}")
     check_scalar_weight(scalar_weight)
+    if not degrees or not all(0 <= k <= basis.max_degree for k in degrees):
+        raise ValueError(f"degrees must lie in 0..{basis.max_degree}, got {list(degrees)}")
 
     vec_data = data.vector
     if project_tangential:
@@ -243,45 +254,45 @@ def fit(
         check_tangential(vec_data, quad, "Phi" if problem == PROBLEM_III else "Psi")
 
     values, scalar, vector = assemble_traces(problem, basis.material, basis.fields(), quad)
-    # Project onto the rotations now so the (N, E, 3) values are not held through the SVD.
+    # Project onto the rotations now so the (N, E, 3) values are not held through the factorization.
     rotations = [quad.weights @ np.einsum("nej,nj->ne", values, g) for g in rotation_fields or ()]
     del values
     sw = np.sqrt(quad.weights)
     rows_scalar = np.sqrt(scalar_weight) * sw[:, None] * scalar
     rows_vector = (sw[:, None, None] * vector).transpose(0, 2, 1).reshape(-1, len(basis))
     a = np.vstack([rows_scalar, rows_vector])
-    b = np.concatenate([
-        np.sqrt(scalar_weight) * sw * data.scalar,
-        (sw[:, None] * vec_data).reshape(-1),
-    ])
+    b = np.concatenate([np.sqrt(scalar_weight) * sw * data.scalar, (sw[:, None] * vec_data).reshape(-1)])
+    data_norm = float(np.linalg.norm(b))
 
     col_norms = np.linalg.norm(a, axis=0)
     scales = np.where(col_norms > 0.0, col_norms, 1.0)
-    u_svd, sigma, vt = np.linalg.svd(a / scales, full_matrices=False)
-    if sigma.size and sigma[0] > 0.0:
-        keep = sigma >= svd_tol * sigma[0]
-    else:
-        keep = np.zeros(sigma.shape, dtype=bool)
-    inv = np.zeros_like(sigma)
-    inv[keep] = 1.0 / sigma[keep]
-    coeffs = (vt.T @ (inv * (u_svd.T @ b))) / scales
+    # Elements are ordered by degree, so every degree's scaled matrix is a column
+    # prefix: A[:, :n] / scales[:n] = Q_n R[:n, :n] and Q_n^T b = R[:n, -1].
+    r = np.linalg.qr(np.column_stack([a / scales, b]), mode="r")
 
-    residual = float(np.linalg.norm(a @ coeffs - b))
-    data_norm = float(np.linalg.norm(b))
-    scalar_misfit, vector_misfit = pointwise_misfit(data, scalar, vector, coeffs)
+    results = []
+    for degree in degrees:
+        n = 3 * (degree + 1) ** 2
+        u_svd, sigma, vt = np.linalg.svd(r[:n, :n], full_matrices=False)
+        keep = (sigma > 0.0) & (sigma >= svd_tol * np.max(sigma, initial=0.0))
+        inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
+        coeffs = (vt.T @ (inv * (u_svd.T @ r[:n, -1]))) / scales[:n]
+        scalar_misfit, vector_misfit = pointwise_misfit(data, scalar[:, :n], vector[:, :n], coeffs)
+        results.append(FitResult(
+            problem=problem, coefficients=coeffs, residual_norm=float(np.linalg.norm(a[:, :n] @ coeffs - b)),
+            data_norm=data_norm, kept_rank=int(np.count_nonzero(keep)), singular_values=sigma, svd_tol=svd_tol,
+            rotation_components=np.array(rotations)[:, :n] @ coeffs if rotations else None,
+            scalar_misfit=scalar_misfit, vector_misfit=vector_misfit,
+        ))
+    return results
 
-    return FitResult(
-        problem=problem,
-        coefficients=coeffs,
-        residual_norm=residual,
-        data_norm=data_norm,
-        kept_rank=int(np.count_nonzero(keep)),
-        singular_values=sigma,
-        svd_tol=svd_tol,
-        rotation_components=np.array(rotations) @ coeffs if rotations else None,
-        scalar_misfit=scalar_misfit,
-        vector_misfit=vector_misfit,
-    )
+
+def fit(
+    problem: str, data: BoundaryDataIII | BoundaryDataIV, basis: ElasticBasis, quad: SurfaceQuadrature, **options
+) -> FitResult:
+    """The fit over the whole basis: `fit_degrees` at basis.max_degree alone,
+    taking the same keyword options."""
+    return fit_degrees(problem, data, basis, quad, (basis.max_degree,), **options)[0]
 
 
 def pointwise_misfit(

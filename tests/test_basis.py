@@ -23,6 +23,14 @@ def test_material_rejects_inadmissible(lam, mu):
         Material(lam, mu)
 
 
+@pytest.mark.parametrize("lam,mu,name", [
+    (float("inf"), 1.0, "lambda"), (float("nan"), 1.0, "lambda"), (1.0, float("inf"), "mu"),
+])
+def test_material_rejects_non_finite(lam, mu, name):
+    with pytest.raises(ValueError, match=f"{name} = .* must be finite"):
+        Material(lam, mu)
+
+
 # -- solid harmonics -------------------------------------------------------------
 
 

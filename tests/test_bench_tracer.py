@@ -32,19 +32,23 @@ def test_every_tracer_target_resolves():
 
 
 def test_fit_calls_svd_through_solver_numpy(monkeypatch):
-    # the tracer counts SVDs by swapping the `np` that elastopoly.solver holds
+    # the tracer counts SVDs by swapping the `np` that elastopoly.solver holds;
+    # the QR of [A | b] goes through it too, and the SVD sees only the R block
     from elastopoly import BoundaryDataIV, Material, Sphere, elastic_basis, fit, make_quadrature
 
     tracer = load_tracer()
     solver = importlib.import_module("elastopoly.solver")
     calls = []
 
-    def svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return np.linalg.svd(*args, **kwargs)
+    def recorder(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, args[0].shape))
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(solver, "np", tracer._Proxy(np, linalg=tracer._Proxy(np.linalg, svd=svd)))
+    linalg = tracer._Proxy(np.linalg, svd=recorder("svd", np.linalg.svd), qr=recorder("qr", np.linalg.qr))
+    monkeypatch.setattr(solver, "np", tracer._Proxy(np, linalg=linalg))
     quad = make_quadrature(Sphere(), 8, 16)
     data = BoundaryDataIV(Psi=np.zeros((quad.n_samples, 3)), psi=np.ones(quad.n_samples))
     fit("IV", data, elastic_basis(Material(1.0, 1.0), 1), quad)
-    assert calls == [(4 * quad.n_samples, 12)]
+    assert calls == [("qr", (4 * quad.n_samples, 13)), ("svd", (12, 12))]

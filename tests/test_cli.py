@@ -91,6 +91,19 @@ def test_basis_rejects_inadmissible_material(capsys):
     assert "inadmissible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--lambda", "inf"), ("--mu", "nan")])
+def test_basis_rejects_non_finite_material(capsys, flag, value):
+    assert run(["basis", "--degree", "2", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err and flag[2:] in captured.err
+    assert captured.out == ""
+
+
+def test_basis_negative_degree_exits_1(capsys):
+    assert run(["basis", "--degree", "-1"]) == 1
+    assert "error: max_degree must be a non-negative integer" in capsys.readouterr().err
+
+
 # -- check ------------------------------------------------------------------------
 
 
@@ -100,6 +113,17 @@ def test_check_passes_quickly(capsys):
     assert code == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--degree", "-1"], "max_degree must be a non-negative integer"),
+    (["--n-theta", "2"], "n_theta must be >= 4"),
+])
+def test_check_bad_input_exits_1(capsys, args, message):
+    assert run(["check", "--degree", "1", *args]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_check_default_configuration_passes(capsys):
