@@ -79,6 +79,26 @@ def _fp_r2(p: _FracPoly) -> _FracPoly:
     return _fp_add(_shift(_shift(p, 0), 0), _shift(_shift(p, 1), 1), _shift(_shift(p, 2), 2))
 
 
+@lru_cache(maxsize=3)
+def _degree_tracks(l: int) -> tuple[dict[int, _FracPoly], dict[int, _FracPoly]]:
+    """The rational cos and sin polynomials R_{l,m}, m = 0..l, of one degree,
+    built from the two degrees below.  Three degrees stay cached: enough for
+    an ascending sweep to run each step once, without holding every degree's
+    rationals for the life of the process."""
+    if l == 0:
+        return {0: {(0, 0, 0): Fraction(1)}}, {0: {}}
+    cos1, sin1 = _degree_tracks(l - 1)
+    cos2, sin2 = _degree_tracks(l - 2) if l >= 2 else ({}, {})
+    cos = {l: _fp_add(_shift(cos1[l - 1], 0), _fp_scale(_shift(sin1[l - 1], 1), Fraction(-1)))}
+    sin = {l: _fp_add(_shift(sin1[l - 1], 0), _shift(cos1[l - 1], 1))}
+    for track, prev, prev2 in ((cos, cos1, cos2), (sin, sin1, sin2)):
+        for m in range(l):
+            above = _fp_scale(_shift(prev[m], 2), Fraction(2 * l - 1, l - m))
+            below = _fp_scale(_fp_r2(prev2[m]), Fraction(-(l - 1 + m), l - m)) if l - 2 >= m else {}
+            track[m] = _fp_add(above, below)
+    return cos, sin
+
+
 @lru_cache(maxsize=None)
 def solid_harmonics(k: int) -> tuple[Poly3, ...]:
     """The 2k+1 harmonic homogeneous polynomials of degree k.
@@ -89,33 +109,17 @@ def solid_harmonics(k: int) -> tuple[Poly3, ...]:
         (l - m + 1) R_{l+1,m} = (2l + 1) z R_{l,m} - (l + m) |x|^2 R_{l-1,m}.
 
     Coefficients are carried as exact rationals and each polynomial is
-    max-normalized on conversion to floats.  Within a degree the order is
-    m = 0, then the (cos, sin) pair for m = 1, 2, ..., k.
+    max-normalized on conversion to floats.  The rational tracks are kept, so
+    a sweep through degree K runs the recurrence once.  Within a degree the
+    order is m = 0, then the (cos, sin) pair for m = 1, 2, ..., k.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"degree must be a non-negative integer, got {k}")
-
-    cos_track: dict[tuple[int, int], _FracPoly] = {(0, 0): {(0, 0, 0): Fraction(1)}}
-    sin_track: dict[tuple[int, int], _FracPoly] = {(0, 0): {}}
+    cos, sin = _degree_tracks(k)
+    out = [_to_poly(cos[0])]
     for m in range(1, k + 1):
-        c_prev, s_prev = cos_track[(m - 1, m - 1)], sin_track[(m - 1, m - 1)]
-        cos_track[(m, m)] = _fp_add(_shift(c_prev, 0), _fp_scale(_shift(s_prev, 1), Fraction(-1)))
-        sin_track[(m, m)] = _fp_add(_shift(s_prev, 0), _shift(c_prev, 1))
-    for track in (cos_track, sin_track):
-        for m in range(0, k + 1):
-            for l in range(m, k):
-                above = _fp_scale(_shift(track[(l, m)], 2), Fraction(2 * l + 1, l - m + 1))
-                below = (
-                    _fp_scale(_fp_r2(track[(l - 1, m)]), Fraction(-(l + m), l - m + 1))
-                    if l - 1 >= m
-                    else {}
-                )
-                track[(l + 1, m)] = _fp_add(above, below)
-
-    out = [_to_poly(cos_track[(k, 0)])]
-    for m in range(1, k + 1):
-        out.append(_to_poly(cos_track[(k, m)]))
-        out.append(_to_poly(sin_track[(k, m)]))
+        out.append(_to_poly(cos[m]))
+        out.append(_to_poly(sin[m]))
     return tuple(out)
 
 

@@ -311,8 +311,7 @@ def cmd_solve(args) -> int:
     config = study_config_from(cfg, degrees)
     project = _get(cfg, "problem", "project_tangential", "off").lower() in ("on", "true", "1", "yes")
     try:
-        quad, data, _, gammas = prepare(config)
-        basis = elastic_basis(config.material, max(config.degrees))
+        quad, basis, data, _, gammas = prepare(config)
         result = fit(
             config.problem,
             data,

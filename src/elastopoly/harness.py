@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Material, elastic_basis
+from .basis import ElasticBasis, Material, elastic_basis
 from .geometry import (
     SurfaceQuadrature,
     SurfaceSpec,
@@ -36,7 +36,7 @@ from .operators import (
     kelvin_traction,
     traction,
 )
-from .polyalg import VecPoly3, batch_eval
+from .polyalg import VecPoly3
 from .solver import (
     PROBLEM_III,
     PROBLEM_IV,
@@ -45,6 +45,7 @@ from .solver import (
     boundary_data,
     check_scalar_weight,
     compatibility_defect,
+    field_values,
     fit_degrees,
     max_misfit,
     split_trace,
@@ -311,13 +312,12 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def build_data(config: StudyConfig, quad: SurfaceQuadrature):
+def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis):
     """Boundary data for the study, plus an exact evaluator when one exists."""
     source, problem = config.source, config.problem
     if isinstance(source, KelvinSource):
         return kelvin_data(config.material, quad, source.y0, source.row, problem)
     if isinstance(source, BasisElementSource):
-        basis = elastic_basis(config.material, max(config.degrees))
         if not (0 <= source.index < len(basis)):
             raise ValueError(f"basis element index {source.index} out of range 0..{len(basis) - 1}")
         fld = basis.elements[source.index].field
@@ -336,23 +336,24 @@ def build_data(config: StudyConfig, quad: SurfaceQuadrature):
 
 
 def prepare(config: StudyConfig):
-    """Quadrature, boundary data, exact evaluator (or None) and, for problem
-    III, the tangential rotation fields of the configured surface."""
+    """Quadrature, basis through max(degrees), boundary data, exact evaluator
+    (or None) and, for problem III, the tangential rotation fields of the
+    configured surface."""
     quad = make_quadrature(config.surface, config.n_theta, config.n_phi)
-    data, exact = build_data(config, quad)
+    basis = elastic_basis(config.material, max(config.degrees))
+    data, exact = build_data(config, quad, basis)
     gammas = (
         tangential_rotation_fields(classify_symmetry(config.surface), quad)
         if config.problem == PROBLEM_III
         else []
     )
-    return quad, data, exact, gammas
+    return quad, basis, data, exact, gammas
 
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Sweep basis degrees against fixed data; one report row per degree.  The
     traces, their factorization and the probe values are computed once."""
-    quad, data, exact, gammas = prepare(config)
-    basis = elastic_basis(config.material, max(config.degrees))
+    quad, basis, data, exact, gammas = prepare(config)
     results = fit_degrees(config.problem, data, basis, quad, config.degrees, svd_tol=config.svd_tol,
                           scalar_weight=config.scalar_weight, rotation_fields=gammas or None)
 
@@ -363,14 +364,13 @@ def run_study(config: StudyConfig) -> StudyReport:
         probes = probe_points(config.surface)
         exact_at_probes = exact.eval(probes)
         den = float(np.max(np.linalg.norm(exact_at_probes, axis=1)))
-        components = [c for f in basis.fields() for c in f.components]
-        probe_values = batch_eval(components, probes).reshape(len(probes), len(basis), 3)
+        probe_values = field_values(basis.fields(), probes)
 
     rows: list[StudyRow] = []
     for degree, result in zip(config.degrees, results):
         probe_err = float("nan")
         if exact is not None:
-            fitted = np.einsum("mej,e->mj", probe_values[:, : len(result.coefficients)], result.coefficients)
+            fitted = probe_values[:, :, : len(result.coefficients)] @ result.coefficients
             num = float(np.max(np.linalg.norm(fitted - exact_at_probes, axis=1)))
             probe_err = num / den if den > 0.0 else num
 

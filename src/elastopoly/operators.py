@@ -30,13 +30,22 @@ def traction_of_gradient(material: Material, grad: np.ndarray, normals: np.ndarr
 
     Normals broadcast against the gradients' leading axes.  The result is
     unchanged when g is transposed, so either index convention of the
-    gradient (d_a v_j or d_j v_a) gives the traction.  Never forms g + g^T,
-    which at basis scale would be a second copy of the whole gradient table.
+    gradient (d_a v_j or d_j v_a) gives the traction.  Each directional sum
+    is a multiply-add over (..., 3) slices of g, so a strided view of a
+    component-major table costs no copy, and g^T nu and g nu run in the same
+    order: an antisymmetric g (a rigid rotation) cancels exactly.
     """
-    t = np.einsum("...ab,...a->...b", grad, normals)
-    t += np.einsum("...ab,...b->...a", grad, normals)
+    nu = [normals[..., a, None] for a in range(3)]
+    t = grad[..., 0, :] * nu[0]
+    g_nu = grad[..., :, 0] * nu[0]
+    for a in (1, 2):
+        t += grad[..., a, :] * nu[a]
+        g_nu += grad[..., :, a] * nu[a]
+    t += g_nu
     t *= material.mu
-    t += material.lam * np.trace(grad, axis1=-2, axis2=-1)[..., None] * normals
+    div = material.lam * (grad[..., 0, 0] + grad[..., 1, 1] + grad[..., 2, 2])
+    for b in range(3):
+        t[..., b] += div * normals[..., b]
     return t
 
 

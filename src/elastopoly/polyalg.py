@@ -15,6 +15,8 @@ scale and are asserted at 1e-12 after max-normalization.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -349,38 +351,65 @@ def laplacian(f):
     raise TypeError(f"expected Poly3 or VecPoly3, got {type(f).__name__}")
 
 
-def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:
-    """Evaluate many polynomials at many points in one matrix product.
+@lru_cache(maxsize=None)
+def _graded_lex_table(max_degree: int) -> tuple[dict[Monomial, int], np.ndarray]:
+    """Index of every monomial of degree <= max_degree in graded-lex order,
+    and the (n, 3) exponent array in that order.  Degree d starts at row
+    d(d+1)(d+2)/6, so the monomials of a degree range are contiguous."""
+    monos = [(i, j, d - i - j) for d in range(max_degree + 1) for i in range(d + 1) for j in range(d - i + 1)]
+    return {m: r for r, m in enumerate(monos)}, np.array(monos, dtype=np.intp).reshape(-1, 3)
 
-    Builds the table of all monomials appearing in `polys` at the points and
-    multiplies by the coefficient matrix, so the inner loops run in BLAS.
-    Returns an array of shape (n_points, len(polys)).
+
+def _degree_start(d: int) -> int:
+    return d * (d + 1) * (d + 2) // 6
+
+
+class CoefficientBlocks:
+    """Groups of polynomials laid out for repeated evaluation.
+
+    Each group becomes one coefficient matrix over the contiguous graded-lex
+    monomial range of its degrees (one degree for a homogeneous group), so
+    evaluating it is one matrix product that skips every other degree.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = pts.shape[0]
-    monos = sorted({m for p in polys for m in p.terms}, key=_graded_lex)
-    if not monos:
-        return np.zeros((npts, len(polys)))
 
-    index = {m: r for r, m in enumerate(monos)}
-    coeffs = np.zeros((len(monos), len(polys)))
-    for col, p in enumerate(polys):
-        for mono, c in p.terms.items():
-            coeffs[index[mono], col] = c
+    def __init__(self, groups: Sequence[Sequence[Poly3]]):
+        self.max_degree = max([0, *(p.degree() for polys in groups for p in polys)])
+        index, exps = _graded_lex_table(self.max_degree)
+        self.blocks: list[tuple[int, int, np.ndarray]] = []  # (first, end) monomials, (poly, monomial) coefficients
+        for polys in groups:
+            counts = [len(p.terms) for p in polys]
+            rows = np.fromiter(chain.from_iterable(map(index.__getitem__, p.terms) for p in polys), np.intp, sum(counts))
+            first, end = 0, 0
+            if rows.size:  # graded order: the extreme rows hold the lowest and highest degrees
+                first, end = _degree_start(exps[rows.min()].sum()), _degree_start(exps[rows.max()].sum() + 1)
+            coeffs = np.zeros((len(polys), end - first))
+            coeffs[np.repeat(np.arange(len(polys)), counts), rows - first] = np.fromiter(
+                chain.from_iterable(p.terms.values() for p in polys), float, rows.size)
+            self.blocks.append((first, end, coeffs))
+        used = [(first, end) for first, end, _ in self.blocks if end > first]
+        self.first = min((first for first, _ in used), default=0)
+        self.exponents = exps[self.first:max((end for _, end in used), default=0)]
 
-    # cumulative power tables per coordinate
-    powers = []
-    for a in range(3):
-        dmax = max(m[a] for m in monos)
-        tab = np.ones((dmax + 1, npts))
-        for e in range(1, dmax + 1):
-            tab[e] = tab[e - 1] * pts[:, a]
-        powers.append(tab)
+    def eval(self, points) -> list[np.ndarray]:
+        """One (len(group), n_points) array of values per group."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # cumulative power tables per coordinate, then each monomial as (x^i y^j) z^k
+        powers = np.empty((3, self.max_degree + 1, pts.shape[0]))
+        powers[:, 0] = 1.0
+        for e in range(1, self.max_degree + 1):
+            powers[:, e] = powers[:, e - 1] * pts.T
+        i, j, k = self.exponents.T
+        table = powers[0, i]  # (monomial, point)
+        table *= powers[1, j]
+        table *= powers[2, k]
+        return [coeffs @ table[first - self.first:end - self.first] if end > first
+                else np.zeros((coeffs.shape[0], pts.shape[0])) for first, end, coeffs in self.blocks]
 
-    table = np.empty((npts, len(monos)))
-    for r, (i, j, k) in enumerate(monos):
-        table[:, r] = powers[0][i] * powers[1][j] * powers[2][k]
-    return table @ coeffs
+
+def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:
+    """Evaluate many polynomials at many points in one matrix product: the
+    one-group case of `CoefficientBlocks`.  Returns (n_points, len(polys))."""
+    return CoefficientBlocks([polys]).eval(points)[0].T
 
 
 # convenient generators

@@ -14,11 +14,21 @@ therefore assembles the traces once, at K, and takes one Householder QR of
 SVD of the leading n x n block of R, n = 3(k+1)^2, whose last column holds
 Q^T b.  Truncation only affects the solution below the cutoff; the reported
 residual is always the directly recomputed misfit ||A c - b||.
+
+The traces are assembled in chunks of CHUNK_POINTS samples.  Per chunk the
+basis is evaluated one degree block at a time (degree-k values and degree-(k-1)
+gradients touch only their own monomials), contracted to tractions, split into
+the III/IV data and written straight into one row-stacked trace matrix T.  The
+weighted, column-scaled [A | b] is written into a second array as the QR
+input.  The peak footprint is about four (4N, E + 1) float arrays, during the
+QR: T, the QR input, the copy `np.linalg.qr` takes of it and LAPACK's
+column-major working copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -26,9 +36,10 @@ from .basis import Material, ElasticBasis
 from .geometry import SurfaceQuadrature
 from .ioutil import fmt17
 from .operators import traction_of_gradient
-from .polyalg import VecPoly3, batch_eval
+from .polyalg import CoefficientBlocks, VecPoly3
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
+CHUNK_POINTS = 256  # samples per chunk of the trace assembly and field evaluation
 
 PROBLEM_III = "III"
 PROBLEM_IV = "IV"
@@ -128,16 +139,48 @@ class FitResult:
 # -- trace assembly ---------------------------------------------------------------
 
 
-def _eval_values_and_gradients(fields: list[VecPoly3], points) -> tuple[np.ndarray, np.ndarray]:
-    """Values (N, E, 3) and gradients (N, E, 3, 3) with grad[..., a, j] = d v_j / d x_a."""
-    polys = []
-    for v in fields:
-        polys.extend(v.components)
-        polys.extend(v.jacobian())
-    table = batch_eval(polys, points)
-    n_pts, n_fields = table.shape[0], len(fields)
-    table = table.reshape(n_pts, n_fields, 12)
-    return table[:, :, :3], table[:, :, 3:].reshape(n_pts, n_fields, 3, 3)
+def _degree_runs(fields: list[VecPoly3]) -> list[slice]:
+    """Runs of consecutive fields sharing one homogeneous degree; a run of
+    mixed-degree fields is one block over its whole degree range."""
+    runs, start = [], 0
+    for _, run in groupby(fields, key=VecPoly3.homogeneous_degree):
+        stop = start + len(list(run))
+        runs.append(slice(start, stop))
+        start = stop
+    return runs
+
+
+def _eval_chunks(fields: list[VecPoly3], points: np.ndarray, gradients: bool = True):
+    """Evaluate the fields one point chunk and one degree block at a time.
+
+    Yields (point rows, field columns, values (3, e, n), gradients
+    (3, 3, e, n) or None) with values[j] = v_j and gradients[a, j] =
+    d v_j / d x_a, each component a contiguous (e, n) block.  The
+    coefficients are laid out once; a degree-k block multiplies only the
+    degree-k monomials for the values and the degree-(k-1) ones for the
+    gradients.
+    """
+    runs = _degree_runs(fields)
+    groups = []
+    for run in runs:
+        groups.append([v[j] for j in range(3) for v in fields[run]])
+        if gradients:
+            jacobians = [v.jacobian() for v in fields[run]]
+            groups.append([jac[i] for i in range(9) for jac in jacobians])
+    blocks = CoefficientBlocks(groups)
+    for start in range(0, len(points), CHUNK_POINTS):
+        rows = slice(start, min(start + CHUNK_POINTS, len(points)))
+        out = iter(blocks.eval(points[rows]))
+        n = rows.stop - rows.start
+        for run in runs:
+            e = run.stop - run.start
+            values = next(out).reshape(3, e, n)
+            grads = next(out).reshape(3, 3, e, n) if gradients else None
+            yield rows, run, values, grads
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +191,15 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
     the samples' leading axes.
     """
     if problem == PROBLEM_III:
-        scalar, full = np.einsum("...j,...j->...", u, normals), t
+        scalar, full = _dot(u, normals), t
     elif problem == PROBLEM_IV:
-        scalar, full = np.einsum("...j,...j->...", t, normals), u
+        scalar, full = _dot(t, normals), u
     else:
         raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
-    return scalar, full - np.einsum("...j,...j->...", full, normals)[..., None] * normals
+    normal_part, vector = _dot(full, normals), np.empty_like(full)  # keeps the memory layout of full
+    for b in range(3):
+        vector[..., b] = full[..., b] - normal_part * normals[..., b]
+    return scalar, vector
 
 
 def boundary_data(problem: str, scalar: np.ndarray, vector: np.ndarray) -> BoundaryDataIII | BoundaryDataIV:
@@ -166,26 +212,48 @@ def boundary_data(problem: str, scalar: np.ndarray, vector: np.ndarray) -> Bound
 
 
 def assemble_traces(
-    problem: str, material: Material, fields: list[VecPoly3], quad: SurfaceQuadrature
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values (N, E, 3) of the fields and their scalar (N, E) and tangential-vector
-    (N, E, 3) trace blocks."""
-    values, grads = _eval_values_and_gradients(fields, quad.points)
-    nu = quad.normals[:, None, :]
-    return (values, *split_trace(problem, values, traction_of_gradient(material, grads, nu), nu))
+    problem: str,
+    material: Material,
+    fields: list[VecPoly3],
+    quad: SurfaceQuadrature,
+    rotation_fields: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stacked trace matrix T (4N, E) of the fields and their weighted
+    displacement projections (len(rotation_fields), E) on the rotation fields.
+
+    Row n of T holds the scalar traces at sample n, row N + 3n + j the j-th
+    component of the tangential vector traces.  The basis is evaluated in
+    chunks of CHUNK_POINTS samples, one degree block at a time, and each
+    block's traces are written straight into T.
+    """
+    n_samples, rotations = quad.n_samples, list(rotation_fields or ())
+    traces = np.empty((4 * n_samples, len(fields)))
+    vector_rows = traces[n_samples:].reshape(n_samples, 3, len(fields))
+    projections = np.zeros((len(rotations), len(fields)))
+    for rows, cols, values, grads in _eval_chunks(fields, quad.points):
+        # (e, n, 3) views: the normals broadcast over the fields, the point axis runs innermost
+        nu = quad.normals[rows]
+        t = traction_of_gradient(material, grads.transpose(2, 3, 0, 1), nu)
+        scalar, vector = split_trace(problem, values.transpose(1, 2, 0), t, nu)
+        traces[rows, cols] = scalar.T
+        vector_rows[rows, :, cols] = vector.transpose(1, 2, 0)
+        if rotations:
+            weighted = np.stack([quad.weights[rows, None] * g[rows] for g in rotations])
+            projections[:, cols] += np.einsum("gnj,jen->ge", weighted, values)
+    return traces, projections
 
 
 def trace_III(material: Material, p: VecPoly3, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """(u . nu, Tu - (Tu . nu) nu) samples of one field; the vector part is
     exactly tangential by construction."""
-    _, scalar, vector = assemble_traces(PROBLEM_III, material, [p], quad)
-    return scalar[:, 0], vector[:, 0, :]
+    traces, _ = assemble_traces(PROBLEM_III, material, [p], quad)
+    return traces[: quad.n_samples, 0], traces[quad.n_samples:, 0].reshape(-1, 3)
 
 
 def trace_IV(material: Material, p: VecPoly3, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """(u - (u . nu) nu, Tu . nu) samples of one field."""
-    _, scalar, vector = assemble_traces(PROBLEM_IV, material, [p], quad)
-    return vector[:, 0, :], scalar[:, 0]
+    traces, _ = assemble_traces(PROBLEM_IV, material, [p], quad)
+    return traces[quad.n_samples:, 0].reshape(-1, 3), traces[: quad.n_samples, 0]
 
 
 # -- fitting ----------------------------------------------------------------------
@@ -253,22 +321,24 @@ def fit_degrees(
     else:
         check_tangential(vec_data, quad, "Phi" if problem == PROBLEM_III else "Psi")
 
-    values, scalar, vector = assemble_traces(problem, basis.material, basis.fields(), quad)
-    # Project onto the rotations now so the (N, E, 3) values are not held through the factorization.
-    rotations = [quad.weights @ np.einsum("nej,nj->ne", values, g) for g in rotation_fields or ()]
-    del values
+    traces, rotations = assemble_traces(problem, basis.material, basis.fields(), quad, rotation_fields)
+    n_samples, n_fields = quad.n_samples, len(basis)
     sw = np.sqrt(quad.weights)
-    rows_scalar = np.sqrt(scalar_weight) * sw[:, None] * scalar
-    rows_vector = (sw[:, None, None] * vector).transpose(0, 2, 1).reshape(-1, len(basis))
-    a = np.vstack([rows_scalar, rows_vector])
+    row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 3)])
     b = np.concatenate([np.sqrt(scalar_weight) * sw * data.scalar, (sw[:, None] * vec_data).reshape(-1)])
     data_norm = float(np.linalg.norm(b))
 
+    # The QR input [A / scales | b], A the weighted traces, written in place.
+    ab = np.empty((4 * n_samples, n_fields + 1))
+    a = np.multiply(row_weights[:, None], traces, out=ab[:, :n_fields])
     col_norms = np.linalg.norm(a, axis=0)
     scales = np.where(col_norms > 0.0, col_norms, 1.0)
+    a /= scales
+    ab[:, -1] = b
     # Elements are ordered by degree, so every degree's scaled matrix is a column
     # prefix: A[:, :n] / scales[:n] = Q_n R[:n, :n] and Q_n^T b = R[:n, -1].
-    r = np.linalg.qr(np.column_stack([a / scales, b]), mode="r")
+    r = np.linalg.qr(ab, mode="r")
+    del ab, a
 
     results = []
     for degree in degrees:
@@ -277,11 +347,12 @@ def fit_degrees(
         keep = (sigma > 0.0) & (sigma >= svd_tol * np.max(sigma, initial=0.0))
         inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
         coeffs = (vt.T @ (inv * (u_svd.T @ r[:n, -1]))) / scales[:n]
-        scalar_misfit, vector_misfit = pointwise_misfit(data, scalar[:, :n], vector[:, :n], coeffs)
+        fitted = traces[:, :n] @ coeffs
+        scalar_misfit, vector_misfit = pointwise_misfit(data, fitted)
         results.append(FitResult(
-            problem=problem, coefficients=coeffs, residual_norm=float(np.linalg.norm(a[:, :n] @ coeffs - b)),
+            problem=problem, coefficients=coeffs, residual_norm=float(np.linalg.norm(row_weights * fitted - b)),
             data_norm=data_norm, kept_rank=int(np.count_nonzero(keep)), singular_values=sigma, svd_tol=svd_tol,
-            rotation_components=np.array(rotations)[:, :n] @ coeffs if rotations else None,
+            rotation_components=rotations[:, :n] @ coeffs if rotation_fields else None,
             scalar_misfit=scalar_misfit, vector_misfit=vector_misfit,
         ))
     return results
@@ -296,13 +367,13 @@ def fit(
 
 
 def pointwise_misfit(
-    data: BoundaryDataIII | BoundaryDataIV, scalar: np.ndarray, vector: np.ndarray, coefficients: np.ndarray
+    data: BoundaryDataIII | BoundaryDataIV, fitted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample scalar (N,) and vector (N, 3) misfits of the coefficients
-    over the trace blocks, against the data as given (never projected)."""
-    ds = scalar @ coefficients - data.scalar
-    dv = np.einsum("nej,e->nj", vector, coefficients) - data.vector
-    return ds, dv
+    """Per-sample scalar (N,) and vector (N, 3) misfits of fitted trace rows
+    (4N,), laid out as the rows of `assemble_traces`, against the data as
+    given (never projected)."""
+    n = data.n_samples
+    return fitted[:n] - data.scalar, fitted[n:].reshape(n, 3) - data.vector
 
 
 def max_misfit(ds: np.ndarray, dv: np.ndarray, scalar_weight: float = 1.0) -> float:
@@ -319,6 +390,15 @@ def compatibility_defect(
     return [float(quad.inner(data.Phi, g)) for g in gammas]
 
 
+def field_values(fields: list[VecPoly3], points) -> np.ndarray:
+    """Displacements (M, 3, E) of every field at the points."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((len(pts), 3, len(fields)))
+    for rows, cols, values, _ in _eval_chunks(fields, pts, gradients=False):
+        out[rows, :, cols] = values.transpose(2, 0, 1)
+    return out
+
+
 def evaluate_solution(
     result: FitResult, basis: ElasticBasis, points
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -326,14 +406,16 @@ def evaluate_solution(
 
     The stress is lam (div u) I + mu (grad u + grad u^T), symmetric by
     construction; contracting with a surface normal reproduces the traction
-    of the fitted field.  Evaluates every basis field at the points, which
-    takes 12 * M * len(basis) floats.
+    of the fitted field.  The basis is evaluated one chunk of CHUNK_POINTS
+    points at a time and contracted with the coefficients at once, so the
+    working set is 12 * CHUNK_POINTS * len(basis) floats whatever M is.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values, grads = _eval_values_and_gradients(basis.fields(), pts)
     c = result.coefficients
-    disp = np.einsum("mej,e->mj", values, c)
-    g = np.einsum("meaj,e->maj", grads, c)
+    disp, g = np.zeros((len(pts), 3)), np.zeros((len(pts), 3, 3))
+    for rows, cols, values, grads in _eval_chunks(basis.fields(), pts):
+        disp[rows] += (c[cols] @ values).T
+        g[rows] += (c[cols] @ grads).transpose(2, 0, 1)
     # Row k is the traction sigma e_k on the plane with normal e_k; sigma is symmetric.
     stress = traction_of_gradient(basis.material, g[:, None, :, :], np.eye(3))
     return disp, stress

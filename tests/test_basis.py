@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,55 @@ def test_solid_harmonics_linearly_independent():
             for mono, c in p.terms.items():
                 mat[r, monos.index(mono)] = c
         assert np.linalg.matrix_rank(mat) == 2 * k + 1
+
+
+def per_degree_harmonics(k):
+    """The recurrence run from degree 0 for this k alone, as one call of
+    `solid_harmonics` did before its rational tracks were kept across degrees."""
+    def shift(p, axis, times=1):
+        out = {}
+        for mono, c in p.items():
+            m = list(mono)
+            m[axis] += times
+            out[tuple(m)] = c
+        return out
+
+    def add(*polys):
+        out = {}
+        for p in polys:
+            for mono, c in p.items():
+                out[mono] = out.get(mono, Fraction(0)) + c
+        return {mono: c for mono, c in out.items() if c}
+
+    def scale(p, c):
+        return {mono: v * c for mono, v in p.items()} if c else {}
+
+    cos, sin = {(0, 0): {(0, 0, 0): Fraction(1)}}, {(0, 0): {}}
+    for m in range(1, k + 1):
+        cos[(m, m)] = add(shift(cos[(m - 1, m - 1)], 0), scale(shift(sin[(m - 1, m - 1)], 1), Fraction(-1)))
+        sin[(m, m)] = add(shift(sin[(m - 1, m - 1)], 0), shift(cos[(m - 1, m - 1)], 1))
+    for track in (cos, sin):
+        for m in range(k + 1):
+            for l in range(m, k):
+                above = scale(shift(track[(l, m)], 2), Fraction(2 * l + 1, l - m + 1))
+                below = {}
+                if l - 1 >= m:
+                    r2 = add(*(shift(track[(l - 1, m)], a, 2) for a in range(3)))
+                    below = scale(r2, Fraction(-(l + m), l - m + 1))
+                track[(l + 1, m)] = add(above, below)
+
+    def to_poly(p):
+        peak = max(abs(c) for c in p.values())
+        return Poly3({mono: float(c / peak) for mono, c in p.items()})
+
+    return [to_poly(cos[(k, 0)])] + [to_poly(t[(k, m)]) for m in range(1, k + 1) for t in (cos, sin)]
+
+
+def test_solid_harmonics_match_the_per_degree_recurrence():
+    # descending, so that lower degrees come from tracks a higher degree left behind
+    for k in (10, 4, 7, 0, 1):
+        for ours, reference in zip(solid_harmonics(k), per_degree_harmonics(k), strict=True):
+            assert ours.terms == reference.terms  # bitwise: the rationals are exact
 
 
 # -- degree coefficient ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -59,6 +60,14 @@ def test_parse_config_reports_line_numbers():
 
 
 # -- basis export -----------------------------------------------------------------
+
+
+def test_basis_export_is_byte_stable(capsys):
+    # sha256 of `elastopoly basis --degree 8`; the coefficients come from exact
+    # rationals and symbolic products, so the text must never change
+    assert run(["basis", "--degree", "8"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "f5df20a20c4076409db4523f52c39e6a51a3f4e81eade28f8bb79ccffa63d0e1"
 
 
 def test_basis_export_counts_and_headers(tmp_path, capsys):
@@ -305,6 +314,24 @@ def test_study_builds_the_quadrature_once(tmp_path, monkeypatch):
     assert run(["study", "--config", write_config(tmp_path), "--output", str(out), "--export-quadrature"]) == 0
     assert len(calls) == 1
     assert (out / "quadrature.csv").read_text() == make_quadrature(*calls[0]).to_csv()
+
+
+@pytest.mark.parametrize("command, degree_key", [("study", "degrees = 2 3"), ("solve", "degree = 3")])
+def test_basis_element_data_builds_the_basis_once(tmp_path, monkeypatch, command, degree_key):
+    from elastopoly.basis import elastic_basis
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return elastic_basis(*args, **kwargs)
+
+    monkeypatch.setattr("elastopoly.harness.elastic_basis", counting)
+    monkeypatch.setattr("elastopoly.cli.elastic_basis", counting)
+    text = STUDY_CONFIG.replace("degrees = 2 3", degree_key).replace(
+        "source = kelvin\ny0 = 0 0 3\nrow = 1", "source = basis_element\nindex = 20")
+    assert run([command, "--config", write_config(tmp_path, text), "--output", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_unknown_arguments_exit_1(capsys):

@@ -23,7 +23,7 @@ from elastopoly import (
     run_study,
 )
 from elastopoly.geometry import classify_symmetry, tangential_rotation_fields
-from elastopoly.solver import assemble_traces, boundary_data, max_misfit
+from elastopoly.solver import assemble_traces, boundary_data, field_values, max_misfit
 
 M = Material(1.3, 0.8)
 DEGREES = tuple(range(9))
@@ -37,7 +37,10 @@ POLES = {"sphere": (0.4, -0.3, 3.0), "spheroid": (0.4, -0.3, 4.5), "triaxial": (
 
 def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
     """Kept rank, residual, max misfit and rotation components of the tall-SVD fit."""
-    values, scalar, vector = assemble_traces(problem, M, elastic_basis(M, degree).fields(), quad)
+    fields = elastic_basis(M, degree).fields()
+    traces, _ = assemble_traces(problem, M, fields, quad)
+    n = quad.n_samples
+    scalar, vector = traces[:n], traces[n:].reshape(n, 3, -1).transpose(0, 2, 1)
     sw = np.sqrt(quad.weights)
     a = np.vstack([sw[:, None] * scalar, (sw[:, None, None] * vector).transpose(0, 2, 1).reshape(-1, scalar.shape[1])])
     b = np.concatenate([sw * data.scalar, (sw[:, None] * data.vector).reshape(-1)])
@@ -50,7 +53,8 @@ def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
     c = (vt.T @ (inv * (u.T @ b))) / scales
     ds = scalar @ c - data.scalar
     dv = np.einsum("nej,e->nj", vector, c) - data.vector
-    rotations = np.array([quad.weights @ np.einsum("nej,nj->ne", values, g) @ c for g in gammas])
+    values = field_values(fields, quad.points)
+    rotations = np.array([quad.weights @ np.einsum("nje,nj->ne", values, g) @ c for g in gammas])
     return int(np.count_nonzero(keep)), float(np.linalg.norm(a @ c - b)), max_misfit(ds, dv), rotations
 
 

@@ -79,7 +79,9 @@ def test_stored_misfits_match_fresh_assembly(problem, triaxial_quad):
     data, _ = kelvin_data(M, triaxial_quad, (0.0, 0.0, 5.1), 1, problem)
     assert isinstance(data, BoundaryDataIII if problem == "III" else BoundaryDataIV)
     result = fit(problem, data, basis, triaxial_quad)
-    _, scalar, vector = assemble_traces(problem, M, basis.fields(), triaxial_quad)
+    traces, _ = assemble_traces(problem, M, basis.fields(), triaxial_quad)
+    n = triaxial_quad.n_samples
+    scalar, vector = traces[:n], traces[n:].reshape(n, 3, -1).transpose(0, 2, 1)
     ds = scalar @ result.coefficients - data.scalar
     dv = np.einsum("nej,e->nj", vector, result.coefficients) - data.vector
     assert result.scalar_misfit.shape == ds.shape and result.vector_misfit.shape == dv.shape
@@ -94,8 +96,7 @@ def test_rotation_components_match_projection_of_fitted_displacement(spheroid_qu
     gammas = tangential_rotation_fields(classify_symmetry(spheroid_quad.spec), spheroid_quad)
     data, _ = kelvin_data(M, spheroid_quad, (0.5, 0.2, 3.0), 3, "III")
     result = fit("III", data, basis, spheroid_quad, rotation_fields=gammas)
-    values, _, _ = assemble_traces("III", M, basis.fields(), spheroid_quad)
-    disp = np.einsum("nej,e->nj", values, result.coefficients)
+    disp, _ = evaluate_solution(result, basis, spheroid_quad.points)
     expected = [spheroid_quad.inner(disp, g) for g in gammas]
     assert np.allclose(result.rotation_components, expected, rtol=0.0, atol=1e-14 * spheroid_quad.norm(disp))
 
