@@ -153,6 +153,12 @@ class BasisElement:
     field: VecPoly3
 
 
+def degree_columns(k: int) -> slice:
+    """Positions 3k^2 .. 3(k+1)^2 of the 3(2k+1) degree-k elements in a basis
+    ordered by degree, so the elements through degree k are the first 3(k+1)^2."""
+    return slice(3 * k * k, 3 * (k + 1) ** 2)
+
+
 @dataclass(frozen=True)
 class ElasticBasis:
     material: Material
@@ -165,8 +171,13 @@ class ElasticBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def fields(self) -> list[VecPoly3]:
-        return [e.field for e in self.elements]
+    def prefix_degree(self, n_fields: int) -> int:
+        """The degree k whose elements through k are the first n_fields."""
+        k = math.isqrt(n_fields // 3) - 1
+        if not (0 <= k <= self.max_degree and degree_columns(k).stop == n_fields):
+            raise ValueError(f"{n_fields} coefficients are not a degree prefix 3(k+1)^2 "
+                             f"of the {len(self)}-element basis")
+        return k
 
 
 def elastic_basis(material: Material, max_degree: int) -> ElasticBasis:

@@ -103,11 +103,6 @@ class SurfaceQuadrature:
     def area(self) -> float:
         return float(np.sum(self.weights))
 
-    def integrate(self, values) -> float | np.ndarray:
-        """Weighted sum; scalar samples (N,) or componentwise for (N, d)."""
-        v = np.asarray(values)
-        return self.weights @ v
-
     def inner(self, f, g) -> float:
         """Weighted L2 inner product of sampled fields (N,) or (N, 3)."""
         f, g = np.asarray(f), np.asarray(g)

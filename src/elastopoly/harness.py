@@ -31,12 +31,9 @@ from .ioutil import fmt17
 from .operators import (
     KelvinField,
     KelvinParams,
-    RigidDisplacement,
     kelvin_matrix,
     kelvin_traction,
-    traction,
 )
-from .polyalg import VecPoly3
 from .solver import (
     PROBLEM_III,
     PROBLEM_IV,
@@ -45,6 +42,7 @@ from .solver import (
     boundary_data,
     check_scalar_weight,
     compatibility_defect,
+    field_samples,
     field_values,
     fit_degrees,
     max_misfit,
@@ -84,24 +82,10 @@ def kelvin_data(
             f"<= surface radius {r_surface:.6g} in that direction"
         )
     fld = KelvinField(KelvinParams(material), tuple(y0), row)
-    u, t = _field_samples(material, fld, quad)
-    return boundary_data(problem, *split_trace(problem, u, t, quad.normals)), fld
+    return boundary_data(problem, *split_trace(problem, *field_samples(material, fld, quad), quad.normals)), fld
 
 
 # -- identity checks --------------------------------------------------------------
-
-
-def _field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement and traction samples of a polynomial, rigid or Kelvin field."""
-    if isinstance(obj, RigidDisplacement):
-        obj = obj.as_vecpoly()
-    if isinstance(obj, VecPoly3):
-        return obj.eval(quad.points), traction(material, obj, quad.points, quad.normals)
-    if isinstance(obj, KelvinField):
-        if obj.params.material != material:
-            raise ValueError("Kelvin field material differs from the check material")
-        return obj.eval(quad.points), obj.traction(quad.points, quad.normals)
-    raise TypeError(f"unsupported field type {type(obj).__name__}")
 
 
 def betti_check(material: Material, u, v, quad: SurfaceQuadrature) -> float:
@@ -110,8 +94,8 @@ def betti_check(material: Material, u, v, quad: SurfaceQuadrature) -> float:
     Both volume terms of the reciprocity identity vanish for equilibrium
     fields, so the result is pure quadrature error.
     """
-    uu, tu = _field_samples(material, u, quad)
-    vv, tv = _field_samples(material, v, quad)
+    uu, tu = field_samples(material, u, quad)
+    vv, tv = field_samples(material, v, quad)
     return float(
         abs(quad.weights @ (np.einsum("ni,ni->n", uu, tv) - np.einsum("ni,ni->n", vv, tu)))
     )
@@ -138,7 +122,7 @@ def somigliana_check(
             f"3 quadrature spacings ({3.0 * spacing:.3g}); near-singular quadrature unsupported"
         )
     params = KelvinParams(material)
-    uu, tu = _field_samples(material, w, quad)
+    uu, tu = field_samples(material, w, quad)
     kernel = kelvin_traction(params, x, quad.points, quad.normals)     # (N, i, j)
     gamma = kelvin_matrix(params, x[None, :] - quad.points)            # (N, i, j)
     integral = np.einsum("n,nij,nj->i", quad.weights, kernel, uu) - np.einsum(
@@ -321,8 +305,8 @@ def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis
         if not (0 <= source.index < len(basis)):
             raise ValueError(f"basis element index {source.index} out of range 0..{len(basis) - 1}")
         fld = basis.elements[source.index].field
-        u, t = _field_samples(config.material, fld, quad)
-        return boundary_data(problem, *split_trace(problem, u, t, quad.normals)), fld
+        return boundary_data(problem, *split_trace(problem, *field_samples(config.material, fld, quad),
+                                                   quad.normals)), fld
     if isinstance(source, RotationSource):
         gammas = tangential_rotation_fields(classify_symmetry(quad.spec), quad)
         if not gammas:
@@ -364,7 +348,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         probes = probe_points(config.surface)
         exact_at_probes = exact.eval(probes)
         den = float(np.max(np.linalg.norm(exact_at_probes, axis=1)))
-        probe_values = field_values(basis.fields(), probes)
+        probe_values = field_values(basis, probes)
 
     rows: list[StudyRow] = []
     for degree, result in zip(config.degrees, results):

@@ -203,15 +203,7 @@ class KelvinField:
         return u[0] if single else u
 
     def traction(self, points, normals) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts2 = np.atleast_2d(pts)
-        n2 = np.atleast_2d(np.asarray(normals, dtype=float))
-        _check_unit_normals(n2)
-        z = pts2 - np.asarray(self.pole, dtype=float)
-        # d u_j / d x_k = + d Gamma_{row j} / d z_k
-        g = kelvin_gradient(self.params, z)[:, self.row - 1, :, :]   # (n, j, k)
-        t = traction_of_gradient(self.params.material, g, n2)
-        return t[0] if single else t
+        # Gamma is even, so the field Gamma_row(x - pole) is row `row` of the kernel at the pole
+        return kelvin_traction(self.params, self.pole, points, normals)[..., self.row - 1, :]
 
     __call__ = eval

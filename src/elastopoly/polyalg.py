@@ -269,13 +269,6 @@ class VecPoly3:
     def degree(self) -> int:
         return max(c.degree() for c in self.components)
 
-    def homogeneous_degree(self) -> int | None:
-        """Common total degree of all monomials, or None if mixed/zero."""
-        degs = {i + j + k for c in self.components for (i, j, k) in c.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def max_abs_coeff(self) -> float:
         return max(c.max_abs_coeff() for c in self.components)
 

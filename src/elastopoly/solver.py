@@ -15,27 +15,29 @@ SVD of the leading n x n block of R, n = 3(k+1)^2, whose last column holds
 Q^T b.  Truncation only affects the solution below the cutoff; the reported
 residual is always the directly recomputed misfit ||A c - b||.
 
-The traces are assembled in chunks of CHUNK_POINTS samples.  Per chunk the
-basis is evaluated one degree block at a time (degree-k values and degree-(k-1)
-gradients touch only their own monomials), contracted to tractions, split into
-the III/IV data and written straight into one row-stacked trace matrix T.  The
-weighted, column-scaled [A | b] is written into a second array as the QR
-input.  The peak footprint is about four (4N, E + 1) float arrays, during the
-QR: T, the QR input, the copy `np.linalg.qr` takes of it and LAPACK's
-column-major working copy.
+The traces are assembled from the basis in chunks of CHUNK_POINTS samples.
+Per chunk it is evaluated one degree block at a time, the degree-k elements
+being columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`); degree-k values and
+degree-(k-1) gradients touch only their own monomials.  Each block is
+contracted to tractions, split into the III/IV data and written straight into
+one row-stacked trace matrix T.  The weighted, column-scaled [A | b] is
+written into a second array as the QR input.  The peak footprint is about
+four (4N, E + 1) float arrays, during the QR: T, the QR input, the copy
+`np.linalg.qr` takes of it and LAPACK's column-major working copy.  A single
+polynomial, rigid or Kelvin field is sampled by `field_samples` instead and
+split by the same `split_trace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
-from .basis import Material, ElasticBasis
+from .basis import Material, ElasticBasis, degree_columns
 from .geometry import SurfaceQuadrature
 from .ioutil import fmt17
-from .operators import traction_of_gradient
+from .operators import KelvinField, RigidDisplacement, traction, traction_of_gradient
 from .polyalg import CoefficientBlocks, VecPoly3
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
@@ -139,44 +141,35 @@ class FitResult:
 # -- trace assembly ---------------------------------------------------------------
 
 
-def _degree_runs(fields: list[VecPoly3]) -> list[slice]:
-    """Runs of consecutive fields sharing one homogeneous degree; a run of
-    mixed-degree fields is one block over its whole degree range."""
-    runs, start = [], 0
-    for _, run in groupby(fields, key=VecPoly3.homogeneous_degree):
-        stop = start + len(list(run))
-        runs.append(slice(start, stop))
-        start = stop
-    return runs
+def _eval_chunks(basis: ElasticBasis, points: np.ndarray, degree: int, gradients: bool = True):
+    """Evaluate the basis elements through `degree`, one point chunk and one
+    degree block at a time.
 
-
-def _eval_chunks(fields: list[VecPoly3], points: np.ndarray, gradients: bool = True):
-    """Evaluate the fields one point chunk and one degree block at a time.
-
-    Yields (point rows, field columns, values (3, e, n), gradients
+    Yields (point rows, degree-k columns, values (3, e, n), gradients
     (3, 3, e, n) or None) with values[j] = v_j and gradients[a, j] =
     d v_j / d x_a, each component a contiguous (e, n) block.  The
     coefficients are laid out once; a degree-k block multiplies only the
     degree-k monomials for the values and the degree-(k-1) ones for the
     gradients.
     """
-    runs = _degree_runs(fields)
+    blocks = [degree_columns(k) for k in range(degree + 1)]
     groups = []
-    for run in runs:
-        groups.append([v[j] for j in range(3) for v in fields[run]])
+    for cols in blocks:
+        fields = [el.field for el in basis.elements[cols]]
+        groups.append([v[j] for j in range(3) for v in fields])
         if gradients:
-            jacobians = [v.jacobian() for v in fields[run]]
+            jacobians = [v.jacobian() for v in fields]
             groups.append([jac[i] for i in range(9) for jac in jacobians])
-    blocks = CoefficientBlocks(groups)
+    coefficients = CoefficientBlocks(groups)
     for start in range(0, len(points), CHUNK_POINTS):
         rows = slice(start, min(start + CHUNK_POINTS, len(points)))
-        out = iter(blocks.eval(points[rows]))
+        out = iter(coefficients.eval(points[rows]))
         n = rows.stop - rows.start
-        for run in runs:
-            e = run.stop - run.start
+        for cols in blocks:
+            e = cols.stop - cols.start
             values = next(out).reshape(3, e, n)
             grads = next(out).reshape(3, 3, e, n) if gradients else None
-            yield rows, run, values, grads
+            yield rows, cols, values, grads
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,12 +206,11 @@ def boundary_data(problem: str, scalar: np.ndarray, vector: np.ndarray) -> Bound
 
 def assemble_traces(
     problem: str,
-    material: Material,
-    fields: list[VecPoly3],
+    basis: ElasticBasis,
     quad: SurfaceQuadrature,
     rotation_fields: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stacked trace matrix T (4N, E) of the fields and their weighted
+    """Row-stacked trace matrix T (4N, E) of the basis and its weighted
     displacement projections (len(rotation_fields), E) on the rotation fields.
 
     Row n of T holds the scalar traces at sample n, row N + 3n + j the j-th
@@ -227,13 +219,13 @@ def assemble_traces(
     block's traces are written straight into T.
     """
     n_samples, rotations = quad.n_samples, list(rotation_fields or ())
-    traces = np.empty((4 * n_samples, len(fields)))
-    vector_rows = traces[n_samples:].reshape(n_samples, 3, len(fields))
-    projections = np.zeros((len(rotations), len(fields)))
-    for rows, cols, values, grads in _eval_chunks(fields, quad.points):
+    traces = np.empty((4 * n_samples, len(basis)))
+    vector_rows = traces[n_samples:].reshape(n_samples, 3, len(basis))
+    projections = np.zeros((len(rotations), len(basis)))
+    for rows, cols, values, grads in _eval_chunks(basis, quad.points, basis.max_degree):
         # (e, n, 3) views: the normals broadcast over the fields, the point axis runs innermost
         nu = quad.normals[rows]
-        t = traction_of_gradient(material, grads.transpose(2, 3, 0, 1), nu)
+        t = traction_of_gradient(basis.material, grads.transpose(2, 3, 0, 1), nu)
         scalar, vector = split_trace(problem, values.transpose(1, 2, 0), t, nu)
         traces[rows, cols] = scalar.T
         vector_rows[rows, :, cols] = vector.transpose(1, 2, 0)
@@ -243,17 +235,29 @@ def assemble_traces(
     return traces, projections
 
 
-def trace_III(material: Material, p: VecPoly3, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
+def field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """Displacement and traction samples (N, 3) of one polynomial, rigid or Kelvin field."""
+    if isinstance(obj, RigidDisplacement):
+        obj = obj.as_vecpoly()
+    if isinstance(obj, VecPoly3):
+        return obj.eval(quad.points), traction(material, obj, quad.points, quad.normals)
+    if isinstance(obj, KelvinField):
+        if obj.params.material != material:
+            raise ValueError("Kelvin field material differs from the check material")
+        return obj.eval(quad.points), obj.traction(quad.points, quad.normals)
+    raise TypeError(f"unsupported field type {type(obj).__name__}")
+
+
+def trace_III(material: Material, p, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """(u . nu, Tu - (Tu . nu) nu) samples of one field; the vector part is
     exactly tangential by construction."""
-    traces, _ = assemble_traces(PROBLEM_III, material, [p], quad)
-    return traces[: quad.n_samples, 0], traces[quad.n_samples:, 0].reshape(-1, 3)
+    return split_trace(PROBLEM_III, *field_samples(material, p, quad), quad.normals)
 
 
-def trace_IV(material: Material, p: VecPoly3, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
+def trace_IV(material: Material, p, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """(u - (u . nu) nu, Tu . nu) samples of one field."""
-    traces, _ = assemble_traces(PROBLEM_IV, material, [p], quad)
-    return traces[quad.n_samples:, 0].reshape(-1, 3), traces[: quad.n_samples, 0]
+    scalar, vector = split_trace(PROBLEM_IV, *field_samples(material, p, quad), quad.normals)
+    return vector, scalar
 
 
 # -- fitting ----------------------------------------------------------------------
@@ -321,7 +325,7 @@ def fit_degrees(
     else:
         check_tangential(vec_data, quad, "Phi" if problem == PROBLEM_III else "Psi")
 
-    traces, rotations = assemble_traces(problem, basis.material, basis.fields(), quad, rotation_fields)
+    traces, rotations = assemble_traces(problem, basis, quad, rotation_fields)
     n_samples, n_fields = quad.n_samples, len(basis)
     sw = np.sqrt(quad.weights)
     row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 3)])
@@ -342,7 +346,7 @@ def fit_degrees(
 
     results = []
     for degree in degrees:
-        n = 3 * (degree + 1) ** 2
+        n = degree_columns(degree).stop
         u_svd, sigma, vt = np.linalg.svd(r[:n, :n], full_matrices=False)
         keep = (sigma > 0.0) & (sigma >= svd_tol * np.max(sigma, initial=0.0))
         inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
@@ -390,11 +394,11 @@ def compatibility_defect(
     return [float(quad.inner(data.Phi, g)) for g in gammas]
 
 
-def field_values(fields: list[VecPoly3], points) -> np.ndarray:
-    """Displacements (M, 3, E) of every field at the points."""
+def field_values(basis: ElasticBasis, points) -> np.ndarray:
+    """Displacements (M, 3, E) of every basis element at the points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((len(pts), 3, len(fields)))
-    for rows, cols, values, _ in _eval_chunks(fields, pts, gradients=False):
+    out = np.empty((len(pts), 3, len(basis)))
+    for rows, cols, values, _ in _eval_chunks(basis, pts, basis.max_degree, gradients=False):
         out[rows, :, cols] = values.transpose(2, 0, 1)
     return out
 
@@ -406,14 +410,17 @@ def evaluate_solution(
 
     The stress is lam (div u) I + mu (grad u + grad u^T), symmetric by
     construction; contracting with a surface normal reproduces the traction
-    of the fitted field.  The basis is evaluated one chunk of CHUNK_POINTS
-    points at a time and contracted with the coefficients at once, so the
-    working set is 12 * CHUNK_POINTS * len(basis) floats whatever M is.
+    of the fitted field.  Only the degree prefix the coefficients cover is
+    evaluated (3(k+1)^2 elements for a fit through degree k), one chunk of
+    CHUNK_POINTS points at a time, and contracted with the coefficients at
+    once, so the working set is 12 * CHUNK_POINTS * len(basis) floats
+    whatever M is.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     c = result.coefficients
+    degree = basis.prefix_degree(len(c))
     disp, g = np.zeros((len(pts), 3)), np.zeros((len(pts), 3, 3))
-    for rows, cols, values, grads in _eval_chunks(basis.fields(), pts):
+    for rows, cols, values, grads in _eval_chunks(basis, pts, degree):
         disp[rows] += (c[cols] @ values).T
         g[rows] += (c[cols] @ grads).transpose(2, 0, 1)
     # Row k is the traction sigma e_k on the plane with normal e_k; sigma is symmetric.

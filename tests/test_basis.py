@@ -208,9 +208,18 @@ def test_lame_operator_annihilates_basis(lam, mu):
 
 
 def test_elements_homogeneous_of_tagged_degree():
+    """Columns 3k^2..3(k+1)^2 are exactly the degree-k elements, and every
+    monomial in them has total degree k: the trace assembly evaluates each
+    such column block on the degree-k monomials alone."""
     basis = elastic_basis(Material(1.0, 1.0), 5)
-    for el in basis:
-        assert el.field.homogeneous_degree() == el.degree
+    for k in range(basis.max_degree + 1):
+        block = basis.elements[3 * k * k : 3 * (k + 1) ** 2]
+        assert len(block) == 3 * (2 * k + 1)
+        assert [el.degree for el in block] == [k] * len(block)
+        for el in block:
+            assert not el.field.is_zero
+            assert {sum(mono) for comp in el.field for mono in comp.terms} == {k}
+    assert len(basis) == 3 * (basis.max_degree + 1) ** 2  # the blocks cover the basis
 
 
 def test_ordering_degree_then_index_then_row():

@@ -21,7 +21,7 @@ from elastopoly import (
 )
 from elastopoly.operators import KelvinParams, traction_of_gradient
 from elastopoly.polyalg import batch_eval
-from elastopoly.solver import CHUNK_POINTS, assemble_traces, evaluate_solution, trace_IV
+from elastopoly.solver import CHUNK_POINTS, assemble_traces, evaluate_solution, trace_III, trace_IV
 
 M = Material(1.3, 0.8)
 SURFACES = {
@@ -68,12 +68,11 @@ def old_traces(problem, fields, quad, gammas=()):
     return rows, projections.reshape(len(gammas), len(fields))
 
 
-def assert_blocks_close(new, old, degree=None, rtol=1e-12):
-    """Each degree block of columns within rtol of its largest entry; one
-    block when the fields are not a basis.  (Single columns can vanish to
-    round-off, e.g. the III scalar trace of a rotation on the sphere.)"""
-    blocks = [slice(3 * k * k, 3 * (k + 1) ** 2) for k in range(degree + 1)] if degree is not None else [slice(None)]
-    for cols in blocks:
+def assert_blocks_close(new, old, degree, rtol=1e-12):
+    """Each degree block of columns within rtol of its largest entry.  (Single
+    columns can vanish to round-off, e.g. the III scalar trace of a rotation
+    on the sphere.)"""
+    for cols in [slice(3 * k * k, 3 * (k + 1) ** 2) for k in range(degree + 1)]:
         err, scale = np.max(np.abs(new[:, cols] - old[:, cols])), np.max(np.abs(old[:, cols]))
         assert err <= rtol * scale, (cols, err / scale)
 
@@ -82,10 +81,11 @@ def assert_blocks_close(new, old, degree=None, rtol=1e-12):
 @pytest.mark.parametrize("size, degree", [(RAGGED, 12), (SMALL, 6)])
 def test_chunked_traces_match_full_table(surface, size, degree):
     quad = make_quadrature(SURFACES[surface], *size)
-    fields = elastic_basis(M, degree).fields()
+    basis = elastic_basis(M, degree)
+    fields = [el.field for el in basis]
     gammas = tangential_rotation_fields(classify_symmetry(SURFACES[surface]), quad)
     for problem in ("III", "IV"):
-        traces, projections = assemble_traces(problem, M, fields, quad, gammas)
+        traces, projections = assemble_traces(problem, basis, quad, gammas)
         expected, expected_projections = old_traces(problem, fields, quad, gammas)
         assert traces.shape == (4 * quad.n_samples, len(fields))
         assert_blocks_close(traces, expected, degree)
@@ -94,16 +94,29 @@ def test_chunked_traces_match_full_table(surface, size, degree):
                                    atol=1e-12 * np.max(np.abs(expected_projections), initial=0.0))
 
 
-def test_non_homogeneous_fields_between_degree_blocks():
-    quad = make_quadrature(SURFACES["triaxial"], *RAGGED)
-    basis = elastic_basis(M, 3).fields()
-    rigid = RigidDisplacement(a=(0.3, -1.2, 0.7), b=(0.5, 0.25, -1.0), x0=(0.1, 0.0, -0.2)).as_vecpoly()
-    mixed = rigid + basis[40]  # degrees 0, 1 and 3
-    fields = [rigid, *basis[:7], mixed, *basis[7:30], rigid, mixed, *basis[30:]]
+@pytest.mark.parametrize("surface", SURFACES)
+def test_single_field_traces_match_assembly_columns(surface):
+    """trace_III/trace_IV sample one field through `traction` and
+    `split_trace`; the assembly reads the degree blocks from the basis layout."""
+    quad = make_quadrature(SURFACES[surface], *RAGGED)
+    basis = elastic_basis(M, 4)
+    n = quad.n_samples
     for problem in ("III", "IV"):
-        traces, _ = assemble_traces(problem, M, fields, quad)
-        assert_blocks_close(traces, old_traces(problem, fields, quad)[0])
+        traces, _ = assemble_traces(problem, basis, quad)
+        single = np.empty_like(traces)
+        for e, el in enumerate(basis):
+            if problem == "III":
+                scalar, vector = trace_III(M, el.field, quad)
+            else:
+                vector, scalar = trace_IV(M, el.field, quad)
+            single[:n, e], single[n:, e] = scalar, vector.reshape(-1)
+        assert_blocks_close(single, traces, basis.max_degree)
 
+
+def test_non_homogeneous_fields_between_degree_blocks():
+    """A field of degrees 0 and 1 goes through the single-field sampler."""
+    quad = make_quadrature(SURFACES["triaxial"], *RAGGED)
+    rigid = RigidDisplacement(a=(0.3, -1.2, 0.7), b=(0.5, 0.25, -1.0), x0=(0.1, 0.0, -0.2)).as_vecpoly()
     vector, scalar = trace_IV(M, rigid, quad)
     u = rigid.eval(quad.points)
     u_n = np.einsum("ni,ni->n", u, quad.normals)
@@ -117,7 +130,7 @@ def test_evaluate_solution_matches_full_table(n_points, sphere_quad):
     data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
     result = fit("IV", data, basis, sphere_quad)
     pts = rng.uniform(-0.6, 0.6, size=(n_points, 3))
-    values, grads = old_values_and_gradients(basis.fields(), pts)
+    values, grads = old_values_and_gradients([el.field for el in basis], pts)
     c = result.coefficients
     g = np.einsum("meaj,e->maj", grads, c)
     div = np.trace(g, axis1=1, axis2=2)

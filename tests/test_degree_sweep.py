@@ -37,8 +37,8 @@ POLES = {"sphere": (0.4, -0.3, 3.0), "spheroid": (0.4, -0.3, 4.5), "triaxial": (
 
 def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
     """Kept rank, residual, max misfit and rotation components of the tall-SVD fit."""
-    fields = elastic_basis(M, degree).fields()
-    traces, _ = assemble_traces(problem, M, fields, quad)
+    basis = elastic_basis(M, degree)
+    traces, _ = assemble_traces(problem, basis, quad)
     n = quad.n_samples
     scalar, vector = traces[:n], traces[n:].reshape(n, 3, -1).transpose(0, 2, 1)
     sw = np.sqrt(quad.weights)
@@ -53,7 +53,7 @@ def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
     c = (vt.T @ (inv * (u.T @ b))) / scales
     ds = scalar @ c - data.scalar
     dv = np.einsum("nej,e->nj", vector, c) - data.vector
-    values = field_values(fields, quad.points)
+    values = field_values(basis, quad.points)
     rotations = np.array([quad.weights @ np.einsum("nje,nj->ne", values, g) @ c for g in gammas])
     return int(np.count_nonzero(keep)), float(np.linalg.norm(a @ c - b)), max_misfit(ds, dv), rotations
 

@@ -79,7 +79,7 @@ def test_stored_misfits_match_fresh_assembly(problem, triaxial_quad):
     data, _ = kelvin_data(M, triaxial_quad, (0.0, 0.0, 5.1), 1, problem)
     assert isinstance(data, BoundaryDataIII if problem == "III" else BoundaryDataIV)
     result = fit(problem, data, basis, triaxial_quad)
-    traces, _ = assemble_traces(problem, M, basis.fields(), triaxial_quad)
+    traces, _ = assemble_traces(problem, basis, triaxial_quad)
     n = triaxial_quad.n_samples
     scalar, vector = traces[:n], traces[n:].reshape(n, 3, -1).transpose(0, 2, 1)
     ds = scalar @ result.coefficients - data.scalar

@@ -12,6 +12,7 @@ from elastopoly import (
     lame_apply,
     traction,
 )
+from elastopoly.operators import traction_of_gradient
 from elastopoly.polyalg import Poly3, VecPoly3, X, Y, Z, divergence
 
 rng = np.random.default_rng(2024)
@@ -225,6 +226,20 @@ def test_kelvin_field_traction_matches_finite_differences():
         div = np.trace(grad)
         expected = M.lam * div * nu + M.mu * (grad + grad.T) @ nu
         assert np.allclose(t[n], expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("pole", [(0.0, 0.0, 3.0), (1.7, -2.2, 0.4)])
+def test_kelvin_field_traction_is_a_row_of_the_kernel(pole):
+    """The row of the kernel at the pole equals the contraction of the field's
+    own gradient, d u_j / d x_k = (d Gamma_row,j / d z_k)(x - pole), bitwise."""
+    params = KelvinParams(M)
+    pts, nrm = 0.8 * random_unit(7), random_unit(7)
+    for row in (1, 2, 3):
+        fld = KelvinField(params, pole, row)
+        expected = traction_of_gradient(M, kelvin_gradient(params, pts - np.asarray(pole))[:, row - 1], nrm)
+        np.testing.assert_array_equal(fld.traction(pts, nrm), expected)
+        assert fld.traction(pts[0], nrm[0]).shape == (3,)
+        np.testing.assert_array_equal(fld.traction(pts[0], nrm[0]), expected[0])
 
 
 def test_betti_pairing_with_basis_elements(sphere_quad, basis_k4):

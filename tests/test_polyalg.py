@@ -174,13 +174,6 @@ def test_div_curl_float_coefficients_cancel_to_rounding():
         assert residual.max_abs_coeff() <= 1e-13 * max(1.0, v.max_abs_coeff())
 
 
-def test_homogeneous_degree_flag():
-    v = VecPoly3(X * Y, Poly3.zero(), R2)
-    assert v.homogeneous_degree() == 2
-    w = VecPoly3(X, R2, Poly3.zero())
-    assert w.homogeneous_degree() is None
-
-
 def test_serialization_round_trip_and_order():
     p = Poly3({(0, 0, 2): -0.25, (1, 1, 0): 3.0, (0, 0, 0): 1.0, (2, 0, 0): 0.5})
     text = p.to_text()

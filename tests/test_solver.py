@@ -11,6 +11,7 @@ from elastopoly import (
     elastic_basis,
     evaluate_solution,
     fit,
+    fit_degrees,
     kelvin_data,
     tangential_rotation_fields,
     trace_III,
@@ -18,6 +19,7 @@ from elastopoly import (
     traction,
 )
 from elastopoly.polyalg import VecPoly3, X, Y, Z
+from elastopoly.solver import FitResult
 
 rng = np.random.default_rng(99)
 M = Material(1.0, 1.0)
@@ -240,11 +242,33 @@ def test_evaluate_solution_reproduces_polynomial_data(sphere_quad):
     assert np.max(np.abs(disp - exact)) <= 1e-9 * max(1.0, np.max(np.abs(exact)))
 
 
+def test_evaluate_solution_of_a_lower_degree_fit(sphere_quad):
+    """A fit through degree 1 of a sweep evaluates on the K=3 basis as on
+    the K=1 basis: only the matching degree prefix is evaluated."""
+    data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
+    basis = elastic_basis(M, 3)
+    result = fit_degrees("IV", data, basis, sphere_quad, (1, 3))[0]
+    pts = rng.uniform(-0.5, 0.5, size=(10, 3))
+    disp, stress = evaluate_solution(result, basis, pts)
+    low_disp, low_stress = evaluate_solution(result, elastic_basis(M, 1), pts)
+    np.testing.assert_array_equal(disp, low_disp)
+    np.testing.assert_array_equal(stress, low_stress)
+
+
+@pytest.mark.parametrize("n_coeffs", [0, 13, 47, 75])
+def test_evaluate_solution_rejects_coefficients_of_no_degree_prefix(n_coeffs):
+    basis = elastic_basis(M, 3)
+    result = FitResult(
+        problem="IV", coefficients=np.ones(n_coeffs), residual_norm=0.0, data_norm=1.0,
+        kept_rank=n_coeffs, singular_values=np.ones(n_coeffs), svd_tol=1e-12,
+    )
+    with pytest.raises(ValueError, match=f"^{n_coeffs} coefficients .* 48-element basis"):
+        evaluate_solution(result, basis, np.zeros((2, 3)))
+
+
 def test_stress_is_symmetric_and_consistent_with_traction(sphere_quad):
     basis = elastic_basis(M, 2)
     coeffs = rng.uniform(-1, 1, size=len(basis))
-    from elastopoly.solver import FitResult
-
     result = FitResult(
         problem="IV", coefficients=coeffs, residual_norm=0.0, data_norm=1.0,
         kept_rank=len(basis), singular_values=np.ones(len(basis)), svd_tol=1e-12,
