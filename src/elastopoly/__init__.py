@@ -46,8 +46,7 @@ from .operators import (
 )
 from .polyalg import Poly3, VecPoly3, batch_eval, divergence, gradient, laplacian
 from .solver import (
-    BoundaryDataIII,
-    BoundaryDataIV,
+    BoundaryData,
     FitResult,
     compatibility_defect,
     evaluate_solution,
@@ -69,6 +68,6 @@ __all__ = [
     "KelvinField", "KelvinParams", "RigidDisplacement",
     "kelvin_gradient", "kelvin_matrix", "kelvin_traction", "lame_apply", "traction",
     "Poly3", "VecPoly3", "batch_eval", "divergence", "gradient", "laplacian",
-    "BoundaryDataIII", "BoundaryDataIV", "FitResult",
+    "BoundaryData", "FitResult",
     "compatibility_defect", "evaluate_solution", "fit", "fit_degrees", "trace_III", "trace_IV",
 ]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/configuration error, 2 numerical check
 failure in `check`.  Configs are flat `key = value` text under `[section]`
-headers; `--set section.key=value` overrides win.  All floating-point output
+headers; `--set section.key=value` overrides win, and an entry the command
+never reads is an error.  All floating-point output
 carries 17 significant digits so files round-trip exactly and repeated runs
 at a fixed BLAS thread count are byte-identical.
 """
@@ -25,14 +26,14 @@ from .harness import (
     KelvinSource,
     RotationSource,
     StudyConfig,
-    betti_check,
     prepare,
+    reciprocity_defect,
     run_study,
     somigliana_check,
 )
 from .ioutil import fmt17
 from .operators import RigidDisplacement, traction
-from .solver import fit, fit_result_json, misfit_csv
+from .solver import field_samples, fit, fit_result_json, misfit_csv
 
 
 class CliError(Exception):
@@ -82,6 +83,27 @@ def apply_overrides(cfg: dict[str, dict[str, str]], overrides: list[str]) -> Non
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
         cfg.setdefault(section.strip(), {})[key.strip()] = value.strip()
+
+
+# Every key a reader below looks up, per section, whatever the surface kind
+# or data source; `[problem]` adds the keys of the command.
+_CONFIG_KEYS = {
+    "material": {"lambda", "mu"},
+    "surface": {"kind", "center", "radius", "semi_axes", "coeffs", "axis"},
+    "quadrature": {"n_theta", "n_phi"},
+    "problem": {"kind", "svd_tol", "scalar_weight"},
+    "data": {"source", "y0", "row", "index", "path"},
+}
+_COMMAND_KEYS = {"study": {"degrees"}, "solve": {"degree", "project_tangential"}}
+
+
+def _check_keys(cfg: dict[str, dict[str, str]], command: str) -> None:
+    """Reject an entry that no reader of `command` looks up, such as a typo."""
+    for section, entries in cfg.items():
+        allowed = _CONFIG_KEYS.get(section, set()) | (_COMMAND_KEYS[command] if section == "problem" else set())
+        for key in entries:
+            if key not in allowed:
+                raise CliError(f"config entry [{section}] {key} is not used by {command}")
 
 
 def _get(cfg, section, key, default=None, required=False):
@@ -166,10 +188,6 @@ def source_from_config(cfg):
     if name == "csv":
         return CsvSource(path=_get(cfg, "data", "path", required=True))
     raise CliError(f"[data] source must be kelvin, basis_element, rotation or csv, got {name!r}")
-
-
-def _degrees(cfg) -> tuple[int, ...]:
-    return tuple(_int(v, "[problem] degrees") for v in _get(cfg, "problem", "degrees", required=True).split())
 
 
 def study_config_from(cfg, degrees: tuple[int, ...]) -> StudyConfig:
@@ -268,12 +286,13 @@ def cmd_check(args) -> int:
     worst_t = float(np.max(np.abs(t)))
     report("rigid-traction", worst_t <= 1e-13 * 2.0, f"max |T(rigid)| = {worst_t:.3e} (tol 1e-13 scale)")
 
-    worst_b = 0.0
-    for _ in range(20):
-        i, j = rng.integers(0, len(basis), size=2)
-        u, v = basis.elements[i].field, basis.elements[j].field
-        scale = max(1.0, quad.norm(u.eval(quad.points)) * quad.norm(v.eval(quad.points)))
-        worst_b = max(worst_b, betti_check(material, u, v, quad) / scale)
+    def betti_ratio(i: int, j: int) -> float:
+        # one sampling of each field serves both the scale and the integral
+        uu, tu = field_samples(material, basis.elements[i].field, quad)
+        vv, tv = field_samples(material, basis.elements[j].field, quad)
+        return reciprocity_defect(quad, uu, tu, vv, tv) / max(1.0, quad.norm(uu) * quad.norm(vv))
+
+    worst_b = max(betti_ratio(*rng.integers(0, len(basis), size=2)) for _ in range(20))
     report("betti", worst_b <= 1e-8, f"worst |reciprocity integral| / scale = {worst_b:.3e} (tol 1e-8)")
 
     quad48 = make_quadrature(Sphere(), 48, 96)
@@ -299,29 +318,18 @@ def _load_config(args) -> dict[str, dict[str, str]]:
         raise CliError(f"cannot read config {args.config}: {exc}") from None
     cfg = parse_config(text, origin=args.config)
     apply_overrides(cfg, args.set or [])
+    _check_keys(cfg, args.command)
     return cfg
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    if "degrees" in cfg.get("problem", {}):
-        degrees = _degrees(cfg)
-    else:
-        degrees = (_int(_get(cfg, "problem", "degree", required=True), "[problem] degree"),)
-    config = study_config_from(cfg, degrees)
+    config = study_config_from(cfg, (_int(_get(cfg, "problem", "degree", required=True), "[problem] degree"),))
     project = _get(cfg, "problem", "project_tangential", "off").lower() in ("on", "true", "1", "yes")
     try:
         quad, basis, data, _, gammas = prepare(config)
-        result = fit(
-            config.problem,
-            data,
-            basis,
-            quad,
-            svd_tol=config.svd_tol,
-            scalar_weight=config.scalar_weight,
-            project_tangential=project,
-            rotation_fields=gammas or None,
-        )
+        result = fit(data, basis, quad, svd_tol=config.svd_tol, scalar_weight=config.scalar_weight,
+                     project_tangential=project, rotation_fields=gammas or None)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
 
@@ -340,7 +348,8 @@ def cmd_solve(args) -> int:
 
 def cmd_study(args) -> int:
     cfg = _load_config(args)
-    config = study_config_from(cfg, _degrees(cfg))
+    degrees = tuple(_int(v, "[problem] degrees") for v in _get(cfg, "problem", "degrees", required=True).split())
+    config = study_config_from(cfg, degrees)
     try:
         report = run_study(config)
     except (ValueError, OSError) as exc:

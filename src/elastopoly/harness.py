@@ -7,7 +7,9 @@ when an exact solution is available.  Kelvin point-source fields with the
 pole outside the body are the stock manufactured solutions: they satisfy the
 equilibrium equations inside, so their traces are always compatible and the
 residual columns exhibit the completeness (or incompleteness) the geometry
-dictates.
+dictates.  Every data source yields one `BoundaryData` of the configured
+problem; the tangential rotation fields of the surface are computed once per
+study, for rotation data and for the problem-III defect columns.
 """
 
 from __future__ import annotations
@@ -36,17 +38,15 @@ from .operators import (
 )
 from .solver import (
     PROBLEM_III,
-    PROBLEM_IV,
-    BoundaryDataIII,
-    BoundaryDataIV,
-    boundary_data,
+    BoundaryData,
+    check_problem,
     check_scalar_weight,
     compatibility_defect,
+    field_data,
     field_samples,
     field_values,
     fit_degrees,
     max_misfit,
-    split_trace,
 )
 
 PROBE_SEED = 715
@@ -63,10 +63,10 @@ def kelvin_data(
     y0,
     row: int,
     problem: str,
-) -> tuple[BoundaryDataIII | BoundaryDataIV, KelvinField]:
+) -> tuple[BoundaryData, KelvinField]:
     """Boundary data of the Kelvin row field with pole y0 outside the surface.
 
-    Returns the data pair for the requested problem together with the field
+    Returns the data of the requested problem together with the field
     itself, which doubles as the closed-form interior evaluator.
     """
     y0 = np.asarray(y0, dtype=float)
@@ -82,7 +82,7 @@ def kelvin_data(
             f"<= surface radius {r_surface:.6g} in that direction"
         )
     fld = KelvinField(KelvinParams(material), tuple(y0), row)
-    return boundary_data(problem, *split_trace(problem, *field_samples(material, fld, quad), quad.normals)), fld
+    return field_data(problem, material, fld, quad), fld
 
 
 # -- identity checks --------------------------------------------------------------
@@ -94,11 +94,12 @@ def betti_check(material: Material, u, v, quad: SurfaceQuadrature) -> float:
     Both volume terms of the reciprocity identity vanish for equilibrium
     fields, so the result is pure quadrature error.
     """
-    uu, tu = field_samples(material, u, quad)
-    vv, tv = field_samples(material, v, quad)
-    return float(
-        abs(quad.weights @ (np.einsum("ni,ni->n", uu, tv) - np.einsum("ni,ni->n", vv, tu)))
-    )
+    return reciprocity_defect(quad, *field_samples(material, u, quad), *field_samples(material, v, quad))
+
+
+def reciprocity_defect(quad: SurfaceQuadrature, uu, tu, vv, tv) -> float:
+    """`betti_check` on displacement and traction samples (N, 3) of u and v."""
+    return float(abs(quad.weights @ (np.einsum("ni,ni->n", uu, tv) - np.einsum("ni,ni->n", vv, tu))))
 
 
 def somigliana_check(
@@ -174,8 +175,7 @@ class StudyConfig:
     scalar_weight: float = 1.0
 
     def __post_init__(self):
-        if self.problem not in (PROBLEM_III, PROBLEM_IV):
-            raise ValueError(f"problem must be 'III' or 'IV', got {self.problem!r}")
+        check_problem(self.problem)
         if not self.degrees:
             raise ValueError("at least one degree is required")
         if min(self.degrees) < 0:
@@ -284,8 +284,8 @@ def _read_csv_source(path: str, problem: str, n_samples: int):
             f"got shape {table.shape}"
         )
     if problem == PROBLEM_III:
-        return boundary_data(problem, table[:, 0], table[:, 1:4])
-    return boundary_data(problem, table[:, 3], table[:, 0:3])
+        return BoundaryData(problem, table[:, 0], table[:, 1:4])
+    return BoundaryData(problem, table[:, 3], table[:, 0:3])
 
 
 def _is_float(text: str) -> bool:
@@ -296,8 +296,10 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis):
-    """Boundary data for the study, plus an exact evaluator when one exists."""
+def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis, rotations: list):
+    """Boundary data for the study, plus an exact evaluator when one exists.
+    Rotation data is taken from `rotations`, the surface's tangential
+    rotation fields."""
     source, problem = config.source, config.problem
     if isinstance(source, KelvinSource):
         return kelvin_data(config.material, quad, source.y0, source.row, problem)
@@ -305,15 +307,13 @@ def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis
         if not (0 <= source.index < len(basis)):
             raise ValueError(f"basis element index {source.index} out of range 0..{len(basis) - 1}")
         fld = basis.elements[source.index].field
-        return boundary_data(problem, *split_trace(problem, *field_samples(config.material, fld, quad),
-                                                   quad.normals)), fld
+        return field_data(problem, config.material, fld, quad), fld
     if isinstance(source, RotationSource):
-        gammas = tangential_rotation_fields(classify_symmetry(quad.spec), quad)
-        if not gammas:
+        if not rotations:
             raise ValueError("rotation data source requires a sphere or axisymmetric surface")
-        if not (0 <= source.index < len(gammas)):
-            raise ValueError(f"rotation index {source.index} out of range 0..{len(gammas) - 1}")
-        return boundary_data(problem, np.zeros(quad.n_samples), gammas[source.index]), None
+        if not (0 <= source.index < len(rotations)):
+            raise ValueError(f"rotation index {source.index} out of range 0..{len(rotations) - 1}")
+        return BoundaryData(problem, np.zeros(quad.n_samples), rotations[source.index]), None
     if isinstance(source, CsvSource):
         return _read_csv_source(source.path, problem, quad.n_samples), None
     raise TypeError(f"unsupported data source {type(source).__name__}")
@@ -322,26 +322,27 @@ def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis
 def prepare(config: StudyConfig):
     """Quadrature, basis through max(degrees), boundary data, exact evaluator
     (or None) and, for problem III, the tangential rotation fields of the
-    configured surface."""
+    configured surface.  The rotation fields are computed once, and only for
+    problem III or rotation data."""
     quad = make_quadrature(config.surface, config.n_theta, config.n_phi)
     basis = elastic_basis(config.material, max(config.degrees))
-    data, exact = build_data(config, quad, basis)
-    gammas = (
-        tangential_rotation_fields(classify_symmetry(config.surface), quad)
-        if config.problem == PROBLEM_III
-        else []
-    )
-    return quad, basis, data, exact, gammas
+    rotations = []
+    if config.problem == PROBLEM_III or isinstance(config.source, RotationSource):
+        rotations = tangential_rotation_fields(classify_symmetry(config.surface), quad)
+    data, exact = build_data(config, quad, basis, rotations)
+    return quad, basis, data, exact, rotations if config.problem == PROBLEM_III else []
 
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Sweep basis degrees against fixed data; one report row per degree.  The
-    traces, their factorization and the probe values are computed once."""
+    traces, their factorization and the probe values are computed once.  The
+    defect columns are those of problem III; `prepare` gives no rotation
+    fields for problem IV."""
     quad, basis, data, exact, gammas = prepare(config)
-    results = fit_degrees(config.problem, data, basis, quad, config.degrees, svd_tol=config.svd_tol,
-                          scalar_weight=config.scalar_weight, rotation_fields=gammas or None)
+    results = fit_degrees(data, basis, quad, config.degrees, svd_tol=config.svd_tol,
+                          scalar_weight=config.scalar_weight)
 
-    found = compatibility_defect(data, gammas, quad) if isinstance(data, BoundaryDataIII) else []
+    found = compatibility_defect(data, gammas, quad)
     defects = tuple(found + [float("nan")] * (3 - len(found)))
 
     if exact is not None:

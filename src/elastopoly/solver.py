@@ -7,6 +7,11 @@ minimizes the weighted-L2 misfit over basis coefficients with per-column
 normalization and a truncated SVD, the standard regularization for the
 exponentially ill-conditioned collocation matrices these bases produce.
 
+Data of either problem is one `BoundaryData(problem, scalar, vector)`:
+`split_trace` alone says which parts of (u, Tu) make up the scalar and the
+tangential vector, and a fit reads the problem from its data.  Messages keep
+the paper's names, phi/Phi for problem III and psi/Psi for problem IV.
+
 The basis is ordered by degree and the scaling is per column, so the scaled
 degree-k matrix is a column prefix of the degree-K one.  A degree sweep
 therefore assembles the traces once, at K, and takes one Householder QR of
@@ -25,7 +30,7 @@ written into a second array as the QR input.  The peak footprint is about
 four (4N, E + 1) float arrays, during the QR: T, the QR input, the copy
 `np.linalg.qr` takes of it and LAPACK's column-major working copy.  A single
 polynomial, rigid or Kelvin field is sampled by `field_samples` instead and
-split by the same `split_trace`.
+split by the same `split_trace`; `field_data` makes that its `BoundaryData`.
 """
 
 from __future__ import annotations
@@ -47,65 +52,40 @@ PROBLEM_III = "III"
 PROBLEM_IV = "IV"
 
 
-def _check_finite(**arrays: np.ndarray) -> None:
-    for name, arr in arrays.items():
-        bad = np.count_nonzero(~np.isfinite(arr))
-        if bad:
-            raise ValueError(f"boundary data {name} has {bad} non-finite (nan or inf) values")
+# The paper's names of each problem's scalar and tangential-vector data.
+_DATA_NAMES = {PROBLEM_III: ("phi", "Phi"), PROBLEM_IV: ("psi", "Psi")}
+
+
+def check_problem(problem: str) -> None:
+    if problem not in _DATA_NAMES:
+        raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
 
 
 @dataclass(frozen=True)
-class BoundaryDataIII:
-    """Normal displacement target phi and tangential traction target Phi."""
+class BoundaryData:
+    """Boundary data of one problem: the scalar (N,) and tangential vector
+    (N, 3) targets, phi = u . nu and Phi = tangential Tu for problem III,
+    psi = Tu . nu and Psi = tangential u for problem IV."""
 
-    phi: np.ndarray
-    Phi: np.ndarray
+    problem: str
+    scalar: np.ndarray
+    vector: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
-        object.__setattr__(self, "Phi", np.asarray(self.Phi, dtype=float))
-        if self.phi.ndim != 1 or self.Phi.shape != (self.phi.size, 3):
-            raise ValueError("phi must be (N,) and Phi (N, 3)")
-        _check_finite(phi=self.phi, Phi=self.Phi)
+        check_problem(self.problem)
+        object.__setattr__(self, "scalar", np.asarray(self.scalar, dtype=float))
+        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
+        scalar_name, vector_name = _DATA_NAMES[self.problem]
+        if self.scalar.ndim != 1 or self.vector.shape != (self.scalar.size, 3):
+            raise ValueError(f"{scalar_name} must be (N,) and {vector_name} (N, 3)")
+        for name, arr in ((scalar_name, self.scalar), (vector_name, self.vector)):
+            bad = np.count_nonzero(~np.isfinite(arr))
+            if bad:
+                raise ValueError(f"boundary data {name} has {bad} non-finite (nan or inf) values")
 
     @property
     def n_samples(self) -> int:
-        return self.phi.size
-
-    @property
-    def scalar(self) -> np.ndarray:
-        return self.phi
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.Phi
-
-
-@dataclass(frozen=True)
-class BoundaryDataIV:
-    """Tangential displacement target Psi and normal traction target psi."""
-
-    Psi: np.ndarray
-    psi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Psi", np.asarray(self.Psi, dtype=float))
-        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
-        if self.psi.ndim != 1 or self.Psi.shape != (self.psi.size, 3):
-            raise ValueError("psi must be (N,) and Psi (N, 3)")
-        _check_finite(Psi=self.Psi, psi=self.psi)
-
-    @property
-    def n_samples(self) -> int:
-        return self.psi.size
-
-    @property
-    def scalar(self) -> np.ndarray:
-        return self.psi
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.Psi
+        return self.scalar.size
 
 
 @dataclass(frozen=True)
@@ -183,25 +163,12 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
     The vector part is tangential by construction.  Normals broadcast against
     the samples' leading axes.
     """
-    if problem == PROBLEM_III:
-        scalar, full = _dot(u, normals), t
-    elif problem == PROBLEM_IV:
-        scalar, full = _dot(t, normals), u
-    else:
-        raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
+    check_problem(problem)
+    scalar, full = (_dot(u, normals), t) if problem == PROBLEM_III else (_dot(t, normals), u)
     normal_part, vector = _dot(full, normals), np.empty_like(full)  # keeps the memory layout of full
     for b in range(3):
         vector[..., b] = full[..., b] - normal_part * normals[..., b]
     return scalar, vector
-
-
-def boundary_data(problem: str, scalar: np.ndarray, vector: np.ndarray) -> BoundaryDataIII | BoundaryDataIV:
-    """The data pair of the problem from its scalar and vector parts."""
-    if problem == PROBLEM_III:
-        return BoundaryDataIII(phi=scalar, Phi=vector)
-    if problem == PROBLEM_IV:
-        return BoundaryDataIV(Psi=vector, psi=scalar)
-    raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
 
 
 def assemble_traces(
@@ -248,6 +215,11 @@ def field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.
     raise TypeError(f"unsupported field type {type(obj).__name__}")
 
 
+def field_data(problem: str, material: Material, obj, quad: SurfaceQuadrature) -> BoundaryData:
+    """The problem's boundary data of one polynomial, rigid or Kelvin field."""
+    return BoundaryData(problem, *split_trace(problem, *field_samples(material, obj, quad), quad.normals))
+
+
 def trace_III(material: Material, p, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """(u . nu, Tu - (Tu . nu) nu) samples of one field; the vector part is
     exactly tangential by construction."""
@@ -282,8 +254,7 @@ def check_tangential(vector: np.ndarray, quad: SurfaceQuadrature, what: str) -> 
 
 
 def fit_degrees(
-    problem: str,
-    data: BoundaryDataIII | BoundaryDataIV,
+    data: BoundaryData,
     basis: ElasticBasis,
     quad: SurfaceQuadrature,
     degrees: tuple[int, ...],
@@ -293,7 +264,7 @@ def fit_degrees(
     rotation_fields: list[np.ndarray] | None = None,
 ) -> list[FitResult]:
     """Weighted least-squares fits of the boundary data over the basis traces
-    through each of `degrees`, in the order given.
+    of data.problem through each of `degrees`, in the order given.
 
     Each fit minimizes sum_n w_n (scalar_weight * |scalar misfit|^2 +
     |vector misfit|^2) over the 3(k+1)^2 elements of degree <= k.  Columns
@@ -305,11 +276,6 @@ def fit_degrees(
     assembled and factored once, at basis.max_degree; the per-sample misfits
     against the data as given are kept on each result.
     """
-    expected = BoundaryDataIII if problem == PROBLEM_III else BoundaryDataIV
-    if problem not in (PROBLEM_III, PROBLEM_IV):
-        raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
-    if not isinstance(data, expected):
-        raise TypeError(f"problem {problem} needs {expected.__name__}, got {type(data).__name__}")
     if data.n_samples != quad.n_samples:
         raise ValueError(f"data has {data.n_samples} samples but quadrature has {quad.n_samples}")
     if not (0.0 < svd_tol < 1.0):
@@ -323,9 +289,9 @@ def fit_degrees(
         v_n = np.einsum("ni,ni->n", vec_data, quad.normals)
         vec_data = vec_data - v_n[:, None] * quad.normals
     else:
-        check_tangential(vec_data, quad, "Phi" if problem == PROBLEM_III else "Psi")
+        check_tangential(vec_data, quad, _DATA_NAMES[data.problem][1])
 
-    traces, rotations = assemble_traces(problem, basis, quad, rotation_fields)
+    traces, rotations = assemble_traces(data.problem, basis, quad, rotation_fields)
     n_samples, n_fields = quad.n_samples, len(basis)
     sw = np.sqrt(quad.weights)
     row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 3)])
@@ -354,7 +320,7 @@ def fit_degrees(
         fitted = traces[:, :n] @ coeffs
         scalar_misfit, vector_misfit = pointwise_misfit(data, fitted)
         results.append(FitResult(
-            problem=problem, coefficients=coeffs, residual_norm=float(np.linalg.norm(row_weights * fitted - b)),
+            problem=data.problem, coefficients=coeffs, residual_norm=float(np.linalg.norm(row_weights * fitted - b)),
             data_norm=data_norm, kept_rank=int(np.count_nonzero(keep)), singular_values=sigma, svd_tol=svd_tol,
             rotation_components=rotations[:, :n] @ coeffs if rotation_fields else None,
             scalar_misfit=scalar_misfit, vector_misfit=vector_misfit,
@@ -362,17 +328,13 @@ def fit_degrees(
     return results
 
 
-def fit(
-    problem: str, data: BoundaryDataIII | BoundaryDataIV, basis: ElasticBasis, quad: SurfaceQuadrature, **options
-) -> FitResult:
+def fit(data: BoundaryData, basis: ElasticBasis, quad: SurfaceQuadrature, **options) -> FitResult:
     """The fit over the whole basis: `fit_degrees` at basis.max_degree alone,
     taking the same keyword options."""
-    return fit_degrees(problem, data, basis, quad, (basis.max_degree,), **options)[0]
+    return fit_degrees(data, basis, quad, (basis.max_degree,), **options)[0]
 
 
-def pointwise_misfit(
-    data: BoundaryDataIII | BoundaryDataIV, fitted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def pointwise_misfit(data: BoundaryData, fitted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample scalar (N,) and vector (N, 3) misfits of fitted trace rows
     (4N,), laid out as the rows of `assemble_traces`, against the data as
     given (never projected)."""
@@ -386,12 +348,11 @@ def max_misfit(ds: np.ndarray, dv: np.ndarray, scalar_weight: float = 1.0) -> fl
     return float(np.max(point, initial=0.0))
 
 
-def compatibility_defect(
-    data: BoundaryDataIII, gammas: list[np.ndarray], quad: SurfaceQuadrature
-) -> list[float]:
-    """Weighted inner products of the tangential traction datum with each
-    tangential rigid rotation; all must vanish for solvability."""
-    return [float(quad.inner(data.Phi, g)) for g in gammas]
+def compatibility_defect(data: BoundaryData, gammas: list[np.ndarray], quad: SurfaceQuadrature) -> list[float]:
+    """Weighted inner products of the tangential datum with each tangential
+    rigid rotation; for problem III (traction datum Phi) all must vanish for
+    solvability."""
+    return [float(quad.inner(data.vector, g)) for g in gammas]
 
 
 def field_values(basis: ElasticBasis, points) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from elastopoly import (
-    BoundaryDataIII,
+    BoundaryData,
     Ellipsoid,
     KelvinSource,
     Material,
@@ -135,9 +135,9 @@ def test_criterion_6_incompleteness_floor():
     for spec in (Sphere(), Ellipsoid(semi_axes=(1.0, 1.0, 1.5))):
         quad = make_quadrature(spec, 32, 64)
         gammas = tangential_rotation_fields(classify_symmetry(spec), quad)
-        data = BoundaryDataIII(phi=np.zeros(quad.n_samples), Phi=gammas[0])
+        data = BoundaryData("III", np.zeros(quad.n_samples), gammas[0])
         for K in range(0, 9):
-            result = fit("III", data, elastic_basis(M, K), quad)
+            result = fit(data, elastic_basis(M, K), quad)
             dev = abs(result.residual_norm - 1.0)
             worst_dev = max(worst_dev, dev)
             assert dev <= 1e-6
@@ -152,7 +152,7 @@ def test_criterion_7_compatibility_necessity():
         gammas = tangential_rotation_fields(classify_symmetry(spec), quad)
         for row in (1, 2, 3):
             data, _ = kelvin_data(M, quad, (0.0, 0.0, 3.0 * 1.5), row, "III")
-            data_norm = np.sqrt(quad.inner(data.phi, data.phi) + quad.inner(data.Phi, data.Phi))
+            data_norm = np.sqrt(quad.inner(data.scalar, data.scalar) + quad.inner(data.vector, data.vector))
             for d in compatibility_defect(data, gammas, quad):
                 worst = max(worst, abs(d) / data_norm)
                 assert abs(d) <= 1e-8 * data_norm
@@ -164,7 +164,7 @@ def test_criterion_8_interior_accuracy():
     quad = make_quadrature(Sphere(), 32, 64)
     data, exact = kelvin_data(M, quad, (0.0, 0.0, 3.0), 1, "IV")
     basis = elastic_basis(M, 8)
-    result = fit("IV", data, basis, quad)
+    result = fit(data, basis, quad)
     probes = probe_points(Sphere())
     fitted, _ = evaluate_solution(result, basis, probes)
     reference = exact.eval(probes)

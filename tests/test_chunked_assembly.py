@@ -128,7 +128,7 @@ def test_non_homogeneous_fields_between_degree_blocks():
 def test_evaluate_solution_matches_full_table(n_points, sphere_quad):
     basis = elastic_basis(M, 6)
     data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
-    result = fit("IV", data, basis, sphere_quad)
+    result = fit(data, basis, sphere_quad)
     pts = rng.uniform(-0.6, 0.6, size=(n_points, 3))
     values, grads = old_values_and_gradients([el.field for el in basis], pts)
     c = result.coefficients

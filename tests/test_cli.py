@@ -1,6 +1,7 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from elastopoly.cli import parse_config, run, CliError
@@ -133,6 +134,24 @@ def test_check_bad_input_exits_1(capsys, args, message):
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
     assert captured.out == ""
+
+
+def test_check_samples_each_betti_field_once(monkeypatch, capsys):
+    # 20 Betti pairs: the displacements of each field feed both the scale and
+    # the reciprocity integral, so the 512-point quadrature sees 40 evaluations
+    from elastopoly.polyalg import VecPoly3
+
+    calls = []
+    original = VecPoly3.eval
+
+    def counting(self, points):
+        calls.append(np.shape(points))
+        return original(self, points)
+
+    monkeypatch.setattr(VecPoly3, "eval", counting)
+    assert run(["check", "--degree", "2", "--n-theta", "16", "--n-phi", "32"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 4
+    assert calls.count((16 * 32, 3)) == 40
 
 
 def test_check_default_configuration_passes(capsys):
@@ -298,6 +317,22 @@ def test_bad_config_number_exits_1_naming_key(tmp_path, capsys, overrides, messa
     args = ["study", "--config", write_config(tmp_path), "--output", str(out)]
     assert run(args + [f"--set={item}" for item in overrides]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, degree_key, overrides, key", [
+    ("study", "degrees = 2 3", ["problem.scalar_wieght=-5"], "[problem] scalar_wieght"),
+    ("study", "degrees = 2 3", ["quadrature.n_thetaa=3"], "[quadrature] n_thetaa"),
+    ("study", "degrees = 2 3", ["problem.project_tangential=on"], "[problem] project_tangential"),
+    ("study", "degrees = 2 3", ["problem.degree=3"], "[problem] degree"),
+    ("solve", "degree = 3", ["problem.degrees=2 3"], "[problem] degrees"),
+    ("solve", "degree = 3", ["solver.svd_tol=1e-8"], "[solver] svd_tol"),
+])
+def test_unused_config_key_exits_1_naming_it(tmp_path, capsys, command, degree_key, overrides, key):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", degree_key))
+    assert run([command, "--config", cfg, "--output", str(out)] + [f"--set={item}" for item in overrides]) == 1
+    assert f"error: config entry {key} is not used by {command}" in capsys.readouterr().err
     assert not out.exists()
 
 

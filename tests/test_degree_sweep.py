@@ -23,7 +23,7 @@ from elastopoly import (
     run_study,
 )
 from elastopoly.geometry import classify_symmetry, tangential_rotation_fields
-from elastopoly.solver import assemble_traces, boundary_data, field_values, max_misfit
+from elastopoly.solver import BoundaryData, assemble_traces, field_values, max_misfit
 
 M = Material(1.3, 0.8)
 DEGREES = tuple(range(9))
@@ -74,8 +74,8 @@ def test_sweep_matches_direct_fit(surface, problem, source):
     if source == "kelvin":
         data, _ = kelvin_data(M, quad, POLES[surface], 1, problem)
     else:
-        data = boundary_data(problem, np.zeros(quad.n_samples), gammas[0])
-    results = fit_degrees(problem, data, elastic_basis(M, max(DEGREES)), quad, DEGREES,
+        data = BoundaryData(problem, np.zeros(quad.n_samples), gammas[0])
+    results = fit_degrees(data, elastic_basis(M, max(DEGREES)), quad, DEGREES,
                           rotation_fields=gammas or None)
     for degree, result in zip(DEGREES, results):
         rank, residual, worst, rotations = direct_fit(problem, data, quad, degree, gammas)
@@ -96,11 +96,11 @@ def test_basis_of_lower_degree_is_a_prefix():
 
 
 def test_fit_degrees_rejects_degrees_outside_the_basis(sphere_quad):
-    data = boundary_data("IV", np.ones(sphere_quad.n_samples), np.zeros((sphere_quad.n_samples, 3)))
+    data = BoundaryData("IV", np.ones(sphere_quad.n_samples), np.zeros((sphere_quad.n_samples, 3)))
     basis = elastic_basis(M, 2)
     for degrees in [(), (3,), (-1, 2)]:
         with pytest.raises(ValueError, match="degrees must lie in 0..2"):
-            fit_degrees("IV", data, basis, sphere_quad, degrees)
+            fit_degrees(data, basis, sphere_quad, degrees)
 
 
 def columns(row):
@@ -124,12 +124,12 @@ def test_study_rows_do_not_depend_on_degree_order(surface, problem, source):
     if isinstance(source, KelvinSource):
         data, _ = kelvin_data(M, quad, source.y0, source.row, problem)
     else:
-        data = boundary_data(problem, np.zeros(quad.n_samples), gammas[source.index])
+        data = BoundaryData(problem, np.zeros(quad.n_samples), gammas[source.index])
     for degree in (2, 5, 8):
         # equal field by field; NaN columns (no defect, no probe) compare equal
         np.testing.assert_array_equal(columns(shuffled[degree]), columns(ordered[degree]))
         row = ordered[degree]
-        alone = fit(problem, data, elastic_basis(M, degree), quad)
+        alone = fit(data, elastic_basis(M, degree), quad)
         tol = 1e-12 * row.data_norm
         assert row.kept_rank == alone.kept_rank
         assert abs(row.residual_l2 - alone.residual_norm) <= tol

@@ -34,12 +34,12 @@ M = Material(1.0, 1.0)
 def test_kelvin_data_is_compatible_on_sphere(sphere_quad):
     data, fld = kelvin_data(M, sphere_quad, (0.0, 0.0, 3.0), 1, "III")
     gammas = tangential_rotation_fields(classify_symmetry(sphere_quad.spec), sphere_quad)
-    norm = np.sqrt(sphere_quad.inner(data.Phi, data.Phi) + sphere_quad.inner(data.phi, data.phi))
+    norm = np.sqrt(sphere_quad.inner(data.vector, data.vector) + sphere_quad.inner(data.scalar, data.scalar))
     for g in gammas:
-        assert abs(sphere_quad.inner(data.Phi, g)) <= 1e-8 * norm
+        assert abs(sphere_quad.inner(data.vector, g)) <= 1e-8 * norm
     # the tangential part is tangential by construction
-    assert np.max(np.abs(np.einsum("ni,ni->n", data.Phi, sphere_quad.normals))) <= 1e-14 * np.max(
-        np.abs(data.Phi)
+    assert np.max(np.abs(np.einsum("ni,ni->n", data.vector, sphere_quad.normals))) <= 1e-14 * np.max(
+        np.abs(data.vector)
     )
     assert isinstance(fld, KelvinField)
 
@@ -48,7 +48,7 @@ def test_kelvin_data_norm_decays_with_source_distance(sphere_quad):
     norms = []
     for dist in (3.0, 30.0):
         data, _ = kelvin_data(M, sphere_quad, (0.0, 0.0, dist), 1, "III")
-        norms.append(np.sqrt(sphere_quad.inner(data.phi, data.phi)))
+        norms.append(np.sqrt(sphere_quad.inner(data.scalar, data.scalar)))
     assert norms[1] <= 0.2 * norms[0]  # ~1/distance falloff
 
 
@@ -195,6 +195,31 @@ def test_rotation_source_requires_symmetric_surface():
     )
     with pytest.raises(ValueError, match="axisymmetric"):
         run_study(config)
+
+
+def test_rotation_study_computes_the_rotation_fields_once(monkeypatch):
+    # problem III with rotation data reads the fields for the data and the
+    # defect columns; the fit itself projects on no rotation field
+    import elastopoly.harness as harness
+    import elastopoly.solver as solver
+
+    counted, seen = [], []
+    rotations, assemble = harness.tangential_rotation_fields, solver.assemble_traces
+
+    def counting(*args):
+        counted.append(args)
+        return rotations(*args)
+
+    def recording(problem, basis, quad, rotation_fields=None):
+        seen.append(rotation_fields)
+        return assemble(problem, basis, quad, rotation_fields)
+
+    monkeypatch.setattr(harness, "tangential_rotation_fields", counting)
+    monkeypatch.setattr(solver, "assemble_traces", recording)
+    config = StudyConfig(M, Ellipsoid(semi_axes=(1.0, 1.0, 1.5)), "III", (1, 2), RotationSource(0), 12, 24)
+    report = run_study(config)
+    assert len(counted) == 1 and seen == [None]
+    assert [r.defects[0] for r in report.rows] == [pytest.approx(1.0, abs=1e-10)] * 2
 
 
 def test_probe_points_are_deterministic_and_interior():

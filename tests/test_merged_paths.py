@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from elastopoly import (
-    BoundaryDataIII,
-    BoundaryDataIV,
     Material,
     StarShaped,
     classify_symmetry,
@@ -59,7 +57,7 @@ def test_split_trace_matches_explicit_projections():
 def test_evaluate_solution_stress_matches_lame_formula(sphere_quad):
     basis = elastic_basis(M, 3)
     data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
-    result = fit("IV", data, basis, sphere_quad)
+    result = fit(data, basis, sphere_quad)
     pts = rng.uniform(-0.5, 0.5, size=(12, 3))
     combined = VecPoly3.zero()
     for c, el in zip(result.coefficients, basis.elements):
@@ -77,8 +75,8 @@ def test_evaluate_solution_stress_matches_lame_formula(sphere_quad):
 def test_stored_misfits_match_fresh_assembly(problem, triaxial_quad):
     basis = elastic_basis(M, 4)
     data, _ = kelvin_data(M, triaxial_quad, (0.0, 0.0, 5.1), 1, problem)
-    assert isinstance(data, BoundaryDataIII if problem == "III" else BoundaryDataIV)
-    result = fit(problem, data, basis, triaxial_quad)
+    assert data.problem == problem
+    result = fit(data, basis, triaxial_quad)
     traces, _ = assemble_traces(problem, basis, triaxial_quad)
     n = triaxial_quad.n_samples
     scalar, vector = traces[:n], traces[n:].reshape(n, 3, -1).transpose(0, 2, 1)
@@ -95,7 +93,7 @@ def test_rotation_components_match_projection_of_fitted_displacement(spheroid_qu
     basis = elastic_basis(M, 3)
     gammas = tangential_rotation_fields(classify_symmetry(spheroid_quad.spec), spheroid_quad)
     data, _ = kelvin_data(M, spheroid_quad, (0.5, 0.2, 3.0), 3, "III")
-    result = fit("III", data, basis, spheroid_quad, rotation_fields=gammas)
+    result = fit(data, basis, spheroid_quad, rotation_fields=gammas)
     disp, _ = evaluate_solution(result, basis, spheroid_quad.points)
     expected = [spheroid_quad.inner(disp, g) for g in gammas]
     assert np.allclose(result.rotation_components, expected, rtol=0.0, atol=1e-14 * spheroid_quad.norm(disp))

@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from elastopoly import (
-    BoundaryDataIII,
-    BoundaryDataIV,
+    BoundaryData,
     Material,
     RigidDisplacement,
     classify_symmetry,
@@ -75,11 +76,11 @@ def test_fit_recovers_basis_element_data(sphere_quad):
             el = basis.elements[idx].field
             if problem == "III":
                 s, v = trace_III(M, el, sphere_quad)
-                data = BoundaryDataIII(phi=s, Phi=v)
+                data = BoundaryData("III", s, v)
             else:
                 v, s = trace_IV(M, el, sphere_quad)
-                data = BoundaryDataIV(Psi=v, psi=s)
-            result = fit(problem, data, basis, sphere_quad)
+                data = BoundaryData("IV", s, v)
+            result = fit(data, basis, sphere_quad)
             assert result.residual_norm <= 1e-10 * max(result.data_norm, 1e-30)
             # recovered coefficients reproduce the element's trace pointwise
             ds, dv = result.scalar_misfit, result.vector_misfit
@@ -89,10 +90,10 @@ def test_fit_recovers_basis_element_data(sphere_quad):
 
 def test_fit_rotation_data_has_unit_residual_floor(sphere_quad):
     gammas = tangential_rotation_fields(classify_symmetry(sphere_quad.spec), sphere_quad)
-    data = BoundaryDataIII(phi=np.zeros(sphere_quad.n_samples), Phi=gammas[0])
+    data = BoundaryData("III", np.zeros(sphere_quad.n_samples), gammas[0])
     for K in (0, 3, 6):
         basis = elastic_basis(M, K)
-        result = fit("III", data, basis, sphere_quad, rotation_fields=gammas)
+        result = fit(data, basis, sphere_quad, rotation_fields=gammas)
         assert result.residual_norm == pytest.approx(1.0, abs=1e-8)
         assert np.max(np.abs(result.rotation_components)) <= 1e-10
 
@@ -101,7 +102,7 @@ def test_fit_kelvin_problem_iv_residual_decays(sphere_quad):
     data, _ = kelvin_data(M, sphere_quad, (0.0, 0.0, 3.0), 1, "IV")
     residuals = []
     for K in (2, 4, 6):
-        result = fit("IV", data, elastic_basis(M, K), sphere_quad)
+        result = fit(data, elastic_basis(M, K), sphere_quad)
         residuals.append(result.residual_norm)
     assert residuals[2] < residuals[1] < residuals[0]
     assert residuals[2] <= 0.1 * residuals[0]
@@ -110,19 +111,28 @@ def test_fit_kelvin_problem_iv_residual_decays(sphere_quad):
 def test_fit_validates_inputs(sphere_quad):
     basis = elastic_basis(M, 1)
     n = sphere_quad.n_samples
-    good = BoundaryDataIV(Psi=np.zeros((n, 3)), psi=np.ones(n))
+    good = BoundaryData("IV", np.ones(n), np.zeros((n, 3)))
     with pytest.raises(ValueError):
-        fit("V", good, basis, sphere_quad)
-    with pytest.raises(TypeError):
-        fit("III", good, basis, sphere_quad)
+        fit(BoundaryData("IV", np.ones(7), np.zeros((7, 3))), basis, sphere_quad)
     with pytest.raises(ValueError):
-        fit("IV", BoundaryDataIV(Psi=np.zeros((7, 3)), psi=np.ones(7)), basis, sphere_quad)
-    with pytest.raises(ValueError):
-        fit("IV", good, basis, sphere_quad, svd_tol=0.0)
+        fit(good, basis, sphere_quad, svd_tol=0.0)
     for weight in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="scalar_weight"):
-            fit("IV", good, basis, sphere_quad, scalar_weight=weight)
-    assert fit("IV", good, basis, sphere_quad, scalar_weight=0.0).kept_rank > 0
+            fit(good, basis, sphere_quad, scalar_weight=weight)
+    assert fit(good, basis, sphere_quad, scalar_weight=0.0).kept_rank > 0
+
+
+@pytest.mark.parametrize("problem", ["V", "iii", ""])
+def test_boundary_data_rejects_unknown_problem(problem):
+    with pytest.raises(ValueError, match=re.escape(f"problem must be 'III' or 'IV', got {problem!r}")):
+        BoundaryData(problem, np.zeros(4), np.zeros((4, 3)))
+
+
+def test_boundary_data_shape_errors_use_the_paper_names():
+    with pytest.raises(ValueError, match=re.escape("phi must be (N,) and Phi (N, 3)")):
+        BoundaryData("III", np.zeros(5), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=re.escape("psi must be (N,) and Psi (N, 3)")):
+        BoundaryData("IV", np.zeros((5, 1)), np.zeros((5, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -130,33 +140,33 @@ def test_boundary_data_rejects_non_finite_values(bad):
     phi, vec = np.zeros(5), np.zeros((5, 3))
     vec[2, 1] = bad
     with pytest.raises(ValueError, match="Phi has 1 non-finite"):
-        BoundaryDataIII(phi=phi, Phi=vec)
+        BoundaryData("III", phi, vec)
     with pytest.raises(ValueError, match="Psi has 1 non-finite"):
-        BoundaryDataIV(Psi=vec, psi=phi)
+        BoundaryData("IV", phi, vec)
     phi[0] = bad
     with pytest.raises(ValueError, match="phi has 1 non-finite"):
-        BoundaryDataIII(phi=phi, Phi=np.zeros((5, 3)))
+        BoundaryData("III", phi, np.zeros((5, 3)))
     with pytest.raises(ValueError, match="psi has 1 non-finite"):
-        BoundaryDataIV(Psi=np.zeros((5, 3)), psi=phi)
+        BoundaryData("IV", phi, np.zeros((5, 3)))
 
 
 def test_fit_rejects_non_tangential_data(sphere_quad):
     n = sphere_quad.n_samples
-    bad = BoundaryDataIII(phi=np.zeros(n), Phi=1e-3 * sphere_quad.normals)
+    bad = BoundaryData("III", np.zeros(n), 1e-3 * sphere_quad.normals)
     with pytest.raises(ValueError, match="tangential"):
-        fit("III", bad, elastic_basis(M, 1), sphere_quad)
+        fit(bad, elastic_basis(M, 1), sphere_quad)
     # explicit projection flag accepts and projects the same data
-    result = fit("III", bad, elastic_basis(M, 1), sphere_quad, project_tangential=True)
+    result = fit(bad, elastic_basis(M, 1), sphere_quad, project_tangential=True)
     assert result.residual_norm <= 1e-10
 
 
 def test_fit_scaling_equivariance(sphere_quad):
     data, _ = kelvin_data(M, sphere_quad, (0.0, 0.0, 3.0), 2, "IV")
     basis = elastic_basis(M, 3)
-    r1 = fit("IV", data, basis, sphere_quad)
+    r1 = fit(data, basis, sphere_quad)
     t = 37.5
-    scaled = BoundaryDataIV(Psi=t * data.Psi, psi=t * data.psi)
-    r2 = fit("IV", scaled, basis, sphere_quad)
+    scaled = BoundaryData("IV", t * data.scalar, t * data.vector)
+    r2 = fit(scaled, basis, sphere_quad)
     assert r2.residual_norm == pytest.approx(t * r1.residual_norm, rel=1e-10)
     drift = np.linalg.norm(r2.coefficients - t * r1.coefficients)
     assert drift <= 1e-9 * np.linalg.norm(t * r1.coefficients)
@@ -166,7 +176,7 @@ def test_fit_residual_monotone_in_degree(triaxial_quad):
     data, _ = kelvin_data(M, triaxial_quad, (0.0, 0.0, 5.1), 1, "III")
     prev = np.inf
     for K in range(2, 6):
-        result = fit("III", data, elastic_basis(M, K), triaxial_quad)
+        result = fit(data, elastic_basis(M, K), triaxial_quad)
         assert result.residual_norm <= prev * (1.0 + 1e-9) + 1e-14 * result.data_norm
         prev = result.residual_norm
 
@@ -174,7 +184,7 @@ def test_fit_residual_monotone_in_degree(triaxial_quad):
 def test_fit_reports_spectrum_and_rank(sphere_quad):
     data, _ = kelvin_data(M, sphere_quad, (0.0, 0.0, 3.0), 1, "III")
     basis = elastic_basis(M, 4)
-    result = fit("III", data, basis, sphere_quad)
+    result = fit(data, basis, sphere_quad)
     assert result.singular_values.shape == (len(basis),)
     assert np.all(np.diff(result.singular_values) <= 0)
     # the three tangential rotations give zero trace columns on the sphere
@@ -187,7 +197,7 @@ def test_fit_reports_spectrum_and_rank(sphere_quad):
 
 def test_defect_of_rotation_data_is_unit(sphere_quad):
     gammas = tangential_rotation_fields(classify_symmetry(sphere_quad.spec), sphere_quad)
-    data = BoundaryDataIII(phi=np.zeros(sphere_quad.n_samples), Phi=gammas[0])
+    data = BoundaryData("III", np.zeros(sphere_quad.n_samples), gammas[0])
     defects = compatibility_defect(data, gammas, sphere_quad)
     assert np.allclose(defects, [1.0, 0.0, 0.0], atol=1e-10)
 
@@ -199,7 +209,7 @@ def test_defects_of_basis_traces_vanish(sphere_quad, spheroid_quad, basis_k4):
         gammas = tangential_rotation_fields(classify_symmetry(quad.spec), quad)
         for el in basis_k4.elements[:: len(basis_k4) // 10]:
             scalar, vector = trace_III(M, el.field, quad)
-            data = BoundaryDataIII(phi=scalar, Phi=vector)
+            data = BoundaryData("III", scalar, vector)
             scale = max(1.0, quad.norm(vector))
             for d in compatibility_defect(data, gammas, quad):
                 assert abs(d) <= 1e-8 * scale
@@ -213,18 +223,16 @@ def test_residual_floor_bounded_by_defects(sphere_quad, spheroid_quad):
         el = basis.elements[14].field
         scalar, vector = trace_III(M, el, quad)
         mix = 0.6 * gammas[0] + (0.3 * gammas[1] if len(gammas) > 1 else 0.0) + 0.5 * vector
-        data = BoundaryDataIII(phi=0.5 * scalar, Phi=mix)
+        data = BoundaryData("III", 0.5 * scalar, mix)
         defects = compatibility_defect(data, gammas, quad)
         for K in (1, 3):
-            result = fit("III", data, elastic_basis(M, K), quad)
+            result = fit(data, elastic_basis(M, K), quad)
             assert result.residual_norm**2 >= sum(d**2 for d in defects) - 1e-6
 
 
 def test_defects_empty_on_generic_surface(triaxial_quad):
     gammas = tangential_rotation_fields(classify_symmetry(triaxial_quad.spec), triaxial_quad)
-    data = BoundaryDataIII(
-        phi=np.zeros(triaxial_quad.n_samples), Phi=np.zeros((triaxial_quad.n_samples, 3))
-    )
+    data = BoundaryData("III", np.zeros(triaxial_quad.n_samples), np.zeros((triaxial_quad.n_samples, 3)))
     assert compatibility_defect(data, gammas, triaxial_quad) == []
 
 
@@ -235,7 +243,7 @@ def test_evaluate_solution_reproduces_polynomial_data(sphere_quad):
     basis = elastic_basis(M, 3)
     el = basis.elements[30].field
     v, s = trace_IV(M, el, sphere_quad)
-    result = fit("IV", BoundaryDataIV(Psi=v, psi=s), basis, sphere_quad)
+    result = fit(BoundaryData("IV", s, v), basis, sphere_quad)
     pts = rng.uniform(-0.5, 0.5, size=(10, 3))
     disp, stress = evaluate_solution(result, basis, pts)
     exact = el.eval(pts)
@@ -247,7 +255,7 @@ def test_evaluate_solution_of_a_lower_degree_fit(sphere_quad):
     the K=1 basis: only the matching degree prefix is evaluated."""
     data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
     basis = elastic_basis(M, 3)
-    result = fit_degrees("IV", data, basis, sphere_quad, (1, 3))[0]
+    result = fit_degrees(data, basis, sphere_quad, (1, 3))[0]
     pts = rng.uniform(-0.5, 0.5, size=(10, 3))
     disp, stress = evaluate_solution(result, basis, pts)
     low_disp, low_stress = evaluate_solution(result, elastic_basis(M, 1), pts)
