@@ -36,7 +36,6 @@ from .harness import (
 )
 from .operators import (
     KelvinField,
-    KelvinParams,
     RigidDisplacement,
     kelvin_gradient,
     kelvin_matrix,
@@ -65,7 +64,7 @@ __all__ = [
     "BasisElementSource", "CsvSource", "KelvinSource", "RotationSource",
     "StudyConfig", "StudyReport", "StudyRow",
     "betti_check", "kelvin_data", "probe_points", "run_study", "somigliana_check",
-    "KelvinField", "KelvinParams", "RigidDisplacement",
+    "KelvinField", "RigidDisplacement",
     "kelvin_gradient", "kelvin_matrix", "kelvin_traction", "lame_apply", "traction",
     "Poly3", "VecPoly3", "batch_eval", "divergence", "gradient", "laplacian",
     "BoundaryData", "FitResult",

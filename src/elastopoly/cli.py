@@ -327,9 +327,9 @@ def cmd_solve(args) -> int:
     config = study_config_from(cfg, (_int(_get(cfg, "problem", "degree", required=True), "[problem] degree"),))
     project = _get(cfg, "problem", "project_tangential", "off").lower() in ("on", "true", "1", "yes")
     try:
-        quad, basis, data, _, gammas = prepare(config)
+        quad, basis, data, _ = prepare(config)
         result = fit(data, basis, quad, svd_tol=config.svd_tol, scalar_weight=config.scalar_weight,
-                     project_tangential=project, rotation_fields=gammas or None)
+                     project_tangential=project)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
 

@@ -9,12 +9,14 @@ singularity never needs special-casing.
 The symmetry classification drives the compatibility theory of the third
 boundary value problem: spheres carry a 3-dimensional family of tangential
 rigid rotations, axisymmetric-but-not-spherical surfaces a 1-dimensional one,
-and generic surfaces none.
+and generic surfaces none.  A quadrature knows its surface, so it samples
+those rotations itself (`SurfaceQuadrature.rotation_fields`), once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,7 +95,6 @@ class SurfaceQuadrature:
     points: np.ndarray = field(repr=False)
     normals: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    resolution: tuple[int, int] = (0, 0)
 
     @property
     def n_samples(self) -> int:
@@ -111,6 +112,12 @@ class SurfaceQuadrature:
 
     def norm(self, f) -> float:
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
+
+    @cached_property
+    def rotation_fields(self) -> list[np.ndarray]:
+        """The surface's tangential rigid rotations on these samples
+        (`tangential_rotation_fields`), computed on first use."""
+        return tangential_rotation_fields(self)
 
     def to_csv(self) -> str:
         lines = ["x,y,z,nx,ny,nz,w"]
@@ -146,7 +153,7 @@ def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadr
         points = center + radius * u
         normals = u.copy()
         weights = w_base * radius**2
-        return SurfaceQuadrature(spec, points, normals, weights, (n_theta, n_phi))
+        return SurfaceQuadrature(spec, points, normals, weights)
 
     if isinstance(spec, Ellipsoid):
         a, b, c = spec.semi_axes
@@ -160,7 +167,7 @@ def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadr
         weights = w_base * jac / st
         grad = scaled / np.array([a**2, b**2, c**2])
         normals = grad / np.linalg.norm(grad, axis=1)[:, None]
-        return SurfaceQuadrature(spec, points, normals, weights, (n_theta, n_phi))
+        return SurfaceQuadrature(spec, points, normals, weights)
 
     # star-shaped: x = center + r(u) u with analytic dr along the angular tangents
     radius = _star_radius(spec)
@@ -179,7 +186,7 @@ def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadr
     points = center + r[:, None] * u
     normals = cross / jac[:, None]
     weights = w_base * jac / st
-    return SurfaceQuadrature(spec, points, normals, weights, (n_theta, n_phi))
+    return SurfaceQuadrature(spec, points, normals, weights)
 
 
 # -- symmetry classification -----------------------------------------------------
@@ -192,10 +199,6 @@ class SymmetryClass:
     tag: str  # "sphere" | "axisymmetric" | "generic"
     center: tuple[float, float, float] | None = None
     axis: tuple[float, float, float] | None = None
-
-    @property
-    def n_rotation_fields(self) -> int:
-        return {"sphere": 3, "axisymmetric": 1, "generic": 0}[self.tag]
 
 
 def classify_symmetry(spec: SurfaceSpec) -> SymmetryClass:
@@ -219,12 +222,13 @@ def classify_symmetry(spec: SurfaceSpec) -> SymmetryClass:
     return SymmetryClass("axisymmetric", center=spec.center, axis=axis)
 
 
-def tangential_rotation_fields(symmetry: SymmetryClass, quad: SurfaceQuadrature) -> list[np.ndarray]:
-    """Tangential rigid rotations sampled on the quadrature, orthonormal in weighted L2.
+def tangential_rotation_fields(quad: SurfaceQuadrature) -> list[np.ndarray]:
+    """Tangential rigid rotations of the quadrature's surface sampled on it,
+    orthonormal in weighted L2.
 
     3 fields on a sphere, 1 on an axisymmetric surface, none on a generic one.
-    The symmetry class must describe the surface the quadrature came from.
     """
+    symmetry = classify_symmetry(quad.spec)
     if symmetry.tag == "generic":
         return []
     rel = quad.points - np.asarray(symmetry.center, dtype=float)

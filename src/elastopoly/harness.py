@@ -8,8 +8,9 @@ pole outside the body are the stock manufactured solutions: they satisfy the
 equilibrium equations inside, so their traces are always compatible and the
 residual columns exhibit the completeness (or incompleteness) the geometry
 dictates.  Every data source yields one `BoundaryData` of the configured
-problem; the tangential rotation fields of the surface are computed once per
-study, for rotation data and for the problem-III defect columns.
+problem.  The tangential rotation fields belong to the study's quadrature,
+which computes them once for rotation data, the fits and the defect columns;
+`solver` decides where they apply (problem III only).
 """
 
 from __future__ import annotations
@@ -19,23 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ElasticBasis, Material, elastic_basis
-from .geometry import (
-    SurfaceQuadrature,
-    SurfaceSpec,
-    Sphere,
-    Ellipsoid,
-    classify_symmetry,
-    make_quadrature,
-    radial_function,
-    tangential_rotation_fields,
-)
+from .geometry import SurfaceQuadrature, SurfaceSpec, Sphere, Ellipsoid, make_quadrature, radial_function
 from .ioutil import fmt17
-from .operators import (
-    KelvinField,
-    KelvinParams,
-    kelvin_matrix,
-    kelvin_traction,
-)
+from .operators import KelvinField, kelvin_matrix, kelvin_traction
 from .solver import (
     PROBLEM_III,
     BoundaryData,
@@ -81,7 +68,7 @@ def kelvin_data(
             f"Kelvin pole must lie strictly outside the surface: |y0 - center| = {dist:.6g} "
             f"<= surface radius {r_surface:.6g} in that direction"
         )
-    fld = KelvinField(KelvinParams(material), tuple(y0), row)
+    fld = KelvinField(material, tuple(y0), row)
     return field_data(problem, material, fld, quad), fld
 
 
@@ -122,10 +109,9 @@ def somigliana_check(
             f"evaluation point is {min_dist:.3g} from the surface samples, closer than "
             f"3 quadrature spacings ({3.0 * spacing:.3g}); near-singular quadrature unsupported"
         )
-    params = KelvinParams(material)
     uu, tu = field_samples(material, w, quad)
-    kernel = kelvin_traction(params, x, quad.points, quad.normals)     # (N, i, j)
-    gamma = kelvin_matrix(params, x[None, :] - quad.points)            # (N, i, j)
+    kernel = kelvin_traction(material, x, quad.points, quad.normals)   # (N, i, j)
+    gamma = kelvin_matrix(material, x[None, :] - quad.points)          # (N, i, j)
     integral = np.einsum("n,nij,nj->i", quad.weights, kernel, uu) - np.einsum(
         "n,nij,nj->i", quad.weights, gamma, tu
     )
@@ -271,11 +257,14 @@ def probe_points(spec: SurfaceSpec) -> np.ndarray:
 def _read_csv_source(path: str, problem: str, n_samples: int):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             fields = line.replace(",", " ").split()
             if not fields or not _is_float(fields[0]):
                 continue  # blank, comment or header line
-            rows.append([float(v) for v in fields])
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as exc:  # names the bad field
+                raise ValueError(f"data CSV {path}, line {lineno}: {exc}") from None
     table = np.asarray(rows, dtype=float)
     if table.shape != (n_samples, 4):
         raise ValueError(
@@ -296,10 +285,9 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis, rotations: list):
+def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis):
     """Boundary data for the study, plus an exact evaluator when one exists.
-    Rotation data is taken from `rotations`, the surface's tangential
-    rotation fields."""
+    Rotation data is one of the quadrature's tangential rotation fields."""
     source, problem = config.source, config.problem
     if isinstance(source, KelvinSource):
         return kelvin_data(config.material, quad, source.y0, source.row, problem)
@@ -309,6 +297,7 @@ def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis
         fld = basis.elements[source.index].field
         return field_data(problem, config.material, fld, quad), fld
     if isinstance(source, RotationSource):
+        rotations = quad.rotation_fields
         if not rotations:
             raise ValueError("rotation data source requires a sphere or axisymmetric surface")
         if not (0 <= source.index < len(rotations)):
@@ -320,29 +309,22 @@ def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis
 
 
 def prepare(config: StudyConfig):
-    """Quadrature, basis through max(degrees), boundary data, exact evaluator
-    (or None) and, for problem III, the tangential rotation fields of the
-    configured surface.  The rotation fields are computed once, and only for
-    problem III or rotation data."""
+    """Quadrature, basis through max(degrees), boundary data and exact
+    evaluator (or None) of the configured study."""
     quad = make_quadrature(config.surface, config.n_theta, config.n_phi)
     basis = elastic_basis(config.material, max(config.degrees))
-    rotations = []
-    if config.problem == PROBLEM_III or isinstance(config.source, RotationSource):
-        rotations = tangential_rotation_fields(classify_symmetry(config.surface), quad)
-    data, exact = build_data(config, quad, basis, rotations)
-    return quad, basis, data, exact, rotations if config.problem == PROBLEM_III else []
+    return quad, basis, *build_data(config, quad, basis)
 
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Sweep basis degrees against fixed data; one report row per degree.  The
     traces, their factorization and the probe values are computed once.  The
-    defect columns are those of problem III; `prepare` gives no rotation
-    fields for problem IV."""
-    quad, basis, data, exact, gammas = prepare(config)
+    defect columns are those of problem III, `nan` for problem IV."""
+    quad, basis, data, exact = prepare(config)
     results = fit_degrees(data, basis, quad, config.degrees, svd_tol=config.svd_tol,
                           scalar_weight=config.scalar_weight)
 
-    found = compatibility_defect(data, gammas, quad)
+    found = compatibility_defect(data, quad)
     defects = tuple(found + [float("nan")] * (3 - len(found)))
 
     if exact is not None:

@@ -10,7 +10,6 @@ checks downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -102,27 +101,15 @@ class RigidDisplacement:
 # -- Kelvin fundamental solution --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KelvinParams:
-    material: Material
-
-    @cached_property
-    def mu_prime(self) -> float:
-        lam, mu = self.material.lam, self.material.mu
-        return (lam + mu) / (8.0 * np.pi * mu * (lam + 2.0 * mu))
-
-    @cached_property
-    def _diag_coeff(self) -> float:
-        # coefficient of delta_ij / r after combining both terms
-        return self.mu_prime - 1.0 / (4.0 * np.pi * self.material.mu)
-
-    @cached_property
-    def _dyad_coeff(self) -> float:
-        # coefficient of z_i z_j / r^3
-        return -self.mu_prime
+def _kelvin_coefficients(material: Material) -> tuple[float, float]:
+    """Coefficients of delta_ij / r and z_i z_j / r^3 in the fundamental matrix,
+    both terms combined, from mu' = (lam + mu) / (8 pi mu (lam + 2 mu))."""
+    lam, mu = material.lam, material.mu
+    mu_prime = (lam + mu) / (8.0 * np.pi * mu * (lam + 2.0 * mu))
+    return mu_prime - 1.0 / (4.0 * np.pi * mu), -mu_prime
 
 
-def kelvin_matrix(params: KelvinParams, x) -> np.ndarray:
+def kelvin_matrix(material: Material, x) -> np.ndarray:
     """Fundamental matrix -delta_ij/(4 pi mu |x|) + mu' * Hess|x|, shape (.., 3, 3)."""
     z = np.asarray(x, dtype=float)
     single = z.ndim == 1
@@ -130,14 +117,15 @@ def kelvin_matrix(params: KelvinParams, x) -> np.ndarray:
     r = np.linalg.norm(z2, axis=1)
     if np.min(r) <= 0.0:
         raise ValueError("Kelvin matrix is singular at x = 0")
+    a, b = _kelvin_coefficients(material)
     eye = np.eye(3)
-    gamma = params._diag_coeff * eye[None, :, :] / r[:, None, None] + params._dyad_coeff * np.einsum(
+    gamma = a * eye[None, :, :] / r[:, None, None] + b * np.einsum(
         "ni,nj->nij", z2, z2
     ) / (r**3)[:, None, None]
     return gamma[0] if single else gamma
 
 
-def kelvin_gradient(params: KelvinParams, x) -> np.ndarray:
+def kelvin_gradient(material: Material, x) -> np.ndarray:
     """Closed-form grad[..., i, j, k] = d Gamma_ij / d z_k, shape (.., 3, 3, 3)."""
     z = np.asarray(x, dtype=float)
     single = z.ndim == 1
@@ -145,7 +133,7 @@ def kelvin_gradient(params: KelvinParams, x) -> np.ndarray:
     r = np.linalg.norm(z2, axis=1)
     if np.min(r) <= 0.0:
         raise ValueError("Kelvin gradient is singular at x = 0")
-    a, b = params._diag_coeff, params._dyad_coeff
+    a, b = _kelvin_coefficients(material)
     eye = np.eye(3)
     inv_r3 = (1.0 / r**3)[:, None, None, None]
     inv_r5 = (1.0 / r**5)[:, None, None, None]
@@ -162,7 +150,7 @@ def kelvin_gradient(params: KelvinParams, x) -> np.ndarray:
     return grad[0] if single else grad
 
 
-def kelvin_traction(params: KelvinParams, x, y, normal_y) -> np.ndarray:
+def kelvin_traction(material: Material, x, y, normal_y) -> np.ndarray:
     """Traction kernel: row i is T at y (normal nu(y)) of the field Gamma_i(x - .).
 
     x is a single point; y/normal_y may be batched (N, 3).  Output (.., 3, 3)
@@ -178,8 +166,8 @@ def kelvin_traction(params: KelvinParams, x, y, normal_y) -> np.ndarray:
     if np.min(np.linalg.norm(z, axis=1)) <= 0.0:
         raise ValueError("Kelvin traction kernel is singular at x = y")
     # d/dy_k Gamma_ij(x - y) = -(d Gamma_ij / d z_k)(x - y)
-    d = -kelvin_gradient(params, z)                           # d[n, i, j, k] = d(field_i)_j / d y_k
-    t = traction_of_gradient(params.material, d, n2[:, None, :])
+    d = -kelvin_gradient(material, z)                         # d[n, i, j, k] = d(field_i)_j / d y_k
+    t = traction_of_gradient(material, d, n2[:, None, :])
     return t[0] if single else t
 
 
@@ -187,7 +175,7 @@ def kelvin_traction(params: KelvinParams, x, y, normal_y) -> np.ndarray:
 class KelvinField:
     """Row field u(x) = Gamma_row(x - pole); an equilibrium field away from the pole."""
 
-    params: KelvinParams
+    material: Material
     pole: tuple[float, float, float]
     row: int  # 1 .. 3
 
@@ -199,11 +187,11 @@ class KelvinField:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         z = np.atleast_2d(pts) - np.asarray(self.pole, dtype=float)
-        u = kelvin_matrix(self.params, z)[:, self.row - 1, :]
+        u = kelvin_matrix(self.material, z)[:, self.row - 1, :]
         return u[0] if single else u
 
     def traction(self, points, normals) -> np.ndarray:
         # Gamma is even, so the field Gamma_row(x - pole) is row `row` of the kernel at the pole
-        return kelvin_traction(self.params, self.pole, points, normals)[..., self.row - 1, :]
+        return kelvin_traction(self.material, self.pole, points, normals)[..., self.row - 1, :]
 
     __call__ = eval

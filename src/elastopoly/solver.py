@@ -12,6 +12,11 @@ Data of either problem is one `BoundaryData(problem, scalar, vector)`:
 tangential vector, and a fit reads the problem from its data.  Messages keep
 the paper's names, phi/Phi for problem III and psi/Psi for problem IV.
 
+The tangential rigid rotations matter only for problem III, and this module
+alone applies that rule: a problem-III fit reports the components of its
+displacement along the quadrature's `rotation_fields` (none on a generic
+surface), and `compatibility_defect` of problem-IV data is empty.
+
 The basis is ordered by degree and the scaling is per column, so the scaled
 degree-k matrix is a column prefix of the degree-K one.  A degree sweep
 therefore assembles the traces once, at K, and takes one Householder QR of
@@ -59,6 +64,11 @@ _DATA_NAMES = {PROBLEM_III: ("phi", "Phi"), PROBLEM_IV: ("psi", "Psi")}
 def check_problem(problem: str) -> None:
     if problem not in _DATA_NAMES:
         raise ValueError(f"problem must be 'III' or 'IV', got {problem!r}")
+
+
+def _rotations(problem: str, quad: SurfaceQuadrature) -> list[np.ndarray]:
+    """The rotation fields that bear on the problem: the quadrature's for III, none for IV."""
+    return quad.rotation_fields if problem == PROBLEM_III else []
 
 
 @dataclass(frozen=True)
@@ -171,21 +181,17 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
     return scalar, vector
 
 
-def assemble_traces(
-    problem: str,
-    basis: ElasticBasis,
-    quad: SurfaceQuadrature,
-    rotation_fields: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stacked trace matrix T (4N, E) of the basis and its weighted
-    displacement projections (len(rotation_fields), E) on the rotation fields.
+def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stacked trace matrix T (4N, E) of the basis and, for problem III,
+    its weighted displacement projections (G, E) on the G rotation fields of
+    the quadrature (G = 0 for problem IV).
 
     Row n of T holds the scalar traces at sample n, row N + 3n + j the j-th
     component of the tangential vector traces.  The basis is evaluated in
     chunks of CHUNK_POINTS samples, one degree block at a time, and each
     block's traces are written straight into T.
     """
-    n_samples, rotations = quad.n_samples, list(rotation_fields or ())
+    n_samples, rotations = quad.n_samples, _rotations(problem, quad)
     traces = np.empty((4 * n_samples, len(basis)))
     vector_rows = traces[n_samples:].reshape(n_samples, 3, len(basis))
     projections = np.zeros((len(rotations), len(basis)))
@@ -209,7 +215,7 @@ def field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.
     if isinstance(obj, VecPoly3):
         return obj.eval(quad.points), traction(material, obj, quad.points, quad.normals)
     if isinstance(obj, KelvinField):
-        if obj.params.material != material:
+        if obj.material != material:
             raise ValueError("Kelvin field material differs from the check material")
         return obj.eval(quad.points), obj.traction(quad.points, quad.normals)
     raise TypeError(f"unsupported field type {type(obj).__name__}")
@@ -248,8 +254,7 @@ def check_tangential(vector: np.ndarray, quad: SurfaceQuadrature, what: str) -> 
     if worst > TANGENCY_TOL * scale:
         raise ValueError(
             f"{what} is not tangential: max |F . nu| = {worst:.3e} exceeds "
-            f"{TANGENCY_TOL:g} * scale; a solution requires F . nu = 0 on the surface "
-            "(pass project_tangential=True to project explicitly)"
+            f"{TANGENCY_TOL:g} * scale; a solution requires F . nu = 0 on the surface"
         )
 
 
@@ -261,7 +266,6 @@ def fit_degrees(
     svd_tol: float = 1e-12,
     scalar_weight: float = 1.0,
     project_tangential: bool = False,
-    rotation_fields: list[np.ndarray] | None = None,
 ) -> list[FitResult]:
     """Weighted least-squares fits of the boundary data over the basis traces
     of data.problem through each of `degrees`, in the order given.
@@ -269,10 +273,10 @@ def fit_degrees(
     Each fit minimizes sum_n w_n (scalar_weight * |scalar misfit|^2 +
     |vector misfit|^2) over the 3(k+1)^2 elements of degree <= k.  Columns
     are scaled to unit weighted norm, then singular values below
-    svd_tol * sigma_max are discarded (minimum-norm solution).  If
-    `rotation_fields` are passed (problem III on a symmetric surface), the
-    weighted components of the fitted displacement along them are reported,
-    making the arbitrary rigid part of the solution visible.  The traces are
+    svd_tol * sigma_max are discarded (minimum-norm solution).  A problem-III
+    fit on a symmetric surface reports the weighted components of the fitted
+    displacement along the quadrature's rotation fields, making the arbitrary
+    rigid part of the solution visible.  The traces are
     assembled and factored once, at basis.max_degree; the per-sample misfits
     against the data as given are kept on each result.
     """
@@ -291,7 +295,7 @@ def fit_degrees(
     else:
         check_tangential(vec_data, quad, _DATA_NAMES[data.problem][1])
 
-    traces, rotations = assemble_traces(data.problem, basis, quad, rotation_fields)
+    traces, rotations = assemble_traces(data.problem, basis, quad)
     n_samples, n_fields = quad.n_samples, len(basis)
     sw = np.sqrt(quad.weights)
     row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 3)])
@@ -322,7 +326,7 @@ def fit_degrees(
         results.append(FitResult(
             problem=data.problem, coefficients=coeffs, residual_norm=float(np.linalg.norm(row_weights * fitted - b)),
             data_norm=data_norm, kept_rank=int(np.count_nonzero(keep)), singular_values=sigma, svd_tol=svd_tol,
-            rotation_components=rotations[:, :n] @ coeffs if rotation_fields else None,
+            rotation_components=rotations[:, :n] @ coeffs if len(rotations) else None,
             scalar_misfit=scalar_misfit, vector_misfit=vector_misfit,
         ))
     return results
@@ -348,11 +352,11 @@ def max_misfit(ds: np.ndarray, dv: np.ndarray, scalar_weight: float = 1.0) -> fl
     return float(np.max(point, initial=0.0))
 
 
-def compatibility_defect(data: BoundaryData, gammas: list[np.ndarray], quad: SurfaceQuadrature) -> list[float]:
-    """Weighted inner products of the tangential datum with each tangential
-    rigid rotation; for problem III (traction datum Phi) all must vanish for
-    solvability."""
-    return [float(quad.inner(data.vector, g)) for g in gammas]
+def compatibility_defect(data: BoundaryData, quad: SurfaceQuadrature) -> list[float]:
+    """Weighted inner products of the problem-III traction datum Phi with each
+    tangential rigid rotation of the quadrature; all must vanish for
+    solvability.  Empty for problem IV and on a generic surface."""
+    return [float(quad.inner(data.vector, g)) for g in _rotations(data.problem, quad)]
 
 
 def field_values(basis: ElasticBasis, points) -> np.ndarray:

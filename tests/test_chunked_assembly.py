@@ -11,15 +11,13 @@ from elastopoly import (
     Material,
     RigidDisplacement,
     Sphere,
-    classify_symmetry,
     elastic_basis,
     fit,
     kelvin_data,
     kelvin_gradient,
     make_quadrature,
-    tangential_rotation_fields,
 )
-from elastopoly.operators import KelvinParams, traction_of_gradient
+from elastopoly.operators import traction_of_gradient
 from elastopoly.polyalg import batch_eval
 from elastopoly.solver import CHUNK_POINTS, assemble_traces, evaluate_solution, trace_III, trace_IV
 
@@ -83,9 +81,9 @@ def test_chunked_traces_match_full_table(surface, size, degree):
     quad = make_quadrature(SURFACES[surface], *size)
     basis = elastic_basis(M, degree)
     fields = [el.field for el in basis]
-    gammas = tangential_rotation_fields(classify_symmetry(SURFACES[surface]), quad)
     for problem in ("III", "IV"):
-        traces, projections = assemble_traces(problem, basis, quad, gammas)
+        gammas = quad.rotation_fields if problem == "III" else []  # the assembly projects for III only
+        traces, projections = assemble_traces(problem, basis, quad)
         expected, expected_projections = old_traces(problem, fields, quad, gammas)
         assert traces.shape == (4 * quad.n_samples, len(fields))
         assert_blocks_close(traces, expected, degree)
@@ -144,7 +142,7 @@ def test_evaluate_solution_matches_full_table(n_points, sphere_quad):
 
 @pytest.mark.parametrize("grad, normals", [
     (rng.normal(size=(30, 3, 3, 3)), unit_normals(30, 1)),  # rows i broadcast against one normal
-    (-kelvin_gradient(KelvinParams(M), rng.normal(size=(25, 3)) + 3.0), unit_normals(25, 1)),  # Kelvin kernel
+    (-kelvin_gradient(M, rng.normal(size=(25, 3)) + 3.0), unit_normals(25, 1)),  # Kelvin kernel
     (rng.normal(size=(3, 3)), unit_normals()),              # a single point
     (rng.normal(size=(12, 1, 3, 3)), np.eye(3)),            # stress rows sigma e_k
     (rng.normal(size=(3, 3, 7, 30)).transpose(2, 3, 0, 1), unit_normals(30)),  # the assembly's strided view

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from elastopoly.cli import parse_config, run, CliError
-from elastopoly.geometry import make_quadrature
+from elastopoly.geometry import Sphere, make_quadrature
 from elastopoly.polyalg import Poly3
 
 STUDY_CONFIG = """\
@@ -279,6 +279,28 @@ def _csv_config(tmp_path, data_path, degree_line="degree = 2"):
         "source = kelvin\ny0 = 0 0 3\nrow = 1", f"source = csv\npath = {data_path}"
     )
     return write_config(tmp_path, cfg_text, "csv.cfg")
+
+
+def test_study_tangency_error_suggests_no_option_a_study_rejects(tmp_path, capsys):
+    # project_tangential is a solve-only key, so a study error must not offer it
+    quad = make_quadrature(Sphere(), 16, 32)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("".join(f"0.0 {1e-3 * nu[0]} {1e-3 * nu[1]} {1e-3 * nu[2]}\n" for nu in quad.normals))
+    cfg = _csv_config(tmp_path, data_path, "degrees = 1 2")
+    assert run(["study", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Phi is not tangential" in err and "project_tangential" not in err
+
+
+def test_csv_data_with_a_bad_number_exits_1_naming_the_line(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("phi Phi_x Phi_y Phi_z\n" + "0.0 0.0 0.0 0.0\n" * 3 + "0 0.1 abc 0\n")
+    cfg = _csv_config(tmp_path, data_path)
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"data CSV {data_path}, line 5:" in err and "'abc'" in err
+    assert not out.exists()
 
 
 def test_csv_path_may_contain_hash(tmp_path):

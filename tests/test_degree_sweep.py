@@ -22,7 +22,6 @@ from elastopoly import (
     make_quadrature,
     run_study,
 )
-from elastopoly.geometry import classify_symmetry, tangential_rotation_fields
 from elastopoly.solver import BoundaryData, assemble_traces, field_values, max_misfit
 
 M = Material(1.3, 0.8)
@@ -70,13 +69,12 @@ def cases():
 def test_sweep_matches_direct_fit(surface, problem, source):
     spec = SURFACES[surface]
     quad = make_quadrature(spec, 16, 32)
-    gammas = tangential_rotation_fields(classify_symmetry(spec), quad)
     if source == "kelvin":
         data, _ = kelvin_data(M, quad, POLES[surface], 1, problem)
     else:
-        data = BoundaryData(problem, np.zeros(quad.n_samples), gammas[0])
-    results = fit_degrees(data, elastic_basis(M, max(DEGREES)), quad, DEGREES,
-                          rotation_fields=gammas or None)
+        data = BoundaryData(problem, np.zeros(quad.n_samples), quad.rotation_fields[0])
+    gammas = quad.rotation_fields if problem == "III" else []  # IV fits report no rotation components
+    results = fit_degrees(data, elastic_basis(M, max(DEGREES)), quad, DEGREES)
     for degree, result in zip(DEGREES, results):
         rank, residual, worst, rotations = direct_fit(problem, data, quad, degree, gammas)
         tol = 1e-12 * result.data_norm
@@ -120,11 +118,10 @@ def test_study_rows_do_not_depend_on_degree_order(surface, problem, source):
 
     shuffled, ordered = study((5, 2, 8)), study((2, 5, 8))
     quad = make_quadrature(SURFACES[surface], 16, 32)
-    gammas = tangential_rotation_fields(classify_symmetry(SURFACES[surface]), quad)
     if isinstance(source, KelvinSource):
         data, _ = kelvin_data(M, quad, source.y0, source.row, problem)
     else:
-        data = BoundaryData(problem, np.zeros(quad.n_samples), gammas[source.index])
+        data = BoundaryData(problem, np.zeros(quad.n_samples), quad.rotation_fields[source.index])
     for degree in (2, 5, 8):
         # equal field by field; NaN columns (no defect, no probe) compare equal
         np.testing.assert_array_equal(columns(shuffled[degree]), columns(ordered[degree]))

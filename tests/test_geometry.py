@@ -8,7 +8,6 @@ from elastopoly import (
     classify_symmetry,
     make_quadrature,
     radial_function,
-    tangential_rotation_fields,
 )
 from elastopoly.polyalg import Poly3
 
@@ -105,9 +104,10 @@ def test_quadrature_csv_schema(sphere_quad):
 
 
 def test_classify_sphere():
-    sym = classify_symmetry(Sphere(center=(0.0, 1.0, 0.0), radius=2.0))
+    spec = Sphere(center=(0.0, 1.0, 0.0), radius=2.0)
+    sym = classify_symmetry(spec)
     assert sym.tag == "sphere" and sym.center == (0.0, 1.0, 0.0)
-    assert sym.n_rotation_fields == 3
+    assert len(make_quadrature(spec, 8, 16).rotation_fields) == 3
 
 
 def test_classify_spheroid_axis_of_distinct_semi_axis():
@@ -116,9 +116,9 @@ def test_classify_spheroid_axis_of_distinct_semi_axis():
     assert classify_symmetry(Ellipsoid(semi_axes=(1.5, 1.0, 1.0))).axis == (1.0, 0.0, 0.0)
 
 
-def test_classify_triaxial_is_generic():
+def test_classify_triaxial_is_generic(triaxial_quad):
     sym = classify_symmetry(Ellipsoid(semi_axes=(1.0, 1.3, 1.7)))
-    assert sym.tag == "generic" and sym.n_rotation_fields == 0
+    assert sym.tag == "generic" and len(triaxial_quad.rotation_fields) == 0
 
 
 def test_classify_equal_axes_ellipsoid_is_sphere():
@@ -136,14 +136,14 @@ def test_classify_star_by_declared_metadata():
 
 
 def test_rotation_field_counts(sphere_quad, spheroid_quad, triaxial_quad):
-    assert len(tangential_rotation_fields(classify_symmetry(sphere_quad.spec), sphere_quad)) == 3
-    assert len(tangential_rotation_fields(classify_symmetry(spheroid_quad.spec), spheroid_quad)) == 1
-    assert tangential_rotation_fields(classify_symmetry(triaxial_quad.spec), triaxial_quad) == []
+    assert len(sphere_quad.rotation_fields) == 3
+    assert len(spheroid_quad.rotation_fields) == 1
+    assert triaxial_quad.rotation_fields == []
 
 
 def test_rotation_fields_tangent_and_orthonormal(sphere_quad, spheroid_quad):
     for quad in (sphere_quad, spheroid_quad):
-        gammas = tangential_rotation_fields(classify_symmetry(quad.spec), quad)
+        gammas = quad.rotation_fields
         for g in gammas:
             assert np.max(np.abs(np.einsum("ni,ni->n", g, quad.normals))) <= 1e-12
         gram = np.array([[quad.inner(a, b) for b in gammas] for a in gammas])
@@ -152,7 +152,7 @@ def test_rotation_fields_tangent_and_orthonormal(sphere_quad, spheroid_quad):
 
 def test_rotation_field_direction_on_sphere(sphere_quad):
     # the b = e3 generator at x = (1, 0, 0) points along +y before normalization
-    gammas = tangential_rotation_fields(classify_symmetry(sphere_quad.spec), sphere_quad)
+    gammas = sphere_quad.rotation_fields
     idx = np.argmin(np.linalg.norm(sphere_quad.points - np.array([1.0, 0.0, 0.0]), axis=1))
     g3 = gammas[2][idx]
     assert abs(g3[0]) < 0.15 and g3[1] > 0.2 and abs(g3[2]) < 0.15
@@ -160,6 +160,6 @@ def test_rotation_field_direction_on_sphere(sphere_quad):
 
 def test_axisymmetric_star_rotation_field(spheroid_quad):
     quad = make_quadrature(BUMPY_AXI, 16, 32)
-    gammas = tangential_rotation_fields(classify_symmetry(BUMPY_AXI), quad)
+    gammas = quad.rotation_fields
     assert len(gammas) == 1
     assert np.max(np.abs(np.einsum("ni,ni->n", gammas[0], quad.normals))) <= 1e-12

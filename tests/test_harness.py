@@ -6,7 +6,6 @@ from elastopoly import (
     CsvSource,
     Ellipsoid,
     KelvinField,
-    KelvinParams,
     KelvinSource,
     Material,
     RigidDisplacement,
@@ -14,14 +13,12 @@ from elastopoly import (
     Sphere,
     StudyConfig,
     betti_check,
-    classify_symmetry,
     elastic_basis,
     kelvin_data,
     make_quadrature,
     probe_points,
     run_study,
     somigliana_check,
-    tangential_rotation_fields,
 )
 
 rng = np.random.default_rng(5150)
@@ -33,7 +30,7 @@ M = Material(1.0, 1.0)
 
 def test_kelvin_data_is_compatible_on_sphere(sphere_quad):
     data, fld = kelvin_data(M, sphere_quad, (0.0, 0.0, 3.0), 1, "III")
-    gammas = tangential_rotation_fields(classify_symmetry(sphere_quad.spec), sphere_quad)
+    gammas = sphere_quad.rotation_fields
     norm = np.sqrt(sphere_quad.inner(data.vector, data.vector) + sphere_quad.inner(data.scalar, data.scalar))
     for g in gammas:
         assert abs(sphere_quad.inner(data.vector, g)) <= 1e-8 * norm
@@ -86,13 +83,13 @@ def test_betti_rigid_against_basis(sphere_quad, basis_k4):
 
 
 def test_betti_kelvin_against_basis(sphere_quad, basis_k4):
-    fld = KelvinField(KelvinParams(M), (0.0, 0.0, 3.0), 3)
+    fld = KelvinField(M, (0.0, 0.0, 3.0), 3)
     u = basis_k4.elements[20].field
     assert betti_check(M, fld, u, sphere_quad) <= 1e-8
 
 
 def test_betti_rejects_material_mismatch(sphere_quad, basis_k4):
-    fld = KelvinField(KelvinParams(Material(2.5, 0.7)), (0.0, 0.0, 3.0), 1)
+    fld = KelvinField(Material(2.5, 0.7), (0.0, 0.0, 3.0), 1)
     with pytest.raises(ValueError):
         betti_check(M, fld, basis_k4.elements[0].field, sphere_quad)
 
@@ -198,27 +195,28 @@ def test_rotation_source_requires_symmetric_surface():
 
 
 def test_rotation_study_computes_the_rotation_fields_once(monkeypatch):
-    # problem III with rotation data reads the fields for the data and the
-    # defect columns; the fit itself projects on no rotation field
-    import elastopoly.harness as harness
+    # problem III with rotation data reads the quadrature's fields for the
+    # data, the fit's projections and the defect columns; they are sampled once
+    import elastopoly.geometry as geometry
     import elastopoly.solver as solver
 
     counted, seen = [], []
-    rotations, assemble = harness.tangential_rotation_fields, solver.assemble_traces
+    rotations, assemble = geometry.tangential_rotation_fields, solver.assemble_traces
 
     def counting(*args):
         counted.append(args)
         return rotations(*args)
 
-    def recording(problem, basis, quad, rotation_fields=None):
-        seen.append(rotation_fields)
-        return assemble(problem, basis, quad, rotation_fields)
+    def recording(problem, basis, quad):
+        traces, projections = assemble(problem, basis, quad)
+        seen.append(len(projections))
+        return traces, projections
 
-    monkeypatch.setattr(harness, "tangential_rotation_fields", counting)
+    monkeypatch.setattr(geometry, "tangential_rotation_fields", counting)
     monkeypatch.setattr(solver, "assemble_traces", recording)
     config = StudyConfig(M, Ellipsoid(semi_axes=(1.0, 1.0, 1.5)), "III", (1, 2), RotationSource(0), 12, 24)
     report = run_study(config)
-    assert len(counted) == 1 and seen == [None]
+    assert len(counted) == 1 and seen == [1]
     assert [r.defects[0] for r in report.rows] == [pytest.approx(1.0, abs=1e-10)] * 2
 
 

@@ -8,14 +8,12 @@ import pytest
 from elastopoly import (
     Material,
     StarShaped,
-    classify_symmetry,
     elastic_basis,
     fit,
     kelvin_data,
     make_quadrature,
     radial_function,
     solid_harmonics,
-    tangential_rotation_fields,
 )
 from elastopoly.operators import traction_of_gradient
 from elastopoly.polyalg import VecPoly3, batch_eval, gradient
@@ -89,14 +87,18 @@ def test_stored_misfits_match_fresh_assembly(problem, triaxial_quad):
     assert "scalar_misfit" not in result.to_dict() and "vector_misfit" not in result.to_dict()
 
 
-def test_rotation_components_match_projection_of_fitted_displacement(spheroid_quad):
+def test_rotation_components_match_projection_of_fitted_displacement(sphere_quad, spheroid_quad):
+    # reported unasked by every problem-III fit on a symmetric surface, never by a problem-IV one
     basis = elastic_basis(M, 3)
-    gammas = tangential_rotation_fields(classify_symmetry(spheroid_quad.spec), spheroid_quad)
-    data, _ = kelvin_data(M, spheroid_quad, (0.5, 0.2, 3.0), 3, "III")
-    result = fit(data, basis, spheroid_quad, rotation_fields=gammas)
-    disp, _ = evaluate_solution(result, basis, spheroid_quad.points)
-    expected = [spheroid_quad.inner(disp, g) for g in gammas]
-    assert np.allclose(result.rotation_components, expected, rtol=0.0, atol=1e-14 * spheroid_quad.norm(disp))
+    for quad, n_rotations in ((sphere_quad, 3), (spheroid_quad, 1)):
+        data, _ = kelvin_data(M, quad, (0.5, 0.2, 3.0), 3, "III")
+        result = fit(data, basis, quad)
+        disp, _ = evaluate_solution(result, basis, quad.points)
+        expected = [quad.inner(disp, g) for g in quad.rotation_fields]
+        assert len(expected) == n_rotations
+        assert np.allclose(result.rotation_components, expected, rtol=0.0, atol=1e-14 * quad.norm(disp))
+        data, _ = kelvin_data(M, quad, (0.5, 0.2, 3.0), 3, "IV")
+        assert fit(data, basis, quad).rotation_components is None
 
 
 @pytest.mark.parametrize("coeffs", [

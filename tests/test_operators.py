@@ -3,7 +3,6 @@ import pytest
 
 from elastopoly import (
     KelvinField,
-    KelvinParams,
     Material,
     RigidDisplacement,
     kelvin_gradient,
@@ -109,73 +108,70 @@ def test_rigid_displacement_evaluates_a_plus_b_cross():
 # -- Kelvin matrix ----------------------------------------------------------------
 
 
-def test_mu_prime_value():
-    assert KelvinParams(M).mu_prime == pytest.approx(1.0 / (12.0 * np.pi))
-
-
 def test_kelvin_matrix_on_axis():
-    params = KelvinParams(M)
+    # Gamma_11 = -1/(4 pi mu r) and Gamma_22 = Gamma_33 = -1/(4 pi mu r) + mu'/r on the x axis,
+    # mu' = (lam + mu) / (8 pi mu (lam + 2 mu)) written out per material
     r = 1.75
-    g = kelvin_matrix(params, np.array([r, 0.0, 0.0]))
-    assert g[0, 0] == pytest.approx(-1.0 / (4.0 * np.pi * r))
-    assert g[1, 1] == pytest.approx(-1.0 / (4.0 * np.pi * r) + 1.0 / (12.0 * np.pi * r))
-    assert g[2, 2] == pytest.approx(g[1, 1])
-    assert abs(g[0, 1]) < 1e-16 and abs(g[0, 2]) < 1e-16
+    for material, mu_prime in ((M, 1.0 / (12.0 * np.pi)), (Material(2.5, 0.7), 3.2 / (21.84 * np.pi))):
+        g = kelvin_matrix(material, np.array([r, 0.0, 0.0]))
+        assert g[0, 0] == pytest.approx(-1.0 / (4.0 * np.pi * material.mu * r))
+        assert g[1, 1] == pytest.approx(-1.0 / (4.0 * np.pi * material.mu * r) + mu_prime / r)
+        assert g[2, 2] == pytest.approx(g[1, 1])
+        assert abs(g[0, 1]) < 1e-16 and abs(g[0, 2]) < 1e-16
 
 
 def test_kelvin_matrix_symmetric_and_homogeneous():
-    params = KelvinParams(Material(2.5, 0.7))
+    material = Material(2.5, 0.7)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=3)
         if np.linalg.norm(x) < 0.1:
             continue
-        g = kelvin_matrix(params, x)
+        g = kelvin_matrix(material, x)
         assert np.allclose(g, g.T, atol=1e-16)
         t = float(rng.uniform(0.5, 3.0))
-        assert np.allclose(kelvin_matrix(params, t * x), g / t, rtol=1e-13)
+        assert np.allclose(kelvin_matrix(material, t * x), g / t, rtol=1e-13)
 
 
 def test_kelvin_matrix_rejects_origin():
     with pytest.raises(ValueError):
-        kelvin_matrix(KelvinParams(M), np.zeros(3))
+        kelvin_matrix(M, np.zeros(3))
 
 
 def test_kelvin_columns_solve_lame_system_by_finite_differences():
-    params = KelvinParams(M)
     h = 1e-5
     eye = np.eye(3)
     for _ in range(8):
         x = random_unit()[0] * rng.uniform(0.5, 2.0)
-        g0 = kelvin_matrix(params, x)
+        g0 = kelvin_matrix(M, x)
         scale = np.linalg.norm(g0) / np.dot(x, x)
         # E in x applied to each row field Gamma_i via central differences
         lap = np.zeros((3, 3))
         graddiv = np.zeros((3, 3))
         for a in range(3):
-            gp = kelvin_matrix(params, x + h * eye[a])
-            gm = kelvin_matrix(params, x - h * eye[a])
+            gp = kelvin_matrix(M, x + h * eye[a])
+            gm = kelvin_matrix(M, x - h * eye[a])
             lap += (gp + gm - 2 * g0) / h**2
         for i in range(3):
             for a in range(3):
                 for b in range(3):
-                    gpp = kelvin_matrix(params, x + h * eye[a] + h * eye[b])[i]
-                    gpm = kelvin_matrix(params, x + h * eye[a] - h * eye[b])[i]
-                    gmp = kelvin_matrix(params, x - h * eye[a] + h * eye[b])[i]
-                    gmm = kelvin_matrix(params, x - h * eye[a] - h * eye[b])[i]
+                    gpp = kelvin_matrix(M, x + h * eye[a] + h * eye[b])[i]
+                    gpm = kelvin_matrix(M, x + h * eye[a] - h * eye[b])[i]
+                    gmp = kelvin_matrix(M, x - h * eye[a] + h * eye[b])[i]
+                    gmm = kelvin_matrix(M, x - h * eye[a] - h * eye[b])[i]
                     graddiv[i, a] += (gpp[b] - gpm[b] - gmp[b] + gmm[b]) / (4 * h**2)
         residual = M.mu * lap + (M.lam + M.mu) * graddiv
         assert np.max(np.abs(residual)) <= 1e-4 * scale
 
 
 def test_kelvin_gradient_matches_finite_differences():
-    params = KelvinParams(Material(2.5, 0.7))
+    material = Material(2.5, 0.7)
     x = np.array([0.7, -0.4, 1.1])
-    g = kelvin_gradient(params, x)
+    g = kelvin_gradient(material, x)
     h = 1e-6
     for k in range(3):
         e = np.zeros(3)
         e[k] = h
-        fd = (kelvin_matrix(params, x + e) - kelvin_matrix(params, x - e)) / (2 * h)
+        fd = (kelvin_matrix(material, x + e) - kelvin_matrix(material, x - e)) / (2 * h)
         assert np.allclose(g[:, :, k], fd, atol=1e-9)
 
 
@@ -183,37 +179,34 @@ def test_kelvin_gradient_matches_finite_differences():
 
 
 def test_kelvin_traction_far_field_decay():
-    params = KelvinParams(M)
     x = np.zeros(3)
     nrm = random_unit()[0]
     direction = random_unit()[0]
-    k10 = kelvin_traction(params, x, 10.0 * direction, nrm)
-    k20 = kelvin_traction(params, x, 20.0 * direction, nrm)
+    k10 = kelvin_traction(M, x, 10.0 * direction, nrm)
+    k20 = kelvin_traction(M, x, 20.0 * direction, nrm)
     ratio = np.linalg.norm(k20) / np.linalg.norm(k10)
     assert abs(ratio - 0.25) <= 0.25 * 0.25  # degree -2 homogeneity, within 25%
 
 
 def test_kelvin_traction_rejects_coincident_points():
-    params = KelvinParams(M)
     p = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        kelvin_traction(params, p, p, np.array([1.0, 0.0, 0.0]))
+        kelvin_traction(M, p, p, np.array([1.0, 0.0, 0.0]))
 
 
 def test_somigliana_constant_field_dichotomy(sphere_quad):
     # oint e1 . T_y Gamma_i(x - y) dsigma = e1 interior, 0 exterior
-    params = KelvinParams(M)
     e1 = np.array([1.0, 0.0, 0.0])
-    kern_in = kelvin_traction(params, np.zeros(3), sphere_quad.points, sphere_quad.normals)
+    kern_in = kelvin_traction(M, np.zeros(3), sphere_quad.points, sphere_quad.normals)
     val_in = np.einsum("n,nij,j->i", sphere_quad.weights, kern_in, e1)
     assert np.allclose(val_in, e1, atol=1e-8)
-    kern_out = kelvin_traction(params, np.array([0.0, 0.0, 3.0]), sphere_quad.points, sphere_quad.normals)
+    kern_out = kelvin_traction(M, np.array([0.0, 0.0, 3.0]), sphere_quad.points, sphere_quad.normals)
     val_out = np.einsum("n,nij,j->i", sphere_quad.weights, kern_out, e1)
     assert np.allclose(val_out, 0.0, atol=1e-8)
 
 
 def test_kelvin_field_traction_matches_finite_differences():
-    fld = KelvinField(KelvinParams(M), (0.0, 0.0, 3.0), 2)
+    fld = KelvinField(M, (0.0, 0.0, 3.0), 2)
     pts = random_unit(5)
     nrm = pts.copy()  # unit sphere normals
     t = fld.traction(pts, nrm)
@@ -232,11 +225,10 @@ def test_kelvin_field_traction_matches_finite_differences():
 def test_kelvin_field_traction_is_a_row_of_the_kernel(pole):
     """The row of the kernel at the pole equals the contraction of the field's
     own gradient, d u_j / d x_k = (d Gamma_row,j / d z_k)(x - pole), bitwise."""
-    params = KelvinParams(M)
     pts, nrm = 0.8 * random_unit(7), random_unit(7)
     for row in (1, 2, 3):
-        fld = KelvinField(params, pole, row)
-        expected = traction_of_gradient(M, kelvin_gradient(params, pts - np.asarray(pole))[:, row - 1], nrm)
+        fld = KelvinField(M, pole, row)
+        expected = traction_of_gradient(M, kelvin_gradient(M, pts - np.asarray(pole))[:, row - 1], nrm)
         np.testing.assert_array_equal(fld.traction(pts, nrm), expected)
         assert fld.traction(pts[0], nrm[0]).shape == (3,)
         np.testing.assert_array_equal(fld.traction(pts[0], nrm[0]), expected[0])

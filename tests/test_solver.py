@@ -7,14 +7,12 @@ from elastopoly import (
     BoundaryData,
     Material,
     RigidDisplacement,
-    classify_symmetry,
     compatibility_defect,
     elastic_basis,
     evaluate_solution,
     fit,
     fit_degrees,
     kelvin_data,
-    tangential_rotation_fields,
     trace_III,
     trace_IV,
     traction,
@@ -89,11 +87,10 @@ def test_fit_recovers_basis_element_data(sphere_quad):
 
 
 def test_fit_rotation_data_has_unit_residual_floor(sphere_quad):
-    gammas = tangential_rotation_fields(classify_symmetry(sphere_quad.spec), sphere_quad)
-    data = BoundaryData("III", np.zeros(sphere_quad.n_samples), gammas[0])
+    data = BoundaryData("III", np.zeros(sphere_quad.n_samples), sphere_quad.rotation_fields[0])
     for K in (0, 3, 6):
         basis = elastic_basis(M, K)
-        result = fit(data, basis, sphere_quad, rotation_fields=gammas)
+        result = fit(data, basis, sphere_quad)
         assert result.residual_norm == pytest.approx(1.0, abs=1e-8)
         assert np.max(np.abs(result.rotation_components)) <= 1e-10
 
@@ -196,44 +193,44 @@ def test_fit_reports_spectrum_and_rank(sphere_quad):
 
 
 def test_defect_of_rotation_data_is_unit(sphere_quad):
-    gammas = tangential_rotation_fields(classify_symmetry(sphere_quad.spec), sphere_quad)
-    data = BoundaryData("III", np.zeros(sphere_quad.n_samples), gammas[0])
-    defects = compatibility_defect(data, gammas, sphere_quad)
+    rotation = sphere_quad.rotation_fields[0]
+    data = BoundaryData("III", np.zeros(sphere_quad.n_samples), rotation)
+    defects = compatibility_defect(data, sphere_quad)
     assert np.allclose(defects, [1.0, 0.0, 0.0], atol=1e-10)
+    # the rotations constrain only problem III: problem-IV data has no defects
+    assert compatibility_defect(BoundaryData("IV", np.zeros(sphere_quad.n_samples), rotation), sphere_quad) == []
 
 
 def test_defects_of_basis_traces_vanish(sphere_quad, spheroid_quad, basis_k4):
     # span-orthogonality: the quantitative form of "the system is contained
     # in the compatible subspace" on sphere and spheroid alike
     for quad in (sphere_quad, spheroid_quad):
-        gammas = tangential_rotation_fields(classify_symmetry(quad.spec), quad)
         for el in basis_k4.elements[:: len(basis_k4) // 10]:
             scalar, vector = trace_III(M, el.field, quad)
             data = BoundaryData("III", scalar, vector)
             scale = max(1.0, quad.norm(vector))
-            for d in compatibility_defect(data, gammas, quad):
+            for d in compatibility_defect(data, quad):
                 assert abs(d) <= 1e-8 * scale
 
 
 def test_residual_floor_bounded_by_defects(sphere_quad, spheroid_quad):
     # residual^2 >= sum defects^2 - 1e-6 for problem III on symmetric surfaces
     for quad in (sphere_quad, spheroid_quad):
-        gammas = tangential_rotation_fields(classify_symmetry(quad.spec), quad)
+        gammas = quad.rotation_fields
         basis = elastic_basis(M, 3)
         el = basis.elements[14].field
         scalar, vector = trace_III(M, el, quad)
         mix = 0.6 * gammas[0] + (0.3 * gammas[1] if len(gammas) > 1 else 0.0) + 0.5 * vector
         data = BoundaryData("III", 0.5 * scalar, mix)
-        defects = compatibility_defect(data, gammas, quad)
+        defects = compatibility_defect(data, quad)
         for K in (1, 3):
             result = fit(data, elastic_basis(M, K), quad)
             assert result.residual_norm**2 >= sum(d**2 for d in defects) - 1e-6
 
 
 def test_defects_empty_on_generic_surface(triaxial_quad):
-    gammas = tangential_rotation_fields(classify_symmetry(triaxial_quad.spec), triaxial_quad)
     data = BoundaryData("III", np.zeros(triaxial_quad.n_samples), np.zeros((triaxial_quad.n_samples, 3)))
-    assert compatibility_defect(data, gammas, triaxial_quad) == []
+    assert compatibility_defect(data, triaxial_quad) == []
 
 
 # -- interior evaluation ---------------------------------------------------------------
