@@ -108,11 +108,21 @@ def test_rigid_displacement_evaluates_a_plus_b_cross():
 # -- Kelvin matrix ----------------------------------------------------------------
 
 
+# mu' = (lam + mu) / (8 pi mu (lam + 2 mu)) written out per material
+MU_PRIMES = ((M, 1.0 / (12.0 * np.pi)), (Material(2.5, 0.7), 3.2 / (21.84 * np.pi)))
+
+
+def test_mu_prime_value():
+    # on the x axis at unit distance, Gamma_22 - Gamma_11 = mu'
+    for material, mu_prime in MU_PRIMES:
+        g = kelvin_matrix(material, np.array([1.0, 0.0, 0.0]))
+        assert g[1, 1] - g[0, 0] == pytest.approx(mu_prime)
+
+
 def test_kelvin_matrix_on_axis():
-    # Gamma_11 = -1/(4 pi mu r) and Gamma_22 = Gamma_33 = -1/(4 pi mu r) + mu'/r on the x axis,
-    # mu' = (lam + mu) / (8 pi mu (lam + 2 mu)) written out per material
+    # Gamma_11 = -1/(4 pi mu r) and Gamma_22 = Gamma_33 = -1/(4 pi mu r) + mu'/r on the x axis
     r = 1.75
-    for material, mu_prime in ((M, 1.0 / (12.0 * np.pi)), (Material(2.5, 0.7), 3.2 / (21.84 * np.pi))):
+    for material, mu_prime in MU_PRIMES:
         g = kelvin_matrix(material, np.array([r, 0.0, 0.0]))
         assert g[0, 0] == pytest.approx(-1.0 / (4.0 * np.pi * material.mu * r))
         assert g[1, 1] == pytest.approx(-1.0 / (4.0 * np.pi * material.mu * r) + mu_prime / r)
