@@ -25,6 +25,7 @@ from .polyalg import Poly3, batch_eval, gradient
 from .basis import solid_harmonics
 
 _TANGENCY_DROP_TOL = 1e-13
+_AXIS_TANGENCY_TOL = 1e-8  # max |(a x x) . nu| relative to max |a x x| about a symmetry axis a
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,9 @@ def tangential_rotation_fields(quad: SurfaceQuadrature) -> list[np.ndarray]:
     orthonormal in weighted L2.
 
     3 fields on a sphere, 1 on an axisymmetric surface, none on a generic one.
+    The rotation about the axis of an axisymmetric surface must be tangential
+    (a star surface's axis is declared, not derived); if it is not, a
+    ValueError names the axis.
     """
     symmetry = classify_symmetry(quad.spec)
     if symmetry.tag == "generic":
@@ -236,6 +240,12 @@ def tangential_rotation_fields(quad: SurfaceQuadrature) -> list[np.ndarray]:
         raw = [np.cross(b, rel) for b in np.eye(3)]
     else:
         raw = [np.cross(np.asarray(symmetry.axis, dtype=float), rel)]
+        defect = float(np.max(np.abs(np.einsum("ni,ni->n", raw[0], quad.normals))))
+        scale = float(np.max(np.abs(raw[0])))
+        if defect > _AXIS_TANGENCY_TOL * scale:
+            axis = " ".join(f"{c:g}" for c in symmetry.axis)
+            raise ValueError(f"the surface is not symmetric about its declared axis {axis}: max |(a x x) . nu| = "
+                             f"{defect:.3e} is {defect / scale:.3e} of max |a x x|")
 
     fields: list[np.ndarray] = []
     for g in raw:  # modified Gram-Schmidt in the weighted inner product

@@ -19,11 +19,11 @@ surface), and `compatibility_defect` of problem-IV data is empty.
 
 The basis is ordered by degree and the scaling is per column, so the scaled
 degree-k matrix is a column prefix of the degree-K one.  A degree sweep
-therefore assembles the traces once, at K, and takes one Householder QR of
-[A | b] (R only, Q never formed); each degree then needs just the truncated
-SVD of the leading n x n block of R, n = 3(k+1)^2, whose last column holds
-Q^T b.  Truncation only affects the solution below the cutoff; the reported
-residual is always the directly recomputed misfit ||A c - b||.
+therefore assembles the traces once, at K, and factors [A | b] once by
+Householder QR (R only, Q never formed); each degree then needs just the
+truncated SVD of the leading n x n block of R, n = 3(k+1)^2, whose last
+column holds Q^T b.  Truncation only affects the solution below the cutoff;
+the reported residual is always the directly recomputed misfit ||A c - b||.
 
 The traces are assembled from the basis in chunks of CHUNK_POINTS samples.
 Per chunk it is evaluated one degree block at a time, the degree-k elements
@@ -31,9 +31,10 @@ being columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`); degree-k values and
 degree-(k-1) gradients touch only their own monomials.  Each block is
 contracted to tractions, split into the III/IV data and written straight into
 one row-stacked trace matrix T.  The weighted, column-scaled [A | b] is
-written into a second array as the QR input.  The peak footprint is about
-four (4N, E + 1) float arrays, during the QR: T, the QR input, the copy
-`np.linalg.qr` takes of it and LAPACK's column-major working copy.  A single
+never held whole: R is reduced over blocks of its rows, R <- QR of
+[R; A[rows] | b[rows]], each block at most QR_BLOCK_BYTES.  The peak
+footprint is T plus a few block-sized arrays (the QR input and the two
+working copies `np.linalg.qr` makes of it) plus O(E^2) for R.  A single
 polynomial, rigid or Kelvin field is sampled by `field_samples` instead and
 split by the same `split_trace`; `field_data` makes that its `BoundaryData`.
 """
@@ -52,6 +53,7 @@ from .polyalg import CoefficientBlocks, VecPoly3
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
 CHUNK_POINTS = 256  # samples per chunk of the trace assembly and field evaluation
+QR_BLOCK_BYTES = 16 << 20  # new rows per step of the least-squares QR, in bytes of [A | b]
 
 PROBLEM_III = "III"
 PROBLEM_IV = "IV"
@@ -278,7 +280,9 @@ def fit_degrees(
     displacement along the quadrature's rotation fields, making the arbitrary
     rigid part of the solution visible.  The traces are
     assembled and factored once, at basis.max_degree; the per-sample misfits
-    against the data as given are kept on each result.
+    against the data as given are kept on each result.  The factorization is
+    a Householder QR of [A | b] reduced over row blocks of QR_BLOCK_BYTES,
+    so beside the traces it needs a few block-sized arrays and R.
     """
     if data.n_samples != quad.n_samples:
         raise ValueError(f"data has {data.n_samples} samples but quadrature has {quad.n_samples}")
@@ -296,23 +300,33 @@ def fit_degrees(
         check_tangential(vec_data, quad, _DATA_NAMES[data.problem][1])
 
     traces, rotations = assemble_traces(data.problem, basis, quad)
-    n_samples, n_fields = quad.n_samples, len(basis)
+    n_fields = len(basis)
     sw = np.sqrt(quad.weights)
     row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 3)])
     b = np.concatenate([np.sqrt(scalar_weight) * sw * data.scalar, (sw[:, None] * vec_data).reshape(-1)])
     data_norm = float(np.linalg.norm(b))
 
-    # The QR input [A / scales | b], A the weighted traces, written in place.
-    ab = np.empty((4 * n_samples, n_fields + 1))
-    a = np.multiply(row_weights[:, None], traces, out=ab[:, :n_fields])
-    col_norms = np.linalg.norm(a, axis=0)
-    scales = np.where(col_norms > 0.0, col_norms, 1.0)
-    a /= scales
-    ab[:, -1] = b
-    # Elements are ordered by degree, so every degree's scaled matrix is a column
-    # prefix: A[:, :n] / scales[:n] = Q_n R[:n, :n] and Q_n^T b = R[:n, -1].
-    r = np.linalg.qr(ab, mode="r")
-    del ab, a
+    # A = row_weights * T is formed one block of rows at a time, never whole: a
+    # first pass sums its squared columns, a second reduces R over the blocks,
+    # R <- qr([R; A[rows] / scales | b[rows]]).  Elements are ordered by degree,
+    # so every degree's scaled matrix is a column prefix: A[:, :n] / scales[:n]
+    # = Q_n R[:n, :n] and Q_n^T b = R[:n, -1].
+    block_rows = max(1, QR_BLOCK_BYTES // (8 * (n_fields + 1)))
+    blocks = [slice(start, min(start + block_rows, len(b))) for start in range(0, len(b), block_rows)]
+    col_sq = np.zeros(n_fields)
+    for rows in blocks:
+        a = row_weights[rows, None] * traces[rows]
+        a *= a
+        col_sq += np.sum(a, axis=0)
+    scales = np.where(col_sq > 0.0, np.sqrt(col_sq), 1.0)
+    r = np.empty((0, n_fields + 1))
+    for rows in blocks:
+        ab = np.empty((len(r) + rows.stop - rows.start, n_fields + 1))
+        ab[: len(r)] = r
+        a = np.multiply(row_weights[rows, None], traces[rows], out=ab[len(r):, :n_fields])
+        a /= scales
+        ab[len(r):, -1] = b[rows]
+        r = np.linalg.qr(ab, mode="r")
 
     results = []
     for degree in degrees:

@@ -52,3 +52,29 @@ def test_fit_calls_svd_through_solver_numpy(monkeypatch):
     data = BoundaryData("IV", np.ones(quad.n_samples), np.zeros((quad.n_samples, 3)))
     fit(data, elastic_basis(Material(1.0, 1.0), 1), quad)
     assert calls == [("qr", (4 * quad.n_samples, 13)), ("svd", (12, 12))]
+
+
+def test_fit_reduces_r_over_row_blocks_of_bounded_size(monkeypatch):
+    # 4N (E + 1) floats exceed QR_BLOCK_BYTES here, so the QR is reduced over row
+    # blocks: every QR input holds at most one block of new rows plus R, and
+    # every row of [A | b] enters exactly once
+    from elastopoly import BoundaryData, Material, Sphere, elastic_basis, fit, make_quadrature
+
+    tracer = load_tracer()
+    solver = importlib.import_module("elastopoly.solver")
+    shapes = []
+
+    def qr(ab, mode):
+        shapes.append(ab.shape)
+        return np.linalg.qr(ab, mode=mode)
+
+    monkeypatch.setattr(solver, "np", tracer._Proxy(np, linalg=tracer._Proxy(np.linalg, qr=qr)))
+    quad = make_quadrature(Sphere(), 48, 96)
+    basis = elastic_basis(Material(1.0, 1.0), 6)
+    rows, width = 4 * quad.n_samples, len(basis) + 1
+    assert rows * width * 8 > solver.QR_BLOCK_BYTES
+    fit(BoundaryData("IV", np.ones(quad.n_samples), np.zeros((quad.n_samples, 3))), basis, quad)
+    block_rows = solver.QR_BLOCK_BYTES // (8 * width)
+    assert len(shapes) > 1
+    assert all(n <= block_rows + width and m == width for n, m in shapes)
+    assert sum(n for n, _ in shapes) == rows + (len(shapes) - 1) * width

@@ -321,6 +321,21 @@ def test_non_finite_csv_data_exits_1(tmp_path, capsys, command, degree_line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, degree_key, source", [
+    ("study", "degrees = 2 3", ["data.source=rotation"]),
+    ("solve", "degree = 3", ["problem.kind=III"]),
+])
+def test_star_surface_with_a_false_axis_exits_1_naming_it(tmp_path, capsys, command, degree_key, source):
+    star = ["surface.kind=star", "surface.coeffs=0 1 1.0; 2 3 0.15", "surface.axis=0 0 1"]
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", degree_key))
+    assert run([command, "--config", cfg, "--output", str(out)] + [f"--set={item}" for item in star + source]) == 1
+    err = capsys.readouterr().err
+    assert "error: the surface is not symmetric about its declared axis 0 0 1" in err
+    assert "not tangential" not in err
+    assert not out.exists()
+
+
 def test_study_repeated_degrees_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", "degrees = 2 2"))
     assert run(["study", "--config", cfg, "--output", str(tmp_path / "o")]) == 1

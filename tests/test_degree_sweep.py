@@ -1,7 +1,8 @@
-"""The degree sweep (one assembly, one QR of [A | b], a per-degree SVD of the
-R prefix) against the direct fit it replaced, written out here as the
-reference: per degree, assemble the degree-k traces and take the truncated
-SVD of the whole weighted, column-scaled matrix."""
+"""The degree sweep (one assembly, a QR of [A | b] reduced over row blocks, a
+per-degree SVD of the R prefix) against the direct fit it replaced, written
+out here as the reference: per degree, assemble the degree-k traces and take
+the truncated SVD of the whole weighted, column-scaled matrix.  The row-block
+reduction is also checked against one QR of the whole matrix."""
 
 import dataclasses
 
@@ -21,6 +22,7 @@ from elastopoly import (
     kelvin_data,
     make_quadrature,
     run_study,
+    solver,
 )
 from elastopoly.solver import BoundaryData, assemble_traces, field_values, max_misfit
 
@@ -85,6 +87,55 @@ def test_sweep_matches_direct_fit(surface, problem, source):
             np.testing.assert_allclose(result.rotation_components, rotations, rtol=0.0, atol=1e-12)
         else:
             assert result.rotation_components is None
+
+
+def single_qr_fits(data, basis, quad, degrees, svd_tol=1e-12):
+    """Kept rank, residual and coefficients per degree from one QR of the whole
+    weighted, column-scaled [A | b]: the factorization before it was split
+    into row blocks."""
+    traces, _ = assemble_traces(data.problem, basis, quad)
+    sw = np.sqrt(quad.weights)
+    a = np.concatenate([sw, np.repeat(sw, 3)])[:, None] * traces
+    b = np.concatenate([sw * data.scalar, (sw[:, None] * data.vector).reshape(-1)])
+    scales = np.linalg.norm(a, axis=0)
+    r = np.linalg.qr(np.column_stack([a / scales, b]), mode="r")
+    fits = []
+    for degree in degrees:
+        n = 3 * (degree + 1) ** 2
+        u, sigma, vt = np.linalg.svd(r[:n, :n])
+        keep = sigma >= svd_tol * sigma[0]
+        c = (vt.T[:, keep] @ ((u.T[keep] @ r[:n, -1]) / sigma[keep])) / scales[:n]
+        fits.append((int(np.count_nonzero(keep)), float(np.linalg.norm(a[:, :n] @ c - b)), c))
+    return fits
+
+
+# 4N = 512 rows of 76 columns (K = 4 on 8 x 16) in blocks of 1, 50 or 170 rows:
+# blocks narrower than [A | b], and three full blocks with a 2-row tail
+@pytest.mark.parametrize("block_rows", [1, 50, 170])
+@pytest.mark.parametrize("problem", ["III", "IV"])
+@pytest.mark.parametrize("surface", ["sphere", "triaxial"])
+def test_row_block_qr_matches_one_qr_of_the_whole_matrix(monkeypatch, surface, problem, block_rows):
+    quad = make_quadrature(SURFACES[surface], 8, 16)
+    basis = elastic_basis(M, 4)
+    data, _ = kelvin_data(M, quad, POLES[surface], 1, problem)
+    degrees = tuple(range(5))
+    reference = single_qr_fits(data, basis, quad, degrees)
+
+    qr_rows, qr = [], np.linalg.qr
+
+    def counting_qr(ab, mode):
+        qr_rows.append(len(ab))
+        return qr(ab, mode=mode)
+
+    monkeypatch.setattr(solver, "QR_BLOCK_BYTES", block_rows * 8 * (len(basis) + 1))
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    results = fit_degrees(data, basis, quad, degrees)
+    assert len(qr_rows) == -(-4 * quad.n_samples // block_rows) >= 4
+
+    for degree, result, (rank, residual, coeffs) in zip(degrees, results, reference):
+        assert result.kept_rank == rank, degree
+        assert abs(result.residual_norm - residual) <= 1e-12 * result.data_norm, degree
+        assert np.linalg.norm(result.coefficients - coeffs) <= 1e-12 * np.linalg.norm(coeffs), degree
 
 
 def test_basis_of_lower_degree_is_a_prefix():

@@ -163,3 +163,17 @@ def test_axisymmetric_star_rotation_field(spheroid_quad):
     gammas = quad.rotation_fields
     assert len(gammas) == 1
     assert np.max(np.abs(np.einsum("ni,ni->n", gammas[0], quad.normals))) <= 1e-12
+
+
+def test_zonal_star_with_its_axis_declared_is_axisymmetric():
+    # h_{2,1} is the zonal harmonic, symmetric about the z axis
+    spec = StarShaped(coeffs=((0, 1, 1.0), (2, 1, 0.15)), axis=(0.0, 0.0, 1.0))
+    assert classify_symmetry(spec).tag == "axisymmetric"
+    assert len(make_quadrature(spec, 16, 32).rotation_fields) == 1
+
+
+def test_star_declared_about_a_false_axis_is_rejected_naming_it():
+    # h_{2,3} is not symmetric about z, so the rotation about z leaves the surface
+    quad = make_quadrature(StarShaped(coeffs=((0, 1, 1.0), (2, 3, 0.15)), axis=(0.0, 0.0, 1.0)), 16, 32)
+    with pytest.raises(ValueError, match="not symmetric about its declared axis 0 0 1"):
+        quad.rotation_fields
