@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ioutil import fmt17
+from .ioutil import csv_lines
 from .polyalg import Poly3, batch_eval, gradient
 from .basis import solid_harmonics
 
@@ -120,11 +120,22 @@ class SurfaceQuadrature:
         (`tangential_rotation_fields`), computed on first use."""
         return tangential_rotation_fields(self)
 
+    @cached_property
+    def tangents(self) -> np.ndarray:
+        """Orthonormal tangent frames (N, 2, 3), computed on first use.
+
+        e1 = (c x nu) / |c x nu|, c the coordinate axis with the smallest
+        |nu_k|, and e2 = nu x e1, so that e1 x e2 = nu.
+        """
+        nu = self.normals
+        axes = np.eye(3)[np.argmin(np.abs(nu), axis=1)]
+        e1 = np.cross(axes, nu)
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        return np.stack([e1, np.cross(nu, e1)], axis=1)
+
     def to_csv(self) -> str:
-        lines = ["x,y,z,nx,ny,nz,w"]
-        for p, n, w in zip(self.points, self.normals, self.weights):
-            lines.append(",".join(fmt17(v) for v in (*p, *n, w)))
-        return "\n".join(lines) + "\n"
+        lines = csv_lines(np.column_stack([self.points, self.normals, self.weights]))
+        return "\n".join(["x,y,z,nx,ny,nz,w", *lines]) + "\n"
 
 
 def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadrature:

@@ -8,6 +8,13 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def csv_lines(table) -> list[str]:
+    """Comma-joined `fmt17` fields of each row of a 2-D float array, formatted
+    with one %-operation per row."""
+    line = ",".join(["%.17g"] * table.shape[1])
+    return [line % tuple(row) for row in table.tolist()]
+
+
 def json_dumps(obj) -> str:
     """Serialize nested dict/list/scalar data to JSON with 17-digit floats.
 

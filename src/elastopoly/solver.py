@@ -29,8 +29,13 @@ The traces are assembled from the basis in chunks of CHUNK_POINTS samples.
 Per chunk it is evaluated one degree block at a time, the degree-k elements
 being columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`); degree-k values and
 degree-(k-1) gradients touch only their own monomials.  Each block is
-contracted to tractions, split into the III/IV data and written straight into
-one row-stacked trace matrix T.  The weighted, column-scaled [A | b] is
+contracted to tractions and written straight into one row-stacked trace
+matrix T of 3N rows: the scalar trace, and the tangential vector trace as its
+two components in each sample's orthonormal tangent frame
+(`SurfaceQuadrature.tangents`).  The vector traces have no normal
+component, so that of the vector data is a part of the misfit no
+coefficients change: it takes no rows and enters the reported residual and
+data norm in closed form.  The weighted, column-scaled [A | b] is
 never held whole: R is reduced over blocks of its rows, R <- QR of
 [R; A[rows] | b[rows]], each block at most QR_BLOCK_BYTES.  The peak
 footprint is T plus a few block-sized arrays (the QR input and the two
@@ -47,7 +52,7 @@ import numpy as np
 
 from .basis import Material, ElasticBasis, degree_columns
 from .geometry import SurfaceQuadrature
-from .ioutil import fmt17
+from .ioutil import csv_lines
 from .operators import KelvinField, RigidDisplacement, traction, traction_of_gradient
 from .polyalg import CoefficientBlocks, VecPoly3
 
@@ -168,6 +173,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+def _scalar_and_full(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The problem's scalar datum and the field whose tangential part is its vector datum."""
+    check_problem(problem)
+    return (_dot(u, normals), t) if problem == PROBLEM_III else (_dot(t, normals), u)
+
+
 def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scalar and vector boundary data of displacements u and tractions t (..., 3).
 
@@ -175,8 +186,7 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
     The vector part is tangential by construction.  Normals broadcast against
     the samples' leading axes.
     """
-    check_problem(problem)
-    scalar, full = (_dot(u, normals), t) if problem == PROBLEM_III else (_dot(t, normals), u)
+    scalar, full = _scalar_and_full(problem, u, t, normals)
     normal_part, vector = _dot(full, normals), np.empty_like(full)  # keeps the memory layout of full
     for b in range(3):
         vector[..., b] = full[..., b] - normal_part * normals[..., b]
@@ -184,26 +194,31 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
 
 
 def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stacked trace matrix T (4N, E) of the basis and, for problem III,
+    """Row-stacked trace matrix T (3N, E) of the basis and, for problem III,
     its weighted displacement projections (G, E) on the G rotation fields of
     the quadrature (G = 0 for problem IV).
 
-    Row n of T holds the scalar traces at sample n, row N + 3n + j the j-th
-    component of the tangential vector traces.  The basis is evaluated in
+    Row n of T holds the scalar traces at sample n, row N + 2n + a the
+    tangential vector traces in the sample's frame, full . e_a with e_a =
+    quad.tangents[n, a] and full the traction (III) or displacement (IV);
+    as e_a is tangent, no projection is needed.  The basis is evaluated in
     chunks of CHUNK_POINTS samples, one degree block at a time, and each
     block's traces are written straight into T.
     """
-    n_samples, rotations = quad.n_samples, _rotations(problem, quad)
-    traces = np.empty((4 * n_samples, len(basis)))
-    vector_rows = traces[n_samples:].reshape(n_samples, 3, len(basis))
+    # The cached frames are computed here, not among the chunk temporaries
+    # below, where the long-lived array would keep freed heap from the system.
+    n_samples, rotations, tangents = quad.n_samples, _rotations(problem, quad), quad.tangents
+    traces = np.empty((3 * n_samples, len(basis)))
+    frame_rows = traces[n_samples:].reshape(n_samples, 2, len(basis))
     projections = np.zeros((len(rotations), len(basis)))
     for rows, cols, values, grads in _eval_chunks(basis, quad.points, basis.max_degree):
         # (e, n, 3) views: the normals broadcast over the fields, the point axis runs innermost
-        nu = quad.normals[rows]
+        nu, frames = quad.normals[rows], tangents[rows]
         t = traction_of_gradient(basis.material, grads.transpose(2, 3, 0, 1), nu)
-        scalar, vector = split_trace(problem, values.transpose(1, 2, 0), t, nu)
+        scalar, full = _scalar_and_full(problem, values.transpose(1, 2, 0), t, nu)
         traces[rows, cols] = scalar.T
-        vector_rows[rows, :, cols] = vector.transpose(1, 2, 0)
+        for a in range(2):
+            frame_rows[rows, a, cols] = _dot(full, frames[:, a]).T
         if rotations:
             weighted = np.stack([quad.weights[rows, None] * g[rows] for g in rotations])
             projections[:, cols] += np.einsum("gnj,jen->ge", weighted, values)
@@ -278,7 +293,10 @@ def fit_degrees(
     svd_tol * sigma_max are discarded (minimum-norm solution).  A problem-III
     fit on a symmetric surface reports the weighted components of the fitted
     displacement along the quadrature's rotation fields, making the arbitrary
-    rigid part of the solution visible.  The traces are
+    rigid part of the solution visible.  Vector data whose normal part
+    fails `check_tangential` is rejected unless project_tangential drops that
+    part; a normal part that passes counts in the residual and data norm.
+    The traces are
     assembled and factored once, at basis.max_degree; the per-sample misfits
     against the data as given are kept on each result.  The factorization is
     a Householder QR of [A | b] reduced over row blocks of QR_BLOCK_BYTES,
@@ -292,19 +310,19 @@ def fit_degrees(
     if not degrees or not all(0 <= k <= basis.max_degree for k in degrees):
         raise ValueError(f"degrees must lie in 0..{basis.max_degree}, got {list(degrees)}")
 
-    vec_data = data.vector
-    if project_tangential:
-        v_n = np.einsum("ni,ni->n", vec_data, quad.normals)
-        vec_data = vec_data - v_n[:, None] * quad.normals
-    else:
-        check_tangential(vec_data, quad, _DATA_NAMES[data.problem][1])
+    if not project_tangential:
+        check_tangential(data.vector, quad, _DATA_NAMES[data.problem][1])
 
     traces, rotations = assemble_traces(data.problem, basis, quad)
     n_fields = len(basis)
     sw = np.sqrt(quad.weights)
-    row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 3)])
-    b = np.concatenate([np.sqrt(scalar_weight) * sw * data.scalar, (sw[:, None] * vec_data).reshape(-1)])
-    data_norm = float(np.linalg.norm(b))
+    row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 2)])
+    b = np.concatenate([np.sqrt(scalar_weight) * sw * data.scalar,
+                        (sw[:, None] * np.einsum("nj,naj->na", data.vector, quad.tangents)).reshape(-1)])
+    # The traces have no normal part, so that of the data adds to the residual
+    # and the data norm alike, whatever the coefficients; projecting drops it.
+    b_normal = 0.0 if project_tangential else float(np.linalg.norm(sw * _dot(data.vector, quad.normals)))
+    data_norm = float(np.hypot(np.linalg.norm(b), b_normal))
 
     # A = row_weights * T is formed one block of rows at a time, never whole: a
     # first pass sums its squared columns, a second reduces R over the blocks,
@@ -336,9 +354,10 @@ def fit_degrees(
         inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
         coeffs = (vt.T @ (inv * (u_svd.T @ r[:n, -1]))) / scales[:n]
         fitted = traces[:, :n] @ coeffs
-        scalar_misfit, vector_misfit = pointwise_misfit(data, fitted)
+        scalar_misfit, vector_misfit = pointwise_misfit(data, fitted, quad)
+        residual_norm = float(np.hypot(np.linalg.norm(row_weights * fitted - b), b_normal))
         results.append(FitResult(
-            problem=data.problem, coefficients=coeffs, residual_norm=float(np.linalg.norm(row_weights * fitted - b)),
+            problem=data.problem, coefficients=coeffs, residual_norm=residual_norm,
             data_norm=data_norm, kept_rank=int(np.count_nonzero(keep)), singular_values=sigma, svd_tol=svd_tol,
             rotation_components=rotations[:, :n] @ coeffs if len(rotations) else None,
             scalar_misfit=scalar_misfit, vector_misfit=vector_misfit,
@@ -352,12 +371,14 @@ def fit(data: BoundaryData, basis: ElasticBasis, quad: SurfaceQuadrature, **opti
     return fit_degrees(data, basis, quad, (basis.max_degree,), **options)[0]
 
 
-def pointwise_misfit(data: BoundaryData, fitted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pointwise_misfit(data: BoundaryData, fitted: np.ndarray, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample scalar (N,) and vector (N, 3) misfits of fitted trace rows
-    (4N,), laid out as the rows of `assemble_traces`, against the data as
-    given (never projected)."""
+    (3N,), laid out as the rows of `assemble_traces`, against the data as
+    given (never projected).  The fitted frame rows are lifted back to
+    vectors through quad.tangents."""
     n = data.n_samples
-    return fitted[:n] - data.scalar, fitted[n:].reshape(n, 3) - data.vector
+    vector = np.einsum("na,naj->nj", fitted[n:].reshape(n, 2), quad.tangents)
+    return fitted[:n] - data.scalar, vector - data.vector
 
 
 def max_misfit(ds: np.ndarray, dv: np.ndarray, scalar_weight: float = 1.0) -> float:
@@ -414,7 +435,5 @@ def fit_result_json(result: FitResult) -> str:
 
 
 def misfit_csv(result: FitResult, quad: SurfaceQuadrature) -> str:
-    lines = ["x,y,z,w,scalar_misfit,vec_misfit_x,vec_misfit_y,vec_misfit_z"]
-    for p, w, s, v in zip(quad.points, quad.weights, result.scalar_misfit, result.vector_misfit):
-        lines.append(",".join(fmt17(val) for val in (*p, w, s, *v)))
-    return "\n".join(lines) + "\n"
+    lines = csv_lines(np.column_stack([quad.points, quad.weights, result.scalar_misfit, result.vector_misfit]))
+    return "\n".join(["x,y,z,w,scalar_misfit,vec_misfit_x,vec_misfit_y,vec_misfit_z", *lines]) + "\n"

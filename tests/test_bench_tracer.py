@@ -51,11 +51,11 @@ def test_fit_calls_svd_through_solver_numpy(monkeypatch):
     quad = make_quadrature(Sphere(), 8, 16)
     data = BoundaryData("IV", np.ones(quad.n_samples), np.zeros((quad.n_samples, 3)))
     fit(data, elastic_basis(Material(1.0, 1.0), 1), quad)
-    assert calls == [("qr", (4 * quad.n_samples, 13)), ("svd", (12, 12))]
+    assert calls == [("qr", (3 * quad.n_samples, 13)), ("svd", (12, 12))]
 
 
 def test_fit_reduces_r_over_row_blocks_of_bounded_size(monkeypatch):
-    # 4N (E + 1) floats exceed QR_BLOCK_BYTES here, so the QR is reduced over row
+    # 3N (E + 1) floats exceed QR_BLOCK_BYTES here, so the QR is reduced over row
     # blocks: every QR input holds at most one block of new rows plus R, and
     # every row of [A | b] enters exactly once
     from elastopoly import BoundaryData, Material, Sphere, elastic_basis, fit, make_quadrature
@@ -70,8 +70,8 @@ def test_fit_reduces_r_over_row_blocks_of_bounded_size(monkeypatch):
 
     monkeypatch.setattr(solver, "np", tracer._Proxy(np, linalg=tracer._Proxy(np.linalg, qr=qr)))
     quad = make_quadrature(Sphere(), 48, 96)
-    basis = elastic_basis(Material(1.0, 1.0), 6)
-    rows, width = 4 * quad.n_samples, len(basis) + 1
+    basis = elastic_basis(Material(1.0, 1.0), 7)
+    rows, width = 3 * quad.n_samples, len(basis) + 1
     assert rows * width * 8 > solver.QR_BLOCK_BYTES
     fit(BoundaryData("IV", np.ones(quad.n_samples), np.zeros((quad.n_samples, 3))), basis, quad)
     block_rows = solver.QR_BLOCK_BYTES // (8 * width)

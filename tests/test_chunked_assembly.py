@@ -66,11 +66,25 @@ def old_traces(problem, fields, quad, gammas=()):
     return rows, projections.reshape(len(gammas), len(fields))
 
 
+def in_tangent_frames(rows, quad):
+    """A 4N-row matrix in the 3N-row layout of `assemble_traces` (its vector
+    rows in each sample's tangent frame), and separately the normal
+    components (N, E) of those vector rows."""
+    n = quad.n_samples
+    vector = rows[n:].reshape(n, 3, -1)
+    tangential = np.einsum("naj,nje->nae", quad.tangents, vector).reshape(2 * n, -1)
+    return np.vstack([rows[:n], tangential]), np.einsum("nj,nje->ne", quad.normals, vector)
+
+
+def degree_blocks(degree):
+    return [slice(3 * k * k, 3 * (k + 1) ** 2) for k in range(degree + 1)]
+
+
 def assert_blocks_close(new, old, degree, rtol=1e-12):
     """Each degree block of columns within rtol of its largest entry.  (Single
     columns can vanish to round-off, e.g. the III scalar trace of a rotation
     on the sphere.)"""
-    for cols in [slice(3 * k * k, 3 * (k + 1) ** 2) for k in range(degree + 1)]:
+    for cols in degree_blocks(degree):
         err, scale = np.max(np.abs(new[:, cols] - old[:, cols])), np.max(np.abs(old[:, cols]))
         assert err <= rtol * scale, (cols, err / scale)
 
@@ -84,9 +98,12 @@ def test_chunked_traces_match_full_table(surface, size, degree):
     for problem in ("III", "IV"):
         gammas = quad.rotation_fields if problem == "III" else []  # the assembly projects for III only
         traces, projections = assemble_traces(problem, basis, quad)
-        expected, expected_projections = old_traces(problem, fields, quad, gammas)
-        assert traces.shape == (4 * quad.n_samples, len(fields))
+        full_rows, expected_projections = old_traces(problem, fields, quad, gammas)
+        expected, normal = in_tangent_frames(full_rows, quad)
+        assert traces.shape == (3 * quad.n_samples, len(fields))
         assert_blocks_close(traces, expected, degree)
+        for cols in degree_blocks(degree):  # the rows the frames drop carried nothing
+            assert np.max(np.abs(normal[:, cols])) <= 1e-14 * np.max(np.abs(full_rows[:, cols])), cols
         assert projections.shape == (len(gammas), len(fields))
         np.testing.assert_allclose(projections, expected_projections, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(expected_projections), initial=0.0))
@@ -101,14 +118,14 @@ def test_single_field_traces_match_assembly_columns(surface):
     n = quad.n_samples
     for problem in ("III", "IV"):
         traces, _ = assemble_traces(problem, basis, quad)
-        single = np.empty_like(traces)
+        single = np.empty((4 * n, len(basis)))
         for e, el in enumerate(basis):
             if problem == "III":
                 scalar, vector = trace_III(M, el.field, quad)
             else:
                 vector, scalar = trace_IV(M, el.field, quad)
             single[:n, e], single[n:, e] = scalar, vector.reshape(-1)
-        assert_blocks_close(single, traces, basis.max_degree)
+        assert_blocks_close(in_tangent_frames(single, quad)[0], traces, basis.max_degree)
 
 
 def test_non_homogeneous_fields_between_degree_blocks():

@@ -5,6 +5,7 @@ from elastopoly import (
     Ellipsoid,
     Sphere,
     StarShaped,
+    SurfaceQuadrature,
     classify_symmetry,
     make_quadrature,
     radial_function,
@@ -98,6 +99,29 @@ def test_quadrature_csv_schema(sphere_quad):
     assert lines[0] == "x,y,z,nx,ny,nz,w"
     assert len(lines) == sphere_quad.n_samples + 1
     assert len(lines[1].split(",")) == 7
+
+
+AXIS_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
+
+
+@pytest.mark.parametrize("quad", [
+    make_quadrature(Sphere(), 12, 24),
+    make_quadrature(Ellipsoid(semi_axes=(1.0, 1.3, 1.7)), 12, 24),
+    make_quadrature(BUMPY, 12, 24),
+    SurfaceQuadrature(Sphere(), AXIS_NORMALS, AXIS_NORMALS, np.ones(6)),  # normals along +-x, +-y, +-z
+], ids=["sphere", "ellipsoid", "star", "axes"])
+def test_tangent_frames_are_orthonormal_and_right_handed(quad):
+    frames, nu = quad.tangents, quad.normals
+    assert frames.shape == (quad.n_samples, 2, 3)
+    e1, e2 = frames[:, 0], frames[:, 1]
+    for e in (e1, e2):
+        assert np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(np.einsum("ni,ni->n", e, nu))) <= 1e-15
+    assert np.max(np.abs(np.einsum("ni,ni->n", e1, e2))) <= 1e-15
+    assert np.max(np.abs(np.cross(e1, e2) - nu)) <= 1e-15
+    rebuilt = SurfaceQuadrature(quad.spec, quad.points.copy(), nu.copy(), quad.weights.copy())
+    assert np.array_equal(rebuilt.tangents, frames)
+    assert quad.tangents is frames  # computed once
 
 
 # -- symmetry classification -------------------------------------------------------

@@ -77,7 +77,7 @@ def test_stored_misfits_match_fresh_assembly(problem, triaxial_quad):
     result = fit(data, basis, triaxial_quad)
     traces, _ = assemble_traces(problem, basis, triaxial_quad)
     n = triaxial_quad.n_samples
-    scalar, vector = traces[:n], traces[n:].reshape(n, 3, -1).transpose(0, 2, 1)
+    scalar, vector = traces[:n], np.einsum("nae,naj->nej", traces[n:].reshape(n, 2, -1), triaxial_quad.tangents)
     ds = scalar @ result.coefficients - data.scalar
     dv = np.einsum("nej,e->nj", vector, result.coefficients) - data.vector
     assert result.scalar_misfit.shape == ds.shape and result.vector_misfit.shape == dv.shape

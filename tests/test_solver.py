@@ -7,6 +7,8 @@ from elastopoly import (
     BoundaryData,
     Material,
     RigidDisplacement,
+    Sphere,
+    SurfaceQuadrature,
     compatibility_defect,
     elastic_basis,
     evaluate_solution,
@@ -18,7 +20,8 @@ from elastopoly import (
     traction,
 )
 from elastopoly.polyalg import VecPoly3, X, Y, Z
-from elastopoly.solver import FitResult
+from elastopoly.ioutil import fmt17
+from elastopoly.solver import FitResult, misfit_csv
 
 rng = np.random.default_rng(99)
 M = Material(1.0, 1.0)
@@ -157,6 +160,28 @@ def test_fit_rejects_non_tangential_data(sphere_quad):
     assert result.residual_norm <= 1e-10
 
 
+@pytest.mark.parametrize("problem", ["III", "IV"])
+def test_normal_part_of_the_data_enters_residual_and_data_norm(problem, triaxial_quad):
+    # the traces have no normal part, so a normal component delta of the data
+    # adds ||sqrt(w) delta|| in quadrature to the residual and the data norm;
+    # at 1e-6 times the Kelvin data, a delta under the tangency tolerance
+    # (1e-8, the scale being floored at 1) is a visible share of both
+    quad, basis = triaxial_quad, elastic_basis(M, 4)
+    kelvin, _ = kelvin_data(M, quad, (0.4, -0.3, 5.1), 2, problem)
+    clean = BoundaryData(problem, 1e-6 * kelvin.scalar, 1e-6 * kelvin.vector)
+    delta = 0.9e-8 * rng.uniform(-1.0, 1.0, quad.n_samples)
+    noisy = BoundaryData(problem, clean.scalar, clean.vector + delta[:, None] * quad.normals)
+    reference, normal_norm = fit(clean, basis, quad), quad.norm(delta)
+    result = fit(noisy, basis, quad)  # delta passes the tangency check
+    assert abs(result.residual_norm - np.hypot(reference.residual_norm, normal_norm)) <= 1e-12 * result.residual_norm
+    assert abs(result.data_norm - np.hypot(reference.data_norm, normal_norm)) <= 1e-12 * result.data_norm
+    assert result.data_norm - reference.data_norm > 1e-3 * reference.data_norm  # delta is seen
+    projected = fit(noisy, basis, quad, project_tangential=True)
+    for other in (result, projected):
+        assert np.linalg.norm(other.coefficients - reference.coefficients) <= 1e-12 * np.linalg.norm(reference.coefficients)
+    assert abs(projected.residual_norm - reference.residual_norm) <= 1e-12 * reference.residual_norm
+
+
 def test_fit_scaling_equivariance(sphere_quad):
     data, _ = kelvin_data(M, sphere_quad, (0.0, 0.0, 3.0), 2, "IV")
     basis = elastic_basis(M, 3)
@@ -286,3 +311,28 @@ def test_stress_is_symmetric_and_consistent_with_traction(sphere_quad):
     t_direct = traction(M, combined, sphere_quad.points[:50], sphere_quad.normals[:50])
     t_stress = np.einsum("nij,nj->ni", stress, sphere_quad.normals[:50])
     assert np.allclose(t_stress, t_direct, atol=1e-12)
+
+
+# -- reports ------------------------------------------------------------------------
+
+
+def test_csv_reports_match_the_fmt17_join():
+    # one %-format per row gives the bytes of the per-value fmt17 join,
+    # signed zeros, subnormals, huge values and negative exponents included
+    special = [-0.0, 5e-324, 1e308, -1.25e-7, 3.0e-300, -2.5e-17, 1.0 / 3.0, -1e308, 0.1, 7.0]
+    table = np.array([np.roll(special, k)[:8] for k in range(len(special))])
+    quad = SurfaceQuadrature(Sphere(), table[:, :3], table[:, 3:6], table[:, 6])
+    result = FitResult(
+        problem="IV", coefficients=np.zeros(3), residual_norm=0.0, data_norm=1.0, kept_rank=3,
+        singular_values=np.ones(3), svd_tol=1e-12, scalar_misfit=table[:, 4], vector_misfit=table[:, 5:8],
+    )
+
+    def joined(header, columns):
+        return "\n".join([header, *(",".join(fmt17(v) for v in row) for row in np.column_stack(columns))]) + "\n"
+
+    assert quad.to_csv() == joined("x,y,z,nx,ny,nz,w", [quad.points, quad.normals, quad.weights])
+    assert misfit_csv(result, quad) == joined(
+        "x,y,z,w,scalar_misfit,vec_misfit_x,vec_misfit_y,vec_misfit_z",
+        [quad.points, quad.weights, result.scalar_misfit, result.vector_misfit],
+    )
+    assert "-0," in quad.to_csv() and "4.9406564584124654e-324" in quad.to_csv()
