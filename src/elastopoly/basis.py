@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .polyalg import Poly3, VecPoly3, R2
+from .polyalg import CoefficientBlocks, Poly3, VecPoly3, R2
 
 _FracPoly = dict[tuple[int, int, int], Fraction]
 
@@ -170,6 +170,22 @@ class ElasticBasis:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @cached_property
+    def layout(self) -> CoefficientBlocks:
+        """The elements' values and first partials laid out once for
+        evaluation, two groups per degree k: group 2k holds the 3 e component
+        polynomials of the e degree-k elements (component j of element i at
+        j e + i), group 2k + 1 their 9 e partials (d v_j / d x_a at (3a + j) e + i).
+        Degree-k values touch only the degree-k monomials, gradients the
+        degree-(k-1) ones."""
+        groups = []
+        for k in range(self.max_degree + 1):
+            fields = [el.field for el in self.elements[degree_columns(k)]]
+            groups.append([v[j] for j in range(3) for v in fields])
+            jacobians = [v.jacobian() for v in fields]
+            groups.append([jac[i] for i in range(9) for jac in jacobians])
+        return CoefficientBlocks.of_polys(groups)
 
     def prefix_degree(self, n_fields: int) -> int:
         """The degree k whose elements through k are the first n_fields."""

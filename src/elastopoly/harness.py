@@ -29,9 +29,9 @@ from .solver import (
     check_problem,
     check_scalar_weight,
     compatibility_defect,
+    evaluate_solution,
     field_data,
     field_samples,
-    field_values,
     fit_degrees,
     max_misfit,
 )
@@ -318,8 +318,9 @@ def prepare(config: StudyConfig):
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Sweep basis degrees against fixed data; one report row per degree.  The
-    traces, their factorization and the probe values are computed once.  The
-    defect columns are those of problem III, `nan` for problem IV."""
+    traces and their factorization are computed once; each degree's probe
+    values come from its fitted field.  The defect columns are those of
+    problem III, `nan` for problem IV."""
     quad, basis, data, exact = prepare(config)
     results = fit_degrees(data, basis, quad, config.degrees, svd_tol=config.svd_tol,
                           scalar_weight=config.scalar_weight)
@@ -331,13 +332,12 @@ def run_study(config: StudyConfig) -> StudyReport:
         probes = probe_points(config.surface)
         exact_at_probes = exact.eval(probes)
         den = float(np.max(np.linalg.norm(exact_at_probes, axis=1)))
-        probe_values = field_values(basis, probes)
 
     rows: list[StudyRow] = []
     for degree, result in zip(config.degrees, results):
         probe_err = float("nan")
         if exact is not None:
-            fitted = probe_values[:, :, : len(result.coefficients)] @ result.coefficients
+            fitted, _ = evaluate_solution(result, basis, probes)
             num = float(np.max(np.linalg.norm(fitted - exact_at_probes, axis=1)))
             probe_err = num / den if den > 0.0 else num
 

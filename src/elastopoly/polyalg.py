@@ -360,15 +360,29 @@ def _degree_start(d: int) -> int:
 class CoefficientBlocks:
     """Groups of polynomials laid out for repeated evaluation.
 
-    Each group becomes one coefficient matrix over the contiguous graded-lex
-    monomial range of its degrees (one degree for a homogeneous group), so
-    evaluating it is one matrix product that skips every other degree.
+    Each group is one coefficient matrix over a contiguous graded-lex
+    monomial range (one degree for a homogeneous group), so evaluating it is
+    one matrix product that skips every other degree.  `of_polys` lays out
+    groups of `Poly3`; the constructor takes the (first, end, coefficients)
+    blocks themselves, a (len(group), end - first) matrix over monomials
+    first .. end each.
     """
 
-    def __init__(self, groups: Sequence[Sequence[Poly3]]):
-        self.max_degree = max([0, *(p.degree() for polys in groups for p in polys)])
-        index, exps = _graded_lex_table(self.max_degree)
-        self.blocks: list[tuple[int, int, np.ndarray]] = []  # (first, end) monomials, (poly, monomial) coefficients
+    def __init__(self, blocks: Sequence[tuple[int, int, np.ndarray]]):
+        self.blocks = list(blocks)
+        used = [(first, end) for first, end, _ in self.blocks if end > first]
+        self.first = min((first for first, _ in used), default=0)
+        end = max((end for _, end in used), default=0)
+        self.max_degree = 0
+        while _degree_start(self.max_degree + 1) < end:
+            self.max_degree += 1
+        self.exponents = _graded_lex_table(self.max_degree)[1][self.first:end]
+
+    @classmethod
+    def of_polys(cls, groups: Sequence[Sequence[Poly3]]) -> "CoefficientBlocks":
+        max_degree = max([0, *(p.degree() for polys in groups for p in polys)])
+        index, exps = _graded_lex_table(max_degree)
+        blocks = []
         for polys in groups:
             counts = [len(p.terms) for p in polys]
             rows = np.fromiter(chain.from_iterable(map(index.__getitem__, p.terms) for p in polys), np.intp, sum(counts))
@@ -378,13 +392,12 @@ class CoefficientBlocks:
             coeffs = np.zeros((len(polys), end - first))
             coeffs[np.repeat(np.arange(len(polys)), counts), rows - first] = np.fromiter(
                 chain.from_iterable(p.terms.values() for p in polys), float, rows.size)
-            self.blocks.append((first, end, coeffs))
-        used = [(first, end) for first, end, _ in self.blocks if end > first]
-        self.first = min((first for first, _ in used), default=0)
-        self.exponents = exps[self.first:max((end for _, end in used), default=0)]
+            blocks.append((first, end, coeffs))
+        return cls(blocks)
 
-    def eval(self, points) -> list[np.ndarray]:
-        """One (len(group), n_points) array of values per group."""
+    def eval(self, points):
+        """Yield one (len(group), n_points) array of values per group, in
+        order; each product is formed only when the next one is asked for."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         # cumulative power tables per coordinate, then each monomial as (x^i y^j) z^k
         powers = np.empty((3, self.max_degree + 1, pts.shape[0]))
@@ -395,14 +408,15 @@ class CoefficientBlocks:
         table = powers[0, i]  # (monomial, point)
         table *= powers[1, j]
         table *= powers[2, k]
-        return [coeffs @ table[first - self.first:end - self.first] if end > first
-                else np.zeros((coeffs.shape[0], pts.shape[0])) for first, end, coeffs in self.blocks]
+        for first, end, coeffs in self.blocks:
+            yield (coeffs @ table[first - self.first:end - self.first] if end > first
+                   else np.zeros((coeffs.shape[0], pts.shape[0])))
 
 
 def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:
     """Evaluate many polynomials at many points in one matrix product: the
     one-group case of `CoefficientBlocks`.  Returns (n_points, len(polys))."""
-    return CoefficientBlocks([polys]).eval(points)[0].T
+    return next(CoefficientBlocks.of_polys([polys]).eval(points)).T
 
 
 # convenient generators

@@ -19,29 +19,39 @@ surface), and `compatibility_defect` of problem-IV data is empty.
 
 The basis is ordered by degree and the scaling is per column, so the scaled
 degree-k matrix is a column prefix of the degree-K one.  A degree sweep
-therefore assembles the traces once, at K, and factors [A | b] once by
-Householder QR (R only, Q never formed); each degree then needs just the
-truncated SVD of the leading n x n block of R, n = 3(k+1)^2, whose last
-column holds Q^T b.  Truncation only affects the solution below the cutoff;
-the reported residual is always the directly recomputed misfit ||A c - b||.
+therefore assembles the traces once, at K, and reduces [A | b] once by
+Householder QR (R only, Q never formed).  The column scales are the column
+norms of R, which are those of A; each degree then needs just the truncated
+SVD of the leading n x n block of R with its columns scaled, n = 3(k+1)^2,
+while the last column of R holds Q^T b.  Householder QR is columnwise
+backward stable, so scaling after the QR keeps the guarantee of scaling
+before it.  Truncation only affects the solution below the cutoff; the
+reported residual is always the directly recomputed misfit ||A c - b||.
 
-The traces are assembled from the basis in chunks of CHUNK_POINTS samples.
-Per chunk it is evaluated one degree block at a time, the degree-k elements
-being columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`); degree-k values and
-degree-(k-1) gradients touch only their own monomials.  Each block is
-contracted to tractions and written straight into one row-stacked trace
-matrix T of 3N rows: the scalar trace, and the tangential vector trace as its
+The trace rows are assembled from the basis in chunks of CHUNK_POINTS
+samples, one degree block at a time through `ElasticBasis.layout`, the
+degree-k elements being columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`).  Each
+block is contracted to tractions and written straight into the 3m rows of a
+range of m samples: the scalar trace, and the tangential vector trace as its
 two components in each sample's orthonormal tangent frame
 (`SurfaceQuadrature.tangents`).  The vector traces have no normal
 component, so that of the vector data is a part of the misfit no
 coefficients change: it takes no rows and enters the reported residual and
-data norm in closed form.  The weighted, column-scaled [A | b] is
-never held whole: R is reduced over blocks of its rows, R <- QR of
-[R; A[rows] | b[rows]], each block at most QR_BLOCK_BYTES.  The peak
-footprint is T plus a few block-sized arrays (the QR input and the two
-working copies `np.linalg.qr` makes of it) plus O(E^2) for R.  A single
-polynomial, rigid or Kelvin field is sampled by `field_samples` instead and
-split by the same `split_trace`; `field_data` makes that its `BoundaryData`.
+data norm in closed form.  The whole trace matrix T (3N, E) is never held:
+a fit assembles one block of whole samples at a time, at most
+QR_BLOCK_BYTES of [A | b], and reduces R <- QR of [R; A[rows] | b[rows]] at
+once.  The peak footprint is the basis and its layout, a few block-sized
+arrays (the QR input and the two working copies `np.linalg.qr` makes of
+it) and O(E^2) for R.
+
+A fitted field is one polynomial: the coefficients of every requested
+degree, contracted with each degree block's rows of the layout, give one
+vector polynomial and its partials per degree (`_collapse`).  Sampled once
+at the quadrature, they give the fitted rows, misfits, residuals and
+rotation components (`fitted_traces`); at interior points, the displacement
+and stress of `evaluate_solution`.  A single polynomial, rigid or Kelvin
+field is sampled by `field_samples` instead and split by the same
+`split_trace`; `field_data` makes that its `BoundaryData`.
 """
 
 from __future__ import annotations
@@ -138,35 +148,25 @@ class FitResult:
 # -- trace assembly ---------------------------------------------------------------
 
 
-def _eval_chunks(basis: ElasticBasis, points: np.ndarray, degree: int, gradients: bool = True):
-    """Evaluate the basis elements through `degree`, one point chunk and one
-    degree block at a time.
+def _field_chunks(layout: CoefficientBlocks, points: np.ndarray):
+    """Sample fields laid out as pairs of groups (values, then gradients, as
+    in `ElasticBasis.layout`), one chunk of CHUNK_POINTS points at a time.
 
-    Yields (point rows, degree-k columns, values (3, e, n), gradients
-    (3, 3, e, n) or None) with values[j] = v_j and gradients[a, j] =
-    d v_j / d x_a, each component a contiguous (e, n) block.  The
-    coefficients are laid out once; a degree-k block multiplies only the
-    degree-k monomials for the values and the degree-(k-1) ones for the
-    gradients.
+    Yields (point rows, field columns, values (3, e, n), gradients
+    (3, 3, e, n)) per pair, with values[j] = v_j and gradients[a, j] =
+    d v_j / d x_a, each component a contiguous (e, n) block; the columns
+    count the fields of a chunk's pairs in order.  Each pair's products are
+    formed when it is reached, so a chunk holds one pair at a time.
     """
-    blocks = [degree_columns(k) for k in range(degree + 1)]
-    groups = []
-    for cols in blocks:
-        fields = [el.field for el in basis.elements[cols]]
-        groups.append([v[j] for j in range(3) for v in fields])
-        if gradients:
-            jacobians = [v.jacobian() for v in fields]
-            groups.append([jac[i] for i in range(9) for jac in jacobians])
-    coefficients = CoefficientBlocks(groups)
     for start in range(0, len(points), CHUNK_POINTS):
         rows = slice(start, min(start + CHUNK_POINTS, len(points)))
-        out = iter(coefficients.eval(points[rows]))
-        n = rows.stop - rows.start
-        for cols in blocks:
-            e = cols.stop - cols.start
-            values = next(out).reshape(3, e, n)
-            grads = next(out).reshape(3, 3, e, n) if gradients else None
-            yield rows, cols, values, grads
+        groups, first = layout.eval(points[rows]), 0
+        for values in groups:
+            n = values.shape[1]
+            values = values.reshape(3, -1, n)
+            cols = slice(first, first + values.shape[1])
+            first = cols.stop
+            yield rows, cols, values, next(groups).reshape(3, 3, -1, n)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,36 +193,71 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
     return scalar, vector
 
 
-def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stacked trace matrix T (3N, E) of the basis and, for problem III,
-    its weighted displacement projections (G, E) on the G rotation fields of
-    the quadrature (G = 0 for problem IV).
+def _trace_rows(problem: str, material: Material, values, grads, normals, frames):
+    """Scalar traces (n, e) and tangent-frame traces (2, n, e) of e fields
+    given by their values (3, e, n) and gradients (3, 3, e, n) at n samples
+    with normals and frames (n, 2, 3): full . e_a with full the traction
+    (III) or displacement (IV); as e_a is tangent, no projection is needed."""
+    # (e, n, 3) views: the normals broadcast over the fields, the point axis runs innermost
+    t = traction_of_gradient(material, grads.transpose(2, 3, 0, 1), normals)
+    scalar, full = _scalar_and_full(problem, values.transpose(1, 2, 0), t, normals)
+    return scalar.T, [_dot(full, frames[:, a]).T for a in range(2)]
 
-    Row n of T holds the scalar traces at sample n, row N + 2n + a the
-    tangential vector traces in the sample's frame, full . e_a with e_a =
-    quad.tangents[n, a] and full the traction (III) or displacement (IV);
-    as e_a is tangent, no projection is needed.  The basis is evaluated in
-    chunks of CHUNK_POINTS samples, one degree block at a time, and each
-    block's traces are written straight into T.
+
+def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
+                    samples: slice = slice(None)) -> np.ndarray:
+    """Row-stacked trace matrix (3m, E) of the basis on the m samples that
+    `samples` selects (every sample by default).
+
+    Row n holds the scalar traces at the range's sample n, row m + 2n + a
+    the tangential vector traces in the sample's frame e_a = quad.tangents[n, a]
+    (see `_trace_rows`).  The basis is evaluated in chunks of CHUNK_POINTS
+    samples, one degree block at a time (`ElasticBasis.layout`), and each
+    block's traces are written straight into the rows.
     """
-    # The cached frames are computed here, not among the chunk temporaries
-    # below, where the long-lived array would keep freed heap from the system.
-    n_samples, rotations, tangents = quad.n_samples, _rotations(problem, quad), quad.tangents
-    traces = np.empty((3 * n_samples, len(basis)))
-    frame_rows = traces[n_samples:].reshape(n_samples, 2, len(basis))
-    projections = np.zeros((len(rotations), len(basis)))
-    for rows, cols, values, grads in _eval_chunks(basis, quad.points, basis.max_degree):
-        # (e, n, 3) views: the normals broadcast over the fields, the point axis runs innermost
-        nu, frames = quad.normals[rows], tangents[rows]
-        t = traction_of_gradient(basis.material, grads.transpose(2, 3, 0, 1), nu)
-        scalar, full = _scalar_and_full(problem, values.transpose(1, 2, 0), t, nu)
-        traces[rows, cols] = scalar.T
+    points, normals, tangents = quad.points[samples], quad.normals[samples], quad.tangents[samples]
+    m = len(points)
+    traces = np.empty((3 * m, len(basis)))
+    for rows, cols, values, grads in _field_chunks(basis.layout, points):
+        scalar, frame = _trace_rows(problem, basis.material, values, grads, normals[rows], tangents[rows])
+        traces[rows, cols] = scalar
         for a in range(2):
-            frame_rows[rows, a, cols] = _dot(full, frames[:, a]).T
-        if rotations:
-            weighted = np.stack([quad.weights[rows, None] * g[rows] for g in rotations])
-            projections[:, cols] += np.einsum("gnj,jen->ge", weighted, values)
-    return traces, projections
+            traces[m + 2 * rows.start + a:m + 2 * rows.stop:2, cols] = frame[a]
+    return traces
+
+
+def _collapse(basis: ElasticBasis, coefficients: np.ndarray) -> CoefficientBlocks:
+    """The D fields sum_e coefficients[e, d] v_e, for coefficients (n, D)
+    over a degree prefix of the basis, as one polynomial each: a layout of
+    one pair of groups like `ElasticBasis.layout`, every degree block's
+    coefficient rows contracted with the coefficients."""
+    degree = basis.prefix_degree(len(coefficients))
+    blocks = basis.layout.blocks[:2 * degree + 2]
+    end = blocks[-2][1]  # the degree-k values reach the last monomial
+    values, grads = np.zeros((3, coefficients.shape[1], end)), np.zeros((9, coefficients.shape[1], end))
+    for k in range(degree + 1):
+        c = coefficients[degree_columns(k)].T
+        for out, (first, stop, rows) in zip((values, grads), blocks[2 * k:2 * k + 2]):
+            out[:, :, first:stop] += c @ rows.reshape(len(out), c.shape[1], -1)
+    return CoefficientBlocks([(0, end, values.reshape(-1, end)), (0, end, grads.reshape(-1, end))])
+
+
+def fitted_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
+                  coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace rows (D, 3N), in the layout of `assemble_traces`, and
+    displacements (D, N, 3) of the D fields sum_e coefficients[e, d] v_e.
+    Each field is collapsed to one polynomial and sampled once, so only the
+    collapse, not the sampling, grows with the number of elements."""
+    n, d = quad.n_samples, coefficients.shape[1]
+    rows_out, disp = np.empty((d, 3 * n)), np.empty((d, n, 3))
+    frame_rows = rows_out[:, n:].reshape(d, n, 2)
+    for rows, _, values, grads in _field_chunks(_collapse(basis, coefficients), quad.points):
+        scalar, frame = _trace_rows(problem, basis.material, values, grads, quad.normals[rows], quad.tangents[rows])
+        rows_out[:, rows] = scalar.T
+        for a in range(2):
+            frame_rows[:, rows, a] = frame[a].T
+        disp[:, rows] = values.transpose(1, 2, 0)
+    return rows_out, disp
 
 
 def field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
@@ -296,11 +331,11 @@ def fit_degrees(
     rigid part of the solution visible.  Vector data whose normal part
     fails `check_tangential` is rejected unless project_tangential drops that
     part; a normal part that passes counts in the residual and data norm.
-    The traces are
-    assembled and factored once, at basis.max_degree; the per-sample misfits
-    against the data as given are kept on each result.  The factorization is
-    a Householder QR of [A | b] reduced over row blocks of QR_BLOCK_BYTES,
-    so beside the traces it needs a few block-sized arrays and R.
+    A fit with fewer than 3(k+1)^2 rows (3 per sample) is refused.  The
+    traces are assembled at basis.max_degree one block of whole samples at a
+    time, at most QR_BLOCK_BYTES of [A | b], each reduced into R at once, and
+    the misfits (against the data as given) come from each degree's fitted
+    field collapsed to one polynomial (`fitted_traces`).
     """
     if data.n_samples != quad.n_samples:
         raise ValueError(f"data has {data.n_samples} samples but quadrature has {quad.n_samples}")
@@ -309,11 +344,17 @@ def fit_degrees(
     check_scalar_weight(scalar_weight)
     if not degrees or not all(0 <= k <= basis.max_degree for k in degrees):
         raise ValueError(f"degrees must lie in 0..{basis.max_degree}, got {list(degrees)}")
+    n, n_columns = quad.n_samples, degree_columns(max(degrees)).stop
+    if 3 * n < n_columns:
+        raise ValueError(f"the fit through degree {max(degrees)} is underdetermined: {3 * n} rows "
+                         f"(3 per sample) for {n_columns} coefficients; refine the quadrature or lower the degree")
 
     if not project_tangential:
         check_tangential(data.vector, quad, _DATA_NAMES[data.problem][1])
 
-    traces, rotations = assemble_traces(data.problem, basis, quad)
+    # The long-lived arrays (the data, the frames and the QR buffer) come
+    # first: allocated among the block temporaries below, they would keep
+    # freed heap from the system.
     n_fields = len(basis)
     sw = np.sqrt(quad.weights)
     row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 2)])
@@ -324,42 +365,46 @@ def fit_degrees(
     b_normal = 0.0 if project_tangential else float(np.linalg.norm(sw * _dot(data.vector, quad.normals)))
     data_norm = float(np.hypot(np.linalg.norm(b), b_normal))
 
-    # A = row_weights * T is formed one block of rows at a time, never whole: a
-    # first pass sums its squared columns, a second reduces R over the blocks,
-    # R <- qr([R; A[rows] / scales | b[rows]]).  Elements are ordered by degree,
-    # so every degree's scaled matrix is a column prefix: A[:, :n] / scales[:n]
-    # = Q_n R[:n, :n] and Q_n^T b = R[:n, -1].
-    block_rows = max(1, QR_BLOCK_BYTES // (8 * (n_fields + 1)))
-    blocks = [slice(start, min(start + block_rows, len(b))) for start in range(0, len(b), block_rows)]
-    col_sq = np.zeros(n_fields)
-    for rows in blocks:
-        a = row_weights[rows, None] * traces[rows]
-        a *= a
-        col_sq += np.sum(a, axis=0)
-    scales = np.where(col_sq > 0.0, np.sqrt(col_sq), 1.0)
-    r = np.empty((0, n_fields + 1))
-    for rows in blocks:
-        ab = np.empty((len(r) + rows.stop - rows.start, n_fields + 1))
-        ab[: len(r)] = r
-        a = np.multiply(row_weights[rows, None], traces[rows], out=ab[len(r):, :n_fields])
-        a /= scales
-        ab[len(r):, -1] = b[rows]
-        r = np.linalg.qr(ab, mode="r")
+    # R <- qr([R; A[rows] | b[rows]]) over blocks of whole samples, A = row_weights * T
+    # in the block's [scalar; frame] row layout.  Elements are ordered by degree,
+    # so with D = diag(scales) every degree's scaled matrix is a column prefix:
+    # A[:, :n] D^-1 = Q_n R[:n, :n] D^-1 and Q_n^T b = R[:n, -1].
+    block_samples = max(1, QR_BLOCK_BYTES // (8 * 3 * (n_fields + 1)))
+    ab = np.empty((n_fields + 1 + 3 * min(block_samples, n), n_fields + 1))
+    r_rows = 0
+    for start in range(0, n, block_samples):
+        samples = slice(start, min(start + block_samples, n))
+        m = samples.stop - start
+        rows = np.r_[start:samples.stop, n + 2 * start:n + 2 * samples.stop]
+        new = ab[r_rows:r_rows + 3 * m]
+        np.multiply(row_weights[rows, None], assemble_traces(data.problem, basis, quad, samples), out=new[:, :n_fields])
+        new[:, -1] = b[rows]
+        r = np.linalg.qr(ab[:r_rows + 3 * m], mode="r")
+        r_rows = len(r)
+        ab[:r_rows] = r
+    col_norms = np.linalg.norm(r[:, :n_fields], axis=0)
+    scales = np.where(col_norms > 0.0, col_norms, 1.0)
 
-    results = []
-    for degree in degrees:
-        n = degree_columns(degree).stop
-        u_svd, sigma, vt = np.linalg.svd(r[:n, :n], full_matrices=False)
+    sizes = [degree_columns(degree).stop for degree in degrees]
+    coefficients = np.zeros((max(sizes), len(degrees)))
+    solves = []
+    for d, size in enumerate(sizes):
+        u_svd, sigma, vt = np.linalg.svd(r[:size, :size] / scales[:size], full_matrices=False)
         keep = (sigma > 0.0) & (sigma >= svd_tol * np.max(sigma, initial=0.0))
         inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
-        coeffs = (vt.T @ (inv * (u_svd.T @ r[:n, -1]))) / scales[:n]
-        fitted = traces[:, :n] @ coeffs
-        scalar_misfit, vector_misfit = pointwise_misfit(data, fitted, quad)
-        residual_norm = float(np.hypot(np.linalg.norm(row_weights * fitted - b), b_normal))
+        coefficients[:size, d] = (vt.T @ (inv * (u_svd.T @ r[:size, -1]))) / scales[:size]
+        solves.append((int(np.count_nonzero(keep)), sigma))
+
+    fitted, disp = fitted_traces(data.problem, basis, quad, coefficients)
+    rotations = _rotations(data.problem, quad)
+    results = []
+    for d, (size, (kept, sigma)) in enumerate(zip(sizes, solves)):
+        scalar_misfit, vector_misfit = pointwise_misfit(data, fitted[d], quad)
         results.append(FitResult(
-            problem=data.problem, coefficients=coeffs, residual_norm=residual_norm,
-            data_norm=data_norm, kept_rank=int(np.count_nonzero(keep)), singular_values=sigma, svd_tol=svd_tol,
-            rotation_components=rotations[:, :n] @ coeffs if len(rotations) else None,
+            problem=data.problem, coefficients=coefficients[:size, d].copy(),
+            residual_norm=float(np.hypot(np.linalg.norm(row_weights * fitted[d] - b), b_normal)),
+            data_norm=data_norm, kept_rank=kept, singular_values=sigma, svd_tol=svd_tol,
+            rotation_components=np.array([quad.inner(disp[d], g) for g in rotations]) if rotations else None,
             scalar_misfit=scalar_misfit, vector_misfit=vector_misfit,
         ))
     return results
@@ -394,15 +439,6 @@ def compatibility_defect(data: BoundaryData, quad: SurfaceQuadrature) -> list[fl
     return [float(quad.inner(data.vector, g)) for g in _rotations(data.problem, quad)]
 
 
-def field_values(basis: ElasticBasis, points) -> np.ndarray:
-    """Displacements (M, 3, E) of every basis element at the points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((len(pts), 3, len(basis)))
-    for rows, cols, values, _ in _eval_chunks(basis, pts, basis.max_degree, gradients=False):
-        out[rows, :, cols] = values.transpose(2, 0, 1)
-    return out
-
-
 def evaluate_solution(
     result: FitResult, basis: ElasticBasis, points
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -410,19 +446,16 @@ def evaluate_solution(
 
     The stress is lam (div u) I + mu (grad u + grad u^T), symmetric by
     construction; contracting with a surface normal reproduces the traction
-    of the fitted field.  Only the degree prefix the coefficients cover is
-    evaluated (3(k+1)^2 elements for a fit through degree k), one chunk of
-    CHUNK_POINTS points at a time, and contracted with the coefficients at
-    once, so the working set is 12 * CHUNK_POINTS * len(basis) floats
-    whatever M is.
+    of the fitted field.  The coefficients, a degree prefix of the basis
+    (3(k+1)^2 elements for a fit through degree k), are first collapsed to
+    one polynomial field, which is then sampled in chunks of CHUNK_POINTS
+    points like any single field.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    c = result.coefficients
-    degree = basis.prefix_degree(len(c))
-    disp, g = np.zeros((len(pts), 3)), np.zeros((len(pts), 3, 3))
-    for rows, cols, values, grads in _eval_chunks(basis, pts, degree):
-        disp[rows] += (c[cols] @ values).T
-        g[rows] += (c[cols] @ grads).transpose(2, 0, 1)
+    disp, g = np.empty((len(pts), 3)), np.empty((len(pts), 3, 3))
+    for rows, _, values, grads in _field_chunks(_collapse(basis, result.coefficients[:, None]), pts):
+        disp[rows] = values[:, 0].T
+        g[rows] = grads[:, :, 0].transpose(2, 0, 1)
     # Row k is the traction sigma e_k on the plane with normal e_k; sigma is symmetric.
     stress = traction_of_gradient(basis.material, g[:, None, :, :], np.eye(3))
     return disp, stress

@@ -19,7 +19,15 @@ from elastopoly import (
 )
 from elastopoly.operators import traction_of_gradient
 from elastopoly.polyalg import batch_eval
-from elastopoly.solver import CHUNK_POINTS, assemble_traces, evaluate_solution, trace_III, trace_IV
+from elastopoly.solver import (
+    CHUNK_POINTS,
+    assemble_traces,
+    evaluate_solution,
+    fit_degrees,
+    fitted_traces,
+    trace_III,
+    trace_IV,
+)
 
 M = Material(1.3, 0.8)
 SURFACES = {
@@ -53,17 +61,15 @@ def old_traction(grad, normals):
     return t
 
 
-def old_traces(problem, fields, quad, gammas=()):
-    """Row-stacked T (4N, E) and the rotation projections of the full-table path."""
+def old_traces(problem, fields, quad):
+    """Row-stacked T (4N, E) of the full-table path."""
     values, grads = old_values_and_gradients(fields, quad.points)
     nu = quad.normals[:, None, :]
     t = old_traction(grads, nu)
     scalar, full = (values, t) if problem == "III" else (t, values)
     scalar = np.einsum("...j,...j->...", scalar, nu)
     vector = full - np.einsum("...j,...j->...", full, nu)[..., None] * nu
-    rows = np.vstack([scalar, vector.transpose(0, 2, 1).reshape(-1, len(fields))])
-    projections = np.array([quad.weights @ np.einsum("nej,nj->ne", values, g) for g in gammas])
-    return rows, projections.reshape(len(gammas), len(fields))
+    return np.vstack([scalar, vector.transpose(0, 2, 1).reshape(-1, len(fields))])
 
 
 def in_tangent_frames(rows, quad):
@@ -96,17 +102,28 @@ def test_chunked_traces_match_full_table(surface, size, degree):
     basis = elastic_basis(M, degree)
     fields = [el.field for el in basis]
     for problem in ("III", "IV"):
-        gammas = quad.rotation_fields if problem == "III" else []  # the assembly projects for III only
-        traces, projections = assemble_traces(problem, basis, quad)
-        full_rows, expected_projections = old_traces(problem, fields, quad, gammas)
+        traces = assemble_traces(problem, basis, quad)
+        full_rows = old_traces(problem, fields, quad)
         expected, normal = in_tangent_frames(full_rows, quad)
         assert traces.shape == (3 * quad.n_samples, len(fields))
         assert_blocks_close(traces, expected, degree)
         for cols in degree_blocks(degree):  # the rows the frames drop carried nothing
             assert np.max(np.abs(normal[:, cols])) <= 1e-14 * np.max(np.abs(full_rows[:, cols])), cols
-        assert projections.shape == (len(gammas), len(fields))
-        np.testing.assert_allclose(projections, expected_projections, rtol=0.0,
-                                   atol=1e-12 * np.max(np.abs(expected_projections), initial=0.0))
+
+
+@pytest.mark.parametrize("problem", ["III", "IV"])
+def test_sample_range_rows_are_those_of_the_whole_assembly(problem):
+    """A range of samples gets its own [scalar; frame] rows: the same numbers
+    as the whole matrix's rows of those samples, whatever the chunking."""
+    quad = make_quadrature(SURFACES["triaxial"], *RAGGED)
+    basis = elastic_basis(M, 5)
+    whole, n = assemble_traces(problem, basis, quad), quad.n_samples
+    for start, stop in [(0, n), (0, 1), (7, CHUNK_POINTS + 9), (n - 5, n)]:
+        rows = assemble_traces(problem, basis, quad, slice(start, stop))
+        m = stop - start
+        assert rows.shape == (3 * m, len(basis))
+        assert_blocks_close(rows[:m], whole[start:stop], basis.max_degree, rtol=1e-14)
+        assert_blocks_close(rows[m:], whole[n + 2 * start:n + 2 * stop], basis.max_degree, rtol=1e-14)
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -117,7 +134,7 @@ def test_single_field_traces_match_assembly_columns(surface):
     basis = elastic_basis(M, 4)
     n = quad.n_samples
     for problem in ("III", "IV"):
-        traces, _ = assemble_traces(problem, basis, quad)
+        traces = assemble_traces(problem, basis, quad)
         single = np.empty((4 * n, len(basis)))
         for e, el in enumerate(basis):
             if problem == "III":
@@ -137,6 +154,30 @@ def test_non_homogeneous_fields_between_degree_blocks():
     u_n = np.einsum("ni,ni->n", u, quad.normals)
     assert np.max(np.abs(scalar)) <= 1e-13  # a rigid field carries no traction
     assert np.max(np.abs(vector - (u - u_n[:, None] * quad.normals))) <= 1e-13 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("problem", ["III", "IV"])
+@pytest.mark.parametrize("surface", SURFACES)
+def test_collapsed_fitted_rows_match_trace_matrix_product(surface, problem):
+    """Each degree's fitted field, collapsed to one polynomial and sampled,
+    gives the rows T[:, :n] @ c of the whole trace matrix, and the fit's
+    misfits are those rows against the data."""
+    quad = make_quadrature(SURFACES[surface], *RAGGED)
+    basis = elastic_basis(M, 12)
+    data, _ = kelvin_data(M, quad, (0.4, -0.3, 5.1), 1, problem)
+    degrees = (3, 8, 12)
+    results = fit_degrees(data, basis, quad, degrees)
+    traces, n = assemble_traces(problem, basis, quad), quad.n_samples
+    coefficients = np.zeros((len(basis), len(degrees)))
+    for d, result in enumerate(results):
+        coefficients[:len(result.coefficients), d] = result.coefficients
+    fitted, disp = fitted_traces(problem, basis, quad, coefficients)
+    assert fitted.shape == (len(degrees), 3 * n) and disp.shape == (len(degrees), n, 3)
+    for d, result in enumerate(results):
+        expected = traces[:, :len(result.coefficients)] @ result.coefficients
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(fitted[d] - expected)) <= 1e-12 * scale, degrees[d]
+        assert np.max(np.abs(result.scalar_misfit - (expected[:n] - data.scalar))) <= 1e-12 * scale, degrees[d]
 
 
 @pytest.mark.parametrize("n_points", [1, 37, CHUNK_POINTS + 44])

@@ -406,6 +406,23 @@ def test_basis_element_data_builds_the_basis_once(tmp_path, monkeypatch, command
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command, degree_key", [("study", "degrees = 2 8"), ("solve", "degree = 8")])
+def test_underdetermined_fit_exits_1_before_assembly(tmp_path, monkeypatch, capsys, command, degree_key):
+    # 4 x 8 samples give 96 rows, fewer than the 243 coefficients through degree 8
+    def refuse(*args, **kwargs):
+        raise AssertionError("the traces of an underdetermined fit were assembled")
+
+    monkeypatch.setattr("elastopoly.solver.assemble_traces", refuse)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", degree_key))
+    overrides = ["--set=quadrature.n_theta=4", "--set=quadrature.n_phi=8"]
+    assert run([command, "--config", cfg, "--output", str(out)] + overrides) == 1
+    err = capsys.readouterr().err
+    assert "error: the fit through degree 8 is underdetermined: 96 rows" in err
+    assert "243 coefficients" in err
+    assert not out.exists()
+
+
 def test_unknown_arguments_exit_1(capsys):
     assert run(["study", "--config"]) == 1
     assert run(["frobnicate"]) == 1

@@ -24,7 +24,7 @@ from elastopoly import (
     run_study,
     solver,
 )
-from elastopoly.solver import BoundaryData, assemble_traces, field_values, max_misfit
+from elastopoly.solver import BoundaryData, assemble_traces, max_misfit
 
 M = Material(1.3, 0.8)
 DEGREES = tuple(range(9))
@@ -44,9 +44,10 @@ def lifted(traces, quad):
 
 
 def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
-    """Kept rank, residual, max misfit and rotation components of the tall-SVD fit."""
+    """Kept rank, residual, max misfit, rotation components and singular
+    values of the tall-SVD fit."""
     basis = elastic_basis(M, degree)
-    traces, _ = assemble_traces(problem, basis, quad)
+    traces = assemble_traces(problem, basis, quad)
     n = quad.n_samples
     scalar, vector = traces[:n], lifted(traces, quad).reshape(n, 3, -1).transpose(0, 2, 1)
     sw = np.sqrt(quad.weights)
@@ -61,9 +62,9 @@ def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
     c = (vt.T @ (inv * (u.T @ b))) / scales
     ds = scalar @ c - data.scalar
     dv = np.einsum("nej,e->nj", vector, c) - data.vector
-    values = field_values(basis, quad.points)
+    values = np.stack([el.field.eval(quad.points) for el in basis], axis=-1)
     rotations = np.array([quad.weights @ np.einsum("nje,nj->ne", values, g) @ c for g in gammas])
-    return int(np.count_nonzero(keep)), float(np.linalg.norm(a @ c - b)), max_misfit(ds, dv), rotations
+    return int(np.count_nonzero(keep)), float(np.linalg.norm(a @ c - b)), max_misfit(ds, dv), rotations, sigma
 
 
 def cases():
@@ -85,9 +86,11 @@ def test_sweep_matches_direct_fit(surface, problem, source):
     gammas = quad.rotation_fields if problem == "III" else []  # IV fits report no rotation components
     results = fit_degrees(data, elastic_basis(M, max(DEGREES)), quad, DEGREES)
     for degree, result in zip(DEGREES, results):
-        rank, residual, worst, rotations = direct_fit(problem, data, quad, degree, gammas)
+        rank, residual, worst, rotations, sigma = direct_fit(problem, data, quad, degree, gammas)
         tol = 1e-12 * result.data_norm
         assert result.kept_rank == rank, degree
+        # the singular values are those of the column-scaled matrix
+        np.testing.assert_allclose(result.singular_values, sigma, rtol=0.0, atol=1e-12 * sigma[0])
         assert abs(result.residual_norm - residual) <= tol, degree
         assert abs(max_misfit(result.scalar_misfit, result.vector_misfit) - worst) <= tol, degree
         if gammas:
@@ -100,7 +103,7 @@ def single_qr_fits(data, basis, quad, degrees, svd_tol=1e-12):
     """Kept rank, residual and coefficients per degree from one QR of the whole
     weighted, column-scaled [A | b]: the factorization before it was split
     into row blocks."""
-    traces, _ = assemble_traces(data.problem, basis, quad)
+    traces = assemble_traces(data.problem, basis, quad)
     sw = np.sqrt(quad.weights)
     a = np.concatenate([sw, np.repeat(sw, 3)])[:, None] * np.vstack([traces[: quad.n_samples], lifted(traces, quad)])
     b = np.concatenate([sw * data.scalar, (sw[:, None] * data.vector).reshape(-1)])
@@ -116,8 +119,9 @@ def single_qr_fits(data, basis, quad, degrees, svd_tol=1e-12):
     return fits
 
 
-# 3N = 528 rows of 76 columns (K = 4 on 8 x 22) in blocks of 1, 50 or 170 rows:
-# blocks narrower than [A | b], and three full blocks with an 18-row tail
+# 3N = 528 rows of 76 columns (K = 4 on 8 x 22) in blocks of whole samples, at
+# most 1, 50 or 170 rows: one sample (3 rows, narrower than [A | b]), and 16 or
+# 56 samples (48 or 168 rows) with a ragged tail
 @pytest.mark.parametrize("block_rows", [1, 50, 170])
 @pytest.mark.parametrize("problem", ["III", "IV"])
 @pytest.mark.parametrize("surface", ["sphere", "triaxial"])
@@ -137,12 +141,31 @@ def test_row_block_qr_matches_one_qr_of_the_whole_matrix(monkeypatch, surface, p
     monkeypatch.setattr(solver, "QR_BLOCK_BYTES", block_rows * 8 * (len(basis) + 1))
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     results = fit_degrees(data, basis, quad, degrees)
-    assert len(qr_rows) == -(-3 * quad.n_samples // block_rows) >= 4
+    assert len(qr_rows) == -(-quad.n_samples // max(1, block_rows // 3)) >= 4
 
     for degree, result, (rank, residual, coeffs) in zip(degrees, results, reference):
         assert result.kept_rank == rank, degree
         assert abs(result.residual_norm - residual) <= 1e-12 * result.data_norm, degree
         assert np.linalg.norm(result.coefficients - coeffs) <= 1e-12 * np.linalg.norm(coeffs), degree
+
+
+def test_fit_never_holds_the_whole_trace_matrix(monkeypatch):
+    # numpy reports its allocations to tracemalloc: with 1 MiB QR blocks the
+    # fit's traced peak stays below the 3N x E floats of the trace matrix
+    import tracemalloc
+
+    quad = make_quadrature(SURFACES["sphere"], 48, 96)
+    basis = elastic_basis(M, 7)
+    data, _ = kelvin_data(M, quad, POLES["sphere"], 1, "IV")
+    monkeypatch.setattr(solver, "QR_BLOCK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        result, = fit_degrees(data, basis, quad, (7,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.kept_rank == len(basis)
+    assert peak < 3 * quad.n_samples * len(basis) * 8
 
 
 def test_basis_of_lower_degree_is_a_prefix():

@@ -196,27 +196,28 @@ def test_rotation_source_requires_symmetric_surface():
 
 def test_rotation_study_computes_the_rotation_fields_once(monkeypatch):
     # problem III with rotation data reads the quadrature's fields for the
-    # data, the fit's projections and the defect columns; they are sampled once
+    # data, the fits' rotation components and the defect columns; they are
+    # sampled once
     import elastopoly.geometry as geometry
-    import elastopoly.solver as solver
+    import elastopoly.harness as harness
 
     counted, seen = [], []
-    rotations, assemble = geometry.tangential_rotation_fields, solver.assemble_traces
+    rotations, fit_degrees = geometry.tangential_rotation_fields, harness.fit_degrees
 
     def counting(*args):
         counted.append(args)
         return rotations(*args)
 
-    def recording(problem, basis, quad):
-        traces, projections = assemble(problem, basis, quad)
-        seen.append(len(projections))
-        return traces, projections
+    def recording(*args, **kwargs):
+        results = fit_degrees(*args, **kwargs)
+        seen.extend(len(r.rotation_components) for r in results)
+        return results
 
     monkeypatch.setattr(geometry, "tangential_rotation_fields", counting)
-    monkeypatch.setattr(solver, "assemble_traces", recording)
+    monkeypatch.setattr(harness, "fit_degrees", recording)
     config = StudyConfig(M, Ellipsoid(semi_axes=(1.0, 1.0, 1.5)), "III", (1, 2), RotationSource(0), 12, 24)
     report = run_study(config)
-    assert len(counted) == 1 and seen == [1]
+    assert len(counted) == 1 and seen == [1, 1]
     assert [r.defects[0] for r in report.rows] == [pytest.approx(1.0, abs=1e-10)] * 2
 
 

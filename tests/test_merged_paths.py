@@ -75,7 +75,7 @@ def test_stored_misfits_match_fresh_assembly(problem, triaxial_quad):
     data, _ = kelvin_data(M, triaxial_quad, (0.0, 0.0, 5.1), 1, problem)
     assert data.problem == problem
     result = fit(data, basis, triaxial_quad)
-    traces, _ = assemble_traces(problem, basis, triaxial_quad)
+    traces = assemble_traces(problem, basis, triaxial_quad)
     n = triaxial_quad.n_samples
     scalar, vector = traces[:n], np.einsum("nae,naj->nej", traces[n:].reshape(n, 2, -1), triaxial_quad.tangents)
     ds = scalar @ result.coefficients - data.scalar
