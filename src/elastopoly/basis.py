@@ -187,6 +187,12 @@ class ElasticBasis:
             groups.append([jac[i] for i in range(9) for jac in jacobians])
         return CoefficientBlocks.of_polys(groups)
 
+    def prefix(self, k: int) -> "ElasticBasis":
+        """The basis through degree k <= max_degree: its first 3(k+1)^2 elements."""
+        if k == self.max_degree:
+            return self
+        return ElasticBasis(self.material, k, self.elements[:degree_columns(k).stop])
+
     def prefix_degree(self, n_fields: int) -> int:
         """The degree k whose elements through k are the first n_fields."""
         k = math.isqrt(n_fields // 3) - 1

@@ -138,6 +138,13 @@ def _int(text: str, what: str) -> int:
         raise CliError(f"{what}: expected an integer, got {text!r}") from None
 
 
+def _bool(text: str, what: str) -> bool:
+    for value, words in ((True, ("on", "true", "yes", "1")), (False, ("off", "false", "no", "0"))):
+        if text.lower() in words:
+            return value
+    raise CliError(f"{what}: expected on/off, true/false, yes/no or 1/0, got {text!r}")
+
+
 def material_from_config(cfg) -> Material:
     lam = _float(_get(cfg, "material", "lambda", required=True), "[material] lambda")
     mu = _float(_get(cfg, "material", "mu", required=True), "[material] mu")
@@ -325,7 +332,7 @@ def _load_config(args) -> dict[str, dict[str, str]]:
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     config = study_config_from(cfg, (_int(_get(cfg, "problem", "degree", required=True), "[problem] degree"),))
-    project = _get(cfg, "problem", "project_tangential", "off").lower() in ("on", "true", "1", "yes")
+    project = _bool(_get(cfg, "problem", "project_tangential", "off"), "[problem] project_tangential")
     try:
         quad, basis, data, _ = prepare(config)
         result = fit(data, basis, quad, svd_tol=config.svd_tol, scalar_weight=config.scalar_weight,

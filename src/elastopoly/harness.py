@@ -261,6 +261,8 @@ def _read_csv_source(path: str, problem: str, n_samples: int):
             fields = line.replace(",", " ").split()
             if not fields or not _is_float(fields[0]):
                 continue  # blank, comment or header line
+            if len(fields) != 4:
+                raise ValueError(f"data CSV {path}, line {lineno}: expected 4 numbers, got {len(fields)}")
             try:
                 rows.append([float(v) for v in fields])
             except ValueError as exc:  # names the bad field

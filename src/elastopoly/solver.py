@@ -26,31 +26,26 @@ SVD of the leading n x n block of R with its columns scaled, n = 3(k+1)^2,
 while the last column of R holds Q^T b.  Householder QR is columnwise
 backward stable, so scaling after the QR keeps the guarantee of scaling
 before it.  Truncation only affects the solution below the cutoff; the
-reported residual is always the directly recomputed misfit ||A c - b||.
+reported residual is always recomputed directly from the fitted field.
 
 The trace rows are assembled from the basis in chunks of CHUNK_POINTS
 samples, one degree block at a time through `ElasticBasis.layout`, the
 degree-k elements being columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`).  Each
-block is contracted to tractions and written straight into the 3m rows of a
-range of m samples: the scalar trace, and the tangential vector trace as its
-two components in each sample's orthonormal tangent frame
-(`SurfaceQuadrature.tangents`).  The vector traces have no normal
-component, so that of the vector data is a part of the misfit no
-coefficients change: it takes no rows and enters the reported residual and
-data norm in closed form.  The whole trace matrix T (3N, E) is never held:
-a fit assembles one block of whole samples at a time, at most
-QR_BLOCK_BYTES of [A | b], and reduces R <- QR of [R; A[rows] | b[rows]] at
-once.  The peak footprint is the basis and its layout, a few block-sized
-arrays (the QR input and the two working copies `np.linalg.qr` makes of
-it) and O(E^2) for R.
+block is contracted to tractions and written straight into three rows per
+sample: the scalar trace, and the vector trace in the sample's orthonormal
+tangent frame (`SurfaceQuadrature.tangents`).  The frames exist only in
+these rows and the matching rows of b; everything a fit reports is
+Cartesian.  The whole trace matrix T (3N, E) is never held: a fit assembles
+one block of whole samples at a time, at most QR_BLOCK_BYTES of [A | b],
+and reduces R <- QR of [R; A[rows] | b[rows]] at once.  The peak footprint
+is the basis and its layout, a few block-sized arrays (the QR input and the
+two working copies `np.linalg.qr` makes of it) and O(E^2) for R.
 
-A fitted field is one polynomial: the coefficients of every requested
-degree, contracted with each degree block's rows of the layout, give one
-vector polynomial and its partials per degree (`_collapse`).  Sampled once
-at the quadrature, they give the fitted rows, misfits, residuals and
-rotation components (`fitted_traces`); at interior points, the displacement
-and stress of `evaluate_solution`.  A single polynomial, rigid or Kelvin
-field is sampled by `field_samples` instead and split by the same
+A fitted field is one polynomial, sampled once (`_collapse`): at the
+quadrature, its displacement and traction, split by `split_trace`, give the
+misfits, residuals and rotation components; at interior points, the
+displacement and stress of `evaluate_solution`.  A single polynomial, rigid
+or Kelvin field is sampled by `field_samples` instead and split by the same
 `split_trace`; `field_data` makes that its `BoundaryData`.
 """
 
@@ -193,71 +188,53 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
     return scalar, vector
 
 
-def _trace_rows(problem: str, material: Material, values, grads, normals, frames):
-    """Scalar traces (n, e) and tangent-frame traces (2, n, e) of e fields
-    given by their values (3, e, n) and gradients (3, 3, e, n) at n samples
-    with normals and frames (n, 2, 3): full . e_a with full the traction
-    (III) or displacement (IV); as e_a is tangent, no projection is needed."""
-    # (e, n, 3) views: the normals broadcast over the fields, the point axis runs innermost
-    t = traction_of_gradient(material, grads.transpose(2, 3, 0, 1), normals)
-    scalar, full = _scalar_and_full(problem, values.transpose(1, 2, 0), t, normals)
-    return scalar.T, [_dot(full, frames[:, a]).T for a in range(2)]
-
-
 def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
                     samples: slice = slice(None)) -> np.ndarray:
-    """Row-stacked trace matrix (3m, E) of the basis on the m samples that
-    `samples` selects (every sample by default).
+    """Trace matrix (3m, E) of the basis on the m samples that `samples`
+    selects (every sample by default), three rows per sample.
 
-    Row n holds the scalar traces at the range's sample n, row m + 2n + a
-    the tangential vector traces in the sample's frame e_a = quad.tangents[n, a]
-    (see `_trace_rows`).  The basis is evaluated in chunks of CHUNK_POINTS
-    samples, one degree block at a time (`ElasticBasis.layout`), and each
-    block's traces are written straight into the rows.
+    Rows 3n, 3n + 1 and 3n + 2 hold the traces at the range's sample n: the
+    scalar trace, then full . e_a in the sample's tangent frame
+    e_a = quad.tangents[n, a], with full the traction (III) or displacement
+    (IV); as e_a is tangent, no projection is needed.  These frame rows are
+    the only place outside the QR input where the frames appear.  The basis
+    is evaluated in chunks of CHUNK_POINTS samples, one degree block at a time
+    (`ElasticBasis.layout`), and each block's traces are written straight
+    into the rows.
     """
     points, normals, tangents = quad.points[samples], quad.normals[samples], quad.tangents[samples]
-    m = len(points)
-    traces = np.empty((3 * m, len(basis)))
+    traces = np.empty((len(points), 3, len(basis)))
     for rows, cols, values, grads in _field_chunks(basis.layout, points):
-        scalar, frame = _trace_rows(problem, basis.material, values, grads, normals[rows], tangents[rows])
-        traces[rows, cols] = scalar
+        # (e, n, 3) views: the normals broadcast over the fields, the point axis runs innermost
+        t = traction_of_gradient(basis.material, grads.transpose(2, 3, 0, 1), normals[rows])
+        scalar, full = _scalar_and_full(problem, values.transpose(1, 2, 0), t, normals[rows])
+        traces[rows, 0, cols] = scalar.T
         for a in range(2):
-            traces[m + 2 * rows.start + a:m + 2 * rows.stop:2, cols] = frame[a]
-    return traces
+            traces[rows, a + 1, cols] = _dot(full, tangents[rows, a]).T
+    return traces.reshape(-1, len(basis))
 
 
-def _collapse(basis: ElasticBasis, coefficients: np.ndarray) -> CoefficientBlocks:
-    """The D fields sum_e coefficients[e, d] v_e, for coefficients (n, D)
-    over a degree prefix of the basis, as one polynomial each: a layout of
-    one pair of groups like `ElasticBasis.layout`, every degree block's
-    coefficient rows contracted with the coefficients."""
-    degree = basis.prefix_degree(len(coefficients))
+def _collapse(basis: ElasticBasis, coefficients: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Displacements (D, M, 3) and gradients (D, M, 3, 3), grad[..., a, j] =
+    d u_j / d x_a, at points (M, 3) of the D fields sum_e coefficients[e, d] v_e,
+    for coefficients (n, D) over a degree prefix of the basis.  Every degree
+    block's rows of `ElasticBasis.layout` are contracted with the
+    coefficients, which collapses each field to one polynomial, sampled once
+    in chunks of CHUNK_POINTS points: only the collapse grows with the basis."""
+    degree, d = basis.prefix_degree(len(coefficients)), coefficients.shape[1]
     blocks = basis.layout.blocks[:2 * degree + 2]
     end = blocks[-2][1]  # the degree-k values reach the last monomial
-    values, grads = np.zeros((3, coefficients.shape[1], end)), np.zeros((9, coefficients.shape[1], end))
+    values, grads = np.zeros((3, d, end)), np.zeros((9, d, end))
     for k in range(degree + 1):
         c = coefficients[degree_columns(k)].T
         for out, (first, stop, rows) in zip((values, grads), blocks[2 * k:2 * k + 2]):
             out[:, :, first:stop] += c @ rows.reshape(len(out), c.shape[1], -1)
-    return CoefficientBlocks([(0, end, values.reshape(-1, end)), (0, end, grads.reshape(-1, end))])
-
-
-def fitted_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
-                  coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace rows (D, 3N), in the layout of `assemble_traces`, and
-    displacements (D, N, 3) of the D fields sum_e coefficients[e, d] v_e.
-    Each field is collapsed to one polynomial and sampled once, so only the
-    collapse, not the sampling, grows with the number of elements."""
-    n, d = quad.n_samples, coefficients.shape[1]
-    rows_out, disp = np.empty((d, 3 * n)), np.empty((d, n, 3))
-    frame_rows = rows_out[:, n:].reshape(d, n, 2)
-    for rows, _, values, grads in _field_chunks(_collapse(basis, coefficients), quad.points):
-        scalar, frame = _trace_rows(problem, basis.material, values, grads, quad.normals[rows], quad.tangents[rows])
-        rows_out[:, rows] = scalar.T
-        for a in range(2):
-            frame_rows[:, rows, a] = frame[a].T
+    layout = CoefficientBlocks([(0, end, values.reshape(-1, end)), (0, end, grads.reshape(-1, end))])
+    disp, g = np.empty((d, len(points), 3)), np.empty((d, len(points), 3, 3))
+    for rows, _, values, grads in _field_chunks(layout, points):
         disp[:, rows] = values.transpose(1, 2, 0)
-    return rows_out, disp
+        g[:, rows] = grads.transpose(2, 3, 0, 1)
+    return disp, g
 
 
 def field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
@@ -331,11 +308,13 @@ def fit_degrees(
     rigid part of the solution visible.  Vector data whose normal part
     fails `check_tangential` is rejected unless project_tangential drops that
     part; a normal part that passes counts in the residual and data norm.
-    A fit with fewer than 3(k+1)^2 rows (3 per sample) is refused.  The
-    traces are assembled at basis.max_degree one block of whole samples at a
-    time, at most QR_BLOCK_BYTES of [A | b], each reduced into R at once, and
-    the misfits (against the data as given) come from each degree's fitted
-    field collapsed to one polynomial (`fitted_traces`).
+    A fit with fewer than 3(k+1)^2 rows (3 per sample) is refused.  Only the
+    basis through max(degrees) is assembled, in blocks of whole samples each
+    reduced into R at once; tangent frames appear only in these rows and b.
+    Reports are Cartesian: each degree's fitted field is sampled once
+    (`_collapse`) and split by `split_trace`.  The misfits are against the
+    data as given, the residual and data norm weighted norms against the
+    target, the data with its vector part projected under project_tangential.
     """
     if data.n_samples != quad.n_samples:
         raise ValueError(f"data has {data.n_samples} samples but quadrature has {quad.n_samples}")
@@ -351,35 +330,36 @@ def fit_degrees(
 
     if not project_tangential:
         check_tangential(data.vector, quad, _DATA_NAMES[data.problem][1])
+    basis = basis.prefix(max(degrees))
 
-    # The long-lived arrays (the data, the frames and the QR buffer) come
-    # first: allocated among the block temporaries below, they would keep
-    # freed heap from the system.
+    # The long-lived arrays (the target, the weighted data rows and the QR
+    # buffer) come first: allocated among the block temporaries below, they
+    # would keep freed heap from the system.
+    target = data.vector
+    if project_tangential:
+        target = target - _dot(target, quad.normals)[:, None] * quad.normals
+    sqrt_weight = np.sqrt(scalar_weight)
+    data_norm = float(np.hypot(sqrt_weight * quad.norm(data.scalar), quad.norm(target)))
+    # sample n's rows 3n, 3n + 1, 3n + 2: the scalar, then the frame components
+    row_weights = (np.sqrt(quad.weights)[:, None] * [sqrt_weight, 1.0, 1.0]).reshape(-1)
+    b = row_weights * np.column_stack([data.scalar, np.einsum("nj,naj->na", data.vector, quad.tangents)]).reshape(-1)
+
+    # R <- qr([R; A[rows] | b[rows]]) over blocks of whole samples, A = row_weights * T.
+    # Elements are ordered by degree, so with D = diag(scales) every degree's
+    # scaled matrix is a column prefix: A[:, :n] D^-1 = Q_n R[:n, :n] D^-1 and
+    # Q_n^T b = R[:n, -1].
     n_fields = len(basis)
-    sw = np.sqrt(quad.weights)
-    row_weights = np.concatenate([np.sqrt(scalar_weight) * sw, np.repeat(sw, 2)])
-    b = np.concatenate([np.sqrt(scalar_weight) * sw * data.scalar,
-                        (sw[:, None] * np.einsum("nj,naj->na", data.vector, quad.tangents)).reshape(-1)])
-    # The traces have no normal part, so that of the data adds to the residual
-    # and the data norm alike, whatever the coefficients; projecting drops it.
-    b_normal = 0.0 if project_tangential else float(np.linalg.norm(sw * _dot(data.vector, quad.normals)))
-    data_norm = float(np.hypot(np.linalg.norm(b), b_normal))
-
-    # R <- qr([R; A[rows] | b[rows]]) over blocks of whole samples, A = row_weights * T
-    # in the block's [scalar; frame] row layout.  Elements are ordered by degree,
-    # so with D = diag(scales) every degree's scaled matrix is a column prefix:
-    # A[:, :n] D^-1 = Q_n R[:n, :n] D^-1 and Q_n^T b = R[:n, -1].
     block_samples = max(1, QR_BLOCK_BYTES // (8 * 3 * (n_fields + 1)))
     ab = np.empty((n_fields + 1 + 3 * min(block_samples, n), n_fields + 1))
     r_rows = 0
     for start in range(0, n, block_samples):
-        samples = slice(start, min(start + block_samples, n))
-        m = samples.stop - start
-        rows = np.r_[start:samples.stop, n + 2 * start:n + 2 * samples.stop]
-        new = ab[r_rows:r_rows + 3 * m]
-        np.multiply(row_weights[rows, None], assemble_traces(data.problem, basis, quad, samples), out=new[:, :n_fields])
+        stop = min(start + block_samples, n)
+        rows = slice(3 * start, 3 * stop)
+        new = ab[r_rows:r_rows + 3 * (stop - start)]
+        np.multiply(row_weights[rows, None], assemble_traces(data.problem, basis, quad, slice(start, stop)),
+                    out=new[:, :n_fields])
         new[:, -1] = b[rows]
-        r = np.linalg.qr(ab[:r_rows + 3 * m], mode="r")
+        r = np.linalg.qr(ab[:r_rows + len(new)], mode="r")
         r_rows = len(r)
         ab[:r_rows] = r
     col_norms = np.linalg.norm(r[:, :n_fields], axis=0)
@@ -395,14 +375,16 @@ def fit_degrees(
         coefficients[:size, d] = (vt.T @ (inv * (u_svd.T @ r[:size, -1]))) / scales[:size]
         solves.append((int(np.count_nonzero(keep)), sigma))
 
-    fitted, disp = fitted_traces(data.problem, basis, quad, coefficients)
+    disp, grads = _collapse(basis, coefficients, quad.points)
+    t = traction_of_gradient(basis.material, grads, quad.normals)
+    scalar, vector = split_trace(data.problem, disp, t, quad.normals)
     rotations = _rotations(data.problem, quad)
     results = []
     for d, (size, (kept, sigma)) in enumerate(zip(sizes, solves)):
-        scalar_misfit, vector_misfit = pointwise_misfit(data, fitted[d], quad)
+        scalar_misfit, vector_misfit = pointwise_misfit(data, scalar[d], vector[d])
         results.append(FitResult(
             problem=data.problem, coefficients=coefficients[:size, d].copy(),
-            residual_norm=float(np.hypot(np.linalg.norm(row_weights * fitted[d] - b), b_normal)),
+            residual_norm=float(np.hypot(sqrt_weight * quad.norm(scalar_misfit), quad.norm(vector[d] - target))),
             data_norm=data_norm, kept_rank=kept, singular_values=sigma, svd_tol=svd_tol,
             rotation_components=np.array([quad.inner(disp[d], g) for g in rotations]) if rotations else None,
             scalar_misfit=scalar_misfit, vector_misfit=vector_misfit,
@@ -416,14 +398,11 @@ def fit(data: BoundaryData, basis: ElasticBasis, quad: SurfaceQuadrature, **opti
     return fit_degrees(data, basis, quad, (basis.max_degree,), **options)[0]
 
 
-def pointwise_misfit(data: BoundaryData, fitted: np.ndarray, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample scalar (N,) and vector (N, 3) misfits of fitted trace rows
-    (3N,), laid out as the rows of `assemble_traces`, against the data as
-    given (never projected).  The fitted frame rows are lifted back to
-    vectors through quad.tangents."""
-    n = data.n_samples
-    vector = np.einsum("na,naj->nj", fitted[n:].reshape(n, 2), quad.tangents)
-    return fitted[:n] - data.scalar, vector - data.vector
+def pointwise_misfit(data: BoundaryData, scalar: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample scalar (N,) and vector (N, 3) misfits of a fitted field's
+    Cartesian data (as split by `split_trace`) against the data as given
+    (never projected)."""
+    return scalar - data.scalar, vector - data.vector
 
 
 def max_misfit(ds: np.ndarray, dv: np.ndarray, scalar_weight: float = 1.0) -> float:
@@ -447,18 +426,14 @@ def evaluate_solution(
     The stress is lam (div u) I + mu (grad u + grad u^T), symmetric by
     construction; contracting with a surface normal reproduces the traction
     of the fitted field.  The coefficients, a degree prefix of the basis
-    (3(k+1)^2 elements for a fit through degree k), are first collapsed to
-    one polynomial field, which is then sampled in chunks of CHUNK_POINTS
-    points like any single field.
+    (3(k+1)^2 elements for a fit through degree k), are collapsed to one
+    polynomial field and sampled by `_collapse`, as a fit samples its fields
+    at the quadrature.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    disp, g = np.empty((len(pts), 3)), np.empty((len(pts), 3, 3))
-    for rows, _, values, grads in _field_chunks(_collapse(basis, result.coefficients[:, None]), pts):
-        disp[rows] = values[:, 0].T
-        g[rows] = grads[:, :, 0].transpose(2, 0, 1)
+    disp, g = _collapse(basis, result.coefficients[:, None], np.atleast_2d(np.asarray(points, dtype=float)))
     # Row k is the traction sigma e_k on the plane with normal e_k; sigma is symmetric.
-    stress = traction_of_gradient(basis.material, g[:, None, :, :], np.eye(3))
-    return disp, stress
+    stress = traction_of_gradient(basis.material, g[0, :, None], np.eye(3))
+    return disp[0], stress
 
 
 def fit_result_json(result: FitResult) -> str:

@@ -24,10 +24,11 @@ from elastopoly.solver import (
     assemble_traces,
     evaluate_solution,
     fit_degrees,
-    fitted_traces,
     trace_III,
     trace_IV,
 )
+
+from conftest import cartesian_traces
 
 M = Material(1.3, 0.8)
 SURFACES = {
@@ -73,13 +74,14 @@ def old_traces(problem, fields, quad):
 
 
 def in_tangent_frames(rows, quad):
-    """A 4N-row matrix in the 3N-row layout of `assemble_traces` (its vector
-    rows in each sample's tangent frame), and separately the normal
-    components (N, E) of those vector rows."""
+    """A 4N-row matrix in the 3N-row layout of `assemble_traces` (per sample
+    the scalar row, then the vector rows in the sample's tangent frame), and
+    separately the normal components (N, E) of those vector rows."""
     n = quad.n_samples
     vector = rows[n:].reshape(n, 3, -1)
-    tangential = np.einsum("naj,nje->nae", quad.tangents, vector).reshape(2 * n, -1)
-    return np.vstack([rows[:n], tangential]), np.einsum("nj,nje->ne", quad.normals, vector)
+    tangential = np.einsum("naj,nje->nae", quad.tangents, vector)
+    frames = np.concatenate([rows[:n, None], tangential], axis=1).reshape(3 * n, -1)
+    return frames, np.einsum("nj,nje->ne", quad.normals, vector)
 
 
 def degree_blocks(degree):
@@ -113,17 +115,15 @@ def test_chunked_traces_match_full_table(surface, size, degree):
 
 @pytest.mark.parametrize("problem", ["III", "IV"])
 def test_sample_range_rows_are_those_of_the_whole_assembly(problem):
-    """A range of samples gets its own [scalar; frame] rows: the same numbers
-    as the whole matrix's rows of those samples, whatever the chunking."""
+    """A range of samples gets its own rows: the same numbers as the whole
+    matrix's three rows per sample of those samples, whatever the chunking."""
     quad = make_quadrature(SURFACES["triaxial"], *RAGGED)
     basis = elastic_basis(M, 5)
     whole, n = assemble_traces(problem, basis, quad), quad.n_samples
     for start, stop in [(0, n), (0, 1), (7, CHUNK_POINTS + 9), (n - 5, n)]:
         rows = assemble_traces(problem, basis, quad, slice(start, stop))
-        m = stop - start
-        assert rows.shape == (3 * m, len(basis))
-        assert_blocks_close(rows[:m], whole[start:stop], basis.max_degree, rtol=1e-14)
-        assert_blocks_close(rows[m:], whole[n + 2 * start:n + 2 * stop], basis.max_degree, rtol=1e-14)
+        assert rows.shape == (3 * (stop - start), len(basis))
+        assert_blocks_close(rows, whole[3 * start:3 * stop], basis.max_degree, rtol=1e-14)
 
 
 @pytest.mark.parametrize("surface", SURFACES)
@@ -160,24 +160,22 @@ def test_non_homogeneous_fields_between_degree_blocks():
 @pytest.mark.parametrize("surface", SURFACES)
 def test_collapsed_fitted_rows_match_trace_matrix_product(surface, problem):
     """Each degree's fitted field, collapsed to one polynomial and sampled,
-    gives the rows T[:, :n] @ c of the whole trace matrix, and the fit's
-    misfits are those rows against the data."""
+    gives the rows T[:, :n] @ c of the whole trace matrix: the fit's scalar
+    and vector misfits are those rows, lifted to Cartesian data, against
+    the data."""
     quad = make_quadrature(SURFACES[surface], *RAGGED)
     basis = elastic_basis(M, 12)
     data, _ = kelvin_data(M, quad, (0.4, -0.3, 5.1), 1, problem)
     degrees = (3, 8, 12)
     results = fit_degrees(data, basis, quad, degrees)
     traces, n = assemble_traces(problem, basis, quad), quad.n_samples
-    coefficients = np.zeros((len(basis), len(degrees)))
-    for d, result in enumerate(results):
-        coefficients[:len(result.coefficients), d] = result.coefficients
-    fitted, disp = fitted_traces(problem, basis, quad, coefficients)
-    assert fitted.shape == (len(degrees), 3 * n) and disp.shape == (len(degrees), n, 3)
     for d, result in enumerate(results):
         expected = traces[:, :len(result.coefficients)] @ result.coefficients
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(fitted[d] - expected)) <= 1e-12 * scale, degrees[d]
-        assert np.max(np.abs(result.scalar_misfit - (expected[:n] - data.scalar))) <= 1e-12 * scale, degrees[d]
+        scalar, vector = cartesian_traces(expected[:, None], quad)
+        assert result.scalar_misfit.shape == (n,) and result.vector_misfit.shape == (n, 3)
+        assert np.max(np.abs(result.scalar_misfit - (scalar[:, 0] - data.scalar))) <= 1e-12 * scale, degrees[d]
+        assert np.max(np.abs(result.vector_misfit - (vector[:, :, 0] - data.vector))) <= 1e-12 * scale, degrees[d]
 
 
 @pytest.mark.parametrize("n_points", [1, 37, CHUNK_POINTS + 44])

@@ -274,6 +274,30 @@ def test_solve_projection_flag_accepts_same_data(tmp_path):
     assert run(["solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("value, code", [
+    ("on", 0), ("TRUE", 0), ("Yes", 0), ("1", 0), ("Off", 1), ("false", 1), ("NO", 1), ("0", 1),
+])
+def test_solve_projection_values_are_case_insensitive(tmp_path, capsys, value, code):
+    # the data's vector part has a 1e-3 normal component: projected it fits, unprojected it is refused
+    quad = make_quadrature(Sphere(), 16, 32)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("".join(f"0.0 {1e-3 * nu[0]} {1e-3 * nu[1]} {1e-3 * nu[2]}\n" for nu in quad.normals))
+    cfg = _csv_config(tmp_path, data_path)
+    args = ["solve", "--config", cfg, "--output", str(tmp_path / "o"), f"--set=problem.project_tangential={value}"]
+    assert run(args) == code
+    assert ("Phi is not tangential" in capsys.readouterr().err) == bool(code)
+
+
+@pytest.mark.parametrize("value", ["tru", "onn", "2", "enabled"])
+def test_solve_unknown_projection_value_exits_1_naming_it(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", "degree = 2"))
+    assert run(["solve", "--config", cfg, "--output", str(out), f"--set=problem.project_tangential={value}"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: [problem] project_tangential: expected on/off, true/false, yes/no or 1/0, got {value!r}" in err
+    assert not out.exists()
+
+
 def _csv_config(tmp_path, data_path, degree_line="degree = 2"):
     cfg_text = STUDY_CONFIG.replace("kind = IV", "kind = III").replace("degrees = 2 3", degree_line).replace(
         "source = kelvin\ny0 = 0 0 3\nrow = 1", f"source = csv\npath = {data_path}"
@@ -300,6 +324,17 @@ def test_csv_data_with_a_bad_number_exits_1_naming_the_line(tmp_path, capsys):
     assert run(["solve", "--config", cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"data CSV {data_path}, line 5:" in err and "'abc'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, count", [("0 0.1 0", 3), ("0 0.1 0 0 0", 5)])
+def test_csv_data_with_a_short_or_long_row_exits_1_naming_the_line(tmp_path, capsys, row, count):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("phi Phi_x Phi_y Phi_z\n" + "0.0 0.0 0.0 0.0\n" * 3 + row + "\n" + "0.0 0.0 0.0 0.0\n" * 2)
+    cfg = _csv_config(tmp_path, data_path)
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--output", str(out)]) == 1
+    assert f"error: data CSV {data_path}, line 5: expected 4 numbers, got {count}" in capsys.readouterr().err
     assert not out.exists()
 
 

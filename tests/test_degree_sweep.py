@@ -26,6 +26,8 @@ from elastopoly import (
 )
 from elastopoly.solver import BoundaryData, assemble_traces, max_misfit
 
+from conftest import cartesian_traces
+
 M = Material(1.3, 0.8)
 DEGREES = tuple(range(9))
 SURFACES = {
@@ -36,22 +38,13 @@ SURFACES = {
 POLES = {"sphere": (0.4, -0.3, 3.0), "spheroid": (0.4, -0.3, 4.5), "triaxial": (0.4, -0.3, 5.1)}
 
 
-def lifted(traces, quad):
-    """The vector rows of `assemble_traces` lifted from the tangent frames back
-    to 3N Cartesian rows, row 3n + j holding component j at sample n."""
-    n = quad.n_samples
-    return np.einsum("nae,naj->nje", traces[n:].reshape(n, 2, -1), quad.tangents).reshape(3 * n, -1)
-
-
 def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
     """Kept rank, residual, max misfit, rotation components and singular
     values of the tall-SVD fit."""
     basis = elastic_basis(M, degree)
-    traces = assemble_traces(problem, basis, quad)
-    n = quad.n_samples
-    scalar, vector = traces[:n], lifted(traces, quad).reshape(n, 3, -1).transpose(0, 2, 1)
+    scalar, vector = cartesian_traces(assemble_traces(problem, basis, quad), quad)
     sw = np.sqrt(quad.weights)
-    a = np.vstack([sw[:, None] * scalar, (sw[:, None, None] * vector).transpose(0, 2, 1).reshape(-1, scalar.shape[1])])
+    a = np.vstack([sw[:, None] * scalar, (sw[:, None, None] * vector).reshape(-1, scalar.shape[1])])
     b = np.concatenate([sw * data.scalar, (sw[:, None] * data.vector).reshape(-1)])
     col_norms = np.linalg.norm(a, axis=0)
     scales = np.where(col_norms > 0.0, col_norms, 1.0)
@@ -61,7 +54,7 @@ def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
     inv[keep] = 1.0 / sigma[keep]
     c = (vt.T @ (inv * (u.T @ b))) / scales
     ds = scalar @ c - data.scalar
-    dv = np.einsum("nej,e->nj", vector, c) - data.vector
+    dv = np.einsum("nje,e->nj", vector, c) - data.vector
     values = np.stack([el.field.eval(quad.points) for el in basis], axis=-1)
     rotations = np.array([quad.weights @ np.einsum("nje,nj->ne", values, g) @ c for g in gammas])
     return int(np.count_nonzero(keep)), float(np.linalg.norm(a @ c - b)), max_misfit(ds, dv), rotations, sigma
@@ -103,9 +96,9 @@ def single_qr_fits(data, basis, quad, degrees, svd_tol=1e-12):
     """Kept rank, residual and coefficients per degree from one QR of the whole
     weighted, column-scaled [A | b]: the factorization before it was split
     into row blocks."""
-    traces = assemble_traces(data.problem, basis, quad)
+    scalar, vector = cartesian_traces(assemble_traces(data.problem, basis, quad), quad)
     sw = np.sqrt(quad.weights)
-    a = np.concatenate([sw, np.repeat(sw, 3)])[:, None] * np.vstack([traces[: quad.n_samples], lifted(traces, quad)])
+    a = np.concatenate([sw, np.repeat(sw, 3)])[:, None] * np.vstack([scalar, vector.reshape(-1, scalar.shape[1])])
     b = np.concatenate([sw * data.scalar, (sw[:, None] * data.vector).reshape(-1)])
     scales = np.linalg.norm(a, axis=0)
     r = np.linalg.qr(np.column_stack([a / scales, b]), mode="r")
@@ -168,10 +161,36 @@ def test_fit_never_holds_the_whole_trace_matrix(monkeypatch):
     assert peak < 3 * quad.n_samples * len(basis) * 8
 
 
+def test_fit_assembles_only_the_degrees_it_fits(monkeypatch):
+    # a degree-2 fit on a K=8 basis assembles the 27 columns through degree 2,
+    # and equals the fit on the K=2 basis
+    quad = make_quadrature(SURFACES["triaxial"], 16, 32)
+    data, _ = kelvin_data(M, quad, POLES["triaxial"], 1, "III")
+    widths, assemble = [], solver.assemble_traces
+
+    def recording(*args, **kwargs):
+        traces = assemble(*args, **kwargs)
+        widths.append(traces.shape[1])
+        return traces
+
+    monkeypatch.setattr(solver, "assemble_traces", recording)
+    result, = fit_degrees(data, elastic_basis(M, 8), quad, (2,))
+    assert widths and set(widths) == {27}
+    alone = fit(data, elastic_basis(M, 2), quad)
+    tol = 1e-12 * result.data_norm
+    assert result.kept_rank == alone.kept_rank
+    assert abs(result.residual_norm - alone.residual_norm) <= tol
+    assert np.max(np.abs(result.coefficients - alone.coefficients)) <= 1e-12 * np.max(np.abs(alone.coefficients))
+    assert np.max(np.abs(result.scalar_misfit - alone.scalar_misfit)) <= tol
+    assert np.max(np.abs(result.vector_misfit - alone.vector_misfit)) <= tol
+
+
 def test_basis_of_lower_degree_is_a_prefix():
     top = elastic_basis(M, max(DEGREES))
     for k in DEGREES:
         assert elastic_basis(M, k).elements == top.elements[: 3 * (k + 1) ** 2]
+        assert top.prefix(k).elements == top.elements[: 3 * (k + 1) ** 2] and top.prefix(k).max_degree == k
+    assert top.prefix(top.max_degree) is top
 
 
 def test_fit_degrees_rejects_degrees_outside_the_basis(sphere_quad):

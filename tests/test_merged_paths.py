@@ -19,6 +19,8 @@ from elastopoly.operators import traction_of_gradient
 from elastopoly.polyalg import VecPoly3, batch_eval, gradient
 from elastopoly.solver import assemble_traces, evaluate_solution, split_trace
 
+from conftest import cartesian_traces
+
 rng = np.random.default_rng(2024)
 M = Material(1.3, 0.8)
 
@@ -75,11 +77,9 @@ def test_stored_misfits_match_fresh_assembly(problem, triaxial_quad):
     data, _ = kelvin_data(M, triaxial_quad, (0.0, 0.0, 5.1), 1, problem)
     assert data.problem == problem
     result = fit(data, basis, triaxial_quad)
-    traces = assemble_traces(problem, basis, triaxial_quad)
-    n = triaxial_quad.n_samples
-    scalar, vector = traces[:n], np.einsum("nae,naj->nej", traces[n:].reshape(n, 2, -1), triaxial_quad.tangents)
+    scalar, vector = cartesian_traces(assemble_traces(problem, basis, triaxial_quad), triaxial_quad)
     ds = scalar @ result.coefficients - data.scalar
-    dv = np.einsum("nej,e->nj", vector, result.coefficients) - data.vector
+    dv = np.einsum("nje,e->nj", vector, result.coefficients) - data.vector
     assert result.scalar_misfit.shape == ds.shape and result.vector_misfit.shape == dv.shape
     scale = max(np.max(np.abs(data.scalar)), np.max(np.abs(data.vector)))
     assert np.max(np.abs(result.scalar_misfit - ds)) <= 1e-13 * scale
