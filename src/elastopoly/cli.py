@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 validation/configuration error, 2 numerical check
 failure in `check`.  Configs are flat `key = value` text under `[section]`
-headers; `--set section.key=value` overrides win, and an entry the command
-never reads is an error.  All floating-point output
-carries 17 significant digits so files round-trip exactly and repeated runs
-at a fixed BLAS thread count are byte-identical.
+headers; a key given twice is an error, `--set section.key=value` overrides
+win, and an entry the command never reads is an error.  The keys of a
+surface kind or data source (`harness.KINDS`) are its dataclass fields, and
+an absent key takes the library default.  All floating-point output carries
+17 significant digits so files round-trip exactly and repeated runs at a
+fixed BLAS thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,22 +17,13 @@ import math
 import os
 import re
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .basis import Material, elastic_basis
-from .geometry import Ellipsoid, Sphere, StarShaped, make_quadrature
-from .harness import (
-    BasisElementSource,
-    CsvSource,
-    KelvinSource,
-    RotationSource,
-    StudyConfig,
-    prepare,
-    reciprocity_defect,
-    run_study,
-    somigliana_check,
-)
+from .geometry import Sphere, make_quadrature
+from .harness import KINDS, StudyConfig, prepare, reciprocity_defect, run_study, somigliana_check
 from .ioutil import fmt17
 from .operators import RigidDisplacement, traction
 from .solver import field_samples, fit, fit_result_json, misfit_csv
@@ -72,6 +65,8 @@ def parse_config(text: str, origin: str = "<config>") -> dict[str, dict[str, str
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise CliError(f"{origin}:{lineno}: empty key")
+        if key in sections[current]:
+            raise CliError(f"{origin}:{lineno}: [{current}] {key} is given twice")
         sections[current][key] = value
     return sections
 
@@ -83,36 +78,6 @@ def apply_overrides(cfg: dict[str, dict[str, str]], overrides: list[str]) -> Non
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
         cfg.setdefault(section.strip(), {})[key.strip()] = value.strip()
-
-
-# Every key a reader below looks up, per section, whatever the surface kind
-# or data source; `[problem]` adds the keys of the command.
-_CONFIG_KEYS = {
-    "material": {"lambda", "mu"},
-    "surface": {"kind", "center", "radius", "semi_axes", "coeffs", "axis"},
-    "quadrature": {"n_theta", "n_phi"},
-    "problem": {"kind", "svd_tol", "scalar_weight"},
-    "data": {"source", "y0", "row", "index", "path"},
-}
-_COMMAND_KEYS = {"study": {"degrees"}, "solve": {"degree", "project_tangential"}}
-
-
-def _check_keys(cfg: dict[str, dict[str, str]], command: str) -> None:
-    """Reject an entry that no reader of `command` looks up, such as a typo."""
-    for section, entries in cfg.items():
-        allowed = _CONFIG_KEYS.get(section, set()) | (_COMMAND_KEYS[command] if section == "problem" else set())
-        for key in entries:
-            if key not in allowed:
-                raise CliError(f"config entry [{section}] {key} is not used by {command}")
-
-
-def _get(cfg, section, key, default=None, required=False):
-    try:
-        return cfg[section][key]
-    except KeyError:
-        if required:
-            raise CliError(f"missing required config entry [{section}] {key}") from None
-        return default
 
 
 def _floats(text: str, what: str, n: int | None = None) -> tuple[float, ...]:
@@ -145,6 +110,65 @@ def _bool(text: str, what: str) -> bool:
     raise CliError(f"{what}: expected on/off, true/false, yes/no or 1/0, got {text!r}")
 
 
+def _three(text: str, what: str) -> tuple[float, ...]:
+    return _floats(text, what, 3)
+
+
+def _coeffs(text: str, what: str) -> tuple[tuple[int, int, float], ...]:
+    coeffs = []
+    for block in text.split(";"):
+        block = block.strip()
+        if not block:
+            continue
+        parts = block.split()
+        if len(parts) != 3:
+            raise CliError(f"{what}: each entry is 'k s c', got {block!r}")
+        coeffs.append((_int(parts[0], "coeff degree"), _int(parts[1], "coeff index"),
+                       _float(parts[2], f"{what} coefficient")))
+    return tuple(coeffs)
+
+
+# The parser of each key that is a dataclass field: the fields of every class
+# in `KINDS`, and the quadrature and fit settings of `StudyConfig`.
+_PARSERS = {
+    "surface": {"center": _three, "radius": _float, "semi_axes": _three, "coeffs": _coeffs,
+                "axis": lambda text, what: _three(text, what) if text else None},
+    "quadrature": {"n_theta": _int, "n_phi": _int},
+    "problem": {"svd_tol": _float, "scalar_weight": _float},
+    "data": {"y0": _three, "row": _int, "index": _int, "path": lambda text, what: text},
+}
+_REQUIRED = {"semi_axes", "coeffs"}  # the class has a default, the config must not rely on it
+_COMMAND_KEYS = {"study": {"degrees"}, "solve": {"degree", "project_tangential"}}
+
+
+def _allowed_keys(command: str) -> dict[str, set[str]]:
+    """Every key `command` reads, per section, whatever the surface kind or data source."""
+    allowed = {section: set(parsers) for section, parsers in _PARSERS.items()}
+    for section, (key, _) in KINDS.items():
+        allowed[section].add(key)
+    allowed["material"] = {"lambda", "mu"}
+    allowed["problem"] |= {"kind"} | _COMMAND_KEYS[command]
+    return allowed
+
+
+def _check_keys(cfg: dict[str, dict[str, str]], command: str) -> None:
+    """Reject an entry that no reader of `command` looks up, such as a typo."""
+    allowed = _allowed_keys(command)
+    for section, entries in cfg.items():
+        for key in entries:
+            if key not in allowed.get(section, ()):
+                raise CliError(f"config entry [{section}] {key} is not used by {command}")
+
+
+def _get(cfg, section, key, default=None, required=False):
+    try:
+        return cfg[section][key]
+    except KeyError:
+        if required:
+            raise CliError(f"missing required config entry [{section}] {key}") from None
+        return default
+
+
 def material_from_config(cfg) -> Material:
     lam = _float(_get(cfg, "material", "lambda", required=True), "[material] lambda")
     mu = _float(_get(cfg, "material", "mu", required=True), "[material] mu")
@@ -154,61 +178,40 @@ def material_from_config(cfg) -> Material:
         raise CliError(str(exc)) from None
 
 
-def surface_from_config(cfg):
-    kind = _get(cfg, "surface", "kind", required=True).lower()
-    center = _floats(_get(cfg, "surface", "center", "0 0 0"), "[surface] center", 3)
-    try:
-        if kind == "sphere":
-            return Sphere(center=center, radius=_float(_get(cfg, "surface", "radius", "1"), "[surface] radius"))
-        if kind == "ellipsoid":
-            axes = _floats(_get(cfg, "surface", "semi_axes", required=True), "[surface] semi_axes", 3)
-            return Ellipsoid(center=center, semi_axes=axes)
-        if kind == "star":
-            coeff_text = _get(cfg, "surface", "coeffs", required=True)
-            coeffs = []
-            for block in coeff_text.split(";"):
-                block = block.strip()
-                if not block:
-                    continue
-                parts = block.split()
-                if len(parts) != 3:
-                    raise CliError(f"[surface] coeffs: each entry is 'k s c', got {block!r}")
-                coeffs.append((_int(parts[0], "coeff degree"), _int(parts[1], "coeff index"),
-                               _float(parts[2], "[surface] coeffs coefficient")))
-            axis_text = _get(cfg, "surface", "axis")
-            axis = _floats(axis_text, "[surface] axis", 3) if axis_text else None
-            return StarShaped(center=center, coeffs=tuple(coeffs), axis=axis)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    raise CliError(f"[surface] kind must be sphere, ellipsoid or star, got {kind!r}")
+def _fields_from(cfg, section: str, cls) -> dict:
+    """Keyword arguments of `cls` from the entries of `section` that have a
+    parser; an absent entry leaves the field's default to the class."""
+    kwargs = {}
+    for f in fields(cls):
+        parse = _PARSERS[section].get(f.name)
+        if parse is None:
+            continue
+        text = _get(cfg, section, f.name, required=f.default is MISSING or f.name in _REQUIRED)
+        if text is not None:
+            kwargs[f.name] = parse(text, f"[{section}] {f.name}")
+    return kwargs
 
 
-def source_from_config(cfg):
-    name = _get(cfg, "data", "source", required=True).lower()
-    if name == "kelvin":
-        y0 = _floats(_get(cfg, "data", "y0", required=True), "[data] y0", 3)
-        return KelvinSource(y0=y0, row=_int(_get(cfg, "data", "row", "1"), "[data] row"))
-    if name == "basis_element":
-        return BasisElementSource(index=_int(_get(cfg, "data", "index", required=True), "[data] index"))
-    if name == "rotation":
-        return RotationSource(index=_int(_get(cfg, "data", "index", "0"), "[data] index"))
-    if name == "csv":
-        return CsvSource(path=_get(cfg, "data", "path", required=True))
-    raise CliError(f"[data] source must be kelvin, basis_element, rotation or csv, got {name!r}")
+def _kind_from_config(cfg, section: str):
+    """The surface kind or data source that `section` names, built from its entries."""
+    key, kinds = KINDS[section]
+    name = _get(cfg, section, key, required=True).lower()
+    if name not in kinds:
+        *others, last = kinds
+        raise CliError(f"[{section}] {key} must be {', '.join(others)} or {last}, got {name!r}")
+    return kinds[name](**_fields_from(cfg, section, kinds[name]))
 
 
 def study_config_from(cfg, degrees: tuple[int, ...]) -> StudyConfig:
     try:
         return StudyConfig(
             material=material_from_config(cfg),
-            surface=surface_from_config(cfg),
+            surface=_kind_from_config(cfg, "surface"),
             problem=_get(cfg, "problem", "kind", required=True).upper(),
             degrees=degrees,
-            source=source_from_config(cfg),
-            n_theta=_int(_get(cfg, "quadrature", "n_theta", "32"), "[quadrature] n_theta"),
-            n_phi=_int(_get(cfg, "quadrature", "n_phi", "64"), "[quadrature] n_phi"),
-            svd_tol=_float(_get(cfg, "problem", "svd_tol", "1e-12"), "[problem] svd_tol"),
-            scalar_weight=_float(_get(cfg, "problem", "scalar_weight", "1"), "[problem] scalar_weight"),
+            source=_kind_from_config(cfg, "data"),
+            **_fields_from(cfg, "quadrature", StudyConfig),
+            **_fields_from(cfg, "problem", StudyConfig),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -331,7 +334,10 @@ def _load_config(args) -> dict[str, dict[str, str]]:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    config = study_config_from(cfg, (_int(_get(cfg, "problem", "degree", required=True), "[problem] degree"),))
+    degree = _int(_get(cfg, "problem", "degree", required=True), "[problem] degree")
+    if degree < 0:
+        raise CliError(f"[problem] degree must be non-negative, got {degree}")
+    config = study_config_from(cfg, (degree,))
     project = _bool(_get(cfg, "problem", "project_tangential", "off"), "[problem] project_tangential")
     try:
         quad, basis, data, _ = prepare(config)

@@ -15,13 +15,13 @@ which computes them once for rotation data, the fits and the defect columns;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .basis import ElasticBasis, Material, elastic_basis
-from .geometry import SurfaceQuadrature, SurfaceSpec, Sphere, Ellipsoid, make_quadrature, radial_function
-from .ioutil import fmt17
+from .geometry import Ellipsoid, Sphere, StarShaped, SurfaceQuadrature, SurfaceSpec, make_quadrature, radial_function
+from .ioutil import fmt17, json_dumps
 from .operators import KelvinField, kelvin_matrix, kelvin_traction
 from .solver import (
     PROBLEM_III,
@@ -203,42 +203,33 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
     def metadata_json(self) -> str:
-        from .ioutil import json_dumps
-
         return json_dumps(self.metadata) + "\n"
 
 
-def _surface_dict(spec: SurfaceSpec) -> dict:
-    if isinstance(spec, Sphere):
-        return {"kind": "sphere", "center": list(spec.center), "radius": spec.radius}
-    if isinstance(spec, Ellipsoid):
-        return {"kind": "ellipsoid", "center": list(spec.center), "semi_axes": list(spec.semi_axes)}
-    return {
-        "kind": "star",
-        "center": list(spec.center),
-        "coeffs": [[k, s, c] for k, s, c in spec.coeffs],
-        "axis": list(spec.axis) if spec.axis is not None else None,
-    }
+# Each surface kind and data source by its config name, under the key that
+# names it in its config section; the CLI reads and study.json records each
+# one as this name plus the dataclass fields.
+KINDS = {
+    "surface": ("kind", {"sphere": Sphere, "ellipsoid": Ellipsoid, "star": StarShaped}),
+    "data": ("source", {"kelvin": KelvinSource, "basis_element": BasisElementSource,
+                        "rotation": RotationSource, "csv": CsvSource}),
+}
 
 
-def _source_dict(source: DataSource) -> dict:
-    if isinstance(source, KelvinSource):
-        return {"source": "kelvin", "y0": list(source.y0), "row": source.row}
-    if isinstance(source, BasisElementSource):
-        return {"source": "basis_element", "index": source.index}
-    if isinstance(source, RotationSource):
-        return {"source": "rotation", "index": source.index}
-    return {"source": "csv", "path": source.path}
+def _kind_dict(section: str, spec) -> dict:
+    key, kinds = KINDS[section]
+    name = next(name for name, cls in kinds.items() if isinstance(spec, cls))
+    return {key: name, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
 
 
 def config_metadata(config: StudyConfig) -> dict:
     return {
         "material": {"lambda": config.material.lam, "mu": config.material.mu},
-        "surface": _surface_dict(config.surface),
+        "surface": _kind_dict("surface", config.surface),
         "problem": config.problem,
         "degrees": list(config.degrees),
         "quadrature": {"n_theta": config.n_theta, "n_phi": config.n_phi},
-        "data": _source_dict(config.source),
+        "data": _kind_dict("data", config.source),
         "svd_tol": config.svd_tol,
         "scalar_weight": config.scalar_weight,
         "probes": {"count": N_PROBES, "depth": PROBE_DEPTH, "seed": PROBE_SEED},

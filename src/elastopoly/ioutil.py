@@ -16,7 +16,8 @@ def csv_lines(table) -> list[str]:
 
 
 def json_dumps(obj) -> str:
-    """Serialize nested dict/list/scalar data to JSON with 17-digit floats.
+    """Serialize nested dict/list/scalar data, numpy arrays and scalars
+    included, to JSON with 17-digit floats.
 
     The standard json module offers no hook for float formatting, so this is
     a tiny recursive writer.  Dict keys must be strings; insertion order is
@@ -60,7 +61,7 @@ def _write(obj, out: list[str]) -> None:
         out.append("]")
     else:
         try:
-            _write(obj.item(), out)  # numpy scalars
+            _write(obj.tolist(), out)  # numpy scalars and arrays
         except AttributeError:
             raise TypeError(f"cannot serialize {type(obj).__name__} to JSON") from None
 

@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from elastopoly.cli import parse_config, run, CliError
-from elastopoly.geometry import Sphere, make_quadrature
+from elastopoly.basis import Material
+from elastopoly.cli import parse_config, run, study_config_from, CliError
+from elastopoly.geometry import Sphere, StarShaped, make_quadrature
+from elastopoly.harness import KelvinSource, StudyConfig, config_metadata
+from elastopoly.ioutil import json_dumps
 from elastopoly.polyalg import Poly3
 
 STUDY_CONFIG = """\
@@ -53,11 +56,97 @@ def test_parse_config_hash_inside_value_is_not_a_comment():
     assert cfg == {"data": {"path": "/tmp/d#1.csv", "row": "1"}}
 
 
+@pytest.mark.parametrize("text, line, entry", [
+    ("[problem]\ndegrees = 1 2\nkind = III\ndegrees = 3\n", 4, "[problem] degrees"),
+    ("[material]\nmu = 1\n[surface]\nkind = sphere\n[material]\nmu = 2\n", 6, "[material] mu"),
+], ids=["same-section", "repeated-section"])
+def test_parse_config_rejects_a_key_given_twice(text, line, entry):
+    with pytest.raises(CliError) as info:
+        parse_config(text, origin="cfg")
+    assert str(info.value) == f"cfg:{line}: {entry} is given twice"
+
+
+def test_study_with_a_key_given_twice_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", "degrees = 2 3\ndegrees = 2"))
+    out = tmp_path / "o"
+    assert run(["study", "--config", cfg, "--output", str(out)]) == 1
+    assert f"error: {cfg}:17: [problem] degrees is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_config_reports_line_numbers():
     with pytest.raises(CliError, match="cfg:3"):
         parse_config("[a]\nx = 1\nbroken-line\n", origin="cfg")
     with pytest.raises(CliError, match="cfg:1"):
         parse_config("key = before any section\n", origin="cfg")
+
+
+# -- study.json metadata of each surface kind and data source ----------------------
+
+_MINIMAL = "[material]\nlambda = 1.3\nmu = 0.8\n[problem]\nkind = III\n[surface]\n{surface}\n[data]\n{data}\n"
+
+
+def _metadata(surface="kind = sphere", data="source = rotation") -> dict:
+    cfg = parse_config(_MINIMAL.format(surface=surface, data=data))
+    return config_metadata(study_config_from(cfg, (2,)))
+
+
+@pytest.mark.parametrize("surface, expected", [
+    ("kind = sphere", '{"kind": "sphere", "center": [0, 0, 0], "radius": 1}'),
+    ("kind = ellipsoid\nsemi_axes = 1 1.3 1.7",
+     '{"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1, 1.3, 1.7]}'),
+    ("kind = star\ncoeffs = 0 1 1.0; 2 3 0.15",
+     '{"kind": "star", "center": [0, 0, 0], "coeffs": [[0, 1, 1], [2, 3, 0.14999999999999999]], "axis": null}'),
+    ("kind = star\ncenter = 0.5 0 -1\ncoeffs = 0 1 1.0; 2 3 0.15\naxis = 0 0 1",
+     '{"kind": "star", "center": [0.5, 0, -1], "coeffs": [[0, 1, 1], [2, 3, 0.14999999999999999]], "axis": [0, 0, 1]}'),
+], ids=["sphere", "ellipsoid", "star", "star-axis"])
+def test_study_json_records_each_surface_kind(surface, expected):
+    assert json_dumps(_metadata(surface=surface)["surface"]) == expected
+
+
+@pytest.mark.parametrize("data, expected", [
+    ("source = kelvin\ny0 = 0 0 5.1", '{"source": "kelvin", "y0": [0, 0, 5.0999999999999996], "row": 1}'),
+    ("source = basis_element\nindex = 7", '{"source": "basis_element", "index": 7}'),
+    ("source = rotation", '{"source": "rotation", "index": 0}'),
+    ("source = csv\npath = data/d.csv", '{"source": "csv", "path": "data/d.csv"}'),
+], ids=["kelvin", "basis_element", "rotation", "csv"])
+def test_study_json_records_each_data_source(data, expected):
+    assert json_dumps(_metadata(data=data)["data"]) == expected
+
+
+def test_study_json_of_a_minimal_config(tmp_path):
+    # every omitted key shows its library default
+    text = _MINIMAL.format(surface="kind = sphere", data="source = kelvin\ny0 = 0 0 5.1").replace(
+        "kind = III", "kind = III\ndegrees = 1 2")
+    out = tmp_path / "o"
+    args = ["--set=quadrature.n_theta=8", "--set=quadrature.n_phi=16"]
+    assert run(["study", "--config", write_config(tmp_path, text), "--output", str(out)] + args) == 0
+    assert (out / "study.json").read_text() == (
+        '{"material": {"lambda": 1.3, "mu": 0.80000000000000004}, '
+        '"surface": {"kind": "sphere", "center": [0, 0, 0], "radius": 1}, "problem": "III", "degrees": [1, 2], '
+        '"quadrature": {"n_theta": 8, "n_phi": 16}, '
+        '"data": {"source": "kelvin", "y0": [0, 0, 5.0999999999999996], "row": 1}, '
+        '"svd_tol": 9.9999999999999998e-13, "scalar_weight": 1, '
+        '"probes": {"count": 20, "depth": 0.5, "seed": 715}}\n'
+    )
+
+
+def test_json_dumps_writes_numpy_arrays_as_lists():
+    assert json_dumps({"c": np.array([1.0, 2.0]), "m": np.eye(2, dtype=int), "s": np.float32(0.5)}) == (
+        '{"c": [1, 2], "m": [[1, 0], [0, 1]], "s": 0.5}')
+    with pytest.raises(TypeError, match="cannot serialize object to JSON"):
+        json_dumps({"c": [object()]})
+
+
+def test_study_json_of_array_valued_specs_equals_that_of_tuples():
+    def metadata(vector):
+        surfaces = (Sphere(center=vector(0.1, 0.0, -0.2)),
+                    StarShaped(center=vector(0, 0, 0), coeffs=((0, 1, 1.0), (2, 3, 0.15)), axis=vector(0, 0, 1)))
+        return [json_dumps(config_metadata(StudyConfig(Material(1.0, 1.0), surface, "III", (2,),
+                                                       KelvinSource(y0=vector(0.0, 0.5, 4.0)))))
+                for surface in surfaces]
+
+    assert metadata(lambda *v: np.array(v)) == metadata(lambda *v: tuple(v))
 
 
 # -- basis export -----------------------------------------------------------------
@@ -406,6 +495,51 @@ def test_unused_config_key_exits_1_naming_it(tmp_path, capsys, command, degree_k
     assert run([command, "--config", cfg, "--output", str(out)] + [f"--set={item}" for item in overrides]) == 1
     assert f"error: config entry {key} is not used by {command}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["surface.kind=ellipsoid"], "[surface] semi_axes"),
+    (["surface.kind=star"], "[surface] coeffs"),
+    (["data.source=basis_element"], "[data] index"),
+    (["data.source=csv"], "[data] path"),
+])
+def test_missing_required_entry_exits_1_naming_it(tmp_path, capsys, overrides, key):
+    # semi_axes and coeffs have library defaults, but a config must still give them
+    out = tmp_path / "o"
+    args = ["study", "--config", write_config(tmp_path), "--output", str(out)]
+    assert run(args + [f"--set={item}" for item in overrides]) == 1
+    assert f"error: missing required config entry {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_negative_degree_names_its_key(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", "degree = 3"))
+    assert run(["solve", "--config", cfg, "--output", str(out), "--set=problem.degree=-1"]) == 1
+    assert "error: [problem] degree must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_field_of_a_kind_has_a_parser_and_only_those_keys_are_legal():
+    from dataclasses import fields
+
+    from elastopoly.cli import _PARSERS, _allowed_keys
+    from elastopoly.harness import KINDS
+
+    for command in ("study", "solve"):
+        allowed = _allowed_keys(command)
+        for section, (kind_key, kinds) in KINDS.items():
+            names = {f.name for cls in kinds.values() for f in fields(cls)}
+            assert set(_PARSERS[section]) == names
+            assert allowed[section] == names | {kind_key}
+    assert {section: set(keys) for section, keys in _allowed_keys("study").items()} == {
+        "material": {"lambda", "mu"},
+        "surface": {"kind", "center", "radius", "semi_axes", "coeffs", "axis"},
+        "quadrature": {"n_theta", "n_phi"},
+        "problem": {"kind", "degrees", "svd_tol", "scalar_weight"},
+        "data": {"source", "y0", "row", "index", "path"},
+    }
+    assert _allowed_keys("solve")["problem"] == {"kind", "degree", "project_tangential", "svd_tol", "scalar_weight"}
 
 
 def test_study_builds_the_quadrature_once(tmp_path, monkeypatch):
