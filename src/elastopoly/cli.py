@@ -123,7 +123,7 @@ def _coeffs(text: str, what: str) -> tuple[tuple[int, int, float], ...]:
         parts = block.split()
         if len(parts) != 3:
             raise CliError(f"{what}: each entry is 'k s c', got {block!r}")
-        coeffs.append((_int(parts[0], "coeff degree"), _int(parts[1], "coeff index"),
+        coeffs.append((_int(parts[0], f"{what} degree"), _int(parts[1], f"{what} index"),
                        _float(parts[2], f"{what} coefficient")))
     return tuple(coeffs)
 
@@ -131,8 +131,7 @@ def _coeffs(text: str, what: str) -> tuple[tuple[int, int, float], ...]:
 # The parser of each key that is a dataclass field: the fields of every class
 # in `KINDS`, and the quadrature and fit settings of `StudyConfig`.
 _PARSERS = {
-    "surface": {"center": _three, "radius": _float, "semi_axes": _three, "coeffs": _coeffs,
-                "axis": lambda text, what: _three(text, what) if text else None},
+    "surface": {"center": _three, "radius": _float, "semi_axes": _three, "coeffs": _coeffs, "axis": _three},
     "quadrature": {"n_theta": _int, "n_phi": _int},
     "problem": {"svd_tol": _float, "scalar_weight": _float},
     "data": {"y0": _three, "row": _int, "index": _int, "path": lambda text, what: text},
@@ -220,17 +219,19 @@ def study_config_from(cfg, degrees: tuple[int, ...]) -> StudyConfig:
 # -- output helpers -----------------------------------------------------------------
 
 
-def _prepare_output(outdir: str, names: list[str], force: bool) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    for name in names:
-        path = os.path.join(outdir, name)
-        if os.path.exists(path) and not force:
+def _write_reports(args, reports: dict[str, str], quad) -> None:
+    """Write each named report, and the quadrature under --export-quadrature,
+    into the --output directory; an existing report is kept unless --force."""
+    if args.export_quadrature:
+        reports["quadrature.csv"] = quad.to_csv()
+    os.makedirs(args.output, exist_ok=True)
+    paths = {os.path.join(args.output, name): content for name, content in reports.items()}
+    for path in paths:
+        if os.path.exists(path) and not args.force:
             raise CliError(f"refusing to overwrite existing report {path} (use --force)")
-
-
-def _write(outdir: str, name: str, content: str) -> None:
-    with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+    for path, content in paths.items():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(content)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -343,15 +344,9 @@ def cmd_solve(args) -> int:
         quad, basis, data, _ = prepare(config)
         result = fit(data, basis, quad, svd_tol=config.svd_tol, scalar_weight=config.scalar_weight,
                      project_tangential=project)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
-
-    names = ["fit.json", "misfit.csv"] + (["quadrature.csv"] if args.export_quadrature else [])
-    _prepare_output(args.output, names, args.force)
-    _write(args.output, "fit.json", fit_result_json(result))
-    _write(args.output, "misfit.csv", misfit_csv(result, quad))
-    if args.export_quadrature:
-        _write(args.output, "quadrature.csv", quad.to_csv())
+    _write_reports(args, {"fit.json": fit_result_json(result), "misfit.csv": misfit_csv(result, quad)}, quad)
     print(
         f"fit: residual {fmt17(result.residual_norm)} of data norm {fmt17(result.data_norm)}, "
         f"rank {result.kept_rank}/{len(basis)} -> {args.output}"
@@ -365,14 +360,9 @@ def cmd_study(args) -> int:
     config = study_config_from(cfg, degrees)
     try:
         report = run_study(config)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
-    names = ["study.csv", "study.json"] + (["quadrature.csv"] if args.export_quadrature else [])
-    _prepare_output(args.output, names, args.force)
-    _write(args.output, "study.csv", report.to_csv())
-    _write(args.output, "study.json", report.metadata_json())
-    if args.export_quadrature:
-        _write(args.output, "quadrature.csv", report.quadrature.to_csv())
+    _write_reports(args, {"study.csv": report.to_csv(), "study.json": report.metadata_json()}, report.quadrature)
     last = report.rows[-1]
     print(
         f"study: degrees {config.degrees[0]}..{config.degrees[-1]}, final residual "
@@ -425,7 +415,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # OSError: a report or data file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

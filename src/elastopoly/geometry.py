@@ -73,13 +73,13 @@ SurfaceSpec = Sphere | Ellipsoid | StarShaped
 
 
 def radial_function(spec: SurfaceSpec, directions) -> np.ndarray:
-    """r(u) for unit directions u, measured from the surface's center."""
-    u = np.atleast_2d(np.asarray(directions, dtype=float))
+    """r(u) (...) for unit directions u (..., 3), measured from the surface's center."""
+    u = np.asarray(directions, dtype=float)
     if isinstance(spec, Sphere):
-        return np.full(u.shape[0], spec.radius)
+        return np.full(u.shape[:-1], spec.radius)
     if isinstance(spec, Ellipsoid):
         a, b, c = spec.semi_axes
-        return 1.0 / np.sqrt((u[:, 0] / a) ** 2 + (u[:, 1] / b) ** 2 + (u[:, 2] / c) ** 2)
+        return 1.0 / np.sqrt((u[..., 0] / a) ** 2 + (u[..., 1] / b) ** 2 + (u[..., 2] / c) ** 2)
     return _star_radius(spec).eval(u)
 
 

@@ -15,13 +15,13 @@ which computes them once for rotation data, the fits and the defect columns;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .basis import ElasticBasis, Material, elastic_basis
 from .geometry import Ellipsoid, Sphere, StarShaped, SurfaceQuadrature, SurfaceSpec, make_quadrature, radial_function
-from .ioutil import fmt17, json_dumps
+from .ioutil import csv_lines, json_dumps
 from .operators import KelvinField, kelvin_matrix, kelvin_traction
 from .solver import (
     PROBLEM_III,
@@ -62,7 +62,7 @@ def kelvin_data(
     dist = float(np.linalg.norm(rel))
     if dist == 0.0:
         raise ValueError("Kelvin pole coincides with the surface center (inside the body)")
-    r_surface = float(radial_function(quad.spec, rel / dist)[0])
+    r_surface = float(radial_function(quad.spec, rel / dist))
     if dist <= r_surface:
         raise ValueError(
             f"Kelvin pole must lie strictly outside the surface: |y0 - center| = {dist:.6g} "
@@ -111,7 +111,7 @@ def somigliana_check(
         )
     uu, tu = field_samples(material, w, quad)
     kernel = kelvin_traction(material, x, quad.points, quad.normals)   # (N, i, j)
-    gamma = kelvin_matrix(material, x[None, :] - quad.points)          # (N, i, j)
+    gamma = kelvin_matrix(material, x - quad.points)                   # (N, i, j)
     integral = np.einsum("n,nij,nj->i", quad.weights, kernel, uu) - np.einsum(
         "n,nij,nj->i", quad.weights, gamma, tu
     )
@@ -190,17 +190,10 @@ class StudyReport:
     quadrature: SurfaceQuadrature = field(repr=False, compare=False)
 
     def to_csv(self) -> str:
-        lines = ["K,residual_l2,residual_max,data_norm,kept_rank,defect_1,defect_2,defect_3,probe_err_max"]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [str(r.degree)]
-                    + [fmt17(v) for v in (r.residual_l2, r.residual_max, r.data_norm)]
-                    + [str(r.kept_rank)]
-                    + [fmt17(v) for v in (*r.defects, r.probe_err_max)]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        """One line per row: its fields in order, the defects spread over three columns."""
+        lines = csv_lines(np.array([np.hstack(astuple(r)) for r in self.rows]))
+        return "\n".join(["K,residual_l2,residual_max,data_norm,kept_rank,defect_1,defect_2,defect_3,probe_err_max",
+                          *lines]) + "\n"
 
     def metadata_json(self) -> str:
         return json_dumps(self.metadata) + "\n"

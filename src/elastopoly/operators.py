@@ -5,6 +5,10 @@ at the samples; tractions of Kelvin fields come from the closed-form gradient
 of the fundamental matrix.  No numerical differentiation anywhere in the
 production paths, so quadrature is the only error source in the identity
 checks downstream.
+
+Points, normals and sampled fields keep their vector or tensor axes last: a
+function of points takes (..., 3) arrays, any leading shape broadcasts, and a
+single (3,) point is the case with no leading axes.
 """
 
 from __future__ import annotations
@@ -55,23 +59,19 @@ def _check_unit_normals(normals: np.ndarray) -> None:
 
 
 def traction(material: Material, v: VecPoly3, points, normals) -> np.ndarray:
-    """Boundary force density of v at the points, for the given unit normals.
+    """Boundary force density (..., 3) of v at points (..., 3), for unit
+    normals of the same shape.
 
     Equals 2 mu du/dn + lam (div u) n + mu (n x curl u), evaluated through the
-    equivalent stress-tensor contraction.  Accepts a single (3,) point/normal
-    pair or batched (N, 3) arrays; linear in v.
+    equivalent stress-tensor contraction; linear in v.
     """
     pts = np.asarray(points, dtype=float)
     nrm = np.asarray(normals, dtype=float)
-    single = pts.ndim == 1
-    pts2, nrm2 = np.atleast_2d(pts), np.atleast_2d(nrm)
-    if pts2.shape != nrm2.shape:
+    if pts.shape != nrm.shape:
         raise ValueError("points and normals must have matching shapes")
-    _check_unit_normals(nrm2)
-
-    d = batch_eval(v.jacobian(), pts2).reshape(-1, 3, 3)  # d[n, a, j]
-    t = traction_of_gradient(material, d, nrm2)
-    return t[0] if single else t
+    _check_unit_normals(nrm)
+    d = batch_eval(v.jacobian(), pts.reshape(-1, 3)).reshape(*pts.shape[:-1], 3, 3)  # d[..., a, j]
+    return traction_of_gradient(material, d, nrm)
 
 
 @dataclass(frozen=True)
@@ -109,66 +109,56 @@ def _kelvin_coefficients(material: Material) -> tuple[float, float]:
     return mu_prime - 1.0 / (4.0 * np.pi * mu), -mu_prime
 
 
-def kelvin_matrix(material: Material, x) -> np.ndarray:
-    """Fundamental matrix -delta_ij/(4 pi mu |x|) + mu' * Hess|x|, shape (.., 3, 3)."""
+def _kelvin_argument(x, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """z = x (..., 3) and |z| (...), refused where |z| = 0."""
     z = np.asarray(x, dtype=float)
-    single = z.ndim == 1
-    z2 = np.atleast_2d(z)
-    r = np.linalg.norm(z2, axis=1)
+    r = np.linalg.norm(z, axis=-1)
     if np.min(r) <= 0.0:
-        raise ValueError("Kelvin matrix is singular at x = 0")
+        raise ValueError(f"{what} is singular at x = 0")
+    return z, r
+
+
+def kelvin_matrix(material: Material, x) -> np.ndarray:
+    """Fundamental matrix -delta_ij/(4 pi mu |x|) + mu' * Hess|x|, shape (..., 3, 3)."""
+    z, r = _kelvin_argument(x, "Kelvin matrix")
     a, b = _kelvin_coefficients(material)
-    eye = np.eye(3)
-    gamma = a * eye[None, :, :] / r[:, None, None] + b * np.einsum(
-        "ni,nj->nij", z2, z2
-    ) / (r**3)[:, None, None]
-    return gamma[0] if single else gamma
+    r = r[..., None, None]
+    return a * np.eye(3) / r + b * (z[..., :, None] * z[..., None, :]) / r**3
 
 
 def kelvin_gradient(material: Material, x) -> np.ndarray:
-    """Closed-form grad[..., i, j, k] = d Gamma_ij / d z_k, shape (.., 3, 3, 3)."""
-    z = np.asarray(x, dtype=float)
-    single = z.ndim == 1
-    z2 = np.atleast_2d(z)
-    r = np.linalg.norm(z2, axis=1)
-    if np.min(r) <= 0.0:
-        raise ValueError("Kelvin gradient is singular at x = 0")
+    """Closed-form grad[..., i, j, k] = d Gamma_ij / d z_k, shape (..., 3, 3, 3)."""
+    z, r = _kelvin_argument(x, "Kelvin gradient")
     a, b = _kelvin_coefficients(material)
     eye = np.eye(3)
-    inv_r3 = (1.0 / r**3)[:, None, None, None]
-    inv_r5 = (1.0 / r**5)[:, None, None, None]
-    zi = z2[:, :, None, None]
-    zj = z2[:, None, :, None]
-    zk = z2[:, None, None, :]
-    d_ij = eye[None, :, :, None]
-    d_ik = eye[None, :, None, :]
-    d_jk = eye[None, None, :, :]
-    grad = (
+    inv_r3 = (1.0 / r**3)[..., None, None, None]
+    inv_r5 = (1.0 / r**5)[..., None, None, None]
+    zi = z[..., :, None, None]
+    zj = z[..., None, :, None]
+    zk = z[..., None, None, :]
+    d_ij = eye[:, :, None]
+    d_ik = eye[:, None, :]
+    d_jk = eye[None, :, :]
+    return (
         -a * d_ij * zk * inv_r3
         + b * ((d_ik * zj + d_jk * zi) * inv_r3 - 3.0 * zi * zj * zk * inv_r5)
     )
-    return grad[0] if single else grad
 
 
 def kelvin_traction(material: Material, x, y, normal_y) -> np.ndarray:
     """Traction kernel: row i is T at y (normal nu(y)) of the field Gamma_i(x - .).
 
-    x is a single point; y/normal_y may be batched (N, 3).  Output (.., 3, 3)
-    with [i, j] the j-component of the traction of row field i.
+    x is a single point; y and normal_y are (..., 3).  Output (..., 3, 3)
+    with [..., i, j] the j-component of the traction of row field i.
     """
-    xx = np.asarray(x, dtype=float)
-    yy = np.asarray(y, dtype=float)
-    single = yy.ndim == 1
-    y2 = np.atleast_2d(yy)
-    n2 = np.atleast_2d(np.asarray(normal_y, dtype=float))
-    _check_unit_normals(n2)
-    z = xx[None, :] - y2
-    if np.min(np.linalg.norm(z, axis=1)) <= 0.0:
+    nrm = np.asarray(normal_y, dtype=float)
+    _check_unit_normals(nrm)
+    z = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    if np.min(np.linalg.norm(z, axis=-1)) <= 0.0:
         raise ValueError("Kelvin traction kernel is singular at x = y")
     # d/dy_k Gamma_ij(x - y) = -(d Gamma_ij / d z_k)(x - y)
-    d = -kelvin_gradient(material, z)                         # d[n, i, j, k] = d(field_i)_j / d y_k
-    t = traction_of_gradient(material, d, n2[:, None, :])
-    return t[0] if single else t
+    d = -kelvin_gradient(material, z)                         # d[..., i, j, k] = d(field_i)_j / d y_k
+    return traction_of_gradient(material, d, nrm[..., None, :])
 
 
 @dataclass(frozen=True)
@@ -184,11 +174,8 @@ class KelvinField:
             raise ValueError(f"row must be 1, 2 or 3, got {self.row}")
 
     def eval(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        z = np.atleast_2d(pts) - np.asarray(self.pole, dtype=float)
-        u = kelvin_matrix(self.material, z)[:, self.row - 1, :]
-        return u[0] if single else u
+        z = np.asarray(points, dtype=float) - np.asarray(self.pole, dtype=float)
+        return kelvin_matrix(self.material, z)[..., self.row - 1, :]
 
     def traction(self, points, normals) -> np.ndarray:
         # Gamma is even, so the field Gamma_row(x - pole) is row `row` of the kernel at the pole

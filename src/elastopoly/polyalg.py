@@ -313,10 +313,10 @@ class VecPoly3:
         return [c.diff(a) for a in _AXES for c in self.components]
 
     def eval(self, points):
-        """Evaluate at (3,) or (..., 3) points; returns matching (..., 3)."""
+        """Evaluate at points (..., 3), a single point being (3,); returns the same shape."""
         pts = np.asarray(points, dtype=float)
         vals = batch_eval(self.components, pts.reshape(-1, 3))
-        return vals[0] if pts.ndim == 1 else vals.reshape(pts.shape)
+        return vals.reshape(pts.shape)
 
     __call__ = eval
 

@@ -51,7 +51,7 @@ or Kelvin field is sampled by `field_samples` instead and split by the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -112,31 +112,25 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients and diagnostics of one boundary least-squares solve."""
+    """Coefficients and diagnostics of one boundary least-squares solve.  The
+    fields up to the misfits are the keys of `fit.json`, in its order."""
 
     problem: str
-    coefficients: np.ndarray = field(repr=False)
     residual_norm: float
     data_norm: float
     kept_rank: int
-    singular_values: np.ndarray = field(repr=False)
     svd_tol: float
+    coefficients: np.ndarray = field(repr=False)
+    singular_values: np.ndarray = field(repr=False)
     rotation_components: np.ndarray | None = field(default=None, repr=False)
     scalar_misfit: np.ndarray | None = field(default=None, repr=False)
     vector_misfit: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        out = {
-            "problem": self.problem,
-            "residual_norm": float(self.residual_norm),
-            "data_norm": float(self.data_norm),
-            "kept_rank": int(self.kept_rank),
-            "svd_tol": float(self.svd_tol),
-            "coefficients": [float(c) for c in self.coefficients],
-            "singular_values": [float(s) for s in self.singular_values],
-        }
-        if self.rotation_components is not None:
-            out["rotation_components"] = [float(c) for c in self.rotation_components]
+        """The fields but the misfits; rotation_components only when present."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if not f.name.endswith("_misfit")}
+        if self.rotation_components is None:
+            del out["rotation_components"]
         return out
 
 
@@ -147,21 +141,23 @@ def _field_chunks(layout: CoefficientBlocks, points: np.ndarray):
     """Sample fields laid out as pairs of groups (values, then gradients, as
     in `ElasticBasis.layout`), one chunk of CHUNK_POINTS points at a time.
 
-    Yields (point rows, field columns, values (3, e, n), gradients
-    (3, 3, e, n)) per pair, with values[j] = v_j and gradients[a, j] =
-    d v_j / d x_a, each component a contiguous (e, n) block; the columns
-    count the fields of a chunk's pairs in order.  Each pair's products are
-    formed when it is reached, so a chunk holds one pair at a time.
+    Yields (point rows, field columns, values (e, n, 3), gradients
+    (e, n, 3, 3)) per pair, with values[..., j] = v_j and gradients[..., a, j]
+    = d v_j / d x_a.  Both are strided views of component-major products, so
+    each component is a contiguous (e, n) block, normals (n, 3) broadcast
+    over the fields and the point axis runs innermost.  The columns count the
+    fields of a chunk's pairs in order.  Each pair's products are formed when
+    it is reached, so a chunk holds one pair at a time.
     """
     for start in range(0, len(points), CHUNK_POINTS):
         rows = slice(start, min(start + CHUNK_POINTS, len(points)))
         groups, first = layout.eval(points[rows]), 0
         for values in groups:
             n = values.shape[1]
-            values = values.reshape(3, -1, n)
-            cols = slice(first, first + values.shape[1])
+            cols = slice(first, first + len(values) // 3)
             first = cols.stop
-            yield rows, cols, values, next(groups).reshape(3, 3, -1, n)
+            yield (rows, cols, values.reshape(3, -1, n).transpose(1, 2, 0),
+                   next(groups).reshape(3, 3, -1, n).transpose(2, 3, 0, 1))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,9 +201,8 @@ def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
     points, normals, tangents = quad.points[samples], quad.normals[samples], quad.tangents[samples]
     traces = np.empty((len(points), 3, len(basis)))
     for rows, cols, values, grads in _field_chunks(basis.layout, points):
-        # (e, n, 3) views: the normals broadcast over the fields, the point axis runs innermost
-        t = traction_of_gradient(basis.material, grads.transpose(2, 3, 0, 1), normals[rows])
-        scalar, full = _scalar_and_full(problem, values.transpose(1, 2, 0), t, normals[rows])
+        t = traction_of_gradient(basis.material, grads, normals[rows])
+        scalar, full = _scalar_and_full(problem, values, t, normals[rows])
         traces[rows, 0, cols] = scalar.T
         for a in range(2):
             traces[rows, a + 1, cols] = _dot(full, tangents[rows, a]).T
@@ -232,8 +227,7 @@ def _collapse(basis: ElasticBasis, coefficients: np.ndarray, points: np.ndarray)
     layout = CoefficientBlocks([(0, end, values.reshape(-1, end)), (0, end, grads.reshape(-1, end))])
     disp, g = np.empty((d, len(points), 3)), np.empty((d, len(points), 3, 3))
     for rows, _, values, grads in _field_chunks(layout, points):
-        disp[:, rows] = values.transpose(1, 2, 0)
-        g[:, rows] = grads.transpose(2, 3, 0, 1)
+        disp[:, rows], g[:, rows] = values, grads
     return disp, g
 
 

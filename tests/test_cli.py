@@ -472,6 +472,10 @@ def test_study_repeated_degrees_exit_1(tmp_path, capsys):
     (["data.y0=nan 0 0"], "[data] y0: expected finite numbers"),
     (["surface.center=0 inf 0"], "[surface] center: expected finite numbers"),
     (["surface.kind=star", "surface.coeffs=0 1 1.0; 2 1 nan"], "[surface] coeffs coefficient: expected finite"),
+    (["surface.kind=star", "surface.coeffs=a 1 1"], "[surface] coeffs degree: expected an integer, got 'a'"),
+    (["surface.kind=star", "surface.coeffs=0 1 1; 2 x 0.1"], "[surface] coeffs index: expected an integer, got 'x'"),
+    # leaving the key out declares no axis; an empty value is an error like any other
+    (["surface.kind=star", "surface.coeffs=0 1 1", "surface.axis="], "[surface] axis: expected 3 numbers, got 0"),
 ])
 def test_bad_config_number_exits_1_naming_key(tmp_path, capsys, overrides, message):
     out = tmp_path / "o"
@@ -590,6 +594,25 @@ def test_underdetermined_fit_exits_1_before_assembly(tmp_path, monkeypatch, caps
     assert "error: the fit through degree 8 is underdetermined: 96 rows" in err
     assert "243 coefficients" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, degree_key", [("study", "degrees = 2 3"), ("solve", "degree = 3")],
+                         ids=["study", "solve"])
+def test_output_path_that_is_a_file_exits_1(tmp_path, capsys, command, degree_key):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", degree_key))
+    assert run([command, "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_basis_output_that_is_a_directory_exits_1(tmp_path, capsys):
+    assert run(["basis", "--degree", "0", "--output", str(tmp_path), "--force"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_arguments_exit_1(capsys):

@@ -93,6 +93,19 @@ def test_radial_function_of_ellipsoid():
     assert radial_function(spec, np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(1.7)
 
 
+@pytest.mark.parametrize("spec", [Sphere(radius=1.3), Ellipsoid(semi_axes=(1.0, 1.3, 1.7)), BUMPY],
+                         ids=["sphere", "ellipsoid", "star"])
+def test_radial_function_broadcasts_leading_axes(spec):
+    # a (2, 5, 3) batch gives the flat (10,) radii reshaped, bitwise; one (3,) direction row 0 of a (1, 3) batch
+    u = np.random.default_rng(8).normal(size=(10, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    flat = radial_function(spec, u)
+    np.testing.assert_array_equal(radial_function(spec, u.reshape(2, 5, 3)), flat.reshape(2, 5), strict=True)
+    single = radial_function(spec, u[0])
+    assert np.shape(single) == ()
+    np.testing.assert_array_equal(single, radial_function(spec, u[:1])[0])
+
+
 def test_quadrature_csv_schema(sphere_quad):
     text = sphere_quad.to_csv()
     lines = text.splitlines()

@@ -289,3 +289,19 @@ def test_csv_source_keeps_rows_starting_with_nan_or_inf(tmp_path):
         config = StudyConfig(M, Sphere(), "III", (1,), CsvSource(str(path)), n_theta=4, n_phi=8)
         with pytest.raises(ValueError, match="phi has 1 non-finite"):
             run_study(config)
+
+
+def test_study_csv_is_written_literally():
+    # integer K and kept_rank, 17-digit floats, nan defect columns (problem IV) and signed zeros
+    from elastopoly.harness import StudyReport, StudyRow
+
+    rows = (StudyRow(degree=2, residual_l2=0.1, residual_max=-0.0, data_norm=2.0, kept_rank=27,
+                     defects=(float("nan"),) * 3, probe_err_max=1.0 / 3.0),
+            StudyRow(degree=10, residual_l2=1e-300, residual_max=2.5e-17, data_norm=2.0, kept_rank=363,
+                     defects=(0.5, -0.0, float("nan")), probe_err_max=float("nan")))
+    report = StudyReport(config=None, rows=rows, metadata={}, quadrature=None)
+    assert report.to_csv() == (
+        "K,residual_l2,residual_max,data_norm,kept_rank,defect_1,defect_2,defect_3,probe_err_max\n"
+        "2,0.10000000000000001,-0,2,27,nan,nan,nan,0.33333333333333331\n"
+        "10,1e-300,2.4999999999999999e-17,2,363,0.5,-0,nan,nan\n"
+    )

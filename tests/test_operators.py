@@ -244,6 +244,29 @@ def test_kelvin_field_traction_is_a_row_of_the_kernel(pole):
         np.testing.assert_array_equal(fld.traction(pts[0], nrm[0]), expected[0])
 
 
+# Each function of points (..., 3) and normals (..., 3) whose leading axes broadcast.
+_POLE = (0.3, -2.5, 1.9)
+_OF_POINTS = {
+    "traction": lambda p, n: traction(M, VecPoly3(X * X * Y, Y * Z, X * Z * Z), p, n),
+    "kelvin_matrix": lambda p, n: kelvin_matrix(M, p),
+    "kelvin_gradient": lambda p, n: kelvin_gradient(M, p),
+    "kelvin_traction": lambda p, n: kelvin_traction(M, _POLE, p, n),
+    "KelvinField.eval": lambda p, n: KelvinField(M, _POLE, 2).eval(p),
+    "KelvinField.traction": lambda p, n: KelvinField(M, _POLE, 2).traction(p, n),
+}
+
+
+@pytest.mark.parametrize("name", list(_OF_POINTS))
+def test_leading_axes_broadcast(name):
+    """A (2, 5, 3) batch gives the flat (10, 3) results reshaped, bitwise, and
+    a single (3,) point gives row 0 of the (1, 3) batch."""
+    f, pts, nrm = _OF_POINTS[name], 0.9 * random_unit(10), random_unit(10)
+    flat = f(pts, nrm)
+    batched = f(pts.reshape(2, 5, 3), nrm.reshape(2, 5, 3))
+    np.testing.assert_array_equal(batched, flat.reshape(2, 5, *flat.shape[1:]), strict=True)
+    np.testing.assert_array_equal(f(pts[0], nrm[0]), f(pts[:1], nrm[:1])[0], strict=True)
+
+
 def test_betti_pairing_with_basis_elements(sphere_quad, basis_k4):
     # lame_apply annihilates every basis element, so reciprocity holds pairwise
     for el in basis_k4.elements[:: len(basis_k4) // 6]:

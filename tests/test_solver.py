@@ -21,7 +21,7 @@ from elastopoly import (
 )
 from elastopoly.polyalg import VecPoly3, X, Y, Z
 from elastopoly.ioutil import fmt17
-from elastopoly.solver import FitResult, misfit_csv
+from elastopoly.solver import FitResult, fit_result_json, misfit_csv
 
 rng = np.random.default_rng(99)
 M = Material(1.0, 1.0)
@@ -336,3 +336,21 @@ def test_csv_reports_match_the_fmt17_join():
         [quad.points, quad.weights, result.scalar_misfit, result.vector_misfit],
     )
     assert "-0," in quad.to_csv() and "4.9406564584124654e-324" in quad.to_csv()
+
+
+@pytest.mark.parametrize("rotations, tail", [
+    (None, ""),
+    (np.array([0.25, -0.0, 1e-300]), ', "rotation_components": [0.25, -0, 1e-300]'),
+], ids=["no-rotations", "rotations"])
+def test_fit_json_is_written_literally(rotations, tail):
+    # the keys in this order, 17-digit floats, integers without a point; the misfits stay out
+    result = FitResult(
+        problem="III", residual_norm=0.1, data_norm=2.0, kept_rank=3, svd_tol=1e-12,
+        coefficients=np.array([1.0, -0.0, 1.0 / 3.0]), singular_values=np.array([3.0, 2.5e-17, 0.0]),
+        rotation_components=rotations, scalar_misfit=np.zeros(2), vector_misfit=np.zeros((2, 3)),
+    )
+    assert fit_result_json(result) == (
+        '{"problem": "III", "residual_norm": 0.10000000000000001, "data_norm": 2, "kept_rank": 3, '
+        '"svd_tol": 9.9999999999999998e-13, "coefficients": [1, -0, 0.33333333333333331], '
+        '"singular_values": [3, 2.4999999999999999e-17, 0]' + tail + '}\n'
+    )
