@@ -219,18 +219,26 @@ def study_config_from(cfg, degrees: tuple[int, ...]) -> StudyConfig:
 # -- output helpers -----------------------------------------------------------------
 
 
+def _check_output(args, *reports: str) -> None:
+    """Refuse, before any work and creating nothing, an --output that is not a
+    directory or that holds one of the named reports (or quadrature.csv under
+    --export-quadrature) without --force."""
+    if os.path.exists(args.output) and not os.path.isdir(args.output):
+        raise CliError(f"--output {args.output} exists and is not a directory")
+    for name in (*reports, "quadrature.csv") if args.export_quadrature else reports:
+        path = os.path.join(args.output, name)
+        if os.path.exists(path) and not args.force:
+            raise CliError(f"refusing to overwrite existing report {path} (use --force)")
+
+
 def _write_reports(args, reports: dict[str, str], quad) -> None:
     """Write each named report, and the quadrature under --export-quadrature,
-    into the --output directory; an existing report is kept unless --force."""
+    into the --output directory that `_check_output` accepted."""
     if args.export_quadrature:
         reports["quadrature.csv"] = quad.to_csv()
     os.makedirs(args.output, exist_ok=True)
-    paths = {os.path.join(args.output, name): content for name, content in reports.items()}
-    for path in paths:
-        if os.path.exists(path) and not args.force:
-            raise CliError(f"refusing to overwrite existing report {path} (use --force)")
-    for path, content in paths.items():
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    for name, content in reports.items():
+        with open(os.path.join(args.output, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
 
 
@@ -340,6 +348,7 @@ def cmd_solve(args) -> int:
         raise CliError(f"[problem] degree must be non-negative, got {degree}")
     config = study_config_from(cfg, (degree,))
     project = _bool(_get(cfg, "problem", "project_tangential", "off"), "[problem] project_tangential")
+    _check_output(args, "fit.json", "misfit.csv")
     try:
         quad, basis, data, _ = prepare(config)
         result = fit(data, basis, quad, svd_tol=config.svd_tol, scalar_weight=config.scalar_weight,
@@ -358,6 +367,7 @@ def cmd_study(args) -> int:
     cfg = _load_config(args)
     degrees = tuple(_int(v, "[problem] degrees") for v in _get(cfg, "problem", "degrees", required=True).split())
     config = study_config_from(cfg, degrees)
+    _check_output(args, "study.csv", "study.json")
     try:
         report = run_study(config)
     except ValueError as exc:

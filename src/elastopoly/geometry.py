@@ -2,9 +2,12 @@
 
 Surfaces are star-shaped about a center and parameterized over the unit
 sphere of directions; quadrature is Gauss-Legendre in cos(theta) crossed with
-the uniform trapezoid rule in phi, with exact analytic surface Jacobians and
-outward normals.  Gauss-Legendre nodes exclude the poles, so the coordinate
-singularity never needs special-casing.
+the uniform trapezoid rule in phi.  Each surface kind supplies only its offset
+x - center and its two analytic parametric tangents x_theta, x_phi (a sphere
+is the ellipsoid with equal semi-axes); one surface element serves every
+kind: outward normal x_theta x x_phi / |x_theta x x_phi| and weight
+w_theta w_phi |x_theta x x_phi| / sin(theta).  Gauss-Legendre nodes exclude
+the poles, so the coordinate singularity never needs special-casing.
 
 The symmetry classification drives the compatibility theory of the third
 boundary value problem: spheres carry a 3-dimensional family of tangential
@@ -15,7 +18,7 @@ those rotations itself (`SurfaceQuadrature.rotation_fields`), once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -28,12 +31,21 @@ _TANGENCY_DROP_TOL = 1e-13
 _AXIS_TANGENCY_TOL = 1e-8  # max |(a x x) . nu| relative to max |a x x| about a symmetry axis a
 
 
+def _check_finite(spec) -> None:
+    """Reject a surface whose fields (center, size, coefficients, axis) hold a non-finite number."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"surface {f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Sphere:
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     radius: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
@@ -44,6 +56,7 @@ class Ellipsoid:
     semi_axes: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        _check_finite(self)
         if not all(a > 0.0 for a in self.semi_axes):
             raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
 
@@ -62,6 +75,7 @@ class StarShaped:
     axis: tuple[float, float, float] | None = None
 
     def __post_init__(self):
+        _check_finite(self)
         for k, s, _ in self.coeffs:
             if k < 0 or not (1 <= s <= 2 * k + 1):
                 raise ValueError(f"invalid harmonic index (k={k}, s={s})")
@@ -75,12 +89,14 @@ SurfaceSpec = Sphere | Ellipsoid | StarShaped
 def radial_function(spec: SurfaceSpec, directions) -> np.ndarray:
     """r(u) (...) for unit directions u (..., 3), measured from the surface's center."""
     u = np.asarray(directions, dtype=float)
-    if isinstance(spec, Sphere):
-        return np.full(u.shape[:-1], spec.radius)
-    if isinstance(spec, Ellipsoid):
-        a, b, c = spec.semi_axes
-        return 1.0 / np.sqrt((u[..., 0] / a) ** 2 + (u[..., 1] / b) ** 2 + (u[..., 2] / c) ** 2)
-    return _star_radius(spec).eval(u)
+    if isinstance(spec, StarShaped):
+        return _star_radius(spec).eval(u)
+    return np.asarray(1.0 / np.linalg.norm(u / _semi_axes(spec), axis=-1))
+
+
+def _semi_axes(spec: Sphere | Ellipsoid) -> np.ndarray:
+    """The semi-axes (3,) of an ellipsoid; a sphere is the ellipsoid (r, r, r)."""
+    return np.full(3, float(spec.radius)) if isinstance(spec, Sphere) else np.asarray(spec.semi_axes, dtype=float)
 
 
 def _star_radius(spec: StarShaped) -> Poly3:
@@ -146,59 +162,31 @@ def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadr
         raise ValueError(f"n_phi must be >= 8, got {n_phi}")
 
     t, wt = np.polynomial.legendre.leggauss(n_theta)
-    sin_theta = np.sqrt(1.0 - t**2)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * np.pi / n_phi
-    cp, sp = np.cos(phi), np.sin(phi)
-
-    # direction grid, theta-major
-    st = np.repeat(sin_theta, n_phi)
-    ct = np.repeat(t, n_phi)
-    cphi = np.tile(cp, n_theta)
-    sphi = np.tile(sp, n_theta)
+    # direction grid u, theta-major, and its angular tangents u_theta, u_phi
+    st, ct = np.repeat(np.sqrt(1.0 - t**2), n_phi), np.repeat(t, n_phi)
+    cphi, sphi = np.tile(np.cos(phi), n_theta), np.tile(np.sin(phi), n_theta)
     u = np.stack([st * cphi, st * sphi, ct], axis=1)
-    w_base = np.repeat(wt, n_phi) * w_phi
-    center = np.asarray(spec.center, dtype=float)
-
-    if isinstance(spec, Sphere):
-        radius = spec.radius
-        points = center + radius * u
-        normals = u.copy()
-        weights = w_base * radius**2
-        return SurfaceQuadrature(spec, points, normals, weights)
-
-    if isinstance(spec, Ellipsoid):
-        a, b, c = spec.semi_axes
-        scaled = u * np.array([a, b, c])
-        points = center + scaled
-        # tangents of (a sin(th) cos(ph), b sin(th) sin(ph), c cos(th))
-        x_th = np.stack([a * ct * cphi, b * ct * sphi, -c * st], axis=1)
-        x_ph = np.stack([-a * st * sphi, b * st * cphi, np.zeros_like(st)], axis=1)
-        cross = np.cross(x_th, x_ph)
-        jac = np.linalg.norm(cross, axis=1)
-        weights = w_base * jac / st
-        grad = scaled / np.array([a**2, b**2, c**2])
-        normals = grad / np.linalg.norm(grad, axis=1)[:, None]
-        return SurfaceQuadrature(spec, points, normals, weights)
-
-    # star-shaped: x = center + r(u) u with analytic dr along the angular tangents
-    radius = _star_radius(spec)
-    vals = batch_eval([radius, *gradient(radius)], u)
-    r, gvals = vals[:, 0], vals[:, 1:]
-    if np.min(r) <= 0.0:
-        raise ValueError(f"radial function must be positive on the sphere (min {np.min(r):.3e})")
     u_th = np.stack([ct * cphi, ct * sphi, -st], axis=1)
     u_ph = np.stack([-st * sphi, st * cphi, np.zeros_like(st)], axis=1)
-    r_th = np.einsum("ni,ni->n", gvals, u_th)
-    r_ph = np.einsum("ni,ni->n", gvals, u_ph)
-    x_th = r_th[:, None] * u + r[:, None] * u_th
-    x_ph = r_ph[:, None] * u + r[:, None] * u_ph
-    cross = np.cross(x_th, x_ph)
+
+    # each kind gives x - center and the parametric tangents x_theta, x_phi
+    if isinstance(spec, StarShaped):  # x = center + r(u) u, with analytic dr along u_theta, u_phi
+        radius = _star_radius(spec)
+        vals = batch_eval([radius, *gradient(radius)], u)
+        r, grad = vals[:, :1], vals[:, 1:]
+        if np.min(r) <= 0.0:
+            raise ValueError(f"radial function must be positive on the sphere (min {np.min(r):.3e})")
+        offset = r * u
+        x_th = np.einsum("ni,ni->n", grad, u_th)[:, None] * u + r * u_th
+        x_ph = np.einsum("ni,ni->n", grad, u_ph)[:, None] * u + r * u_ph
+    else:
+        s = _semi_axes(spec)
+        offset, x_th, x_ph = u * s, u_th * s, u_ph * s
+    cross = np.cross(x_th, x_ph)  # outward, |cross| = area element per d(theta) d(phi)
     jac = np.linalg.norm(cross, axis=1)
-    points = center + r[:, None] * u
-    normals = cross / jac[:, None]
-    weights = w_base * jac / st
-    return SurfaceQuadrature(spec, points, normals, weights)
+    weights = np.repeat(wt, n_phi) * (2.0 * np.pi / n_phi) * jac / st  # d(cos theta) = sin(theta) d(theta)
+    return SurfaceQuadrature(spec, np.asarray(spec.center, dtype=float) + offset, cross / jac[:, None], weights)
 
 
 # -- symmetry classification -----------------------------------------------------
@@ -214,24 +202,16 @@ class SymmetryClass:
 
 
 def classify_symmetry(spec: SurfaceSpec) -> SymmetryClass:
-    if isinstance(spec, Sphere):
+    if isinstance(spec, StarShaped):
+        if spec.axis is None:
+            return SymmetryClass("generic", center=spec.center)
+        axis = np.asarray(spec.axis, dtype=float)
+        return SymmetryClass("axisymmetric", center=spec.center, axis=tuple(axis / np.linalg.norm(axis)))
+    a, b, c = _semi_axes(spec)
+    if a == b == c:
         return SymmetryClass("sphere", center=spec.center)
-    if isinstance(spec, Ellipsoid):
-        a, b, c = spec.semi_axes
-        if a == b == c:
-            return SymmetryClass("sphere", center=spec.center)
-        if a == b:
-            return SymmetryClass("axisymmetric", center=spec.center, axis=(0.0, 0.0, 1.0))
-        if a == c:
-            return SymmetryClass("axisymmetric", center=spec.center, axis=(0.0, 1.0, 0.0))
-        if b == c:
-            return SymmetryClass("axisymmetric", center=spec.center, axis=(1.0, 0.0, 0.0))
-        return SymmetryClass("generic", center=spec.center)
-    if spec.axis is None:
-        return SymmetryClass("generic", center=spec.center)
-    axis = np.asarray(spec.axis, dtype=float)
-    axis = tuple(axis / np.linalg.norm(axis))
-    return SymmetryClass("axisymmetric", center=spec.center, axis=axis)
+    axis = (0.0, 0.0, 1.0) if a == b else (0.0, 1.0, 0.0) if a == c else (1.0, 0.0, 0.0) if b == c else None
+    return SymmetryClass("generic" if axis is None else "axisymmetric", center=spec.center, axis=axis)
 
 
 def tangential_rotation_fields(quad: SurfaceQuadrature) -> list[np.ndarray]:
@@ -247,10 +227,9 @@ def tangential_rotation_fields(quad: SurfaceQuadrature) -> list[np.ndarray]:
     if symmetry.tag == "generic":
         return []
     rel = quad.points - np.asarray(symmetry.center, dtype=float)
-    if symmetry.tag == "sphere":
-        raw = [np.cross(b, rel) for b in np.eye(3)]
-    else:
-        raw = [np.cross(np.asarray(symmetry.axis, dtype=float), rel)]
+    axes = np.eye(3) if symmetry.tag == "sphere" else np.asarray([symmetry.axis], dtype=float)
+    raw = np.cross(axes[:, None], rel)  # the rotation a x (x - center) about each axis a
+    if symmetry.tag == "axisymmetric":
         defect = float(np.max(np.abs(np.einsum("ni,ni->n", raw[0], quad.normals))))
         scale = float(np.max(np.abs(raw[0])))
         if defect > _AXIS_TANGENCY_TOL * scale:

@@ -193,10 +193,9 @@ class Poly3:
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, points):
-        """Evaluate at one point (3,) or a batch (..., 3) of points."""
+        """Evaluate at points (..., 3); returns the shape (...), () for one point (3,)."""
         pts = np.asarray(points, dtype=float)
-        vals = batch_eval([self], pts.reshape(-1, 3))[:, 0]
-        return float(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
+        return batch_eval([self], pts.reshape(-1, 3))[:, 0].reshape(pts.shape[:-1])
 
     __call__ = eval
 

@@ -412,10 +412,9 @@ def compatibility_defect(data: BoundaryData, quad: SurfaceQuadrature) -> list[fl
     return [float(quad.inner(data.vector, g)) for g in _rotations(data.problem, quad)]
 
 
-def evaluate_solution(
-    result: FitResult, basis: ElasticBasis, points
-) -> tuple[np.ndarray, np.ndarray]:
-    """Displacements (M, 3) and stress tensors (M, 3, 3) of the fitted field.
+def evaluate_solution(result: FitResult, basis: ElasticBasis, points) -> tuple[np.ndarray, np.ndarray]:
+    """Displacements (..., 3) and stress tensors (..., 3, 3) of the fitted field
+    at points (..., 3).
 
     The stress is lam (div u) I + mu (grad u + grad u^T), symmetric by
     construction; contracting with a surface normal reproduces the traction
@@ -424,10 +423,11 @@ def evaluate_solution(
     polynomial field and sampled by `_collapse`, as a fit samples its fields
     at the quadrature.
     """
-    disp, g = _collapse(basis, result.coefficients[:, None], np.atleast_2d(np.asarray(points, dtype=float)))
+    pts = np.asarray(points, dtype=float)
+    disp, g = _collapse(basis, result.coefficients[:, None], pts.reshape(-1, 3))
     # Row k is the traction sigma e_k on the plane with normal e_k; sigma is symmetric.
     stress = traction_of_gradient(basis.material, g[0, :, None], np.eye(3))
-    return disp[0], stress
+    return disp[0].reshape(pts.shape), stress.reshape(pts.shape + (3,))
 
 
 def fit_result_json(result: FitResult) -> str:

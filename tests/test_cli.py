@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from elastopoly import harness, solver
 from elastopoly.basis import Material
 from elastopoly.cli import parse_config, run, study_config_from, CliError
 from elastopoly.geometry import Sphere, StarShaped, make_quadrature
@@ -606,6 +607,30 @@ def test_output_path_that_is_a_file_exits_1(tmp_path, capsys, command, degree_ke
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, degree_key, taken", [
+    ("study", "degrees = 2 3", "study.csv"), ("solve", "degree = 3", "misfit.csv"),
+    ("study", "degrees = 2 3", None), ("solve", "degree = 3", None),
+], ids=["study-report", "solve-report", "study-file", "solve-file"])
+def test_unusable_output_exits_1_before_any_fit(tmp_path, monkeypatch, capsys, command, degree_key, taken):
+    # an existing report without --force, or an --output that is a file, is refused before the fit runs
+    out = tmp_path / "out"
+    if taken:
+        out.mkdir()
+        (out / taken).write_text("kept\n")
+    else:
+        out.write_text("kept\n")
+    calls = []
+    monkeypatch.setattr(solver, "fit_degrees", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(harness, "fit_degrees", lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", degree_key))
+    assert run([command, "--config", cfg, "--output", str(out)]) == 1
+    assert calls == []
+    assert str(out) in capsys.readouterr().err
+    assert (out / taken if taken else out).read_text() == "kept\n"
+    if taken:
+        assert os.listdir(out) == [taken]  # no other report written
 
 
 def test_basis_output_that_is_a_directory_exits_1(tmp_path, capsys):

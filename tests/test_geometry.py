@@ -87,6 +87,19 @@ def test_invalid_specs_rejected():
         StarShaped(coeffs=((1, 4, 1.0),))  # s out of 1..2k+1
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: Sphere(center=(0.0, np.nan, 0.0)), "center"),
+    (lambda: Sphere(radius=np.inf), "radius"),
+    (lambda: Ellipsoid(center=(np.inf, 0.0, 0.0)), "center"),
+    (lambda: Ellipsoid(semi_axes=(1.0, np.inf, 1.0)), "semi_axes"),
+    (lambda: StarShaped(coeffs=((0, 1, np.nan),)), "coeffs"),
+    (lambda: StarShaped(axis=(0.0, 0.0, np.nan)), "axis"),
+], ids=["sphere-center", "radius", "ellipsoid-center", "semi_axes", "coeffs", "axis"])
+def test_non_finite_surface_rejected_naming_the_field(make, name):
+    with pytest.raises(ValueError, match=f"^surface {name} must be finite"):
+        make()
+
+
 def test_radial_function_of_ellipsoid():
     spec = Ellipsoid(semi_axes=(1.0, 1.3, 1.7))
     assert radial_function(spec, np.array([[1.0, 0.0, 0.0]]))[0] == pytest.approx(1.0)
@@ -102,7 +115,7 @@ def test_radial_function_broadcasts_leading_axes(spec):
     flat = radial_function(spec, u)
     np.testing.assert_array_equal(radial_function(spec, u.reshape(2, 5, 3)), flat.reshape(2, 5), strict=True)
     single = radial_function(spec, u[0])
-    assert np.shape(single) == ()
+    assert type(single) is np.ndarray and single.shape == ()  # the same for every kind
     np.testing.assert_array_equal(single, radial_function(spec, u[:1])[0])
 
 

@@ -1,12 +1,14 @@
-"""The shared Hooke contraction, III/IV split, single-assembly fit and
-star-surface radius against the formulas they replaced, written out here as
-the reference."""
+"""The shared Hooke contraction, III/IV split, single-assembly fit,
+star-surface radius and surface element against the formulas they replaced,
+written out here as the reference."""
 
 import numpy as np
 import pytest
 
 from elastopoly import (
+    Ellipsoid,
     Material,
+    Sphere,
     StarShaped,
     elastic_basis,
     fit,
@@ -131,3 +133,49 @@ def test_star_radius_matches_per_harmonic_sum(coeffs):
     assert np.max(np.abs(quad.points - points)) <= 1e-13 * np.max(np.abs(points))
     assert np.max(np.abs(quad.normals - cross / jac[:, None])) <= 1e-13
     assert np.allclose(quad.weights, np.repeat(wt, 24) * (2.0 * np.pi / 24) * jac / st, rtol=1e-13, atol=0.0)
+
+
+def old_sphere_or_ellipsoid_quadrature(spec, n_theta, n_phi):
+    """The replaced closed forms: on a sphere normals u and weights w r^2; on
+    an ellipsoid the normalized gradient of sum (x_i / a_i)^2 as the normal."""
+    t, wt = np.polynomial.legendre.leggauss(n_theta)
+    st, ct = np.repeat(np.sqrt(1.0 - t**2), n_phi), np.repeat(t, n_phi)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    cphi, sphi = np.tile(np.cos(phi), n_theta), np.tile(np.sin(phi), n_theta)
+    u = np.stack([st * cphi, st * sphi, ct], axis=1)
+    w_base = np.repeat(wt, n_phi) * (2.0 * np.pi / n_phi)
+    center = np.asarray(spec.center, dtype=float)
+    if isinstance(spec, Sphere):
+        return center + spec.radius * u, u, w_base * spec.radius**2
+    a, b, c = spec.semi_axes
+    scaled = u * np.array([a, b, c])
+    x_th = np.stack([a * ct * cphi, b * ct * sphi, -c * st], axis=1)
+    x_ph = np.stack([-a * st * sphi, b * st * cphi, np.zeros_like(st)], axis=1)
+    weights = w_base * np.linalg.norm(np.cross(x_th, x_ph), axis=1) / st
+    grad = scaled / np.array([a**2, b**2, c**2])
+    return center + scaled, grad / np.linalg.norm(grad, axis=1)[:, None], weights
+
+
+@pytest.mark.parametrize("spec", [
+    Sphere(center=(0.3, -0.2, 0.1), radius=1.7),
+    Ellipsoid(semi_axes=(1.0, 1.0, 1.5)),
+    Ellipsoid(center=(0.1, 0.0, -0.4), semi_axes=(1.0, 1.3, 1.7)),
+], ids=["sphere", "spheroid", "triaxial"])
+@pytest.mark.parametrize("n_theta, n_phi", [(4, 8), (32, 64), (48, 96)])
+def test_surface_element_matches_old_sphere_and_ellipsoid_formulas(spec, n_theta, n_phi):
+    quad = make_quadrature(spec, n_theta, n_phi)
+    points, normals, weights = old_sphere_or_ellipsoid_quadrature(spec, n_theta, n_phi)
+    np.testing.assert_array_equal(quad.points, points)
+    assert np.max(np.abs(quad.normals - normals)) <= 1e-15
+    assert np.max(np.abs(quad.weights - weights) / weights) <= 1e-15
+
+
+def test_surface_element_gives_exact_areas():
+    r = 2.5
+    assert make_quadrature(Sphere(radius=r), 32, 64).area == pytest.approx(4.0 * np.pi * r**2, rel=1e-14, abs=0.0)
+    # prolate spheroid with semi-axes a = a < c: 2 pi a^2 (1 + c / (a e) arcsin e), e^2 = 1 - a^2 / c^2
+    a, c = 1.0, 1.5
+    e = np.sqrt(1.0 - a**2 / c**2)
+    exact = 2.0 * np.pi * a**2 * (1.0 + c / (a * e) * np.arcsin(e))
+    area = make_quadrature(Ellipsoid(semi_axes=(a, a, c)), 32, 64).area
+    assert area == pytest.approx(exact, rel=1e-14, abs=0.0)

@@ -285,6 +285,23 @@ def test_evaluate_solution_of_a_lower_degree_fit(sphere_quad):
     np.testing.assert_array_equal(stress, low_stress)
 
 
+def test_evaluate_solution_keeps_the_leading_shape_of_the_points(sphere_quad):
+    # a (2, 5, 3) batch gives the flat (10, 3) and (10, 3, 3) results reshaped, bitwise;
+    # one (3,) point gives row 0 of a (1, 3) batch
+    data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
+    basis = elastic_basis(M, 2)
+    result = fit(data, basis, sphere_quad)
+    pts = rng.uniform(-0.5, 0.5, size=(10, 3))
+    disp, stress = evaluate_solution(result, basis, pts)
+    batch_disp, batch_stress = evaluate_solution(result, basis, pts.reshape(2, 5, 3))
+    np.testing.assert_array_equal(batch_disp, disp.reshape(2, 5, 3), strict=True)
+    np.testing.assert_array_equal(batch_stress, stress.reshape(2, 5, 3, 3), strict=True)
+    one_disp, one_stress = evaluate_solution(result, basis, pts[0])
+    row_disp, row_stress = evaluate_solution(result, basis, pts[:1])
+    np.testing.assert_array_equal(one_disp, row_disp[0], strict=True)
+    np.testing.assert_array_equal(one_stress, row_stress[0], strict=True)
+
+
 @pytest.mark.parametrize("n_coeffs", [0, 13, 47, 75])
 def test_evaluate_solution_rejects_coefficients_of_no_degree_prefix(n_coeffs):
     basis = elastic_basis(M, 3)
