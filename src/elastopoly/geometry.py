@@ -9,6 +9,13 @@ kind: outward normal x_theta x x_phi / |x_theta x x_phi| and weight
 w_theta w_phi |x_theta x x_phi| / sin(theta).  Gauss-Legendre nodes exclude
 the poles, so the coordinate singularity never needs special-casing.
 
+The coordinate reflections x_j -> -x_j that map a surface onto itself are
+read exactly from its spec (`reflection_axes`), never from samples.  The
+product grid is mirror-symmetric too (the Gauss-Legendre nodes in theta, the
+uniform phi grid), so `make_quadrature` gives each such reflection as a
+sample permutation, `SurfaceQuadrature.reflections`, which the solver uses to
+fold its fits; a hand-built quadrature has none.
+
 The symmetry classification drives the compatibility theory of the third
 boundary value problem: spheres carry a 3-dimensional family of tangential
 rigid rotations, axisymmetric-but-not-spherical surfaces a 1-dimensional one,
@@ -99,6 +106,14 @@ def _semi_axes(spec: Sphere | Ellipsoid) -> np.ndarray:
     return np.full(3, float(spec.radius)) if isinstance(spec, Sphere) else np.asarray(spec.semi_axes, dtype=float)
 
 
+def reflection_axes(spec: SurfaceSpec) -> tuple[int, ...]:
+    """The axes j whose reflection x_j -> -x_j about the origin maps the surface
+    onto itself: center[j] == 0, and for a star surface an even x_j exponent in
+    every term of its radius polynomial."""
+    terms = _star_radius(spec).terms if isinstance(spec, StarShaped) else {}
+    return tuple(j for j in range(3) if spec.center[j] == 0.0 and all(mono[j] % 2 == 0 for mono in terms))
+
+
 def _star_radius(spec: StarShaped) -> Poly3:
     """r(x) = sum of c * h_{k,s}(x) as one polynomial; r(u) is the radius at direction u."""
     return sum((float(c) * solid_harmonics(k)[s - 1] for k, s, c in spec.coeffs), Poly3())
@@ -106,12 +121,16 @@ def _star_radius(spec: StarShaped) -> Poly3:
 
 @dataclass(frozen=True)
 class SurfaceQuadrature:
-    """Samples (point, outward unit normal, weight) approximating surface integrals."""
+    """Samples (point, outward unit normal, weight) approximating surface
+    integrals.  `reflections` pairs each axis j of `reflection_axes` that the
+    grid respects with the sample permutation p of x_j -> -x_j: sample p[n] is
+    the mirror image of sample n, with the mirrored normal and the same weight."""
 
     spec: SurfaceSpec = field(repr=False)
     points: np.ndarray = field(repr=False)
     normals: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    reflections: tuple[tuple[int, np.ndarray], ...] = field(default=(), repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -186,7 +205,13 @@ def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadr
     cross = np.cross(x_th, x_ph)  # outward, |cross| = area element per d(theta) d(phi)
     jac = np.linalg.norm(cross, axis=1)
     weights = np.repeat(wt, n_phi) * (2.0 * np.pi / n_phi) * jac / st  # d(cos theta) = sin(theta) d(theta)
-    return SurfaceQuadrature(spec, np.asarray(spec.center, dtype=float) + offset, cross / jac[:, None], weights)
+
+    # the grid's mirrors: x sends phi to pi - phi (even n_phi only), y phi to -phi, z theta to pi - theta
+    grid, j = np.arange(n_theta * n_phi).reshape(n_theta, n_phi), np.arange(n_phi)
+    mirrors = (grid[:, (n_phi // 2 - j) % n_phi], grid[:, -j % n_phi], grid[::-1])
+    reflections = tuple((a, mirrors[a].reshape(-1)) for a in reflection_axes(spec) if a != 0 or n_phi % 2 == 0)
+    return SurfaceQuadrature(spec, np.asarray(spec.center, dtype=float) + offset, cross / jac[:, None], weights,
+                             reflections)
 
 
 # -- symmetry classification -----------------------------------------------------

@@ -28,6 +28,22 @@ backward stable, so scaling after the QR keeps the guarantee of scaling
 before it.  Truncation only affects the solution below the cutoff; the
 reported residual is always recomputed directly from the fitted field.
 
+A fit is folded by the surface's reflections.  Each basis element has a
+parity under every coordinate reflection x_a -> -x_a, and under the group G
+that the quadrature's `reflections` generate (|G| = 1, 2, 4 or 8) the traces
+of different parity classes are orthogonal in the weighted inner product:
+R is block-diagonal by class.  So each class is fitted on its own, on the
+fundamental domain (one sample per orbit of G, weighted by the whole
+orbit), against the class's part of the data, (1/|G|) sum_g chi(g) D_g
+b(g n) with D_g = diag(1, g) on [scalar; Cartesian vector].  The fit keeps
+one R per class and takes one SVD per class and degree, over the class's
+columns through that degree; the cutoff stays svd_tol times the degree's
+largest singular value over all classes, and the reported singular values
+are all classes' merged in descending order, so the fit is the unfolded
+one up to rounding.  A quadrature without reflections (a generic star, an
+off-center surface, a hand-built quadrature) is the trivial group: one
+class over every sample, the same code.
+
 The trace rows are assembled from the basis in chunks of CHUNK_POINTS
 samples, one degree block at a time through `ElasticBasis.layout`, the
 degree-k elements being columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`).  Each
@@ -36,10 +52,12 @@ sample: the scalar trace, and the vector trace in the sample's orthonormal
 tangent frame (`SurfaceQuadrature.tangents`).  The frames exist only in
 these rows and the matching rows of b; everything a fit reports is
 Cartesian.  The whole trace matrix T (3N, E) is never held: a fit assembles
-one block of whole samples at a time, at most QR_BLOCK_BYTES of [A | b],
-and reduces R <- QR of [R; A[rows] | b[rows]] at once.  The peak footprint
-is the basis and its layout, a few block-sized arrays (the QR input and the
-two working copies `np.linalg.qr` makes of it) and O(E^2) for R.
+the traces of one block of whole domain samples at a time, at most
+QR_BLOCK_BYTES of [A | b] over all classes, copies each class's columns into
+its QR buffer and reduces R <- QR of [R; A[rows] | b[rows]] at once.  The
+peak footprint is the basis and its layout, a few block-sized arrays (the
+assembled block, the class buffers and the two working copies
+`np.linalg.qr` makes of one class's input) and O(E^2 / |G|) for the Rs.
 
 A fitted field is one polynomial, sampled once (`_collapse`): at the
 quadrature, its displacement and traction, split by `split_trace`, give the
@@ -55,7 +73,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import Material, ElasticBasis, degree_columns
+from .basis import Material, ElasticBasis, degree_columns, solid_harmonics
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
 from .operators import KelvinField, RigidDisplacement, traction, traction_of_gradient
@@ -185,11 +203,12 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
 
 
 def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
-                    samples: slice = slice(None)) -> np.ndarray:
+                    samples: slice | np.ndarray = slice(None)) -> np.ndarray:
     """Trace matrix (3m, E) of the basis on the m samples that `samples`
-    selects (every sample by default), three rows per sample.
+    selects, a slice or an index array (every sample by default), three rows
+    per sample.
 
-    Rows 3n, 3n + 1 and 3n + 2 hold the traces at the range's sample n: the
+    Rows 3n, 3n + 1 and 3n + 2 hold the traces at the selection's sample n: the
     scalar trace, then full . e_a in the sample's tangent frame
     e_a = quad.tangents[n, a], with full the traction (III) or displacement
     (IV); as e_a is tangent, no projection is needed.  These frame rows are
@@ -281,6 +300,65 @@ def check_tangential(vector: np.ndarray, quad: SurfaceQuadrature, what: str) -> 
         )
 
 
+def _parities(basis: ElasticBasis) -> np.ndarray:
+    """Signs (E, 3): under x_a -> -x_a each element v maps to itself times
+    parities[e, a], g v(g x) = parities[e, a] v(x).  The element of row i on
+    the harmonic omega, delta_ij omega + Lambda_k |x|^2 d_i d_j omega in its
+    component j, has omega's x_a parity (every term of omega has it), with
+    one more sign when a = i."""
+    signs = []
+    for el in basis:
+        mono = next(iter(solid_harmonics(el.degree)[el.harmonic_index - 1].terms))
+        signs.append([(-1) ** (mono[a] + (a == el.row - 1)) for a in range(3)])
+    return np.array(signs, dtype=float)
+
+
+def _parity_classes(basis: ElasticBasis, quad: SurfaceQuadrature):
+    """The reflection group G of the quadrature and the basis columns by parity class.
+
+    Returns each element g's sample permutation (|G|, N) and axis signs
+    (|G|, 3), the classes' characters (C, |G|), chi(g) the sign of the
+    class's elements under g, and each class's columns in basis order.  The
+    trivial group is one class of every column.
+    """
+    perms, signs = [np.arange(quad.n_samples)], [np.ones(3)]
+    for axis, perm in quad.reflections:
+        flip = np.where(np.arange(3) == axis, -1.0, 1.0)
+        perms, signs = perms + [perm[p] for p in perms], signs + [s * flip for s in signs]
+    signs = np.array(signs)
+    chars = np.prod(np.where(signs < 0.0, _parities(basis)[:, None], 1.0), axis=2)  # (E, |G|)
+    classes, label = np.unique(chars, axis=0, return_inverse=True)
+    return np.array(perms), signs, classes, [np.flatnonzero(label.reshape(-1) == c) for c in range(len(classes))]
+
+
+def _class_factors(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature, domain: np.ndarray,
+                   row_weights: np.ndarray, b: np.ndarray, columns: list[np.ndarray]) -> list[np.ndarray]:
+    """R (n_c + 1, n_c + 1) of each class's [A | b], A = row_weights * T[:, columns[c]]
+    on the domain samples, reduced as R <- qr([R; A[rows] | b[rows]]) over
+    blocks of whole samples.  Each block's traces are assembled once for
+    every class; a class with fewer rows than columns gets zero rows."""
+    m = len(domain)
+    block_samples = max(1, QR_BLOCK_BYTES // (8 * 3 * (len(basis) + 1)))
+    buffers = [np.empty((len(cols) + 1 + 3 * min(block_samples, m), len(cols) + 1)) for cols in columns]
+    r_rows = [0] * len(columns)
+    for start in range(0, m, block_samples):
+        rows = slice(3 * start, 3 * min(start + block_samples, m))
+        traces = assemble_traces(problem, basis, quad, domain[start:start + block_samples])
+        for cols, ab, top, b_class in zip(columns, buffers, r_rows, b):
+            new = ab[top:top + len(traces)]
+            np.multiply(row_weights[rows, None], traces[:, cols], out=new[:, :-1])
+            new[:, -1] = b_class[rows]
+        new_rows = len(traces)
+        del traces  # freed before the QRs, which make two working copies of their input
+        for c, ab in enumerate(buffers):
+            r = np.linalg.qr(ab[:r_rows[c] + new_rows], mode="r")
+            r_rows[c] = len(r)
+            ab[:len(r)] = r
+    for ab, top in zip(buffers, r_rows):
+        ab[top:ab.shape[1]] = 0.0
+    return [ab[:ab.shape[1]] for ab in buffers]
+
+
 def fit_degrees(
     data: BoundaryData,
     basis: ElasticBasis,
@@ -303,8 +381,10 @@ def fit_degrees(
     fails `check_tangential` is rejected unless project_tangential drops that
     part; a normal part that passes counts in the residual and data norm.
     A fit with fewer than 3(k+1)^2 rows (3 per sample) is refused.  Only the
-    basis through max(degrees) is assembled, in blocks of whole samples each
-    reduced into R at once; tangent frames appear only in these rows and b.
+    basis through max(degrees) is assembled, on the fundamental domain of the
+    quadrature's reflections, in blocks of whole samples each reduced into
+    one R per parity class at once; tangent frames appear only in these rows
+    and b.
     Reports are Cartesian: each degree's fitted field is sampled once
     (`_collapse`) and split by `split_trace`.  The misfits are against the
     data as given, the residual and data norm weighted norms against the
@@ -325,49 +405,58 @@ def fit_degrees(
     if not project_tangential:
         check_tangential(data.vector, quad, _DATA_NAMES[data.problem][1])
     basis = basis.prefix(max(degrees))
+    perms, signs, chars, columns = _parity_classes(basis, quad)
 
     # The long-lived arrays (the target, the weighted data rows and the QR
-    # buffer) come first: allocated among the block temporaries below, they
+    # buffers) come first: allocated among the block temporaries below, they
     # would keep freed heap from the system.
     target = data.vector
     if project_tangential:
         target = target - _dot(target, quad.normals)[:, None] * quad.normals
     sqrt_weight = np.sqrt(scalar_weight)
     data_norm = float(np.hypot(sqrt_weight * quad.norm(data.scalar), quad.norm(target)))
-    # sample n's rows 3n, 3n + 1, 3n + 2: the scalar, then the frame components
-    row_weights = (np.sqrt(quad.weights)[:, None] * [sqrt_weight, 1.0, 1.0]).reshape(-1)
-    b = row_weights * np.column_stack([data.scalar, np.einsum("nj,naj->na", data.vector, quad.tangents)]).reshape(-1)
+    # The fundamental domain: one sample per orbit of G, weighted by its orbit.
+    representative = perms.min(axis=0)
+    domain = np.flatnonzero(representative == np.arange(n))
+    weights = np.bincount(representative, weights=quad.weights)[domain]
+    # Each class's part of the data, (1/|G|) sum_g chi(g) D_g [scalar; vector](g n)
+    # on the domain, then sample n's rows 3n, 3n + 1, 3n + 2: the scalar and
+    # the vector in the sample's tangent frame.
+    mirrored = np.concatenate([data.scalar[perms[:, domain], None], data.vector[perms[:, domain]] * signs[:, None]],
+                              axis=2)
+    parts = np.einsum("cg,gmk->cmk", chars, mirrored) / len(perms)
+    row_weights = (np.sqrt(weights)[:, None] * [sqrt_weight, 1.0, 1.0]).reshape(-1)
+    b = row_weights * np.concatenate(
+        [parts[..., :1], np.einsum("cmj,maj->cma", parts[..., 1:], quad.tangents[domain])], axis=2
+    ).reshape(len(chars), -1)
 
-    # R <- qr([R; A[rows] | b[rows]]) over blocks of whole samples, A = row_weights * T.
     # Elements are ordered by degree, so with D = diag(scales) every degree's
-    # scaled matrix is a column prefix: A[:, :n] D^-1 = Q_n R[:n, :n] D^-1 and
-    # Q_n^T b = R[:n, -1].
-    n_fields = len(basis)
-    block_samples = max(1, QR_BLOCK_BYTES // (8 * 3 * (n_fields + 1)))
-    ab = np.empty((n_fields + 1 + 3 * min(block_samples, n), n_fields + 1))
-    r_rows = 0
-    for start in range(0, n, block_samples):
-        stop = min(start + block_samples, n)
-        rows = slice(3 * start, 3 * stop)
-        new = ab[r_rows:r_rows + 3 * (stop - start)]
-        np.multiply(row_weights[rows, None], assemble_traces(data.problem, basis, quad, slice(start, stop)),
-                    out=new[:, :n_fields])
-        new[:, -1] = b[rows]
-        r = np.linalg.qr(ab[:r_rows + len(new)], mode="r")
-        r_rows = len(r)
-        ab[:r_rows] = r
-    col_norms = np.linalg.norm(r[:, :n_fields], axis=0)
-    scales = np.where(col_norms > 0.0, col_norms, 1.0)
-
+    # scaled matrix is a column prefix of its class's: A[:, :n] D^-1 =
+    # Q_n R[:n, :n] D^-1 and Q_n^T b = R[:n, -1].  One SVD per class and
+    # degree; the cutoff is relative to the degree's largest singular value.
+    factors = _class_factors(data.problem, basis, quad, domain, row_weights, b, columns)
+    scales = np.empty(len(basis))
+    for cols, r in zip(columns, factors):
+        col_norms = np.linalg.norm(r[:, :-1], axis=0)
+        scales[cols] = np.where(col_norms > 0.0, col_norms, 1.0)
     sizes = [degree_columns(degree).stop for degree in degrees]
     coefficients = np.zeros((max(sizes), len(degrees)))
     solves = []
     for d, size in enumerate(sizes):
-        u_svd, sigma, vt = np.linalg.svd(r[:size, :size] / scales[:size], full_matrices=False)
-        keep = (sigma > 0.0) & (sigma >= svd_tol * np.max(sigma, initial=0.0))
-        inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
-        coefficients[:size, d] = (vt.T @ (inv * (u_svd.T @ r[:size, -1]))) / scales[:size]
-        solves.append((int(np.count_nonzero(keep)), sigma))
+        svds = []
+        for cols, r in zip(columns, factors):
+            cols = cols[:np.searchsorted(cols, size)]
+            if len(cols):
+                svds.append((cols, r[:len(cols), -1],
+                             *np.linalg.svd(r[:len(cols), :len(cols)] / scales[cols], full_matrices=False)))
+        sigma_max = max(np.max(sigma, initial=0.0) for *_, sigma, _ in svds)
+        kept = 0
+        for cols, qtb, u_svd, sigma, vt in svds:
+            keep = (sigma > 0.0) & (sigma >= svd_tol * sigma_max)
+            inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
+            coefficients[cols, d] = (vt.T @ (inv * (u_svd.T @ qtb))) / scales[cols]
+            kept += int(np.count_nonzero(keep))
+        solves.append((kept, np.sort(np.concatenate([svd[3] for svd in svds]), kind="stable")[::-1]))
 
     disp, grads = _collapse(basis, coefficients, quad.points)
     t = traction_of_gradient(basis.material, grads, quad.normals)

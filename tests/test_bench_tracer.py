@@ -33,7 +33,8 @@ def test_every_tracer_target_resolves():
 
 def test_fit_calls_svd_through_solver_numpy(monkeypatch):
     # the tracer counts SVDs by swapping the `np` that elastopoly.solver holds;
-    # the QR of [A | b] goes through it too, and the SVD sees only the R block
+    # the QR of [A | b] goes through it too, and the SVD sees only the R block.
+    # Off the origin no reflection fixes the sphere, so the fit is one class.
     from elastopoly import BoundaryData, Material, Sphere, elastic_basis, fit, make_quadrature
 
     tracer = load_tracer()
@@ -48,16 +49,28 @@ def test_fit_calls_svd_through_solver_numpy(monkeypatch):
 
     linalg = tracer._Proxy(np.linalg, svd=recorder("svd", np.linalg.svd), qr=recorder("qr", np.linalg.qr))
     monkeypatch.setattr(solver, "np", tracer._Proxy(np, linalg=linalg))
-    quad = make_quadrature(Sphere(), 8, 16)
+    quad = make_quadrature(Sphere(center=(0.1, 0.2, 0.3)), 8, 16)
     data = BoundaryData("IV", np.ones(quad.n_samples), np.zeros((quad.n_samples, 3)))
-    fit(data, elastic_basis(Material(1.0, 1.0), 1), quad)
+    basis = elastic_basis(Material(1.0, 1.0), 1)
+    fit(data, basis, quad)
     assert calls == [("qr", (3 * quad.n_samples, 13)), ("svd", (12, 12))]
+
+    # At the origin x, y and z fix the sphere: one QR and one SVD per parity
+    # class, on the 20 domain samples (4 theta rows x 5 phi orbits), whose
+    # class widths sum to the 12 fields, each with its own b column.
+    calls.clear()
+    fit(data, basis, make_quadrature(Sphere(), 8, 16))
+    qrs = [shape for name, shape in calls if name == "qr"]
+    assert len(qrs) > 1 and all(rows == 3 * 20 for rows, _ in qrs)
+    assert sum(width - 1 for _, width in qrs) == len(basis)
+    assert [shape for name, shape in calls if name == "svd"] == [(width - 1, width - 1) for _, width in qrs]
 
 
 def test_fit_reduces_r_over_row_blocks_of_bounded_size(monkeypatch):
     # 3N (E + 1) floats exceed QR_BLOCK_BYTES here, so the QR is reduced over row
     # blocks: every QR input holds at most one block of new rows plus R, and
-    # every row of [A | b] enters exactly once
+    # every row of [A | b] enters exactly once (one class: no reflection fixes
+    # the sphere off the origin)
     from elastopoly import BoundaryData, Material, Sphere, elastic_basis, fit, make_quadrature
 
     tracer = load_tracer()
@@ -69,7 +82,7 @@ def test_fit_reduces_r_over_row_blocks_of_bounded_size(monkeypatch):
         return np.linalg.qr(ab, mode=mode)
 
     monkeypatch.setattr(solver, "np", tracer._Proxy(np, linalg=tracer._Proxy(np.linalg, qr=qr)))
-    quad = make_quadrature(Sphere(), 48, 96)
+    quad = make_quadrature(Sphere(center=(0.1, 0.2, 0.3)), 48, 96)
     basis = elastic_basis(Material(1.0, 1.0), 7)
     rows, width = 3 * quad.n_samples, len(basis) + 1
     assert rows * width * 8 > solver.QR_BLOCK_BYTES

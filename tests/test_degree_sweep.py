@@ -2,7 +2,9 @@
 per-degree SVD of the R prefix) against the direct fit it replaced, written
 out here as the reference: per degree, assemble the degree-k traces and take
 the truncated SVD of the whole weighted, column-scaled matrix.  The row-block
-reduction is also checked against one QR of the whole matrix."""
+reduction, and the fold of a fit by the surface's reflections (one R per
+parity class, on the fundamental domain), are also checked against one QR of
+the whole matrix."""
 
 import dataclasses
 
@@ -15,6 +17,7 @@ from elastopoly import (
     Material,
     RotationSource,
     Sphere,
+    StarShaped,
     StudyConfig,
     elastic_basis,
     fit,
@@ -36,6 +39,12 @@ SURFACES = {
     "triaxial": Ellipsoid(semi_axes=(1.0, 1.3, 1.7)),
 }
 POLES = {"sphere": (0.4, -0.3, 3.0), "spheroid": (0.4, -0.3, 4.5), "triaxial": (0.4, -0.3, 5.1)}
+# off the origin no coordinate reflection fixes a surface, so these fits take
+# one class over every sample: the row-block streaming in its plain form
+OFF_CENTER = {
+    "sphere": Sphere(center=(0.1, 0.2, 0.3)),
+    "triaxial": Ellipsoid(center=(0.1, 0.2, 0.3), semi_axes=(1.0, 1.3, 1.7)),
+}
 
 
 def direct_fit(problem, data, quad, degree, gammas, svd_tol=1e-12):
@@ -93,9 +102,9 @@ def test_sweep_matches_direct_fit(surface, problem, source):
 
 
 def single_qr_fits(data, basis, quad, degrees, svd_tol=1e-12):
-    """Kept rank, residual and coefficients per degree from one QR of the whole
-    weighted, column-scaled [A | b]: the factorization before it was split
-    into row blocks."""
+    """Kept rank, residual, coefficients and singular values per degree from
+    one QR of the whole weighted, column-scaled [A | b] over every sample: the
+    factorization before it was split into row blocks and parity classes."""
     scalar, vector = cartesian_traces(assemble_traces(data.problem, basis, quad), quad)
     sw = np.sqrt(quad.weights)
     a = np.concatenate([sw, np.repeat(sw, 3)])[:, None] * np.vstack([scalar, vector.reshape(-1, scalar.shape[1])])
@@ -108,7 +117,7 @@ def single_qr_fits(data, basis, quad, degrees, svd_tol=1e-12):
         u, sigma, vt = np.linalg.svd(r[:n, :n])
         keep = sigma >= svd_tol * sigma[0]
         c = (vt.T[:, keep] @ ((u.T[keep] @ r[:n, -1]) / sigma[keep])) / scales[:n]
-        fits.append((int(np.count_nonzero(keep)), float(np.linalg.norm(a[:, :n] @ c - b)), c))
+        fits.append((int(np.count_nonzero(keep)), float(np.linalg.norm(a[:, :n] @ c - b)), c, sigma))
     return fits
 
 
@@ -119,7 +128,7 @@ def single_qr_fits(data, basis, quad, degrees, svd_tol=1e-12):
 @pytest.mark.parametrize("problem", ["III", "IV"])
 @pytest.mark.parametrize("surface", ["sphere", "triaxial"])
 def test_row_block_qr_matches_one_qr_of_the_whole_matrix(monkeypatch, surface, problem, block_rows):
-    quad = make_quadrature(SURFACES[surface], 8, 22)
+    quad = make_quadrature(OFF_CENTER[surface], 8, 22)
     basis = elastic_basis(M, 4)
     data, _ = kelvin_data(M, quad, POLES[surface], 1, problem)
     degrees = tuple(range(5))
@@ -136,7 +145,7 @@ def test_row_block_qr_matches_one_qr_of_the_whole_matrix(monkeypatch, surface, p
     results = fit_degrees(data, basis, quad, degrees)
     assert len(qr_rows) == -(-quad.n_samples // max(1, block_rows // 3)) >= 4
 
-    for degree, result, (rank, residual, coeffs) in zip(degrees, results, reference):
+    for degree, result, (rank, residual, coeffs, _) in zip(degrees, results, reference):
         assert result.kept_rank == rank, degree
         assert abs(result.residual_norm - residual) <= 1e-12 * result.data_norm, degree
         assert np.linalg.norm(result.coefficients - coeffs) <= 1e-12 * np.linalg.norm(coeffs), degree
@@ -147,7 +156,7 @@ def test_fit_never_holds_the_whole_trace_matrix(monkeypatch):
     # fit's traced peak stays below the 3N x E floats of the trace matrix
     import tracemalloc
 
-    quad = make_quadrature(SURFACES["sphere"], 48, 96)
+    quad = make_quadrature(OFF_CENTER["sphere"], 48, 96)
     basis = elastic_basis(M, 7)
     data, _ = kelvin_data(M, quad, POLES["sphere"], 1, "IV")
     monkeypatch.setattr(solver, "QR_BLOCK_BYTES", 1 << 20)
@@ -159,6 +168,67 @@ def test_fit_never_holds_the_whole_trace_matrix(monkeypatch):
         tracemalloc.stop()
     assert result.kept_rank == len(basis)
     assert peak < 3 * quad.n_samples * len(basis) * 8
+
+
+STARS = {
+    "star_x": StarShaped(coeffs=((0, 1, 1.0), (2, 3, 0.15))),  # fixed by x -> -x alone
+    "star_generic": StarShaped(coeffs=((0, 1, 1.0), (2, 2, 0.1), (2, 3, 0.15))),  # by no reflection
+}
+FOLD_CASES = [("sphere", "III", "rotation"), ("spheroid", "IV", "kelvin"), ("triaxial", "III", "kelvin"),
+              ("star_x", "IV", "kelvin"), ("star_generic", "III", "kelvin")]
+
+
+def fold_case(surface, problem, source, n_theta, n_phi, degree):
+    quad = make_quadrature({**SURFACES, **STARS}[surface], n_theta, n_phi)
+    if source == "kelvin":
+        data, _ = kelvin_data(M, quad, POLES.get(surface, (0.4, -0.3, 5.1)), 1, problem)
+    else:
+        data = BoundaryData(problem, np.zeros(quad.n_samples), quad.rotation_fields[0])
+    degrees = tuple(range(degree + 1))
+    basis = elastic_basis(M, degree)
+    return fit_degrees(data, basis, quad, degrees), single_qr_fits(data, basis, quad, degrees)
+
+
+# 16 x 32 at K = 8, and 5 x 9 (odd n_theta: z fixes the equator row; odd n_phi:
+# no x reflection) at K = 5, the largest degree its 135 rows admit
+@pytest.mark.parametrize("n_theta, n_phi, degree", [(16, 32, 8), (5, 9, 5)])
+@pytest.mark.parametrize("surface, problem, source", FOLD_CASES)
+def test_folded_fit_matches_one_qr_of_the_whole_matrix(surface, problem, source, n_theta, n_phi, degree):
+    results, reference = fold_case(surface, problem, source, n_theta, n_phi, degree)
+    for k, result, (rank, residual, coeffs, sigma) in zip(range(degree + 1), results, reference):
+        assert result.kept_rank == rank, k
+        assert abs(result.residual_norm - residual) <= 1e-12 * result.data_norm, k
+        # rotation data has the exact solution 0: both sides are rounding noise
+        scale = 1.0 if source == "rotation" else np.linalg.norm(coeffs)
+        assert np.linalg.norm(result.coefficients - coeffs) <= 1e-12 * scale, k
+        # the classes' singular values, merged, are the global list in descending order
+        assert np.all(np.diff(result.singular_values) <= 0.0)
+        np.testing.assert_allclose(result.singular_values, sigma, rtol=0.0, atol=1e-13 * sigma[0])
+    if (source, n_theta) == ("rotation", 16):
+        assert results[-1].kept_rank == 240  # of 243: the sphere's three rotations are not fitted
+
+
+@pytest.mark.parametrize("surface, problem, source", FOLD_CASES)
+def test_folded_fit_at_the_row_limit_keeps_the_rank_of_one_qr(surface, problem, source):
+    # 5 x 10 at K = 6: 150 rows for 147 columns.  The x-only star's domain has
+    # 25 samples (75 rows) for a class of 77 columns, whose R is padded with
+    # zero rows.  Near the row limit the kept columns are badly conditioned:
+    # even the generic star's fit, which does not fold, and one QR differ in
+    # the coefficients beyond 1e-12, so only ranks and residuals are compared.
+    # The spheroid IV fit keeps columns whose traces nearly vanish, with
+    # coefficients near 1e10, so its residual is cancellation noise on every
+    # path (unfolded, it differs from one QR's by about 1e-5 of the data
+    # norm); only its rank is compared.
+    results, reference = fold_case(surface, problem, source, 5, 10, 6)
+    for k, result, (rank, residual, _, _) in zip(range(7), results, reference):
+        assert result.kept_rank == rank, k
+        if surface != "spheroid":
+            assert abs(result.residual_norm - residual) <= 1e-12 * result.data_norm, k
+    if surface == "star_x":
+        quad = make_quadrature(STARS[surface], 5, 10)
+        perms, _, _, columns = solver._parity_classes(elastic_basis(M, 6), quad)
+        domain = np.unique(perms.min(axis=0))
+        assert len(domain) == 25 and max(len(cols) for cols in columns) == 77
 
 
 def test_fit_assembles_only_the_degrees_it_fits(monkeypatch):

@@ -10,6 +10,7 @@ from elastopoly import (
     make_quadrature,
     radial_function,
 )
+from elastopoly.geometry import reflection_axes
 from elastopoly.polyalg import Poly3
 
 BUMPY = StarShaped(coeffs=((0, 1, 1.0), (2, 2, 0.15), (3, 4, 0.1)))
@@ -148,6 +149,49 @@ def test_tangent_frames_are_orthonormal_and_right_handed(quad):
     rebuilt = SurfaceQuadrature(quad.spec, quad.points.copy(), nu.copy(), quad.weights.copy())
     assert np.array_equal(rebuilt.tangents, frames)
     assert quad.tangents is frames  # computed once
+
+
+# -- reflections ---------------------------------------------------------------------
+
+
+STAR_X = StarShaped(coeffs=((0, 1, 1.0), (2, 3, 0.15)))
+STAR_GENERIC = StarShaped(coeffs=((0, 1, 1.0), (2, 2, 0.1), (2, 3, 0.15)))
+
+
+@pytest.mark.parametrize("spec, n_theta, n_phi, axes", [
+    (Sphere(), 32, 64, (0, 1, 2)),
+    (Ellipsoid(semi_axes=(1.0, 1.0, 1.5)), 48, 96, (0, 1, 2)),
+    (Ellipsoid(semi_axes=(1.0, 1.3, 1.7)), 32, 64, (0, 1, 2)),
+    (Ellipsoid(center=(0.1, 0.0, 0.0), semi_axes=(1.0, 1.3, 1.7)), 32, 64, (1, 2)),
+    (Sphere(), 5, 9, (1, 2)),  # odd n_phi: phi -> pi - phi is not on the grid
+    (Ellipsoid(semi_axes=(1.0, 1.3, 1.7)), 7, 33, (1, 2)),
+    (STAR_X, 24, 48, (0,)),
+    (STAR_X, 24, 49, ()),
+    (STAR_GENERIC, 24, 48, ()),
+], ids=["sphere", "spheroid", "triaxial", "off-center", "sphere-odd-phi", "triaxial-odd-phi",
+        "star-x", "star-x-odd-phi", "star-generic"])
+def test_reflections_of_each_surface_and_their_sample_permutations(spec, n_theta, n_phi, axes):
+    quad = make_quadrature(spec, n_theta, n_phi)
+    assert tuple(axis for axis, _ in quad.reflections) == axes
+    for axis, perm in quad.reflections:
+        flip = np.where(np.arange(3) == axis, -1.0, 1.0)
+        assert np.array_equal(np.sort(perm), np.arange(quad.n_samples))
+        assert np.array_equal(perm[perm], np.arange(quad.n_samples))
+        assert np.max(np.abs(quad.points[perm] - flip * quad.points)) <= 1e-13
+        assert np.max(np.abs(quad.normals[perm] - flip * quad.normals)) <= 1e-13
+        assert np.max(np.abs(quad.weights[perm] / quad.weights - 1.0)) <= 1e-13
+
+
+def test_reflection_axes_are_read_from_the_spec():
+    assert reflection_axes(Sphere(center=(0.0, 2.0, 0.0))) == (0, 2)
+    assert reflection_axes(STAR_X) == (0,)  # h_{2,3} is even in x, odd in y and z
+    assert reflection_axes(StarShaped(center=(0.5, 0.0, 0.0), coeffs=((0, 1, 1.0), (2, 1, 0.1)))) == (1, 2)
+    assert reflection_axes(STAR_GENERIC) == ()
+
+
+def test_hand_built_quadrature_has_no_reflections():
+    quad = SurfaceQuadrature(Sphere(), AXIS_NORMALS, AXIS_NORMALS, np.ones(6))
+    assert quad.reflections == ()
 
 
 # -- symmetry classification -------------------------------------------------------
