@@ -14,7 +14,6 @@ from .geometry import (
     Sphere,
     StarShaped,
     SurfaceQuadrature,
-    SymmetryClass,
     classify_symmetry,
     make_quadrature,
     radial_function,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisElement", "ElasticBasis", "Material", "elastic_basis", "lambda_coeff", "solid_harmonics",
-    "Ellipsoid", "Sphere", "StarShaped", "SurfaceQuadrature", "SymmetryClass",
+    "Ellipsoid", "Sphere", "StarShaped", "SurfaceQuadrature",
     "classify_symmetry", "make_quadrature", "radial_function", "tangential_rotation_fields",
     "BasisElementSource", "CsvSource", "KelvinSource", "RotationSource",
     "StudyConfig", "StudyReport", "StudyRow",

@@ -9,18 +9,17 @@ kind: outward normal x_theta x x_phi / |x_theta x x_phi| and weight
 w_theta w_phi |x_theta x x_phi| / sin(theta).  Gauss-Legendre nodes exclude
 the poles, so the coordinate singularity never needs special-casing.
 
-The coordinate reflections x_j -> -x_j that map a surface onto itself are
-read exactly from its spec (`reflection_axes`), never from samples.  The
-product grid is mirror-symmetric too (the Gauss-Legendre nodes in theta, the
-uniform phi grid), so `make_quadrature` gives each such reflection as a
-sample permutation, `SurfaceQuadrature.reflections`, which the solver uses to
-fold its fits; a hand-built quadrature has none.
-
-The symmetry classification drives the compatibility theory of the third
-boundary value problem: spheres carry a 3-dimensional family of tangential
-rigid rotations, axisymmetric-but-not-spherical surfaces a 1-dimensional one,
-and generic surfaces none.  A quadrature knows its surface, so it samples
-those rotations itself (`SurfaceQuadrature.rotation_fields`), once.
+A surface's symmetry is read exactly from its spec, never from samples, by
+`classify_symmetry`: the axes of its tangential rigid rotations about its
+center (three on a sphere, the axis of revolution of an axisymmetric surface,
+none on a generic one), which drive the compatibility theory of the third
+boundary value problem, and the coordinate reflections x_j -> -x_j that map
+it onto itself.  A quadrature knows its surface, so it samples those
+rotations itself (`SurfaceQuadrature.rotation_fields`), once.  The product
+grid is mirror-symmetric too (the Gauss-Legendre nodes in theta, the uniform
+phi grid), so `make_quadrature` gives each reflection as a sample
+permutation, `SurfaceQuadrature.reflections`, which the solver uses to fold
+its fits; a hand-built quadrature has none.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .ioutil import csv_lines
 from .polyalg import Poly3, batch_eval, gradient
 from .basis import solid_harmonics
 
-_TANGENCY_DROP_TOL = 1e-13
+_TANGENCY_DROP_TOL = 1e-13  # drop a rotation left with this fraction of its norm by orthogonalization
 _AXIS_TANGENCY_TOL = 1e-8  # max |(a x x) . nu| relative to max |a x x| about a symmetry axis a
 
 
@@ -106,14 +105,6 @@ def _semi_axes(spec: Sphere | Ellipsoid) -> np.ndarray:
     return np.full(3, float(spec.radius)) if isinstance(spec, Sphere) else np.asarray(spec.semi_axes, dtype=float)
 
 
-def reflection_axes(spec: SurfaceSpec) -> tuple[int, ...]:
-    """The axes j whose reflection x_j -> -x_j about the origin maps the surface
-    onto itself: center[j] == 0, and for a star surface an even x_j exponent in
-    every term of its radius polynomial."""
-    terms = _star_radius(spec).terms if isinstance(spec, StarShaped) else {}
-    return tuple(j for j in range(3) if spec.center[j] == 0.0 and all(mono[j] % 2 == 0 for mono in terms))
-
-
 def _star_radius(spec: StarShaped) -> Poly3:
     """r(x) = sum of c * h_{k,s}(x) as one polynomial; r(u) is the radius at direction u."""
     return sum((float(c) * solid_harmonics(k)[s - 1] for k, s, c in spec.coeffs), Poly3())
@@ -122,9 +113,10 @@ def _star_radius(spec: StarShaped) -> Poly3:
 @dataclass(frozen=True)
 class SurfaceQuadrature:
     """Samples (point, outward unit normal, weight) approximating surface
-    integrals.  `reflections` pairs each axis j of `reflection_axes` that the
-    grid respects with the sample permutation p of x_j -> -x_j: sample p[n] is
-    the mirror image of sample n, with the mirrored normal and the same weight."""
+    integrals.  `reflections` pairs each reflection axis j of the surface's
+    `classify_symmetry` that the grid respects with the sample permutation p
+    of x_j -> -x_j: sample p[n] is the mirror image of sample n, with the
+    mirrored normal and the same weight."""
 
     spec: SurfaceSpec = field(repr=False)
     points: np.ndarray = field(repr=False)
@@ -209,34 +201,40 @@ def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadr
     # the grid's mirrors: x sends phi to pi - phi (even n_phi only), y phi to -phi, z theta to pi - theta
     grid, j = np.arange(n_theta * n_phi).reshape(n_theta, n_phi), np.arange(n_phi)
     mirrors = (grid[:, (n_phi // 2 - j) % n_phi], grid[:, -j % n_phi], grid[::-1])
-    reflections = tuple((a, mirrors[a].reshape(-1)) for a in reflection_axes(spec) if a != 0 or n_phi % 2 == 0)
+    axes = classify_symmetry(spec).reflection_axes
+    reflections = tuple((a, mirrors[a].reshape(-1)) for a in axes if a != 0 or n_phi % 2 == 0)
     return SurfaceQuadrature(spec, np.asarray(spec.center, dtype=float) + offset, cross / jac[:, None], weights,
                              reflections)
 
 
-# -- symmetry classification -----------------------------------------------------
+# -- symmetry ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SymmetryClass:
-    """Trichotomy sphere / axisymmetric / generic with its rotation data."""
+class Symmetry:
+    """A surface's symmetry, as `classify_symmetry` reads it from the spec."""
 
-    tag: str  # "sphere" | "axisymmetric" | "generic"
-    center: tuple[float, float, float] | None = None
-    axis: tuple[float, float, float] | None = None
+    rotation_axes: np.ndarray  # (r, 3) unit axes of the tangential rigid rotations about the center
+    reflection_axes: tuple[int, ...]  # the axes j whose reflection x_j -> -x_j about the origin fixes the surface
 
 
-def classify_symmetry(spec: SurfaceSpec) -> SymmetryClass:
+def classify_symmetry(spec: SurfaceSpec) -> Symmetry:
+    """The symmetry of a surface, read exactly from its spec.
+
+    Rotation axes: the coordinate axes on a sphere or an ellipsoid with equal
+    semi-axes, the axis of the distinct semi-axis on a spheroid, a star
+    surface's declared axis (normalized), none otherwise.  Reflections:
+    center[j] == 0, and for a star surface an even x_j exponent in every term
+    of its radius polynomial.
+    """
     if isinstance(spec, StarShaped):
-        if spec.axis is None:
-            return SymmetryClass("generic", center=spec.center)
-        axis = np.asarray(spec.axis, dtype=float)
-        return SymmetryClass("axisymmetric", center=spec.center, axis=tuple(axis / np.linalg.norm(axis)))
-    a, b, c = _semi_axes(spec)
-    if a == b == c:
-        return SymmetryClass("sphere", center=spec.center)
-    axis = (0.0, 0.0, 1.0) if a == b else (0.0, 1.0, 0.0) if a == c else (1.0, 0.0, 0.0) if b == c else None
-    return SymmetryClass("generic" if axis is None else "axisymmetric", center=spec.center, axis=axis)
+        axes = np.zeros((0, 3)) if spec.axis is None else np.asarray([spec.axis]) / np.linalg.norm(spec.axis)
+        terms = _star_radius(spec).terms
+    else:
+        a, b, c = _semi_axes(spec)
+        axes, terms = np.eye(3)[np.array([b == c, a == c, a == b])], {}  # all three rows when a == b == c
+    reflections = tuple(j for j in range(3) if spec.center[j] == 0.0 and all(mono[j] % 2 == 0 for mono in terms))
+    return Symmetry(axes, reflections)
 
 
 def tangential_rotation_fields(quad: SurfaceQuadrature) -> list[np.ndarray]:
@@ -244,29 +242,26 @@ def tangential_rotation_fields(quad: SurfaceQuadrature) -> list[np.ndarray]:
     orthonormal in weighted L2.
 
     3 fields on a sphere, 1 on an axisymmetric surface, none on a generic one.
-    The rotation about the axis of an axisymmetric surface must be tangential
-    (a star surface's axis is declared, not derived); if it is not, a
-    ValueError names the axis.
+    The rotation about each axis of `classify_symmetry` must be tangential (a
+    star surface's axis is declared, not derived); if it is not, a ValueError
+    names the axis.
     """
-    symmetry = classify_symmetry(quad.spec)
-    if symmetry.tag == "generic":
-        return []
-    rel = quad.points - np.asarray(symmetry.center, dtype=float)
-    axes = np.eye(3) if symmetry.tag == "sphere" else np.asarray([symmetry.axis], dtype=float)
-    raw = np.cross(axes[:, None], rel)  # the rotation a x (x - center) about each axis a
-    if symmetry.tag == "axisymmetric":
-        defect = float(np.max(np.abs(np.einsum("ni,ni->n", raw[0], quad.normals))))
-        scale = float(np.max(np.abs(raw[0])))
+    axes = classify_symmetry(quad.spec).rotation_axes
+    raw = np.cross(axes[:, None], quad.points - np.asarray(quad.spec.center, dtype=float))  # a x (x - center)
+    for axis, g in zip(axes, raw):
+        defect = float(np.max(np.abs(np.einsum("ni,ni->n", g, quad.normals))))
+        scale = float(np.max(np.abs(g)))
         if defect > _AXIS_TANGENCY_TOL * scale:
-            axis = " ".join(f"{c:g}" for c in symmetry.axis)
-            raise ValueError(f"the surface is not symmetric about its declared axis {axis}: max |(a x x) . nu| = "
+            label = " ".join(f"{c:g}" for c in axis)
+            raise ValueError(f"the surface is not symmetric about its declared axis {label}: max |(a x x) . nu| = "
                              f"{defect:.3e} is {defect / scale:.3e} of max |a x x|")
 
     fields: list[np.ndarray] = []
     for g in raw:  # modified Gram-Schmidt in the weighted inner product
+        scale = quad.norm(g)
         for f in fields:
             g = g - quad.inner(f, g) * f
         norm = quad.norm(g)
-        if norm > _TANGENCY_DROP_TOL:
+        if norm > _TANGENCY_DROP_TOL * scale:
             fields.append(g / norm)
     return fields

@@ -461,6 +461,18 @@ def test_star_surface_with_a_false_axis_exits_1_naming_it(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_rotation_study_on_a_small_sphere_exits_0(tmp_path, capsys):
+    # a sphere of radius 1e-7 keeps its three rotation fields, and rotation 0 is the floor the basis cannot fit
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("y0 = 0 0 3\nrow = 1\n", ""))
+    small = ["surface.radius=1e-7", "quadrature.n_theta=8", "quadrature.n_phi=16", "problem.kind=III",
+             "data.source=rotation"]
+    out = tmp_path / "o"
+    assert run(["study", "--config", cfg, "--output", str(out)] + [f"--set={item}" for item in small]) == 0
+    rows = np.loadtxt(out / "study.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == [2.0, 3.0]
+    assert np.allclose(rows[:, 1], rows[:, 3], rtol=1e-12, atol=0.0)  # residual_l2 == data_norm
+
+
 def test_study_repeated_degrees_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", "degrees = 2 2"))
     assert run(["study", "--config", cfg, "--output", str(tmp_path / "o")]) == 1

@@ -10,7 +10,6 @@ from elastopoly import (
     make_quadrature,
     radial_function,
 )
-from elastopoly.geometry import reflection_axes
 from elastopoly.polyalg import Poly3
 
 BUMPY = StarShaped(coeffs=((0, 1, 1.0), (2, 2, 0.15), (3, 4, 0.1)))
@@ -183,10 +182,11 @@ def test_reflections_of_each_surface_and_their_sample_permutations(spec, n_theta
 
 
 def test_reflection_axes_are_read_from_the_spec():
-    assert reflection_axes(Sphere(center=(0.0, 2.0, 0.0))) == (0, 2)
-    assert reflection_axes(STAR_X) == (0,)  # h_{2,3} is even in x, odd in y and z
-    assert reflection_axes(StarShaped(center=(0.5, 0.0, 0.0), coeffs=((0, 1, 1.0), (2, 1, 0.1)))) == (1, 2)
-    assert reflection_axes(STAR_GENERIC) == ()
+    assert classify_symmetry(Sphere(center=(0.0, 2.0, 0.0))).reflection_axes == (0, 2)
+    assert classify_symmetry(STAR_X).reflection_axes == (0,)  # h_{2,3} is even in x, odd in y and z
+    star = StarShaped(center=(0.5, 0.0, 0.0), coeffs=((0, 1, 1.0), (2, 1, 0.1)))
+    assert classify_symmetry(star).reflection_axes == (1, 2)
+    assert classify_symmetry(STAR_GENERIC).reflection_axes == ()
 
 
 def test_hand_built_quadrature_has_no_reflections():
@@ -194,36 +194,44 @@ def test_hand_built_quadrature_has_no_reflections():
     assert quad.reflections == ()
 
 
-# -- symmetry classification -------------------------------------------------------
+# -- symmetry ----------------------------------------------------------------------
+
+NO_AXES = np.zeros((0, 3))
+
+
+def assert_symmetry(spec, rotation_axes, reflection_axes):
+    sym = classify_symmetry(spec)
+    np.testing.assert_array_equal(sym.rotation_axes, np.asarray(rotation_axes, dtype=float).reshape(-1, 3), strict=True)
+    assert sym.reflection_axes == reflection_axes
 
 
 def test_classify_sphere():
     spec = Sphere(center=(0.0, 1.0, 0.0), radius=2.0)
-    sym = classify_symmetry(spec)
-    assert sym.tag == "sphere" and sym.center == (0.0, 1.0, 0.0)
+    assert_symmetry(spec, np.eye(3), (0, 2))
     assert len(make_quadrature(spec, 8, 16).rotation_fields) == 3
 
 
 def test_classify_spheroid_axis_of_distinct_semi_axis():
-    assert classify_symmetry(Ellipsoid(semi_axes=(1.0, 1.0, 1.5))).axis == (0.0, 0.0, 1.0)
-    assert classify_symmetry(Ellipsoid(semi_axes=(1.0, 1.5, 1.0))).axis == (0.0, 1.0, 0.0)
-    assert classify_symmetry(Ellipsoid(semi_axes=(1.5, 1.0, 1.0))).axis == (1.0, 0.0, 0.0)
+    assert_symmetry(Ellipsoid(semi_axes=(1.0, 1.0, 1.5)), [[0.0, 0.0, 1.0]], (0, 1, 2))
+    assert_symmetry(Ellipsoid(semi_axes=(1.0, 1.5, 1.0)), [[0.0, 1.0, 0.0]], (0, 1, 2))
+    assert_symmetry(Ellipsoid(semi_axes=(1.5, 1.0, 1.0)), [[1.0, 0.0, 0.0]], (0, 1, 2))
 
 
 def test_classify_triaxial_is_generic(triaxial_quad):
-    sym = classify_symmetry(Ellipsoid(semi_axes=(1.0, 1.3, 1.7)))
-    assert sym.tag == "generic" and len(triaxial_quad.rotation_fields) == 0
+    assert_symmetry(Ellipsoid(semi_axes=(1.0, 1.3, 1.7)), NO_AXES, (0, 1, 2))
+    assert len(triaxial_quad.rotation_fields) == 0
 
 
 def test_classify_equal_axes_ellipsoid_is_sphere():
-    assert classify_symmetry(Ellipsoid(semi_axes=(2.0, 2.0, 2.0))).tag == "sphere"
+    assert_symmetry(Ellipsoid(semi_axes=(2.0, 2.0, 2.0)), np.eye(3), (0, 1, 2))
 
 
 def test_classify_star_by_declared_metadata():
-    assert classify_symmetry(BUMPY).tag == "generic"
-    sym = classify_symmetry(BUMPY_AXI)
-    assert sym.tag == "axisymmetric"
-    assert np.allclose(sym.axis, (0.0, 0.0, 1.0))
+    assert_symmetry(BUMPY, NO_AXES, (1,))  # h_{2,2} is odd in x and z, h_{3,4} in z
+    assert_symmetry(BUMPY_AXI, [[0.0, 0.0, 1.0]], (0, 1, 2))
+    assert_symmetry(StarShaped(coeffs=BUMPY_AXI.coeffs, axis=(0.0, 0.0, 3.0)), [[0.0, 0.0, 1.0]], (0, 1, 2))
+    assert_symmetry(STAR_X, NO_AXES, (0,))
+    assert_symmetry(STAR_GENERIC, NO_AXES, ())
 
 
 # -- tangential rotation fields ------------------------------------------------------
@@ -244,6 +252,21 @@ def test_rotation_fields_tangent_and_orthonormal(sphere_quad, spheroid_quad):
         assert np.max(np.abs(gram - np.eye(len(gammas)))) <= 1e-10
 
 
+@pytest.mark.parametrize("spec, count", [
+    (Sphere(radius=1e-7), 3),
+    (Ellipsoid(semi_axes=(1e-7, 1e-7, 1.5e-7)), 1),
+], ids=["sphere", "spheroid"])
+def test_rotation_fields_survive_on_a_small_surface(spec, count):
+    # the drop tolerance is relative to each rotation's norm, which scales as size^2
+    quad = make_quadrature(spec, 8, 16)
+    gammas = quad.rotation_fields
+    assert len(gammas) == count
+    for g in gammas:
+        assert np.max(np.abs(np.einsum("ni,ni->n", g, quad.normals))) <= 1e-14 * np.max(np.abs(g))
+    gram = np.array([[quad.inner(a, b) for b in gammas] for a in gammas])
+    assert np.max(np.abs(gram - np.eye(count))) <= 1e-10
+
+
 def test_rotation_field_direction_on_sphere(sphere_quad):
     # the b = e3 generator at x = (1, 0, 0) points along +y before normalization
     gammas = sphere_quad.rotation_fields
@@ -262,7 +285,7 @@ def test_axisymmetric_star_rotation_field(spheroid_quad):
 def test_zonal_star_with_its_axis_declared_is_axisymmetric():
     # h_{2,1} is the zonal harmonic, symmetric about the z axis
     spec = StarShaped(coeffs=((0, 1, 1.0), (2, 1, 0.15)), axis=(0.0, 0.0, 1.0))
-    assert classify_symmetry(spec).tag == "axisymmetric"
+    assert_symmetry(spec, [[0.0, 0.0, 1.0]], (0, 1, 2))
     assert len(make_quadrature(spec, 16, 32).rotation_fields) == 1
 
 

@@ -1,6 +1,6 @@
 """The shared Hooke contraction, III/IV split, single-assembly fit,
-star-surface radius and surface element against the formulas they replaced,
-written out here as the reference."""
+star-surface radius, surface element and symmetry description against the
+formulas they replaced, written out here as the reference."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from elastopoly import (
     solid_harmonics,
 )
 from elastopoly.operators import traction_of_gradient
-from elastopoly.polyalg import VecPoly3, batch_eval, gradient
+from elastopoly.polyalg import Poly3, VecPoly3, batch_eval, gradient
 from elastopoly.solver import assemble_traces, evaluate_solution, split_trace
 
 from conftest import cartesian_traces
@@ -179,3 +179,67 @@ def test_surface_element_gives_exact_areas():
     exact = 2.0 * np.pi * a**2 * (1.0 + c / (a * e) * np.arcsin(e))
     area = make_quadrature(Ellipsoid(semi_axes=(a, a, c)), 32, 64).area
     assert area == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def old_rotation_fields(quad):
+    """The replaced tag branches: a "sphere" (equal semi-axes) rotates about
+    the three coordinate axes, an "axisymmetric" surface about the axis of its
+    distinct semi-axis or its declared axis, a "generic" one not at all; a
+    field is kept when its orthogonalized norm exceeds 1e-13."""
+    spec = quad.spec
+    if isinstance(spec, StarShaped):
+        if spec.axis is None:
+            return []
+        axis = np.asarray(spec.axis, dtype=float)
+        axes = np.asarray([tuple(axis / np.linalg.norm(axis))], dtype=float)
+    else:
+        a, b, c = (spec.radius,) * 3 if isinstance(spec, Sphere) else spec.semi_axes
+        if a == b == c:
+            axes = np.eye(3)
+        elif a == b or a == c or b == c:
+            axes = np.asarray([(0.0, 0.0, 1.0) if a == b else (0.0, 1.0, 0.0) if a == c else (1.0, 0.0, 0.0)])
+        else:
+            return []
+    raw = np.cross(axes[:, None], quad.points - np.asarray(spec.center, dtype=float))
+    fields = []
+    for g in raw:
+        for f in fields:
+            g = g - quad.inner(f, g) * f
+        norm = quad.norm(g)
+        if norm > 1e-13:
+            fields.append(g / norm)
+    return fields
+
+
+def old_reflections(spec, n_theta, n_phi):
+    """The replaced `reflection_axes` rule with each reflection's sample
+    permutation on the theta-major grid, sample n = i n_phi + j."""
+    terms = {}
+    if isinstance(spec, StarShaped):
+        terms = sum((float(c) * solid_harmonics(k)[s - 1] for k, s, c in spec.coeffs), Poly3()).terms
+    i, j = np.divmod(np.arange(n_theta * n_phi), n_phi)
+    perms = {0: i * n_phi + (n_phi // 2 - j) % n_phi, 1: i * n_phi + (n_phi - j) % n_phi,
+             2: (n_theta - 1 - i) * n_phi + j}
+    axes = [a for a in range(3) if spec.center[a] == 0.0 and all(mono[a] % 2 == 0 for mono in terms)]
+    return [(a, perms[a]) for a in axes if a != 0 or n_phi % 2 == 0]
+
+
+@pytest.mark.parametrize("spec", [
+    Sphere(),
+    Sphere(center=(0.1, 0.2, 0.3), radius=2.0),
+    Ellipsoid(semi_axes=(1.5, 1.0, 1.0)),
+    Ellipsoid(semi_axes=(1.0, 1.5, 1.0)),
+    Ellipsoid(semi_axes=(1.0, 1.0, 1.5)),
+    StarShaped(coeffs=((0, 1, 1.0), (2, 1, 0.15)), axis=(0.0, 0.0, 3.0)),
+], ids=["sphere", "off-center-sphere", "spheroid-x", "spheroid-y", "spheroid-z", "star-axis"])
+@pytest.mark.parametrize("n_theta, n_phi", [(16, 32), (7, 33)])
+def test_symmetry_matches_old_tag_branches(spec, n_theta, n_phi):
+    quad = make_quadrature(spec, n_theta, n_phi)
+    old = old_rotation_fields(quad)
+    assert len(quad.rotation_fields) == len(old) > 0
+    for new, ref in zip(quad.rotation_fields, old):
+        np.testing.assert_array_equal(new, ref)
+    old = old_reflections(spec, n_theta, n_phi)
+    assert [axis for axis, _ in quad.reflections] == [axis for axis, _ in old]
+    for (_, new), (_, ref) in zip(quad.reflections, old):
+        np.testing.assert_array_equal(new, ref)
