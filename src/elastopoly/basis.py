@@ -10,6 +10,12 @@ with the degree-dependent material factor Lambda_k.  Every such field is
 annihilated by the Lame operator, and together they span all homogeneous
 polynomial equilibrium fields of degree k (6k+3 of them, counting the
 harmonic index), for a total of 3(K+1)^2 through degree K.
+
+A degree is built at once from its harmonics' coefficient rows over the
+graded-lex monomials, through fixed integer index maps: a derivative map
+twice for the Hessian, the |x|^2 product map (up to three terms per
+coefficient, exactly rounded), the Lambda_k scale and + omega, and one more
+derivative map for the first partials; bitwise the `Poly3` arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .polyalg import CoefficientBlocks, Poly3, VecPoly3, R2
+import numpy as np
+
+from .polyalg import CoefficientBlocks, Poly3, VecPoly3, _degree_start, degree_monomials, monomial_position
 
 _FracPoly = dict[tuple[int, int, int], Fraction]
 
@@ -99,7 +107,12 @@ def _degree_tracks(l: int) -> tuple[dict[int, _FracPoly], dict[int, _FracPoly]]:
     return cos, sin
 
 
-@lru_cache(maxsize=None)
+def _check_degree(k, name: str = "degree") -> None:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {k}")
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: True is not a cached degree 1
 def solid_harmonics(k: int) -> tuple[Poly3, ...]:
     """The 2k+1 harmonic homogeneous polynomials of degree k.
 
@@ -113,8 +126,7 @@ def solid_harmonics(k: int) -> tuple[Poly3, ...]:
     a sweep through degree K runs the recurrence once.  Within a degree the
     order is m = 0, then the (cos, sin) pair for m = 1, 2, ..., k.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k}")
+    _check_degree(k)
     cos, sin = _degree_tracks(k)
     out = [_to_poly(cos[0])]
     for m in range(1, k + 1):
@@ -137,10 +149,59 @@ def lambda_coeff(material: Material, k: int) -> float:
     The denominator is nonzero for every k >= 0 under material admissibility
     (negative at k = 0, positive for k >= 1).
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k}")
+    _check_degree(k)
     lam, mu = material.lam, material.mu
     return -(lam + mu) / (2.0 * (lam * (k - 1) + mu * (3 * k - 2)))
+
+
+def _diff(rows: np.ndarray, d: int, a: int) -> np.ndarray:
+    """d/dx_a of rows (..., n) over the degree-d monomials, as `Poly3.diff`:
+    degree-(d-1) monomial m takes c(m + e_a) (m_a + 1)."""
+    source = degree_monomials(d - 1)
+    source[:, a] += 1
+    return rows[..., monomial_position(source)] * source[:, a]
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b rounded, and its rounding error exactly (Knuth's TwoSum)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _times_r2(rows: np.ndarray, d: int) -> np.ndarray:
+    """|x|^2 times rows (..., n) over the degree-d monomials, as `R2 * p`:
+    degree-(d+2) monomial m sums c(m - 2 e_a) over the a with m_a >= 2,
+    exactly rounded like `math.fsum` (Boldo & Melquiond, IEEE Trans. Comput.
+    57 (2008) 462-471: two TwoSums, their errors added rounding to odd)."""
+    target, shifts = degree_monomials(d + 2), 2 * np.eye(3, dtype=np.intp)
+    padded = np.concatenate([rows, np.zeros((*rows.shape[:-1], 1))], axis=-1)  # column -1: no term
+    a, b, c = (padded[..., np.where(target[:, e] >= 2, monomial_position(target - shifts[e]), -1)] for e in range(3))
+    uh, ul = _two_sum(b, c)
+    th, tl = _two_sum(a, uh)
+    v, err = _two_sum(tl, ul)
+    inexact_even = (err != 0.0) & ((v.view(np.int64) & 1) == 0)
+    return th + np.where(inexact_even, np.nextafter(v, np.copysign(np.inf, err)), v)
+
+
+_PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]  # the Hessian entries with a <= b
+_PAIR_OF = np.array([[_PAIRS.index((min(i, j), max(i, j))) for i in range(3)] for j in range(3)])
+
+
+def _degree_blocks(material: Material, k: int) -> list[tuple[int, int, np.ndarray]]:
+    """The two layout blocks of degree k (see `ElasticBasis`)."""
+    omegas, n = solid_harmonics(k), (k + 1) * (k + 2) // 2
+    harmonics = np.zeros((len(omegas), n))
+    for row, omega in zip(harmonics, omegas):
+        row[monomial_position(np.array(list(omega.terms)))] = list(omega.terms.values())
+    hessian = np.stack([_diff(_diff(harmonics, k, a), k - 1, b) for a, b in _PAIRS])  # empty below k = 2
+    # + 0.0 turns the -0.0 of a negative Lambda_k times a missing term into a plain zero
+    values = (lambda_coeff(material, k) * _times_r2(hessian, k - 2) + 0.0)[_PAIR_OF].transpose(0, 2, 1, 3)
+    for j in range(3):  # component j of the element of harmonic s, row i, at values[j, s, i]
+        values[j, :, j] += harmonics
+    values = values.reshape(-1, n)
+    gradients = np.stack([_diff(values, k, a) for a in range(3)]).reshape(3 * len(values), k * (k + 1) // 2)
+    return [(_degree_start(k), _degree_start(k + 1), values), (_degree_start(k - 1), _degree_start(k), gradients)]
 
 
 @dataclass(frozen=True)
@@ -161,37 +222,42 @@ def degree_columns(k: int) -> slice:
 
 @dataclass(frozen=True)
 class ElasticBasis:
+    """The 3(K+1)^2 elastic polynomials through degree K, held as their
+    `layout`, two blocks per degree k: block 2k holds the 3e components of
+    the e degree-k elements over the degree-k monomials (component j of
+    element i at row j e + i), block 2k + 1 their 9e first partials over the
+    degree-(k-1) ones (d v_j / d x_a at row (3a + j) e + i).  The `elements`
+    are read from the value blocks on first use, one term per nonzero entry,
+    with one key tuple per monomial; a fit reads only the layout."""
+
     material: Material
     max_degree: int
-    elements: tuple[BasisElement, ...] = field(repr=False)
+    layout: CoefficientBlocks = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return degree_columns(self.max_degree).stop
 
     def __iter__(self):
         return iter(self.elements)
 
     @cached_property
-    def layout(self) -> CoefficientBlocks:
-        """The elements' values and first partials laid out once for
-        evaluation, two groups per degree k: group 2k holds the 3 e component
-        polynomials of the e degree-k elements (component j of element i at
-        j e + i), group 2k + 1 their 9 e partials (d v_j / d x_a at (3a + j) e + i).
-        Degree-k values touch only the degree-k monomials, gradients the
-        degree-(k-1) ones."""
-        groups = []
-        for k in range(self.max_degree + 1):
-            fields = [el.field for el in self.elements[degree_columns(k)]]
-            groups.append([v[j] for j in range(3) for v in fields])
-            jacobians = [v.jacobian() for v in fields]
-            groups.append([jac[i] for i in range(9) for jac in jacobians])
-        return CoefficientBlocks.of_polys(groups)
+    def elements(self) -> tuple[BasisElement, ...]:
+        """Ordered by degree, then harmonic index, then row."""
+        elements, floats = [], {}  # one float object per distinct coefficient value
+        for k, (first, end, values) in enumerate(self.layout.blocks[::2]):
+            monos = list(map(tuple, self.layout.exponents[first:end].tolist()))  # the layout starts at monomial 0
+            polys = [Poly3.of_terms(dict(zip(map(monos.__getitem__, np.flatnonzero(row)),
+                                             [floats.setdefault(c, c) for c in row[row != 0.0].tolist()])))
+                     for row in values]
+            e = len(polys) // 3
+            elements += [BasisElement(k, i // 3 + 1, i % 3 + 1, VecPoly3(*polys[i::e])) for i in range(e)]
+        return tuple(elements)
 
     def prefix(self, k: int) -> "ElasticBasis":
-        """The basis through degree k <= max_degree: its first 3(k+1)^2 elements."""
+        """The basis through degree k <= max_degree, on the first 2k + 2 layout blocks."""
         if k == self.max_degree:
             return self
-        return ElasticBasis(self.material, k, self.elements[:degree_columns(k).stop])
+        return ElasticBasis(self.material, k, CoefficientBlocks(self.layout.blocks[:2 * k + 2]))
 
     def prefix_degree(self, n_fields: int) -> int:
         """The degree k whose elements through k are the first n_fields."""
@@ -203,28 +269,8 @@ class ElasticBasis:
 
 
 def elastic_basis(material: Material, max_degree: int) -> ElasticBasis:
-    """All elastic polynomials of degree <= max_degree, 3(K+1)^2 in total.
-
-    Ordered by degree, then harmonic index, then row.
-    """
-    if not isinstance(max_degree, int) or max_degree < 0:
-        raise ValueError(f"max_degree must be a non-negative integer, got {max_degree}")
-    elements: list[BasisElement] = []
-    for k in range(max_degree + 1):
-        lam_k = lambda_coeff(material, k)
-        for s, omega in enumerate(solid_harmonics(k), start=1):
-            # canonical-order Hessian: d2[a][b] for a <= b, mirrored
-            d2 = [[None] * 3 for _ in range(3)]
-            for a in range(3):
-                for b in range(a, 3):
-                    d2[a][b] = d2[b][a] = omega.diff(a + 1).diff(b + 1)
-            correction = [[lam_k * (R2 * d2[a][b]) for b in range(3)] for a in range(3)]
-            for i in range(3):
-                comps = [
-                    correction[j][i] + omega if j == i else correction[j][i]
-                    for j in range(3)
-                ]
-                elements.append(
-                    BasisElement(degree=k, harmonic_index=s, row=i + 1, field=VecPoly3(*comps))
-                )
-    return ElasticBasis(material=material, max_degree=max_degree, elements=tuple(elements))
+    """All elastic polynomials of degree <= max_degree, 3(K+1)^2 in total,
+    built as their layout.  Ordered by degree, then harmonic index, then row."""
+    _check_degree(max_degree, "max_degree")
+    return ElasticBasis(material, max_degree, CoefficientBlocks(
+        [block for k in range(max_degree + 1) for block in _degree_blocks(material, k)]))

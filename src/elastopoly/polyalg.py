@@ -55,6 +55,14 @@ class Poly3:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def of_terms(cls, terms: dict[Monomial, float]) -> "Poly3":
+        """Wrap a term map already in canonical form (exponent tuples, no
+        zero coefficient) as it is: no check, no copy."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls) -> "Poly3":
         return cls()
 
@@ -114,16 +122,12 @@ class Poly3:
                 out.pop(mono, None)
             else:
                 out[mono] = s
-        p = Poly3.__new__(Poly3)
-        p.terms = out
-        return p
+        return Poly3.of_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly3":
-        p = Poly3.__new__(Poly3)
-        p.terms = {mono: -c for mono, c in self.terms.items()}
-        return p
+        return Poly3.of_terms({mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly3":
         q = self._coerce(other)
@@ -142,9 +146,7 @@ class Poly3:
             c = float(other)
             if c == 0.0:
                 return Poly3()
-            p = Poly3.__new__(Poly3)
-            p.terms = {mono: c * v for mono, v in self.terms.items()}
-            return p
+            return Poly3.of_terms({mono: c * v for mono, v in self.terms.items()})
         if not isinstance(other, Poly3):
             return NotImplemented
         # Per-monomial contributions are summed with fsum, which is exactly
@@ -158,9 +160,7 @@ class Poly3:
             s = math.fsum(parts)
             if s != 0.0:
                 out[mono] = s
-        p = Poly3.__new__(Poly3)
-        p.terms = out
-        return p
+        return Poly3.of_terms(out)
 
     __rmul__ = __mul__
 
@@ -186,9 +186,7 @@ class Poly3:
             lowered = list(mono)
             lowered[a] = e - 1
             out[tuple(lowered)] = c * e
-        p = Poly3.__new__(Poly3)
-        p.terms = out
-        return p
+        return Poly3.of_terms(out)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -343,13 +341,24 @@ def laplacian(f):
     raise TypeError(f"expected Poly3 or VecPoly3, got {type(f).__name__}")
 
 
+def degree_monomials(d: int) -> np.ndarray:
+    """The (d+1)(d+2)/2 exponents (n, 3) of degree d in graded-lex order,
+    (i, j, d - i - j) by ascending i, then j; none for d < 0."""
+    return np.array([(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)], dtype=np.intp).reshape(-1, 3)
+
+
+def monomial_position(exps: np.ndarray) -> np.ndarray:
+    """Position of each exponent row (..., 3) in `degree_monomials` of its own degree."""
+    i, j = exps[..., 0], exps[..., 1]
+    return i * (2 * exps.sum(axis=-1) + 3 - i) // 2 + j
+
+
 @lru_cache(maxsize=None)
-def _graded_lex_table(max_degree: int) -> tuple[dict[Monomial, int], np.ndarray]:
-    """Index of every monomial of degree <= max_degree in graded-lex order,
-    and the (n, 3) exponent array in that order.  Degree d starts at row
-    d(d+1)(d+2)/6, so the monomials of a degree range are contiguous."""
-    monos = [(i, j, d - i - j) for d in range(max_degree + 1) for i in range(d + 1) for j in range(d - i + 1)]
-    return {m: r for r, m in enumerate(monos)}, np.array(monos, dtype=np.intp).reshape(-1, 3)
+def _graded_lex_table(max_degree: int) -> np.ndarray:
+    """The (n, 3) exponents of every degree <= max_degree in graded-lex order.
+    Degree d starts at row d(d+1)(d+2)/6, so the monomials of a degree range
+    are contiguous."""
+    return np.concatenate([degree_monomials(d) for d in range(max_degree + 1)])
 
 
 def _degree_start(d: int) -> int:
@@ -361,10 +370,9 @@ class CoefficientBlocks:
 
     Each group is one coefficient matrix over a contiguous graded-lex
     monomial range (one degree for a homogeneous group), so evaluating it is
-    one matrix product that skips every other degree.  `of_polys` lays out
-    groups of `Poly3`; the constructor takes the (first, end, coefficients)
-    blocks themselves, a (len(group), end - first) matrix over monomials
-    first .. end each.
+    one matrix product that skips every other degree.  The constructor takes
+    the (first, end, coefficients) blocks, a (len(group), end - first) matrix
+    over monomials first .. end each.
     """
 
     def __init__(self, blocks: Sequence[tuple[int, int, np.ndarray]]):
@@ -375,24 +383,7 @@ class CoefficientBlocks:
         self.max_degree = 0
         while _degree_start(self.max_degree + 1) < end:
             self.max_degree += 1
-        self.exponents = _graded_lex_table(self.max_degree)[1][self.first:end]
-
-    @classmethod
-    def of_polys(cls, groups: Sequence[Sequence[Poly3]]) -> "CoefficientBlocks":
-        max_degree = max([0, *(p.degree() for polys in groups for p in polys)])
-        index, exps = _graded_lex_table(max_degree)
-        blocks = []
-        for polys in groups:
-            counts = [len(p.terms) for p in polys]
-            rows = np.fromiter(chain.from_iterable(map(index.__getitem__, p.terms) for p in polys), np.intp, sum(counts))
-            first, end = 0, 0
-            if rows.size:  # graded order: the extreme rows hold the lowest and highest degrees
-                first, end = _degree_start(exps[rows.min()].sum()), _degree_start(exps[rows.max()].sum() + 1)
-            coeffs = np.zeros((len(polys), end - first))
-            coeffs[np.repeat(np.arange(len(polys)), counts), rows - first] = np.fromiter(
-                chain.from_iterable(p.terms.values() for p in polys), float, rows.size)
-            blocks.append((first, end, coeffs))
-        return cls(blocks)
+        self.exponents = _graded_lex_table(self.max_degree)[self.first:end]
 
     def eval(self, points):
         """Yield one (len(group), n_points) array of values per group, in
@@ -414,8 +405,16 @@ class CoefficientBlocks:
 
 def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:
     """Evaluate many polynomials at many points in one matrix product: the
-    one-group case of `CoefficientBlocks`.  Returns (n_points, len(polys))."""
-    return next(CoefficientBlocks.of_polys([polys]).eval(points)).T
+    one-group case of `CoefficientBlocks`, over the degree range of their
+    terms.  Returns (n_points, len(polys))."""
+    counts = [len(p.terms) for p in polys]
+    exps = np.fromiter(chain.from_iterable(p.terms for p in polys), np.dtype((np.intp, 3)), sum(counts))
+    degrees = exps.sum(axis=1)
+    first, end = (_degree_start(degrees.min()), _degree_start(degrees.max() + 1)) if len(exps) else (0, 0)
+    coeffs = np.zeros((len(polys), end - first))
+    coeffs[np.repeat(np.arange(len(polys)), counts), _degree_start(degrees) + monomial_position(exps) - first] = (
+        np.fromiter(chain.from_iterable(p.terms.values() for p in polys), float, len(exps)))
+    return next(CoefficientBlocks([(first, end, coeffs)]).eval(points)).T
 
 
 # convenient generators

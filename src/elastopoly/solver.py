@@ -307,9 +307,10 @@ def _parities(basis: ElasticBasis) -> np.ndarray:
     component j, has omega's x_a parity (every term of omega has it), with
     one more sign when a = i."""
     signs = []
-    for el in basis:
-        mono = next(iter(solid_harmonics(el.degree)[el.harmonic_index - 1].terms))
-        signs.append([(-1) ** (mono[a] + (a == el.row - 1)) for a in range(3)])
+    for k in range(basis.max_degree + 1):
+        for omega in solid_harmonics(k):
+            mono = next(iter(omega.terms))
+            signs += [[(-1) ** (mono[a] + (a == i)) for a in range(3)] for i in range(3)]
     return np.array(signs, dtype=float)
 
 

@@ -163,6 +163,17 @@ def test_lambda_coeff_rejects_negative_degree():
         lambda_coeff(Material(1.0, 1.0), -1)
 
 
+@pytest.mark.parametrize("degree", [True, False, -2, 2.0, "3"])
+def test_every_degree_entry_point_rejects_non_degrees(degree):
+    m = Material(1.0, 1.0)
+    for cached in (0, 1):  # a cached degree 0 or 1 must not answer for False or True
+        solid_harmonics(cached)
+    for call, name in ((lambda: solid_harmonics(degree), "degree"), (lambda: lambda_coeff(m, degree), "degree"),
+                       (lambda: elastic_basis(m, degree), "max_degree")):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {degree}$"):
+            call()
+
+
 # -- elastic basis ---------------------------------------------------------------
 
 

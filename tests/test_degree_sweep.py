@@ -27,6 +27,7 @@ from elastopoly import (
     run_study,
     solver,
 )
+from elastopoly.polyalg import VecPoly3
 from elastopoly.solver import BoundaryData, assemble_traces, max_misfit
 
 from conftest import cartesian_traces
@@ -261,6 +262,21 @@ def test_basis_of_lower_degree_is_a_prefix():
         assert elastic_basis(M, k).elements == top.elements[: 3 * (k + 1) ** 2]
         assert top.prefix(k).elements == top.elements[: 3 * (k + 1) ** 2] and top.prefix(k).max_degree == k
     assert top.prefix(top.max_degree) is top
+
+
+def test_fit_builds_no_element_and_prefixes_share_the_layout(monkeypatch, sphere_quad):
+    data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
+    built = []
+    init = VecPoly3.__init__
+    monkeypatch.setattr(VecPoly3, "__init__", lambda self, *comps: built.append(self) or init(self, *comps))
+    basis = elastic_basis(M, 6)
+    fit(data, basis, sphere_quad)
+    assert built == [] and "elements" not in vars(basis)
+    for k in range(basis.max_degree + 1):
+        blocks = basis.prefix(k).layout.blocks
+        assert len(blocks) == 2 * k + 2
+        assert all(new is old for (_, _, new), (_, _, old) in zip(blocks, basis.layout.blocks))
+    assert len(basis.elements) == len(built) == 147  # the elements are built on first use
 
 
 def test_fit_degrees_rejects_degrees_outside_the_basis(sphere_quad):

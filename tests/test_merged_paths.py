@@ -1,6 +1,6 @@
 """The shared Hooke contraction, III/IV split, single-assembly fit,
-star-surface radius, surface element and symmetry description against the
-formulas they replaced, written out here as the reference."""
+star-surface radius, surface element, symmetry description and array-built
+basis against the formulas they replaced, written out here as the reference."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,14 @@ from elastopoly import (
     elastic_basis,
     fit,
     kelvin_data,
+    lambda_coeff,
     make_quadrature,
     radial_function,
     solid_harmonics,
 )
+from elastopoly.basis import _times_r2, degree_columns
 from elastopoly.operators import traction_of_gradient
-from elastopoly.polyalg import Poly3, VecPoly3, batch_eval, gradient
+from elastopoly.polyalg import R2, Poly3, VecPoly3, batch_eval, degree_monomials, gradient
 from elastopoly.solver import assemble_traces, evaluate_solution, split_trace
 
 from conftest import cartesian_traces
@@ -243,3 +245,73 @@ def test_symmetry_matches_old_tag_branches(spec, n_theta, n_phi):
     assert [axis for axis, _ in quad.reflections] == [axis for axis, _ in old]
     for (_, new), (_, ref) in zip(quad.reflections, old):
         np.testing.assert_array_equal(new, ref)
+
+
+def old_of_polys(groups):
+    """The replaced `CoefficientBlocks.of_polys`: each group's terms scattered
+    into a matrix over the graded-lex monomials of the group's degree range."""
+    top = max(p.degree() for polys in groups for p in polys)
+    monos = sorted(((i, j, k) for i in range(top + 1) for j in range(top + 1) for k in range(top + 1) if i + j + k <= top),
+                   key=lambda m: (sum(m), m))
+    index, start = {m: r for r, m in enumerate(monos)}, [d * (d + 1) * (d + 2) // 6 for d in range(top + 2)]
+    blocks = []
+    for polys in groups:
+        counts = [len(p.terms) for p in polys]
+        rows = np.array([index[m] for p in polys for m in p.terms], dtype=np.intp)
+        degrees = [sum(m) for p in polys for m in p.terms]
+        first, end = (start[min(degrees)], start[max(degrees) + 1]) if degrees else (0, 0)
+        coeffs = np.zeros((len(polys), end - first))
+        coeffs[np.repeat(np.arange(len(polys)), counts), rows - first] = [c for p in polys for c in p.terms.values()]
+        blocks.append((first, end, coeffs))
+    return blocks
+
+
+def old_basis(material, max_degree):
+    """The replaced construction, term by term through `Poly3`: per harmonic
+    omega the Hessian by `diff` (smaller axis first), `R2 *` (fsum per
+    monomial), `lam_k *` and `+ omega` on the diagonal; then the layout from
+    the elements' components and jacobians through `of_polys`."""
+    fields = []
+    for k in range(max_degree + 1):
+        lam_k = lambda_coeff(material, k)
+        for omega in solid_harmonics(k):
+            d2 = [[None] * 3 for _ in range(3)]
+            for a in range(3):
+                for b in range(a, 3):
+                    d2[a][b] = d2[b][a] = omega.diff(a + 1).diff(b + 1)
+            correction = [[lam_k * (R2 * d2[a][b]) for b in range(3)] for a in range(3)]
+            for i in range(3):
+                fields.append(VecPoly3(*(correction[j][i] + omega if j == i else correction[j][i] for j in range(3))))
+    groups = []
+    for k in range(max_degree + 1):
+        block = fields[degree_columns(k)]
+        jacobians = [v.jacobian() for v in block]
+        groups += [[v[j] for j in range(3) for v in block], [jac[i] for i in range(9) for jac in jacobians]]
+    return fields, old_of_polys(groups)
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (1.3, 0.8), (-0.5, 1.0), (1e3, 1e-3)])
+def test_basis_matches_old_construction_bitwise(lam, mu):
+    material = Material(lam, mu)
+    fields, blocks = old_basis(material, 20)
+    assert blocks[1][:2] == (0, 0) and blocks[1][2].shape == (27, 0)  # degree 0 has no gradient monomial
+    for max_degree in (0, 1, 2, 20):  # every degree's blocks, and the layout ending at each of these
+        basis = elastic_basis(material, max_degree)
+        assert len(basis.layout.blocks) == 2 * max_degree + 2
+        for (first, end, coeffs), (old_first, old_end, old) in zip(basis.layout.blocks, blocks):
+            assert (first, end) == (old_first, old_end)
+            assert np.array_equal(coeffs, old) and coeffs.flags.c_contiguous
+        assert [el.field for el in basis.elements] == fields[:len(basis)]
+
+
+def test_times_r2_rounds_like_fsum_at_ties():
+    # three terms per monomial that cancel, or sum to a tie between two doubles
+    # that a third, tiny term must break: a plain (a + b) + c misrounds these
+    tricky = np.array([1.0, -1.0, 1.0 + 2.0**-52, 2.0**-53, -2.0**-53, 2.0**-54, 3 * 2.0**-54, 2.0**-105, -2.0**-106, 0.0])
+    monos = [tuple(m) for m in degree_monomials(4).tolist()]
+    targets = [tuple(m) for m in degree_monomials(6).tolist()]
+    rows = rng.choice(tricky, size=(400, len(monos)))
+    new = _times_r2(rows, 4)
+    for row, got in zip(rows, new):
+        old = (R2 * Poly3(dict(zip(monos, row)))).terms
+        np.testing.assert_array_equal(got, [old.get(m, 0.0) for m in targets])
