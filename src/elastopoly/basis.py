@@ -11,25 +11,24 @@ annihilated by the Lame operator, and together they span all homogeneous
 polynomial equilibrium fields of degree k (6k+3 of them, counting the
 harmonic index), for a total of 3(K+1)^2 through degree K.
 
-A degree is built at once from its harmonics' coefficient rows over the
-graded-lex monomials, through fixed integer index maps: a derivative map
-twice for the Hessian, the |x|^2 product map (up to three terms per
-coefficient, exactly rounded), the Lambda_k scale and + omega, and one more
-derivative map for the first partials; bitwise the `Poly3` arithmetic.
+The harmonics are summed exactly in integers from their closed form into
+max-normalized float rows over the graded-lex monomials.  A degree of the
+basis is built at once from those rows, through fixed integer index maps: a
+derivative map twice for the Hessian, the |x|^2 product map (up to three
+terms per coefficient, exactly rounded), the Lambda_k scale and + omega, and
+one more derivative map for the first partials; bitwise the `Poly3` arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .polyalg import CoefficientBlocks, Poly3, VecPoly3, _degree_start, degree_monomials, monomial_position
-
-_FracPoly = dict[tuple[int, int, int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -56,88 +55,69 @@ class Material:
 # -- real solid harmonics -------------------------------------------------------
 
 
-def _shift(p: _FracPoly, axis: int) -> _FracPoly:
-    out = {}
-    for mono, c in p.items():
-        m = list(mono)
-        m[axis] += 1
-        out[tuple(m)] = c
-    return out
-
-
-def _fp_add(*polys: _FracPoly) -> _FracPoly:
-    out: _FracPoly = {}
-    for p in polys:
-        for mono, c in p.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def _fp_scale(p: _FracPoly, c: Fraction) -> _FracPoly:
-    if not c:
-        return {}
-    return {mono: v * c for mono, v in p.items()}
-
-
-def _fp_r2(p: _FracPoly) -> _FracPoly:
-    return _fp_add(_shift(_shift(p, 0), 0), _shift(_shift(p, 1), 1), _shift(_shift(p, 2), 2))
-
-
-@lru_cache(maxsize=3)
-def _degree_tracks(l: int) -> tuple[dict[int, _FracPoly], dict[int, _FracPoly]]:
-    """The rational cos and sin polynomials R_{l,m}, m = 0..l, of one degree,
-    built from the two degrees below.  Three degrees stay cached: enough for
-    an ascending sweep to run each step once, without holding every degree's
-    rationals for the life of the process."""
-    if l == 0:
-        return {0: {(0, 0, 0): Fraction(1)}}, {0: {}}
-    cos1, sin1 = _degree_tracks(l - 1)
-    cos2, sin2 = _degree_tracks(l - 2) if l >= 2 else ({}, {})
-    cos = {l: _fp_add(_shift(cos1[l - 1], 0), _fp_scale(_shift(sin1[l - 1], 1), Fraction(-1)))}
-    sin = {l: _fp_add(_shift(sin1[l - 1], 0), _shift(cos1[l - 1], 1))}
-    for track, prev, prev2 in ((cos, cos1, cos2), (sin, sin1, sin2)):
-        for m in range(l):
-            above = _fp_scale(_shift(prev[m], 2), Fraction(2 * l - 1, l - m))
-            below = _fp_scale(_fp_r2(prev2[m]), Fraction(-(l - 1 + m), l - m)) if l - 2 >= m else {}
-            track[m] = _fp_add(above, below)
-    return cos, sin
-
-
-def _check_degree(k, name: str = "degree") -> None:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+def _check_degree(k, name: str = "degree") -> int:
+    """k as a Python int: a degree is a non-negative integer of any type but bool."""
+    try:
+        degree = -1 if isinstance(k, bool) else operator.index(k)
+    except TypeError:
+        degree = -1
+    if degree < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {k}")
+    return degree
+
+
+@lru_cache(maxsize=None)
+def _harmonic_rows(k: int) -> np.ndarray:
+    """The (2k+1, n) coefficient rows of the degree-k solid harmonics over
+    `degree_monomials(k)`, each max-normalized; read-only, as it is cached.
+
+    For m = 0..k, the real part and, for m > 0, the imaginary part of
+
+        (x + iy)^m  sum_j (-1)^j (x^2 + y^2)^j z^(k-m-2j) / (4^j j! (j+m)! (k-m-2j)!)
+
+    (Hobson, The Theory of Spherical and Ellipsoidal Harmonics, 1931), each
+    summed exactly in integers over the common denominator
+    4^t t! (t+m)! (k-m)!, t = floor((k-m)/2).  Dividing by the largest
+    coefficient as integers rounds each float correctly.
+    """
+    f, rows = math.factorial, []
+    position = {(a, b): i for i, (a, b, _) in enumerate(degree_monomials(k).tolist())}
+    for m in range(k + 1):
+        t = (k - m) // 2
+        weights = [(-1) ** j * 4 ** (t - j) * (f(t) // f(j)) * (f(t + m) // f(j + m)) * (f(k - m) // f(k - m - 2 * j))
+                   for j in range(t + 1)]
+        for part in range(min(m, 1) + 1):  # p even: the real part; p odd, for m > 0: the imaginary part
+            row = [0] * len(position)
+            for j, w in enumerate(weights):
+                for p in range(part, m + 1, 2):  # C(m, p) x^(m-p) (iy)^p
+                    wp = (-1) ** (p // 2) * math.comb(m, p) * w
+                    for q in range(j + 1):  # C(j, q) x^(2j-2q) y^(2q)
+                        row[position[m - p + 2 * (j - q), p + 2 * q]] += math.comb(j, q) * wp
+            peak = max(map(abs, row))
+            rows.append([c / peak for c in row])
+    rows = np.array(rows)
+    rows.flags.writeable = False
+    return rows
+
+
+def _polys(rows: np.ndarray, k: int, floats: dict[float, float]) -> list[Poly3]:
+    """The polynomials of coefficient rows (r, n) over `degree_monomials(k)`:
+    one term per nonzero entry, one key tuple per monomial, and one float
+    object per distinct value, shared through `floats`."""
+    monos = list(map(tuple, degree_monomials(k).tolist()))
+    return [Poly3.of_terms(dict(zip(map(monos.__getitem__, np.flatnonzero(row)),
+                                    [floats.setdefault(c, c) for c in row[row != 0.0].tolist()])))
+            for row in rows]
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True is not a cached degree 1
 def solid_harmonics(k: int) -> tuple[Poly3, ...]:
-    """The 2k+1 harmonic homogeneous polynomials of degree k.
-
-    Generated by the ascending recurrence on (degree, order): the diagonal
-    step multiplies by (x + iy), the vertical step is
-
-        (l - m + 1) R_{l+1,m} = (2l + 1) z R_{l,m} - (l + m) |x|^2 R_{l-1,m}.
-
-    Coefficients are carried as exact rationals and each polynomial is
-    max-normalized on conversion to floats.  The rational tracks are kept, so
-    a sweep through degree K runs the recurrence once.  Within a degree the
-    order is m = 0, then the (cos, sin) pair for m = 1, 2, ..., k.
-    """
-    _check_degree(k)
-    cos, sin = _degree_tracks(k)
-    out = [_to_poly(cos[0])]
-    for m in range(1, k + 1):
-        out.append(_to_poly(cos[m]))
-        out.append(_to_poly(sin[m]))
-    return tuple(out)
-
-
-def _to_poly(p: _FracPoly) -> Poly3:
-    peak = max(abs(c) for c in p.values())
-    return Poly3({mono: float(c / peak) for mono, c in p.items()})
+    """The 2k+1 harmonic homogeneous polynomials of degree k: R_{k,0}, then
+    the (cos, sin) pair R_{k,m} for m = 1, 2, ..., k, the real and imaginary
+    parts of the closed form of `_harmonic_rows`, summed exactly in integers
+    and max-normalized."""
+    k = _check_degree(k)
+    return tuple(_polys(_harmonic_rows(k), k, {}))
 
 
 # -- elastic polynomials --------------------------------------------------------
@@ -149,7 +129,7 @@ def lambda_coeff(material: Material, k: int) -> float:
     The denominator is nonzero for every k >= 0 under material admissibility
     (negative at k = 0, positive for k >= 1).
     """
-    _check_degree(k)
+    k = _check_degree(k)
     lam, mu = material.lam, material.mu
     return -(lam + mu) / (2.0 * (lam * (k - 1) + mu * (3 * k - 2)))
 
@@ -190,16 +170,13 @@ _PAIR_OF = np.array([[_PAIRS.index((min(i, j), max(i, j))) for i in range(3)] fo
 
 def _degree_blocks(material: Material, k: int) -> list[tuple[int, int, np.ndarray]]:
     """The two layout blocks of degree k (see `ElasticBasis`)."""
-    omegas, n = solid_harmonics(k), (k + 1) * (k + 2) // 2
-    harmonics = np.zeros((len(omegas), n))
-    for row, omega in zip(harmonics, omegas):
-        row[monomial_position(np.array(list(omega.terms)))] = list(omega.terms.values())
+    harmonics = _harmonic_rows(k)
     hessian = np.stack([_diff(_diff(harmonics, k, a), k - 1, b) for a, b in _PAIRS])  # empty below k = 2
     # + 0.0 turns the -0.0 of a negative Lambda_k times a missing term into a plain zero
     values = (lambda_coeff(material, k) * _times_r2(hessian, k - 2) + 0.0)[_PAIR_OF].transpose(0, 2, 1, 3)
     for j in range(3):  # component j of the element of harmonic s, row i, at values[j, s, i]
         values[j, :, j] += harmonics
-    values = values.reshape(-1, n)
+    values = values.reshape(-1, harmonics.shape[1])
     gradients = np.stack([_diff(values, k, a) for a in range(3)]).reshape(3 * len(values), k * (k + 1) // 2)
     return [(_degree_start(k), _degree_start(k + 1), values), (_degree_start(k - 1), _degree_start(k), gradients)]
 
@@ -243,12 +220,9 @@ class ElasticBasis:
     @cached_property
     def elements(self) -> tuple[BasisElement, ...]:
         """Ordered by degree, then harmonic index, then row."""
-        elements, floats = [], {}  # one float object per distinct coefficient value
-        for k, (first, end, values) in enumerate(self.layout.blocks[::2]):
-            monos = list(map(tuple, self.layout.exponents[first:end].tolist()))  # the layout starts at monomial 0
-            polys = [Poly3.of_terms(dict(zip(map(monos.__getitem__, np.flatnonzero(row)),
-                                             [floats.setdefault(c, c) for c in row[row != 0.0].tolist()])))
-                     for row in values]
+        elements, floats = [], {}
+        for k, (_, _, values) in enumerate(self.layout.blocks[::2]):
+            polys = _polys(values, k, floats)
             e = len(polys) // 3
             elements += [BasisElement(k, i // 3 + 1, i % 3 + 1, VecPoly3(*polys[i::e])) for i in range(e)]
         return tuple(elements)
@@ -271,6 +245,6 @@ class ElasticBasis:
 def elastic_basis(material: Material, max_degree: int) -> ElasticBasis:
     """All elastic polynomials of degree <= max_degree, 3(K+1)^2 in total,
     built as their layout.  Ordered by degree, then harmonic index, then row."""
-    _check_degree(max_degree, "max_degree")
+    max_degree = _check_degree(max_degree, "max_degree")
     return ElasticBasis(material, max_degree, CoefficientBlocks(
         [block for k in range(max_degree + 1) for block in _degree_blocks(material, k)]))

@@ -73,11 +73,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import Material, ElasticBasis, degree_columns, solid_harmonics
+from .basis import Material, ElasticBasis, _harmonic_rows, degree_columns
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
 from .operators import KelvinField, RigidDisplacement, traction, traction_of_gradient
-from .polyalg import CoefficientBlocks, VecPoly3
+from .polyalg import CoefficientBlocks, VecPoly3, degree_monomials
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
 CHUNK_POINTS = 256  # samples per chunk of the trace assembly and field evaluation
@@ -306,12 +306,8 @@ def _parities(basis: ElasticBasis) -> np.ndarray:
     the harmonic omega, delta_ij omega + Lambda_k |x|^2 d_i d_j omega in its
     component j, has omega's x_a parity (every term of omega has it), with
     one more sign when a = i."""
-    signs = []
-    for k in range(basis.max_degree + 1):
-        for omega in solid_harmonics(k):
-            mono = next(iter(omega.terms))
-            signs += [[(-1) ** (mono[a] + (a == i)) for a in range(3)] for i in range(3)]
-    return np.array(signs, dtype=float)
+    monos = [degree_monomials(k)[np.argmax(_harmonic_rows(k) != 0.0, axis=1)] for k in range(basis.max_degree + 1)]
+    return np.where((np.concatenate(monos)[:, None] + np.eye(3, dtype=int)) % 2, -1.0, 1.0).reshape(-1, 3)
 
 
 def _parity_classes(basis: ElasticBasis, quad: SurfaceQuadrature):

@@ -90,8 +90,9 @@ def test_solid_harmonics_linearly_independent():
 
 
 def per_degree_harmonics(k):
-    """The recurrence run from degree 0 for this k alone, as one call of
-    `solid_harmonics` did before its rational tracks were kept across degrees."""
+    """The reference for `solid_harmonics`: the ascending three-term recurrence
+    on (degree, order) in exact rationals, run from degree 0 for this k alone,
+    each polynomial max-normalized on conversion to floats."""
     def shift(p, axis, times=1):
         out = {}
         for mono, c in p.items():
@@ -132,10 +133,11 @@ def per_degree_harmonics(k):
 
 
 def test_solid_harmonics_match_the_per_degree_recurrence():
-    # descending, so that lower degrees come from tracks a higher degree left behind
-    for k in (10, 4, 7, 0, 1):
+    # the closed form is a positive multiple of the recurrence's polynomial, both exact until the one
+    # correctly rounded division by the peak, so the floats agree bitwise (no stored coefficient is zero)
+    for k in range(21):
         for ours, reference in zip(solid_harmonics(k), per_degree_harmonics(k), strict=True):
-            assert ours.terms == reference.terms  # bitwise: the rationals are exact
+            assert ours.terms == reference.terms
 
 
 # -- degree coefficient ----------------------------------------------------------
@@ -163,7 +165,7 @@ def test_lambda_coeff_rejects_negative_degree():
         lambda_coeff(Material(1.0, 1.0), -1)
 
 
-@pytest.mark.parametrize("degree", [True, False, -2, 2.0, "3"])
+@pytest.mark.parametrize("degree", [True, False, -2, 2.0, "3", np.int64(-2), np.float64(3.0), np.True_])
 def test_every_degree_entry_point_rejects_non_degrees(degree):
     m = Material(1.0, 1.0)
     for cached in (0, 1):  # a cached degree 0 or 1 must not answer for False or True
@@ -172,6 +174,17 @@ def test_every_degree_entry_point_rejects_non_degrees(degree):
                        (lambda: elastic_basis(m, degree), "max_degree")):
         with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {degree}$"):
             call()
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_numpy_integer_degrees_are_degrees(integer):
+    m = Material(1.3, 0.8)
+    assert [h.terms for h in solid_harmonics(integer(5))] == [h.terms for h in solid_harmonics(5)]
+    assert lambda_coeff(m, integer(5)) == lambda_coeff(m, 5)
+    ours, plain = elastic_basis(m, integer(5)), elastic_basis(m, 5)
+    assert type(ours.max_degree) is int and len(ours) == len(plain)
+    for (first, end, values), reference in zip(ours.layout.blocks, plain.layout.blocks, strict=True):
+        assert (first, end) == reference[:2] and np.array_equal(values, reference[2])
 
 
 # -- elastic basis ---------------------------------------------------------------

@@ -25,9 +25,10 @@ from elastopoly import (
     kelvin_data,
     make_quadrature,
     run_study,
+    solid_harmonics,
     solver,
 )
-from elastopoly.polyalg import VecPoly3
+from elastopoly.polyalg import Poly3, VecPoly3
 from elastopoly.solver import BoundaryData, assemble_traces, max_misfit
 
 from conftest import cartesian_traces
@@ -232,6 +233,14 @@ def test_folded_fit_at_the_row_limit_keeps_the_rank_of_one_qr(surface, problem, 
         assert len(domain) == 25 and max(len(cols) for cols in columns) == 77
 
 
+def test_parities_are_the_reflection_signs_of_the_elements():
+    # g v(g x) = s v(x) under x_a -> -x_a: every term x^mono of component j has the sign (-1)^(mono_a + [a = j]) = s
+    basis = elastic_basis(M, 8)
+    for element, signs in zip(basis.elements, solver._parities(basis), strict=True):
+        for j, component in enumerate(element.field):
+            assert all((-1) ** (mono[a] + (a == j)) == signs[a] for mono in component.terms for a in range(3))
+
+
 def test_fit_assembles_only_the_degrees_it_fits(monkeypatch):
     # a degree-2 fit on a K=8 basis assembles the 27 columns through degree 2,
     # and equals the fit on the K=2 basis
@@ -266,12 +275,17 @@ def test_basis_of_lower_degree_is_a_prefix():
 
 def test_fit_builds_no_element_and_prefixes_share_the_layout(monkeypatch, sphere_quad):
     data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
-    built = []
-    init = VecPoly3.__init__
+    built, polys = [], []
+    init, poly_init, of_terms = VecPoly3.__init__, Poly3.__init__, Poly3.of_terms
     monkeypatch.setattr(VecPoly3, "__init__", lambda self, *comps: built.append(self) or init(self, *comps))
+    # a Poly3 is made by its constructor or by of_terms
+    monkeypatch.setattr(Poly3, "__init__", lambda self, *args: polys.append(self) or poly_init(self, *args))
+    monkeypatch.setattr(Poly3, "of_terms", classmethod(lambda cls, terms: polys.append(terms) or of_terms(terms)))
+    solid_harmonics.cache_clear()
     basis = elastic_basis(M, 6)
     fit(data, basis, sphere_quad)
-    assert built == [] and "elements" not in vars(basis)
+    assert built == [] and polys == [] and "elements" not in vars(basis)
+    assert solid_harmonics.cache_info()[:2] == (0, 0)  # no hit and no miss: never called
     for k in range(basis.max_degree + 1):
         blocks = basis.prefix(k).layout.blocks
         assert len(blocks) == 2 * k + 2
