@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .polyalg import CoefficientBlocks, Poly3, VecPoly3, _degree_start, degree_monomials, monomial_position
+from .polyalg import Poly3, VecPoly3, _degree_start, degree_monomials, monomial_position
 
 
 @dataclass(frozen=True)
@@ -200,16 +200,16 @@ def degree_columns(k: int) -> slice:
 @dataclass(frozen=True)
 class ElasticBasis:
     """The 3(K+1)^2 elastic polynomials through degree K, held as their
-    `layout`, two blocks per degree k: block 2k holds the 3e components of
-    the e degree-k elements over the degree-k monomials (component j of
-    element i at row j e + i), block 2k + 1 their 9e first partials over the
-    degree-(k-1) ones (d v_j / d x_a at row (3a + j) e + i).  The `elements`
-    are read from the value blocks on first use, one term per nonzero entry,
-    with one key tuple per monomial; a fit reads only the layout."""
+    `layout` of `polyalg.eval_blocks` blocks, two per degree k: block 2k holds
+    the 3e components of the e degree-k elements over the degree-k monomials
+    (component j of element i at row j e + i), block 2k + 1 their 9e first
+    partials over the degree-(k-1) ones (d v_j / d x_a at row (3a + j) e + i).
+    The `elements` are read from the value blocks on first use, one term per
+    nonzero entry, with one key tuple per monomial; a fit reads only the layout."""
 
     material: Material
     max_degree: int
-    layout: CoefficientBlocks = field(repr=False)
+    layout: tuple[tuple[int, int, np.ndarray], ...] = field(repr=False, compare=False)  # set by the other two
 
     def __len__(self) -> int:
         return degree_columns(self.max_degree).stop
@@ -221,7 +221,7 @@ class ElasticBasis:
     def elements(self) -> tuple[BasisElement, ...]:
         """Ordered by degree, then harmonic index, then row."""
         elements, floats = [], {}
-        for k, (_, _, values) in enumerate(self.layout.blocks[::2]):
+        for k, (_, _, values) in enumerate(self.layout[::2]):
             polys = _polys(values, k, floats)
             e = len(polys) // 3
             elements += [BasisElement(k, i // 3 + 1, i % 3 + 1, VecPoly3(*polys[i::e])) for i in range(e)]
@@ -231,7 +231,7 @@ class ElasticBasis:
         """The basis through degree k <= max_degree, on the first 2k + 2 layout blocks."""
         if k == self.max_degree:
             return self
-        return ElasticBasis(self.material, k, CoefficientBlocks(self.layout.blocks[:2 * k + 2]))
+        return ElasticBasis(self.material, k, self.layout[:2 * k + 2])
 
     def prefix_degree(self, n_fields: int) -> int:
         """The degree k whose elements through k are the first n_fields."""
@@ -246,5 +246,5 @@ def elastic_basis(material: Material, max_degree: int) -> ElasticBasis:
     """All elastic polynomials of degree <= max_degree, 3(K+1)^2 in total,
     built as their layout.  Ordered by degree, then harmonic index, then row."""
     max_degree = _check_degree(max_degree, "max_degree")
-    return ElasticBasis(material, max_degree, CoefficientBlocks(
-        [block for k in range(max_degree + 1) for block in _degree_blocks(material, k)]))
+    return ElasticBasis(material, max_degree,
+                        tuple(block for k in range(max_degree + 1) for block in _degree_blocks(material, k)))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import Material, elastic_basis
 from .geometry import Sphere, make_quadrature
-from .harness import KINDS, StudyConfig, prepare, reciprocity_defect, run_study, somigliana_check
+from .harness import KINDS, StudyConfig, prepare, reciprocity, run_study, somigliana_check
 from .ioutil import fmt17
 from .operators import RigidDisplacement, traction
 from .solver import field_samples, fit, fit_result_json, misfit_csv
@@ -309,7 +309,7 @@ def cmd_check(args) -> int:
         # one sampling of each field serves both the scale and the integral
         uu, tu = field_samples(material, elements[i].field, quad)
         vv, tv = field_samples(material, elements[j].field, quad)
-        return reciprocity_defect(quad, uu, tu, vv, tv) / max(1.0, quad.norm(uu) * quad.norm(vv))
+        return abs(reciprocity(quad, uu, tu, vv, tv)) / max(1.0, quad.norm(uu) * quad.norm(vv))
 
     worst_b = max(betti_ratio(*rng.integers(0, len(elements), size=2)) for _ in range(20))
     report("betti", worst_b <= 1e-8, f"worst |reciprocity integral| / scale = {worst_b:.3e} (tol 1e-8)")

@@ -28,6 +28,7 @@ from .solver import (
     BoundaryData,
     check_problem,
     check_scalar_weight,
+    check_svd_tol,
     compatibility_defect,
     evaluate_solution,
     field_data,
@@ -57,8 +58,9 @@ def kelvin_data(
     itself, which doubles as the closed-form interior evaluator.
     """
     y0 = np.asarray(y0, dtype=float)
-    center = np.asarray(quad.spec.center, dtype=float)
-    rel = y0 - center
+    if not np.all(np.isfinite(y0)):
+        raise ValueError(f"Kelvin pole y0 must be finite, got {y0.tolist()}")
+    rel = y0 - np.asarray(quad.spec.center, dtype=float)
     dist = float(np.linalg.norm(rel))
     if dist == 0.0:
         raise ValueError("Kelvin pole coincides with the surface center (inside the body)")
@@ -81,12 +83,14 @@ def betti_check(material: Material, u, v, quad: SurfaceQuadrature) -> float:
     Both volume terms of the reciprocity identity vanish for equilibrium
     fields, so the result is pure quadrature error.
     """
-    return reciprocity_defect(quad, *field_samples(material, u, quad), *field_samples(material, v, quad))
+    return float(abs(reciprocity(quad, *field_samples(material, u, quad), *field_samples(material, v, quad))))
 
 
-def reciprocity_defect(quad: SurfaceQuadrature, uu, tu, vv, tv) -> float:
-    """`betti_check` on displacement and traction samples (N, 3) of u and v."""
-    return float(abs(quad.weights @ (np.einsum("ni,ni->n", uu, tv) - np.einsum("ni,ni->n", vv, tu))))
+def reciprocity(quad: SurfaceQuadrature, u, t, v, tv) -> np.ndarray:
+    """oint (u . t_v - v . t_u) dsigma of displacement and traction samples
+    (N, 3) of u, and (..., N, 3) of v: leading axes of v are fields, one
+    integral each."""
+    return (np.einsum("...i,...i->...", u, tv) - np.einsum("...i,...i->...", v, t)) @ quad.weights
 
 
 def somigliana_check(
@@ -109,12 +113,10 @@ def somigliana_check(
             f"evaluation point is {min_dist:.3g} from the surface samples, closer than "
             f"3 quadrature spacings ({3.0 * spacing:.3g}); near-singular quadrature unsupported"
         )
-    uu, tu = field_samples(material, w, quad)
-    kernel = kelvin_traction(material, x, quad.points, quad.normals)   # (N, i, j)
-    gamma = kelvin_matrix(material, x - quad.points)                   # (N, i, j)
-    integral = np.einsum("n,nij,nj->i", quad.weights, kernel, uu) - np.einsum(
-        "n,nij,nj->i", quad.weights, gamma, tu
-    )
+    # the row fields K_i(x - y) and their tractions at y, as (i, N, j)
+    kelvin = [np.moveaxis(k, 1, 0) for k in (kelvin_matrix(material, x - quad.points),
+                                              kelvin_traction(material, x, quad.points, quad.normals))]
+    integral = reciprocity(quad, *field_samples(material, w, quad), *kelvin)
     target = np.asarray(w.eval(x), dtype=float) if expect == "interior" else np.zeros(3)
     return integral - target
 
@@ -168,6 +170,7 @@ class StudyConfig:
             raise ValueError(f"degrees must be non-negative, got {list(self.degrees)}")
         if len(set(self.degrees)) != len(self.degrees):
             raise ValueError(f"degrees must not repeat, got {list(self.degrees)}")
+        check_svd_tol(self.svd_tol)
         check_scalar_weight(self.scalar_weight)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (round-trip exact)."""
@@ -20,8 +22,9 @@ def json_dumps(obj) -> str:
     included, to JSON with 17-digit floats.
 
     The standard json module offers no hook for float formatting, so this is
-    a tiny recursive writer.  Dict keys must be strings; insertion order is
-    preserved, which keeps output byte-identical across runs.
+    a tiny recursive writer; strings go through `json.dumps`.  Dict keys must
+    be strings; insertion order is preserved, which keeps output
+    byte-identical across runs.
     """
     out: list[str] = []
     _write(obj, out)
@@ -40,7 +43,7 @@ def _write(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_json_float(obj))
     elif isinstance(obj, str):
-        out.append(_json_str(obj))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         out.append("{")
         for n, (key, value) in enumerate(obj.items()):
@@ -48,7 +51,7 @@ def _write(obj, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if n:
                 out.append(", ")
-            out.append(_json_str(key))
+            out.append(json.dumps(key, ensure_ascii=False))
             out.append(": ")
             _write(value, out)
         out.append("}")
@@ -74,8 +77,3 @@ def _json_float(x: float) -> str:
     if x == float("-inf"):
         return '"-inf"'
     return fmt17(x)
-
-
-def _json_str(s: str) -> str:
-    escaped = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{escaped}"'

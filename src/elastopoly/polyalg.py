@@ -10,13 +10,17 @@ Coefficients are double-precision floats.  The basis constructions downstream
 only involve small rational combinations, so symbolic identities (vanishing
 Laplacian, vanishing elasticity operator) hold to ~1e-15 of the coefficient
 scale and are asserted at 1e-12 after max-normalization.
+
+Every evaluation is `eval_blocks`, CHUNK_POINTS points at a time, so its
+temporaries stay bounded; `batch_eval`, behind `Poly3.eval`, `VecPoly3.eval`
+and `operators.traction`, is its one-block case.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +30,7 @@ from .ioutil import fmt17
 Monomial = tuple[int, int, int]
 
 _AXES = (1, 2, 3)
+CHUNK_POINTS = 256  # points per chunk of every polynomial evaluation
 
 
 def _graded_lex(mono: Monomial):
@@ -365,48 +370,39 @@ def _degree_start(d: int) -> int:
     return d * (d + 1) * (d + 2) // 6
 
 
-class CoefficientBlocks:
-    """Groups of polynomials laid out for repeated evaluation.
+def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points):
+    """Evaluate coefficient blocks at float points (n, 3), CHUNK_POINTS points at a time.
 
-    Each group is one coefficient matrix over a contiguous graded-lex
-    monomial range (one degree for a homogeneous group), so evaluating it is
-    one matrix product that skips every other degree.  The constructor takes
-    the (first, end, coefficients) blocks, a (len(group), end - first) matrix
-    over monomials first .. end each.
+    Each block (first, end, coefficients) is a (r, end - first) matrix over
+    the graded-lex monomials first .. end (one degree for a homogeneous
+    group): one matrix product that skips every other degree.  Yields (rows,
+    values (r, len(rows))) at points[rows] per chunk and block, in order,
+    forming each product only when it is asked for.
     """
-
-    def __init__(self, blocks: Sequence[tuple[int, int, np.ndarray]]):
-        self.blocks = list(blocks)
-        used = [(first, end) for first, end, _ in self.blocks if end > first]
-        self.first = min((first for first, _ in used), default=0)
-        end = max((end for _, end in used), default=0)
-        self.max_degree = 0
-        while _degree_start(self.max_degree + 1) < end:
-            self.max_degree += 1
-        self.exponents = _graded_lex_table(self.max_degree)[self.first:end]
-
-    def eval(self, points):
-        """Yield one (len(group), n_points) array of values per group, in
-        order; each product is formed only when the next one is asked for."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    low = min((first for first, _, _ in blocks), default=0)
+    high = max((end for _, end, _ in blocks), default=0)
+    max_degree = next(d for d in count() if _degree_start(d + 1) >= high)
+    i, j, k = _graded_lex_table(max_degree)[low:high].T
+    for start in range(0, len(points), CHUNK_POINTS):
+        rows = slice(start, min(start + CHUNK_POINTS, len(points)))
         # cumulative power tables per coordinate, then each monomial as (x^i y^j) z^k
-        powers = np.empty((3, self.max_degree + 1, pts.shape[0]))
+        powers = np.empty((3, max_degree + 1, rows.stop - start))
         powers[:, 0] = 1.0
-        for e in range(1, self.max_degree + 1):
-            powers[:, e] = powers[:, e - 1] * pts.T
-        i, j, k = self.exponents.T
+        for e in range(1, max_degree + 1):
+            powers[:, e] = powers[:, e - 1] * points[rows].T
         table = powers[0, i]  # (monomial, point)
         table *= powers[1, j]
         table *= powers[2, k]
-        for first, end, coeffs in self.blocks:
-            yield (coeffs @ table[first - self.first:end - self.first] if end > first
-                   else np.zeros((coeffs.shape[0], pts.shape[0])))
+        for first, end, coeffs in blocks:
+            yield rows, coeffs @ table[first - low:end - low]  # all zeros for an empty block
+        # freed before the next chunk allocates its tables, so the allocator reuses them, not fresh pages
+        del powers, table
 
 
 def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:
-    """Evaluate many polynomials at many points in one matrix product: the
-    one-group case of `CoefficientBlocks`, over the degree range of their
-    terms.  Returns (n_points, len(polys))."""
+    """Evaluate many polynomials at many points (n, 3) through one block of
+    `eval_blocks` over the degree range of their terms.  Returns (n_points,
+    len(polys)), the transpose of a (len(polys), n_points) array."""
     counts = [len(p.terms) for p in polys]
     exps = np.fromiter(chain.from_iterable(p.terms for p in polys), np.dtype((np.intp, 3)), sum(counts))
     degrees = exps.sum(axis=1)
@@ -414,7 +410,11 @@ def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:
     coeffs = np.zeros((len(polys), end - first))
     coeffs[np.repeat(np.arange(len(polys)), counts), _degree_start(degrees) + monomial_position(exps) - first] = (
         np.fromiter(chain.from_iterable(p.terms.values() for p in polys), float, len(exps)))
-    return next(CoefficientBlocks([(first, end, coeffs)]).eval(points)).T
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((len(polys), len(pts)))
+    for rows, values in eval_blocks([(first, end, coeffs)], pts):
+        out[:, rows] = values
+    return out.T
 
 
 # convenient generators

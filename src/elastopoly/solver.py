@@ -44,10 +44,10 @@ one up to rounding.  A quadrature without reflections (a generic star, an
 off-center surface, a hand-built quadrature) is the trivial group: one
 class over every sample, the same code.
 
-The trace rows are assembled from the basis in chunks of CHUNK_POINTS
-samples, one degree block at a time through `ElasticBasis.layout`, the
-degree-k elements being columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`).  Each
-block is contracted to tractions and written straight into three rows per
+The trace rows are assembled from `ElasticBasis.layout` through
+`polyalg.eval_blocks`, per chunk of CHUNK_POINTS samples and per degree k,
+whose elements are columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`).  Each
+degree is contracted to tractions and written straight into three rows per
 sample: the scalar trace, and the vector trace in the sample's orthonormal
 tangent frame (`SurfaceQuadrature.tangents`).  The frames exist only in
 these rows and the matching rows of b; everything a fit reports is
@@ -77,10 +77,9 @@ from .basis import Material, ElasticBasis, _harmonic_rows, degree_columns
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
 from .operators import KelvinField, RigidDisplacement, traction, traction_of_gradient
-from .polyalg import CoefficientBlocks, VecPoly3, degree_monomials
+from .polyalg import CHUNK_POINTS, VecPoly3, degree_monomials, eval_blocks
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
-CHUNK_POINTS = 256  # samples per chunk of the trace assembly and field evaluation
 QR_BLOCK_BYTES = 16 << 20  # new rows per step of the least-squares QR, in bytes of [A | b]
 
 PROBLEM_III = "III"
@@ -155,27 +154,23 @@ class FitResult:
 # -- trace assembly ---------------------------------------------------------------
 
 
-def _field_chunks(layout: CoefficientBlocks, points: np.ndarray):
-    """Sample fields laid out as pairs of groups (values, then gradients, as
-    in `ElasticBasis.layout`), one chunk of CHUNK_POINTS points at a time.
+def _field_chunks(layout, points: np.ndarray):
+    """Sample fields laid out as pairs of blocks (values, then gradients, as
+    in `ElasticBasis.layout`) through `eval_blocks`, chunk by chunk.
 
     Yields (point rows, field columns, values (e, n, 3), gradients
-    (e, n, 3, 3)) per pair, with values[..., j] = v_j and gradients[..., a, j]
-    = d v_j / d x_a.  Both are strided views of component-major products, so
-    each component is a contiguous (e, n) block, normals (n, 3) broadcast
-    over the fields and the point axis runs innermost.  The columns count the
-    fields of a chunk's pairs in order.  Each pair's products are formed when
-    it is reached, so a chunk holds one pair at a time.
+    (e, n, 3, 3)) per chunk and pair, with values[..., j] = v_j and
+    gradients[..., a, j] = d v_j / d x_a.  Pair k of a basis layout is its
+    degree k, so its columns are `degree_columns(k)`.  Both are strided views
+    of component-major products, so each component is a contiguous (e, n)
+    block, normals (n, 3) broadcast over the fields and the point axis runs
+    innermost.
     """
-    for start in range(0, len(points), CHUNK_POINTS):
-        rows = slice(start, min(start + CHUNK_POINTS, len(points)))
-        groups, first = layout.eval(points[rows]), 0
-        for values in groups:
-            n = values.shape[1]
-            cols = slice(first, first + len(values) // 3)
-            first = cols.stop
-            yield (rows, cols, values.reshape(3, -1, n).transpose(1, 2, 0),
-                   next(groups).reshape(3, 3, -1, n).transpose(2, 3, 0, 1))
+    blocks = eval_blocks(layout, points)
+    for n, ((rows, values), (_, grads)) in enumerate(zip(blocks, blocks)):  # consecutive blocks pair up
+        m = values.shape[1]
+        yield (rows, degree_columns(n % (len(layout) // 2)), values.reshape(3, -1, m).transpose(1, 2, 0),
+               grads.reshape(3, 3, -1, m).transpose(2, 3, 0, 1))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,14 +231,14 @@ def _collapse(basis: ElasticBasis, coefficients: np.ndarray, points: np.ndarray)
     coefficients, which collapses each field to one polynomial, sampled once
     in chunks of CHUNK_POINTS points: only the collapse grows with the basis."""
     degree, d = basis.prefix_degree(len(coefficients)), coefficients.shape[1]
-    blocks = basis.layout.blocks[:2 * degree + 2]
+    blocks = basis.layout[:2 * degree + 2]
     end = blocks[-2][1]  # the degree-k values reach the last monomial
     values, grads = np.zeros((3, d, end)), np.zeros((9, d, end))
     for k in range(degree + 1):
         c = coefficients[degree_columns(k)].T
         for out, (first, stop, rows) in zip((values, grads), blocks[2 * k:2 * k + 2]):
             out[:, :, first:stop] += c @ rows.reshape(len(out), c.shape[1], -1)
-    layout = CoefficientBlocks([(0, end, values.reshape(-1, end)), (0, end, grads.reshape(-1, end))])
+    layout = [(0, end, values.reshape(-1, end)), (0, end, grads.reshape(-1, end))]
     disp, g = np.empty((d, len(points), 3)), np.empty((d, len(points), 3, 3))
     for rows, _, values, grads in _field_chunks(layout, points):
         disp[:, rows], g[:, rows] = values, grads
@@ -281,6 +276,11 @@ def trace_IV(material: Material, p, quad: SurfaceQuadrature) -> tuple[np.ndarray
 
 
 # -- fitting ----------------------------------------------------------------------
+
+
+def check_svd_tol(svd_tol: float) -> None:
+    if not (0.0 < svd_tol < 1.0):
+        raise ValueError(f"svd_tol must be in (0, 1), got {svd_tol}")
 
 
 def check_scalar_weight(scalar_weight: float) -> None:
@@ -389,8 +389,7 @@ def fit_degrees(
     """
     if data.n_samples != quad.n_samples:
         raise ValueError(f"data has {data.n_samples} samples but quadrature has {quad.n_samples}")
-    if not (0.0 < svd_tol < 1.0):
-        raise ValueError(f"svd_tol must be in (0, 1), got {svd_tol}")
+    check_svd_tol(svd_tol)
     check_scalar_weight(scalar_weight)
     if not degrees or not all(0 <= k <= basis.max_degree for k in degrees):
         raise ValueError(f"degrees must lie in 0..{basis.max_degree}, got {list(degrees)}")

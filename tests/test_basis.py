@@ -183,11 +183,18 @@ def test_numpy_integer_degrees_are_degrees(integer):
     assert lambda_coeff(m, integer(5)) == lambda_coeff(m, 5)
     ours, plain = elastic_basis(m, integer(5)), elastic_basis(m, 5)
     assert type(ours.max_degree) is int and len(ours) == len(plain)
-    for (first, end, values), reference in zip(ours.layout.blocks, plain.layout.blocks, strict=True):
+    for (first, end, values), reference in zip(ours.layout, plain.layout, strict=True):
         assert (first, end) == reference[:2] and np.array_equal(values, reference[2])
 
 
 # -- elastic basis ---------------------------------------------------------------
+
+
+def test_bases_compare_by_material_and_degree():
+    m = Material(1.3, 0.8)
+    assert elastic_basis(m, 3) == elastic_basis(m, 3) and hash(elastic_basis(m, 3)) == hash(elastic_basis(m, 3))
+    assert elastic_basis(m, 3) != elastic_basis(m, 2) and elastic_basis(m, 3) != elastic_basis(Material(1.0, 1.0), 3)
+    assert elastic_basis(m, 3).prefix(2) == elastic_basis(m, 2)
 
 
 def test_degree_zero_elements_are_constant_fields():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -137,6 +138,13 @@ def test_json_dumps_writes_numpy_arrays_as_lists():
         '{"c": [1, 2], "m": [[1, 0], [0, 1]], "s": 0.5}')
     with pytest.raises(TypeError, match="cannot serialize object to JSON"):
         json_dumps({"c": [object()]})
+
+
+def test_json_dumps_escapes_every_control_character():
+    for code in range(0x20):
+        text = f"a{chr(code)}b\\c\"d"
+        assert json.loads(json_dumps({text: text})) == {text: text}
+    assert json_dumps({"path": "data/\u00e9t\u00e9.csv"}) == '{"path": "data/\u00e9t\u00e9.csv"}'  # kept as UTF-8
 
 
 def test_study_json_of_array_valued_specs_equals_that_of_tuples():
@@ -606,6 +614,20 @@ def test_underdetermined_fit_exits_1_before_assembly(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "error: the fit through degree 8 is underdetermined: 96 rows" in err
     assert "243 coefficients" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, degree_key", [("study", "degrees = 2 3"), ("solve", "degree = 3")])
+@pytest.mark.parametrize("svd_tol", ["2", "0"])
+def test_bad_svd_tol_exits_1_before_the_quadrature(tmp_path, monkeypatch, capsys, command, degree_key, svd_tol):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature of a config with a bad svd_tol was built")
+
+    monkeypatch.setattr("elastopoly.harness.make_quadrature", refuse)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, STUDY_CONFIG.replace("degrees = 2 3", degree_key))
+    assert run([command, "--config", cfg, "--output", str(out), f"--set=problem.svd_tol={svd_tol}"]) == 1
+    assert f"error: svd_tol must be in (0, 1), got {float(svd_tol)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -287,9 +287,9 @@ def test_fit_builds_no_element_and_prefixes_share_the_layout(monkeypatch, sphere
     assert built == [] and polys == [] and "elements" not in vars(basis)
     assert solid_harmonics.cache_info()[:2] == (0, 0)  # no hit and no miss: never called
     for k in range(basis.max_degree + 1):
-        blocks = basis.prefix(k).layout.blocks
+        blocks = basis.prefix(k).layout
         assert len(blocks) == 2 * k + 2
-        assert all(new is old for (_, _, new), (_, _, old) in zip(blocks, basis.layout.blocks))
+        assert all(new is old for (_, _, new), (_, _, old) in zip(blocks, basis.layout))
     assert len(basis.elements) == len(built) == 147  # the elements are built on first use
 
 

@@ -58,6 +58,12 @@ def test_kelvin_data_rejects_interior_or_surface_pole(sphere_quad):
         kelvin_data(M, sphere_quad, (0.0, 0.0, 0.0), 1, "III")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kelvin_data_rejects_a_non_finite_pole(sphere_quad, bad):
+    with pytest.raises(ValueError, match=r"^Kelvin pole y0 must be finite, got \[0.0, "):
+        kelvin_data(M, sphere_quad, (0.0, bad, 3.0), 1, "III")
+
+
 # -- reciprocity -----------------------------------------------------------------------
 
 

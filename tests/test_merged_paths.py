@@ -297,8 +297,8 @@ def test_basis_matches_old_construction_bitwise(lam, mu):
     assert blocks[1][:2] == (0, 0) and blocks[1][2].shape == (27, 0)  # degree 0 has no gradient monomial
     for max_degree in (0, 1, 2, 20):  # every degree's blocks, and the layout ending at each of these
         basis = elastic_basis(material, max_degree)
-        assert len(basis.layout.blocks) == 2 * max_degree + 2
-        for (first, end, coeffs), (old_first, old_end, old) in zip(basis.layout.blocks, blocks):
+        assert len(basis.layout) == 2 * max_degree + 2
+        for (first, end, coeffs), (old_first, old_end, old) in zip(basis.layout, blocks):
             assert (first, end) == (old_first, old_end)
             assert np.array_equal(coeffs, old) and coeffs.flags.c_contiguous
         assert [el.field for el in basis.elements] == fields[:len(basis)]

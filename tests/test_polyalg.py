@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from elastopoly.basis import Material, elastic_basis
+from elastopoly.operators import traction
 from elastopoly.polyalg import (
-    Poly3, VecPoly3, X, Y, Z, R2,
-    batch_eval, divergence, gradient, laplacian,
+    CHUNK_POINTS, Poly3, VecPoly3, X, Y, Z, R2,
+    batch_eval, degree_monomials, divergence, gradient, laplacian,
 )
 
 rng = np.random.default_rng(1905)
@@ -206,3 +210,59 @@ def test_diff_axis_validation():
         X.diff(0)
     with pytest.raises(ValueError):
         X.diff(4)
+
+
+# -- chunked evaluation ------------------------------------------------------------
+
+
+def last_k12_element():
+    return elastic_basis(Material(1.0, 1.0), 12).elements[-1].field
+
+
+def unchunked_eval(polys, points):
+    """Every point in one product, as batch_eval did before it was chunked:
+    the coefficients over the graded-lex monomials of the polynomials' degree
+    range times the monomial table x^i y^j z^k, (x^i y^j) z^k from cumulative
+    powers."""
+    degrees = [sum(m) for p in polys for m in p.terms]
+    monos = np.concatenate([degree_monomials(d) for d in range(min(degrees), max(degrees) + 1)])
+    coeffs = np.array([[p.terms.get(m, 0.0) for m in map(tuple, monos.tolist())] for p in polys])
+    powers = [np.ones((3, len(points)))]
+    for _ in range(max(degrees)):
+        powers.append(powers[-1] * points.T)
+    powers = np.stack(powers, axis=1)
+    i, j, k = monos.T
+    return (coeffs @ (powers[0, i] * powers[1, j] * powers[2, k])).T
+
+
+@pytest.mark.parametrize("n_points", [4608, 20007])
+def test_chunked_batch_eval_equals_one_product(n_points):
+    field = last_k12_element()
+    pts = rng.uniform(-1.0, 1.0, size=(n_points, 3))
+    for polys in (field.components, field.jacobian()):
+        assert np.array_equal(batch_eval(polys, pts), unchunked_eval(polys, pts))
+
+
+def test_one_point_tail_chunk_rounds_close_to_one_product():
+    # 257 points leave one point in the last chunk: a matrix-vector product, rounded its own way
+    field = last_k12_element()
+    pts = rng.uniform(-1.0, 1.0, size=(CHUNK_POINTS + 1, 3))
+    for polys in (field.components, field.jacobian()):
+        # relative to sum |c x^i y^j z^k|, the scale of the rounding of each value
+        scale = unchunked_eval([Poly3({m: abs(c) for m, c in p.terms.items()}) for p in polys], np.abs(pts))
+        assert np.all(np.abs(batch_eval(polys, pts) - unchunked_eval(polys, pts)) <= 1e-15 * scale)
+
+
+def test_evaluation_temporaries_stay_bounded_by_the_chunk():
+    field = last_k12_element()
+    pts = rng.uniform(-1.0, 1.0, size=(20000, 3))
+    normals = pts / np.linalg.norm(pts, axis=1)[:, None]
+    for evaluate in (lambda: field.eval(pts), lambda: traction(Material(1.0, 1.0), field, pts, normals)):
+        evaluate()  # warm every cache first
+        tracemalloc.start()
+        try:
+            result = evaluate()
+            peak = tracemalloc.get_traced_memory()[1] - result.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # a 256-point chunk holds well under a MiB; one product over 20,000 points, 30
