@@ -205,7 +205,8 @@ class ElasticBasis:
     (component j of element i at row j e + i), block 2k + 1 their 9e first
     partials over the degree-(k-1) ones (d v_j / d x_a at row (3a + j) e + i).
     The `elements` are read from the value blocks on first use, one term per
-    nonzero entry, with one key tuple per monomial; a fit reads only the layout."""
+    nonzero entry, with one key tuple per monomial; a fit and `check` read
+    only the layout."""
 
     material: Material
     max_degree: int

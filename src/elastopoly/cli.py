@@ -23,10 +23,10 @@ import numpy as np
 
 from .basis import Material, elastic_basis
 from .geometry import Sphere, make_quadrature
-from .harness import KINDS, StudyConfig, prepare, reciprocity, run_study, somigliana_check
+from .harness import KINDS, StudyConfig, prepare, reciprocity_matrix, run_study
 from .ioutil import fmt17
-from .operators import RigidDisplacement, traction
-from .solver import field_samples, fit, fit_result_json, misfit_csv
+from .operators import RigidDisplacement, lame_residuals, traction
+from .solver import fit, fit_result_json, misfit_csv
 
 
 class CliError(Exception):
@@ -274,7 +274,7 @@ def cmd_basis(args) -> int:
 def cmd_check(args) -> int:
     try:
         material = Material(args.lam, args.mu)
-        elements = elastic_basis(material, args.degree).elements  # check reads no layout: let it go
+        basis = elastic_basis(material, args.degree)
         quad = make_quadrature(Sphere(), args.n_theta, args.n_phi)
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -286,14 +286,13 @@ def cmd_check(args) -> int:
         if not ok:
             failures += 1
 
-    from .operators import lame_apply
-
-    worst = max(lame_apply(material, el.field.normalized()).max_abs_coeff() for el in elements)
-    count_ok = len(elements) == 3 * (args.degree + 1) ** 2
+    residuals = lame_residuals(material, basis.layout)
+    worst = float(np.max(residuals))
+    count_ok = len(residuals) == 3 * (args.degree + 1) ** 2
     report(
         "basis-identity",
         worst < 1e-12 and count_ok,
-        f"max |E p| coefficient {worst:.3e} (tol 1e-12), {len(elements)} elements",
+        f"max |E p| coefficient {worst:.3e} (tol 1e-12), {len(residuals)} elements",
     )
 
     rng = np.random.default_rng(11)
@@ -305,21 +304,28 @@ def cmd_check(args) -> int:
     worst_t = float(np.max(np.abs(t)))
     report("rigid-traction", worst_t <= 1e-13 * 2.0, f"max |T(rigid)| = {worst_t:.3e} (tol 1e-13 scale)")
 
-    def betti_ratio(i: int, j: int) -> float:
-        # one sampling of each field serves both the scale and the integral
-        uu, tu = field_samples(material, elements[i].field, quad)
-        vv, tv = field_samples(material, elements[j].field, quad)
-        return abs(reciprocity(quad, uu, tu, vv, tv)) / max(1.0, quad.norm(uu) * quad.norm(vv))
-
-    worst_b = max(betti_ratio(*rng.integers(0, len(elements), size=2)) for _ in range(20))
+    # Betti pair p is fields 2p, 2p + 1; the Somigliana elements and the three
+    # Kelvin row fields of each pole come last, and share the pass when the grids agree
+    betti = np.ravel([rng.integers(0, len(basis), size=2) for _ in range(20)])
+    somigliana = range(0, len(basis), max(1, len(basis) // 4))[:4]
+    poles = np.array([[0.3, 0.1, -0.2], [0.0, 0.0, 5.0]])  # inside and outside the unit sphere
+    somigliana_grid = (48, 96)
+    shared = (args.n_theta, args.n_phi) == somigliana_grid
+    a, sq_norms, at_poles = reciprocity_matrix(basis, [*betti, *somigliana] if shared else betti, quad,
+                                               poles if shared else ())
+    i, j = np.arange(0, len(betti), 2), np.arange(1, len(betti), 2)
+    norms = np.sqrt(sq_norms)
+    worst_b = float(np.max(np.abs(a[i, j] - a[j, i]) / np.maximum(1.0, norms[i] * norms[j])))
     report("betti", worst_b <= 1e-8, f"worst |reciprocity integral| / scale = {worst_b:.3e} (tol 1e-8)")
 
-    quad48 = make_quadrature(Sphere(), 48, 96)
-    x_in, x_out = np.array([0.3, 0.1, -0.2]), np.array([0.0, 0.0, 5.0])
-    worst_in = worst_out = 0.0
-    for el in elements[:: max(1, len(elements) // 4)][:4]:
-        worst_in = max(worst_in, float(np.max(np.abs(somigliana_check(material, el.field, quad48, x_in, "interior")))))
-        worst_out = max(worst_out, float(np.max(np.abs(somigliana_check(material, el.field, quad48, x_out, "exterior")))))
+    if not shared:
+        a, _, at_poles = reciprocity_matrix(basis, somigliana, make_quadrature(Sphere(), *somigliana_grid), poles)
+    kelvin = len(a) - 3 * len(poles)  # the first Kelvin field, just after the Somigliana elements
+    w = np.arange(kelvin - len(somigliana), kelvin)[:, None, None]
+    k = np.arange(kelvin, len(a)).reshape(len(poles), 3)
+    integral = a[w, k] - a[k, w]  # (element, pole, row): the representation of the element at the pole
+    worst_in = float(np.max(np.abs(integral[:, 0] - at_poles[0, -len(somigliana):])))
+    worst_out = float(np.max(np.abs(integral[:, 1])))
     report(
         "somigliana",
         worst_in <= 1e-6 and worst_out <= 1e-8,

@@ -16,19 +16,22 @@ which computes them once for rotation data, the fits and the defect columns;
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
+from itertools import cycle
 
 import numpy as np
 
-from .basis import ElasticBasis, Material, elastic_basis
+from .basis import ElasticBasis, Material, degree_columns, elastic_basis
 from .geometry import Ellipsoid, Sphere, StarShaped, SurfaceQuadrature, SurfaceSpec, make_quadrature, radial_function
 from .ioutil import csv_lines, json_dumps
-from .operators import KelvinField, kelvin_matrix, kelvin_traction
+from .operators import KelvinField, kelvin_matrix, kelvin_traction, traction_of_gradient
+from .polyalg import eval_blocks
 from .solver import (
     PROBLEM_III,
     BoundaryData,
     check_problem,
     check_scalar_weight,
     check_svd_tol,
+    _field_chunks,
     compatibility_defect,
     evaluate_solution,
     field_data,
@@ -93,6 +96,20 @@ def reciprocity(quad: SurfaceQuadrature, u, t, v, tv) -> np.ndarray:
     return (np.einsum("...i,...i->...", u, tv) - np.einsum("...i,...i->...", v, t)) @ quad.weights
 
 
+def _clear_of_surface(quad: SurfaceQuadrature, x) -> np.ndarray:
+    """x as a float point, refused closer to the surface samples than three
+    quadrature spacings: the near-singular regime is out of scope."""
+    x = np.asarray(x, dtype=float)
+    spacing = np.sqrt(quad.area / quad.n_samples)
+    min_dist = float(np.min(np.linalg.norm(quad.points - x, axis=1)))
+    if min_dist < 3.0 * spacing:
+        raise ValueError(
+            f"evaluation point is {min_dist:.3g} from the surface samples, closer than "
+            f"3 quadrature spacings ({3.0 * spacing:.3g}); near-singular quadrature unsupported"
+        )
+    return x
+
+
 def somigliana_check(
     material: Material, w, quad: SurfaceQuadrature, x, expect: str
 ) -> np.ndarray:
@@ -105,20 +122,61 @@ def somigliana_check(
     """
     if expect not in ("interior", "exterior"):
         raise ValueError(f"expect must be 'interior' or 'exterior', got {expect!r}")
-    x = np.asarray(x, dtype=float)
-    spacing = np.sqrt(quad.area / quad.n_samples)
-    min_dist = float(np.min(np.linalg.norm(quad.points - x, axis=1)))
-    if min_dist < 3.0 * spacing:
-        raise ValueError(
-            f"evaluation point is {min_dist:.3g} from the surface samples, closer than "
-            f"3 quadrature spacings ({3.0 * spacing:.3g}); near-singular quadrature unsupported"
-        )
+    x = _clear_of_surface(quad, x)
     # the row fields K_i(x - y) and their tractions at y, as (i, N, j)
     kelvin = [np.moveaxis(k, 1, 0) for k in (kelvin_matrix(material, x - quad.points),
                                               kelvin_traction(material, x, quad.points, quad.normals))]
     integral = reciprocity(quad, *field_samples(material, w, quad), *kelvin)
     target = np.asarray(w.eval(x), dtype=float) if expect == "interior" else np.zeros(3)
     return integral - target
+
+
+def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, poles=()):
+    """A[f, g] = oint u_f . t_g dsigma and the squared norms oint |u_f|^2 dsigma
+    of the fields f: the basis elements at `columns` (repeats allowed), then
+    the three Kelvin row fields K_i(x - y) of each pole x.  So
+    A[f, g] - A[g, f] is the reciprocity integral `reciprocity` of u_f and u_g.
+    Also returns the elements' values at the poles (P, len(columns), 3).
+
+    One `eval_blocks` pass samples only the rows of the chosen elements, one
+    chunk of CHUNK_POINTS points at a time.  The Kelvin kernels are
+    evaluated per chunk, and each chunk's products are summed into A as one
+    matrix product, so no field is held at every sample.  Poles closer to
+    the surface than three quadrature spacings are refused.
+    """
+    columns = np.asarray(columns, dtype=np.intp).reshape(-1)
+    if not (len(columns) and 0 <= columns.min() and columns.max() < len(basis)):
+        raise ValueError(f"columns must be one or more basis positions 0..{len(basis) - 1}")
+    poles = np.array([_clear_of_surface(quad, x) for x in np.reshape(poles, (-1, 3))]).reshape(-1, 3)
+    layout, targets = [], []  # the chosen rows of each degree's two blocks, and the fields they fill
+    for k in range(basis.max_degree + 1):
+        cols = degree_columns(k)
+        mine = np.flatnonzero((cols.start <= columns) & (columns < cols.stop))
+        if len(mine):  # component c of element i is row c e + i of its block
+            picked, e = columns[mine] - cols.start, cols.stop - cols.start
+            for (first, end, rows), n_components in zip(basis.layout[2 * k:2 * k + 2], (3, 9)):
+                layout.append((first, end, rows[(e * np.arange(n_components)[:, None] + picked).ravel()]))
+            targets.append(mine)
+    n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
+    material = basis.material
+    matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)
+    for n, (mine, (rows, _, values, grads)) in enumerate(zip(cycle(targets), _field_chunks(layout, quad.points))):
+        if n % len(targets) == 0:  # the first degree of a chunk of points
+            u, t = np.empty((2, n_fields, rows.stop - rows.start, 3))
+        u[mine], t[mine] = values, traction_of_gradient(material, grads, quad.normals[rows])
+        if n % len(targets) == len(targets) - 1:  # its last degree: add the Kelvin fields and sum
+            points, normals = quad.points[rows], quad.normals[rows]
+            for f, x in zip(range(n_basis, n_fields, 3), poles):
+                u[f:f + 3] = kelvin_matrix(material, x - points).transpose(1, 0, 2)
+                t[f:f + 3] = kelvin_traction(material, x, points, normals).transpose(1, 0, 2)
+            weighted = (u * quad.weights[rows, None]).reshape(n_fields, -1)
+            matrix += weighted @ t.reshape(n_fields, -1).T
+            sq_norms += np.einsum("fi,fi->f", weighted, u.reshape(n_fields, -1))
+            del u, t, weighted  # freed before the next chunk's tables
+    at_poles = np.empty((len(poles), n_basis, 3))
+    for mine, (rows, values) in zip(cycle(targets), eval_blocks(layout[::2], poles)):
+        at_poles[rows, mine] = values.reshape(3, len(mine), -1).T
+    return matrix, sq_norms, at_poles
 
 
 # -- studies ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Material
+from .basis import Material, _diff
 from .polyalg import Poly3, VecPoly3, divergence, gradient, laplacian, batch_eval
 
 _UNIT_NORMAL_TOL = 1e-12
@@ -26,6 +26,26 @@ _UNIT_NORMAL_TOL = 1e-12
 def lame_apply(material: Material, v: VecPoly3) -> VecPoly3:
     """mu * Laplacian(v) + (lam + mu) * grad(div v), exactly on coefficients."""
     return material.mu * laplacian(v) + (material.lam + material.mu) * gradient(divergence(v))
+
+
+def lame_residuals(material: Material, layout) -> np.ndarray:
+    """Largest |coefficient| of `lame_apply` on each element of a basis layout
+    (`ElasticBasis.layout`), scaled to largest |coefficient| 1, in basis order.
+
+    Works on the value rows of each degree.  The scaling, the partials and
+    the sums run in the order of `VecPoly3.normalized`, `laplacian`,
+    `divergence` and `gradient`, so each figure is bitwise the dict one.
+    """
+    worst = []
+    for k, (_, _, values) in enumerate(layout[::2]):
+        v = values.reshape(3, -1, values.shape[1])  # (component, element, monomial)
+        v = v * (1.0 / np.max(np.abs(v), axis=(0, 2)))[:, None]
+        second = [_diff(_diff(v, k, a), k - 1, a) for a in range(3)]
+        div = _diff(v[0], k, 0) + _diff(v[1], k, 1) + _diff(v[2], k, 2)
+        residual = (material.mu * (second[0] + second[1] + second[2])
+                    + (material.lam + material.mu) * np.stack([_diff(div, k - 1, a) for a in range(3)]))
+        worst.append(np.max(np.abs(residual), axis=(0, 2), initial=0.0))
+    return np.concatenate(worst)
 
 
 def traction_of_gradient(material: Material, grad: np.ndarray, normals: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ Laplacian, vanishing elasticity operator) hold to ~1e-15 of the coefficient
 scale and are asserted at 1e-12 after max-normalization.
 
 Every evaluation is `eval_blocks`, CHUNK_POINTS points at a time, so its
-temporaries stay bounded; `batch_eval`, behind `Poly3.eval`, `VecPoly3.eval`
-and `operators.traction`, is its one-block case.
+temporaries stay bounded; `batch_eval`, behind `Poly3.eval`, `VecPoly3.eval`,
+`operators.traction` and `solver.field_samples`, is its one-block case.
 """
 
 from __future__ import annotations

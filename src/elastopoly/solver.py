@@ -76,8 +76,8 @@ import numpy as np
 from .basis import Material, ElasticBasis, _harmonic_rows, degree_columns
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
-from .operators import KelvinField, RigidDisplacement, traction, traction_of_gradient
-from .polyalg import CHUNK_POINTS, VecPoly3, degree_monomials, eval_blocks
+from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_gradient
+from .polyalg import CHUNK_POINTS, VecPoly3, batch_eval, degree_monomials, eval_blocks
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
 QR_BLOCK_BYTES = 16 << 20  # new rows per step of the least-squares QR, in bytes of [A | b]
@@ -249,8 +249,10 @@ def field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.
     """Displacement and traction samples (N, 3) of one polynomial, rigid or Kelvin field."""
     if isinstance(obj, RigidDisplacement):
         obj = obj.as_vecpoly()
-    if isinstance(obj, VecPoly3):
-        return obj.eval(quad.points), traction(material, obj, quad.points, quad.normals)
+    if isinstance(obj, VecPoly3):  # the values and the nine partials d v_j / d x_a (3 + 3a + j) in one evaluation
+        _check_unit_normals(quad.normals)
+        samples = batch_eval([*obj.components, *obj.jacobian()], quad.points)
+        return samples[:, :3], traction_of_gradient(material, samples[:, 3:].reshape(-1, 3, 3), quad.normals)
     if isinstance(obj, KelvinField):
         if obj.material != material:
             raise ValueError("Kelvin field material differs from the check material")

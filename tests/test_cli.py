@@ -235,21 +235,42 @@ def test_check_bad_input_exits_1(capsys, args, message):
 
 
 def test_check_samples_each_betti_field_once(monkeypatch, capsys):
-    # 20 Betti pairs: the displacements of each field feed both the scale and
-    # the reciprocity integral, so the 512-point quadrature sees 40 evaluations
+    # check reads only the basis layout: no polynomial objects are evaluated,
+    # the elements are never built, and one eval_blocks pass over each grid
+    # (the 16 x 32 Betti grid, the 48 x 96 Somigliana grid) samples every field
+    from elastopoly import polyalg
+    from elastopoly.basis import ElasticBasis
     from elastopoly.polyalg import VecPoly3
 
-    calls = []
-    original = VecPoly3.eval
+    def refused(*args):
+        raise AssertionError("check evaluated a polynomial object or built the basis elements")
 
-    def counting(self, points):
-        calls.append(np.shape(points))
-        return original(self, points)
+    walked = []
+    original = polyalg.eval_blocks
 
-    monkeypatch.setattr(VecPoly3, "eval", counting)
+    def counting(blocks, points):
+        walked.append(len(points))
+        return original(blocks, points)
+
+    for cls in (Poly3, VecPoly3):
+        monkeypatch.setattr(cls, "eval", refused)
+        monkeypatch.setattr(cls, "__call__", refused)
+    monkeypatch.setattr(ElasticBasis, "elements", property(refused))
+    for module in (polyalg, solver, harness):
+        monkeypatch.setattr(module, "eval_blocks", counting)
     assert run(["check", "--degree", "2", "--n-theta", "16", "--n-phi", "32"]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
-    assert calls.count((16 * 32, 3)) == 40
+    assert walked.count(16 * 32) == 1 and walked.count(48 * 96) == 1
+
+
+def test_check_fails_when_the_basis_misses_equilibrium(monkeypatch, capsys):
+    # a wrong material factor Lambda_k leaves E v != 0 from degree 2 on
+    from elastopoly import basis
+
+    original = basis.lambda_coeff
+    monkeypatch.setattr(basis, "lambda_coeff", lambda material, k: 0.9 * original(material, k))
+    assert run(["check", "--degree", "3", "--n-theta", "16", "--n-phi", "32"]) == 2
+    assert "FAIL basis-identity" in capsys.readouterr().out
 
 
 def test_check_default_configuration_passes(capsys):

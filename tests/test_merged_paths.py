@@ -1,6 +1,7 @@
 """The shared Hooke contraction, III/IV split, single-assembly fit,
-star-surface radius, surface element, symmetry description and array-built
-basis against the formulas they replaced, written out here as the reference."""
+star-surface radius, surface element, symmetry description, array-built
+basis, and `check`'s row-wise Lamé identity and reciprocity matrix against
+the formulas and single-field paths they replaced, which are the reference."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from elastopoly import (
     Material,
     Sphere,
     StarShaped,
+    betti_check,
     elastic_basis,
     fit,
     kelvin_data,
@@ -17,11 +19,15 @@ from elastopoly import (
     make_quadrature,
     radial_function,
     solid_harmonics,
+    somigliana_check,
+    traction,
 )
+from elastopoly import polyalg, solver
 from elastopoly.basis import _times_r2, degree_columns
-from elastopoly.operators import traction_of_gradient
+from elastopoly.harness import reciprocity_matrix
+from elastopoly.operators import lame_apply, lame_residuals, traction_of_gradient
 from elastopoly.polyalg import R2, Poly3, VecPoly3, batch_eval, degree_monomials, gradient
-from elastopoly.solver import assemble_traces, evaluate_solution, split_trace
+from elastopoly.solver import assemble_traces, evaluate_solution, field_samples, split_trace
 
 from conftest import cartesian_traces
 
@@ -315,3 +321,56 @@ def test_times_r2_rounds_like_fsum_at_ties():
     for row, got in zip(rows, new):
         old = (R2 * Poly3(dict(zip(monos, row)))).terms
         np.testing.assert_array_equal(got, [old.get(m, 0.0) for m in targets])
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.5, 0.7), (-0.5, 1.3)])
+def test_lame_residuals_match_dict_lame_apply_bitwise(lam, mu):
+    material = Material(lam, mu)
+    basis = elastic_basis(material, 12)
+    expected = [lame_apply(material, el.field.normalized()).max_abs_coeff() for el in basis.elements]
+    assert lame_residuals(material, basis.layout).tolist() == expected
+
+
+@pytest.mark.parametrize("spec", [Sphere(), Ellipsoid(semi_axes=(1.0, 1.3, 1.7))])
+def test_reciprocity_matrix_matches_betti_and_somigliana_checks(spec):
+    quad = make_quadrature(spec, 16, 32)
+    basis = elastic_basis(M, 5)
+    columns = [*rng.integers(0, len(basis), size=12), 7, 7]  # Betti pairs 2p, 2p + 1; a field with itself
+    poles, expects = np.array([[0.3, 0.1, -0.2], [0.0, 0.0, 5.0]]), ("interior", "exterior")
+    a, sq_norms, at_poles = reciprocity_matrix(basis, columns, quad, poles)
+    assert a.shape == (len(columns) + 6,) * 2 and at_poles.shape == (2, len(columns), 3)
+    fields = [basis.elements[c].field for c in columns]
+    norms = np.sqrt(sq_norms)
+    for f, field in enumerate(fields):
+        assert norms[f] == pytest.approx(quad.norm(field.eval(quad.points)), rel=1e-14)
+    for i in range(0, len(columns), 2):
+        scale = max(1.0, norms[i] * norms[i + 1])
+        assert abs(abs(a[i, i + 1] - a[i + 1, i]) - betti_check(M, fields[i], fields[i + 1], quad)) <= 1e-14 * scale
+    for p, (x, expect) in enumerate(zip(poles, expects)):
+        kelvin = len(columns) + 3 * p + np.arange(3)
+        for f, field in enumerate(fields):
+            dev = a[f, kelvin] - a[kelvin, f] - (at_poles[p, f] if expect == "interior" else 0.0)
+            scale = max(1.0, norms[f] * np.max(norms[kelvin]))
+            assert np.max(np.abs(dev - somigliana_check(M, field, quad, x, expect))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("columns, poles, message", [
+    ([], (), "basis positions"),
+    ([0, 30], (), "basis positions"),  # the degree-2 basis has 27 elements
+    ([-1], (), "basis positions"),
+    ([3], [[0.0, 0.0, 0.99]], "quadrature spacings"),
+])
+def test_reciprocity_matrix_rejects_bad_columns_and_near_poles(sphere_quad, columns, poles, message):
+    with pytest.raises(ValueError, match=message):
+        reciprocity_matrix(elastic_basis(M, 2), columns, sphere_quad, poles)
+
+
+def test_field_samples_evaluate_once_and_match_values_and_traction(monkeypatch, sphere_quad):
+    field = elastic_basis(M, 6).elements[-4].field
+    old = field.eval(sphere_quad.points), traction(M, field, sphere_quad.points, sphere_quad.normals)
+    calls = []
+    monkeypatch.setattr(solver, "batch_eval", lambda polys, points: calls.append(len(polys)) or batch_eval(polys, points))
+    new = field_samples(M, field, sphere_quad)
+    assert calls == [12]
+    for got, want in zip(new, old):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
