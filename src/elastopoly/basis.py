@@ -100,13 +100,11 @@ def _harmonic_rows(k: int) -> np.ndarray:
     return rows
 
 
-def _polys(rows: np.ndarray, k: int, floats: dict[float, float]) -> list[Poly3]:
+def _polys(rows: np.ndarray, k: int) -> list[Poly3]:
     """The polynomials of coefficient rows (r, n) over `degree_monomials(k)`:
-    one term per nonzero entry, one key tuple per monomial, and one float
-    object per distinct value, shared through `floats`."""
+    one term per nonzero entry, with one key tuple per monomial."""
     monos = list(map(tuple, degree_monomials(k).tolist()))
-    return [Poly3.of_terms(dict(zip(map(monos.__getitem__, np.flatnonzero(row)),
-                                    [floats.setdefault(c, c) for c in row[row != 0.0].tolist()])))
+    return [Poly3.of_terms(dict(zip(map(monos.__getitem__, np.flatnonzero(row)), row[row != 0.0].tolist())))
             for row in rows]
 
 
@@ -117,7 +115,7 @@ def solid_harmonics(k: int) -> tuple[Poly3, ...]:
     parts of the closed form of `_harmonic_rows`, summed exactly in integers
     and max-normalized."""
     k = _check_degree(k)
-    return tuple(_polys(_harmonic_rows(k), k, {}))
+    return tuple(_polys(_harmonic_rows(k), k))
 
 
 # -- elastic polynomials --------------------------------------------------------
@@ -204,9 +202,9 @@ class ElasticBasis:
     the 3e components of the e degree-k elements over the degree-k monomials
     (component j of element i at row j e + i), block 2k + 1 their 9e first
     partials over the degree-(k-1) ones (d v_j / d x_a at row (3a + j) e + i).
-    The `elements` are read from the value blocks on first use, one term per
-    nonzero entry, with one key tuple per monomial; a fit and `check` read
-    only the layout."""
+    `element(n)` reads one element from its three value rows, and `elements`
+    all of them on first use; a fit, `check` and the `basis` export read only
+    the layout."""
 
     material: Material
     max_degree: int
@@ -218,15 +216,19 @@ class ElasticBasis:
     def __iter__(self):
         return iter(self.elements)
 
+    def element(self, n: int) -> BasisElement:
+        """Element n of `elements` alone, from rows i, e + i and 2e + i of its
+        degree k's value block, i = n - 3k^2."""
+        if not 0 <= n < len(self):
+            raise IndexError(f"basis element {n} out of range 0..{len(self) - 1}")
+        k = math.isqrt(n // 3)
+        i, values = n - 3 * k * k, self.layout[2 * k][2]
+        return BasisElement(k, i // 3 + 1, i % 3 + 1, VecPoly3(*_polys(values[i::len(values) // 3], k)))
+
     @cached_property
     def elements(self) -> tuple[BasisElement, ...]:
         """Ordered by degree, then harmonic index, then row."""
-        elements, floats = [], {}
-        for k, (_, _, values) in enumerate(self.layout[::2]):
-            polys = _polys(values, k, floats)
-            e = len(polys) // 3
-            elements += [BasisElement(k, i // 3 + 1, i % 3 + 1, VecPoly3(*polys[i::e])) for i in range(e)]
-        return tuple(elements)
+        return tuple(map(self.element, range(len(self))))
 
     def prefix(self, k: int) -> "ElasticBasis":
         """The basis through degree k <= max_degree, on the first 2k + 2 layout blocks."""

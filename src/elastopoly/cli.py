@@ -26,6 +26,7 @@ from .geometry import Sphere, make_quadrature
 from .harness import KINDS, StudyConfig, prepare, reciprocity_matrix, run_study
 from .ioutil import fmt17
 from .operators import RigidDisplacement, lame_residuals, traction
+from .polyalg import rows_text
 from .solver import fit, fit_result_json, misfit_csv
 
 
@@ -246,25 +247,24 @@ def _write_reports(args, reports: dict[str, str], quad) -> None:
 
 
 def cmd_basis(args) -> int:
+    if args.output != "-" and os.path.exists(args.output) and not args.force:
+        raise CliError(f"refusing to overwrite {args.output} (use --force)")
     try:
         basis = elastic_basis(Material(args.lam, args.mu), args.degree)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     blocks = []
-    for el in basis:
-        lines = [f"# degree={el.degree} s={el.harmonic_index} row={el.row}"]
-        for comp_idx, comp in enumerate(el.field.components, start=1):
-            lines.append(f"# component={comp_idx}")
-            text = comp.to_text()
-            if text:
-                lines.append(text)
-        blocks.append("\n".join(lines))
+    for k, (_, _, values) in enumerate(basis.layout[::2]):
+        texts, e = rows_text(values, k), len(values) // 3  # component j of element i is row j e + i
+        for i in range(e):
+            lines = [f"# degree={k} s={i // 3 + 1} row={i % 3 + 1}"]
+            for j in range(3):
+                lines += [f"# component={j + 1}", texts[j * e + i]]
+            blocks.append("\n".join(filter(None, lines)))  # no line for a zero component
     payload = "\n\n".join(blocks) + "\n"
     if args.output == "-":
         sys.stdout.write(payload)
     else:
-        if os.path.exists(args.output) and not args.force:
-            raise CliError(f"refusing to overwrite {args.output} (use --force)")
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
         print(f"wrote {len(basis)} elements to {args.output}")

@@ -16,7 +16,6 @@ which computes them once for rotation data, the fits and the defect columns;
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
-from itertools import cycle
 
 import numpy as np
 
@@ -160,22 +159,22 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
     n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
     material = basis.material
     matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)
-    for n, (mine, (rows, _, values, grads)) in enumerate(zip(cycle(targets), _field_chunks(layout, quad.points))):
-        if n % len(targets) == 0:  # the first degree of a chunk of points
-            u, t = np.empty((2, n_fields, rows.stop - rows.start, 3))
-        u[mine], t[mine] = values, traction_of_gradient(material, grads, quad.normals[rows])
-        if n % len(targets) == len(targets) - 1:  # its last degree: add the Kelvin fields and sum
-            points, normals = quad.points[rows], quad.normals[rows]
-            for f, x in zip(range(n_basis, n_fields, 3), poles):
-                u[f:f + 3] = kelvin_matrix(material, x - points).transpose(1, 0, 2)
-                t[f:f + 3] = kelvin_traction(material, x, points, normals).transpose(1, 0, 2)
-            weighted = (u * quad.weights[rows, None]).reshape(n_fields, -1)
-            matrix += weighted @ t.reshape(n_fields, -1).T
-            sq_norms += np.einsum("fi,fi->f", weighted, u.reshape(n_fields, -1))
-            del u, t, weighted  # freed before the next chunk's tables
+    for rows, pairs in _field_chunks(layout, quad.points):
+        u, t = np.empty((2, n_fields, rows.stop - rows.start, 3))
+        points, normals = quad.points[rows], quad.normals[rows]
+        for (values, grads), mine in zip(pairs, targets):
+            u[mine], t[mine] = values, traction_of_gradient(material, grads, normals)
+        for f, x in zip(range(n_basis, n_fields, 3), poles):
+            u[f:f + 3] = kelvin_matrix(material, x - points).transpose(1, 0, 2)
+            t[f:f + 3] = kelvin_traction(material, x, points, normals).transpose(1, 0, 2)
+        weighted = (u * quad.weights[rows, None]).reshape(n_fields, -1)
+        matrix += weighted @ t.reshape(n_fields, -1).T
+        sq_norms += np.einsum("fi,fi->f", weighted, u.reshape(n_fields, -1))
+        del u, t, weighted  # freed before the next chunk's tables
     at_poles = np.empty((len(poles), n_basis, 3))
-    for mine, (rows, values) in zip(cycle(targets), eval_blocks(layout[::2], poles)):
-        at_poles[rows, mine] = values.reshape(3, len(mine), -1).T
+    for rows, products in eval_blocks(layout[::2], poles):
+        for values, mine in zip(products, targets):
+            at_poles[rows, mine] = values.reshape(3, len(mine), -1).T
     return matrix, sq_norms, at_poles
 
 
@@ -341,7 +340,7 @@ def build_data(config: StudyConfig, quad: SurfaceQuadrature, basis: ElasticBasis
     if isinstance(source, BasisElementSource):
         if not (0 <= source.index < len(basis)):
             raise ValueError(f"basis element index {source.index} out of range 0..{len(basis) - 1}")
-        fld = basis.elements[source.index].field
+        fld = basis.element(source.index).field
         return field_data(problem, config.material, fld, quad), fld
     if isinstance(source, RotationSource):
         rotations = quad.rotation_fields

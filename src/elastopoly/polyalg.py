@@ -33,10 +33,6 @@ _AXES = (1, 2, 3)
 CHUNK_POINTS = 256  # points per chunk of every polynomial evaluation
 
 
-def _graded_lex(mono: Monomial):
-    return (mono[0] + mono[1] + mono[2], mono)
-
-
 class Poly3:
     """Sparse polynomial in three variables with float coefficients."""
 
@@ -204,13 +200,6 @@ class Poly3:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_text(self) -> str:
-        """Lines `i j k coefficient` in graded-lex order (degree, then tuple)."""
-        lines = []
-        for (i, j, k) in sorted(self.terms, key=_graded_lex):
-            lines.append(f"{i} {j} {k} {fmt17(self.terms[(i, j, k)])}")
-        return "\n".join(lines)
-
     @classmethod
     def from_text(cls, text: str) -> "Poly3":
         terms: list[tuple[Monomial, float]] = []
@@ -229,7 +218,7 @@ class Poly3:
         if not self.terms:
             return "Poly3(0)"
         parts = []
-        for mono in sorted(self.terms, key=_graded_lex):
+        for mono in sorted(self.terms, key=lambda m: (sum(m), m)):  # graded lex
             c = self.terms[mono]
             factors = [f"{v}^{e}" if e > 1 else v
                        for v, e in zip("xyz", mono) if e > 0]
@@ -239,6 +228,14 @@ class Poly3:
         if len(parts) > 8:
             shown += f" + ... ({len(parts)} terms)"
         return f"Poly3({shown})"
+
+
+def rows_text(rows: np.ndarray, k: int) -> list[str]:
+    """Per coefficient row (r, n) over `degree_monomials(k)`, lines `i j k coefficient`
+    of its nonzero entries in graded-lex order; `Poly3.from_text` reads them."""
+    monos = [f"{i} {j} {l} " for i, j, l in degree_monomials(k).tolist()]
+    return ["\n".join(monos[m] + fmt17(c) for m, c in zip(np.flatnonzero(row).tolist(), row[row != 0.0].tolist()))
+            for row in rows]
 
 
 class VecPoly3:
@@ -376,8 +373,8 @@ def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points):
     Each block (first, end, coefficients) is a (r, end - first) matrix over
     the graded-lex monomials first .. end (one degree for a homogeneous
     group): one matrix product that skips every other degree.  Yields (rows,
-    values (r, len(rows))) at points[rows] per chunk and block, in order,
-    forming each product only when it is asked for.
+    products) per chunk, `products` forming each block's values (r, len(rows))
+    at points[rows] in order, one at a time and only when it is asked for.
     """
     low = min((first for first, _, _ in blocks), default=0)
     high = max((end for _, end, _ in blocks), default=0)
@@ -393,8 +390,8 @@ def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points):
         table = powers[0, i]  # (monomial, point)
         table *= powers[1, j]
         table *= powers[2, k]
-        for first, end, coeffs in blocks:
-            yield rows, coeffs @ table[first - low:end - low]  # all zeros for an empty block
+        # t binds this chunk's table, so products held past the chunk still read it; zeros for an empty block
+        yield rows, (coeffs @ t[first - low:end - low] for t in [table] for first, end, coeffs in blocks)
         # freed before the next chunk allocates its tables, so the allocator reuses them, not fresh pages
         del powers, table
 
@@ -412,7 +409,7 @@ def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:
         np.fromiter(chain.from_iterable(p.terms.values() for p in polys), float, len(exps)))
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty((len(polys), len(pts)))
-    for rows, values in eval_blocks([(first, end, coeffs)], pts):
+    for rows, (values,) in eval_blocks([(first, end, coeffs)], pts):
         out[:, rows] = values
     return out.T
 

@@ -77,7 +77,7 @@ from .basis import Material, ElasticBasis, _harmonic_rows, degree_columns
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
 from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_gradient
-from .polyalg import CHUNK_POINTS, VecPoly3, batch_eval, degree_monomials, eval_blocks
+from .polyalg import VecPoly3, batch_eval, degree_monomials, eval_blocks
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
 QR_BLOCK_BYTES = 16 << 20  # new rows per step of the least-squares QR, in bytes of [A | b]
@@ -158,19 +158,18 @@ def _field_chunks(layout, points: np.ndarray):
     """Sample fields laid out as pairs of blocks (values, then gradients, as
     in `ElasticBasis.layout`) through `eval_blocks`, chunk by chunk.
 
-    Yields (point rows, field columns, values (e, n, 3), gradients
-    (e, n, 3, 3)) per chunk and pair, with values[..., j] = v_j and
-    gradients[..., a, j] = d v_j / d x_a.  Pair k of a basis layout is its
-    degree k, so its columns are `degree_columns(k)`.  Both are strided views
-    of component-major products, so each component is a contiguous (e, n)
-    block, normals (n, 3) broadcast over the fields and the point axis runs
-    innermost.
+    Yields (point rows, pairs) per chunk, where `pairs` forms each pair's
+    values (e, n, 3) and gradients (e, n, 3, 3) in layout order, with
+    values[..., j] = v_j and gradients[..., a, j] = d v_j / d x_a.  Pair k of
+    a basis layout is its degree k, so its columns are `degree_columns(k)`.
+    Both are strided views of component-major products, so each component is
+    a contiguous (e, n) block, normals (n, 3) broadcast over the fields and
+    the point axis runs innermost.
     """
-    blocks = eval_blocks(layout, points)
-    for n, ((rows, values), (_, grads)) in enumerate(zip(blocks, blocks)):  # consecutive blocks pair up
-        m = values.shape[1]
-        yield (rows, degree_columns(n % (len(layout) // 2)), values.reshape(3, -1, m).transpose(1, 2, 0),
-               grads.reshape(3, 3, -1, m).transpose(2, 3, 0, 1))
+    for rows, products in eval_blocks(layout, points):
+        m = rows.stop - rows.start
+        yield rows, ((values.reshape(3, -1, m).transpose(1, 2, 0), grads.reshape(3, 3, -1, m).transpose(2, 3, 0, 1))
+                     for values, grads in zip(products, products))  # consecutive blocks pair up
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,12 +213,14 @@ def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
     """
     points, normals, tangents = quad.points[samples], quad.normals[samples], quad.tangents[samples]
     traces = np.empty((len(points), 3, len(basis)))
-    for rows, cols, values, grads in _field_chunks(basis.layout, points):
-        t = traction_of_gradient(basis.material, grads, normals[rows])
-        scalar, full = _scalar_and_full(problem, values, t, normals[rows])
-        traces[rows, 0, cols] = scalar.T
-        for a in range(2):
-            traces[rows, a + 1, cols] = _dot(full, tangents[rows, a]).T
+    for rows, pairs in _field_chunks(basis.layout, points):
+        for k, (values, grads) in enumerate(pairs):
+            cols = degree_columns(k)
+            t = traction_of_gradient(basis.material, grads, normals[rows])
+            scalar, full = _scalar_and_full(problem, values, t, normals[rows])
+            traces[rows, 0, cols] = scalar.T
+            for a in range(2):
+                traces[rows, a + 1, cols] = _dot(full, tangents[rows, a]).T
     return traces.reshape(-1, len(basis))
 
 
@@ -240,7 +241,7 @@ def _collapse(basis: ElasticBasis, coefficients: np.ndarray, points: np.ndarray)
             out[:, :, first:stop] += c @ rows.reshape(len(out), c.shape[1], -1)
     layout = [(0, end, values.reshape(-1, end)), (0, end, grads.reshape(-1, end))]
     disp, g = np.empty((d, len(points), 3)), np.empty((d, len(points), 3, 3))
-    for rows, _, values, grads in _field_chunks(layout, points):
+    for rows, ((values, grads),) in _field_chunks(layout, points):
         disp[:, rows], g[:, rows] = values, grads
     return disp, g
 

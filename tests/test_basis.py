@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elastopoly import Material, elastic_basis, lambda_coeff, solid_harmonics
+from elastopoly.basis import _polys
 from elastopoly.operators import lame_apply
 from elastopoly.polyalg import Poly3, X, Y, Z, R2, laplacian
 
@@ -251,6 +252,22 @@ def test_elements_homogeneous_of_tagged_degree():
             assert not el.field.is_zero
             assert {sum(mono) for comp in el.field for mono in comp.terms} == {k}
     assert len(basis) == 3 * (basis.max_degree + 1) ** 2  # the blocks cover the basis
+
+
+def test_element_builds_one_element_from_its_value_rows():
+    # reference: a degree's whole value block read at once, element i taking rows i, e + i and 2e + i
+    basis = elastic_basis(Material(1.3, 0.8), 8)
+    for k, (_, _, values) in enumerate(basis.layout[::2]):
+        polys, e = _polys(values, k), len(values) // 3
+        for i in range(e):
+            el = basis.element(3 * k * k + i)
+            assert (el.degree, el.harmonic_index, el.row) == (k, i // 3 + 1, i % 3 + 1)
+            assert [c.terms for c in el.field] == [p.terms for p in polys[i::e]]
+    assert "elements" not in vars(basis)  # element(n) never builds the whole tuple
+    assert all(basis.element(n) == el for n, el in enumerate(basis.elements))
+    for n in (-1, len(basis)):
+        with pytest.raises(IndexError, match="out of range 0..242"):
+            basis.element(n)
 
 
 def test_ordering_degree_then_index_then_row():

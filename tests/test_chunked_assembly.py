@@ -18,9 +18,8 @@ from elastopoly import (
     make_quadrature,
 )
 from elastopoly.operators import traction_of_gradient
-from elastopoly.polyalg import batch_eval
+from elastopoly.polyalg import CHUNK_POINTS, batch_eval
 from elastopoly.solver import (
-    CHUNK_POINTS,
     assemble_traces,
     evaluate_solution,
     fit_degrees,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from elastopoly import harness, solver
-from elastopoly.basis import Material
+from elastopoly.basis import Material, elastic_basis
 from elastopoly.cli import parse_config, run, study_config_from, CliError
 from elastopoly.geometry import Sphere, StarShaped, make_quadrature
 from elastopoly.harness import KelvinSource, StudyConfig, config_metadata
@@ -178,12 +178,39 @@ def test_basis_export_counts_and_headers(tmp_path, capsys):
     assert len(headers) == 27  # 3 (K+1)^2 with K = 2
     assert headers[0] == "# degree=0 s=1 row=1"
     assert headers[-1] == "# degree=2 s=5 row=3"
-    # blocks parse back through the polynomial text format
-    first_block = text.split("\n\n")[1]
-    comp_chunks = first_block.split("# component=")
-    assert len(comp_chunks) == 4
-    poly = Poly3.from_text(comp_chunks[1].split("\n", 1)[1])
-    assert not poly.is_zero or True
+
+
+@pytest.mark.parametrize("lam, mu", [("1", "1"), ("1.3", "0.8")])
+def test_basis_export_parses_back_to_the_elements(tmp_path, lam, mu):
+    # the export formats the layout's value rows; each component parses back
+    # to the dict element's component, term for term and bitwise
+    out = tmp_path / "basis.txt"
+    assert run(["basis", "--degree", "3", "--lambda", lam, "--mu", mu, "--output", str(out)]) == 0
+    blocks = out.read_text().rstrip("\n").split("\n\n")
+    elements = elastic_basis(Material(float(lam), float(mu)), 3).elements
+    assert len(blocks) == len(elements) == 48
+    for block, el in zip(blocks, elements):
+        header, *components = block.split("\n# component=")
+        assert header == f"# degree={el.degree} s={el.harmonic_index} row={el.row}"
+        assert len(components) == 3
+        for j, (chunk, comp) in enumerate(zip(components, el.field), start=1):
+            number, _, text = chunk.partition("\n")
+            parsed = Poly3.from_text(text)
+            assert number == str(j)
+            assert list(parsed.terms) == sorted(comp.terms)  # graded lex within the degree
+            assert {m: c.hex() for m, c in parsed.terms.items()} == {m: c.hex() for m, c in comp.terms.items()}
+
+
+def test_basis_export_reads_only_the_layout(monkeypatch, capsys):
+    from elastopoly.basis import ElasticBasis
+
+    def refused(*args):
+        raise AssertionError("the basis export built a basis element")
+
+    monkeypatch.setattr(ElasticBasis, "elements", property(refused))
+    monkeypatch.setattr(ElasticBasis, "element", refused)
+    assert run(["basis", "--degree", "3"]) == 0
+    assert capsys.readouterr().out.count("# degree=") == 48
 
 
 def test_basis_export_refuses_overwrite(tmp_path):
@@ -191,6 +218,18 @@ def test_basis_export_refuses_overwrite(tmp_path):
     assert run(["basis", "--degree", "0", "--output", str(out)]) == 0
     assert run(["basis", "--degree", "0", "--output", str(out)]) == 1
     assert run(["basis", "--degree", "0", "--output", str(out), "--force"]) == 0
+
+
+def test_basis_refuses_an_existing_output_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the basis was built for an output that is refused")
+
+    monkeypatch.setattr("elastopoly.cli.elastic_basis", refuse)
+    out = tmp_path / "basis.txt"
+    out.write_text("kept\n")
+    assert run(["basis", "--degree", "20", "--output", str(out)]) == 1
+    assert f"error: refusing to overwrite {out} (use --force)" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_basis_rejects_inadmissible_material(capsys):
@@ -605,8 +644,6 @@ def test_study_builds_the_quadrature_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, degree_key", [("study", "degrees = 2 3"), ("solve", "degree = 3")])
 def test_basis_element_data_builds_the_basis_once(tmp_path, monkeypatch, command, degree_key):
-    from elastopoly.basis import elastic_basis
-
     calls = []
 
     def counting(*args, **kwargs):
@@ -619,6 +656,22 @@ def test_basis_element_data_builds_the_basis_once(tmp_path, monkeypatch, command
         "source = kelvin\ny0 = 0 0 3\nrow = 1", "source = basis_element\nindex = 20")
     assert run([command, "--config", write_config(tmp_path, text), "--output", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, degree_key", [("study", "degrees = 2 3"), ("solve", "degree = 3")])
+def test_basis_element_data_builds_one_element(tmp_path, monkeypatch, command, degree_key):
+    from elastopoly.basis import ElasticBasis
+
+    def refused(self):
+        raise AssertionError("basis-element data built every element")
+
+    built, element = [], ElasticBasis.element
+    monkeypatch.setattr(ElasticBasis, "elements", property(refused))
+    monkeypatch.setattr(ElasticBasis, "element", lambda self, n: built.append(n) or element(self, n))
+    text = STUDY_CONFIG.replace("degrees = 2 3", degree_key).replace(
+        "source = kelvin\ny0 = 0 0 3\nrow = 1", "source = basis_element\nindex = 20")
+    assert run([command, "--config", write_config(tmp_path, text), "--output", str(tmp_path / "out")]) == 0
+    assert built == [20]
 
 
 @pytest.mark.parametrize("command, degree_key", [("study", "degrees = 2 8"), ("solve", "degree = 8")])

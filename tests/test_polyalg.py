@@ -7,7 +7,7 @@ from elastopoly.basis import Material, elastic_basis
 from elastopoly.operators import traction
 from elastopoly.polyalg import (
     CHUNK_POINTS, Poly3, VecPoly3, X, Y, Z, R2,
-    batch_eval, degree_monomials, divergence, gradient, laplacian,
+    batch_eval, degree_monomials, divergence, eval_blocks, gradient, laplacian, rows_text,
 )
 
 rng = np.random.default_rng(1905)
@@ -179,12 +179,14 @@ def test_div_curl_float_coefficients_cancel_to_rounding():
 
 
 def test_serialization_round_trip_and_order():
-    p = Poly3({(0, 0, 2): -0.25, (1, 1, 0): 3.0, (0, 0, 0): 1.0, (2, 0, 0): 0.5})
-    text = p.to_text()
+    p = Poly3({(0, 0, 2): -0.25, (1, 1, 0): 3.0, (0, 0, 0): 1.0, (2, 0, 0): 0.5, (0, 2, 0): 1.0 / 3.0})
+    rows = [np.array([[p.terms.get(m, 0.0) for m in map(tuple, degree_monomials(k).tolist())]]) for k in range(3)]
+    text = "\n".join(filter(None, (line for k, row in enumerate(rows) for line in rows_text(row, k))))
     lines = text.splitlines()
-    # graded lex: constant first, then degree-2 monomials ordered by tuple
+    # graded lex: constant first, then degree-2 monomials ordered by tuple; zero entries are skipped
     assert lines[0].startswith("0 0 0 ")
-    assert [ln.rsplit(" ", 1)[0] for ln in lines] == ["0 0 0", "0 0 2", "1 1 0", "2 0 0"]
+    assert [ln.rsplit(" ", 1)[0] for ln in lines] == ["0 0 0", "0 0 2", "0 2 0", "1 1 0", "2 0 0"]
+    assert rows_text(rows[1], 1) == [""]
     assert Poly3.from_text(text) == p
 
 
@@ -266,3 +268,26 @@ def test_evaluation_temporaries_stay_bounded_by_the_chunk():
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20  # a 256-point chunk holds well under a MiB; one product over 20,000 points, 30
+
+
+@pytest.mark.parametrize("n_points", [0, 1, CHUNK_POINTS, CHUNK_POINTS + 1, 3 * CHUNK_POINTS - 7])
+def test_eval_blocks_yields_each_chunk_once_with_every_block(n_points):
+    blocks = elastic_basis(Material(1.0, 1.0), 4).layout
+    pts = rng.uniform(-1.0, 1.0, size=(n_points, 3))
+    chunks = [(rows, list(products)) for rows, products in eval_blocks(blocks, pts)]
+    assert len(chunks) == -(-n_points // CHUNK_POINTS)
+    assert [(rows.start, rows.stop) for rows, _ in chunks] == [
+        (start, min(start + CHUNK_POINTS, n_points)) for start in range(0, n_points, CHUNK_POINTS)]
+    for rows, products in chunks:
+        assert [v.shape for v in products] == [(len(c), rows.stop - rows.start) for _, _, c in blocks]
+
+
+def test_products_held_past_the_next_chunk_read_their_own_chunk():
+    blocks = elastic_basis(Material(1.0, 1.0), 4).layout
+    pts = rng.uniform(-1.0, 1.0, size=(2 * CHUNK_POINTS + 5, 3))
+    held = list(eval_blocks(blocks, pts))  # every chunk taken before any of its products is formed
+    assert len(held) == 3
+    for rows, products in held:
+        (_, direct), = eval_blocks(blocks, pts[rows])  # the chunk's points alone: one chunk, its own table
+        for values, expected in zip(products, direct, strict=True):
+            assert np.array_equal(values, expected)
