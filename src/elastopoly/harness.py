@@ -42,6 +42,31 @@ from .solver import (
 PROBE_SEED = 715
 N_PROBES = 20
 PROBE_DEPTH = 0.5
+# The probe directions, unnormalized: np.random.default_rng(PROBE_SEED).normal(size=(N_PROBES, 3))
+# written out as round-trip floats, so a study imports no RNG and its probes
+# do not follow numpy's generator stream.
+PROBE_DIRECTIONS = (
+    (-0.22832266075610697, -0.4453456412939974, 0.1182070197951212),
+    (-0.8239062197576767, 0.24431997423185675, -0.704980730426958),
+    (-0.9254356715999021, -2.0129004668325754, -1.079863114839994),
+    (0.7462481448730208, 2.3814698646617836, 1.008569242315039),
+    (1.0291630936116043, -1.2250029698341331, 0.08972661661274824),
+    (0.08015671385620489, -0.13054976127769077, 1.189808450367467),
+    (-0.3044100819695626, -1.1572633235791936, -2.215885755616498),
+    (0.9967552013980882, -0.1528049650883345, -1.0292101298512635),
+    (0.517644705765067, -1.0823420028044426, -0.427630252423818),
+    (1.5228140113339113, -0.9956279619001065, -0.501996412808922),
+    (0.6621388990404232, -1.1323285352192356, 0.24799828816380454),
+    (-1.0200227887538917, -0.7612909709573344, 0.09690122155612939),
+    (1.621516943533767, -0.04820551926494124, -0.44868512063367355),
+    (-0.48238870233848025, -0.1282554175799269, -0.7261284373188605),
+    (-0.7189222128989425, 0.38412357029039945, -1.008331054243784),
+    (-0.4245760780046797, -0.9599660015077516, -0.0869471034098924),
+    (-0.2412742243747706, 0.2710211025105559, -0.9846079719992423),
+    (-0.9575346564330384, 1.054085791128169, 1.413036894305932),
+    (1.9308245657111465, 0.1979237603745998, -0.885189320670484),
+    (0.11899287326168177, 0.3503979963983911, 1.037251560938361),
+)
 
 
 # -- manufactured data ------------------------------------------------------------
@@ -290,9 +315,8 @@ def config_metadata(config: StudyConfig) -> dict:
 
 
 def probe_points(spec: SurfaceSpec) -> np.ndarray:
-    """Fixed interior probes at 50% radial depth (deterministic seed)."""
-    rng = np.random.default_rng(PROBE_SEED)
-    dirs = rng.normal(size=(N_PROBES, 3))
+    """Fixed interior probes at 50% radial depth along `PROBE_DIRECTIONS`."""
+    dirs = np.array(PROBE_DIRECTIONS)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     r = radial_function(spec, dirs)
     return np.asarray(spec.center, dtype=float) + PROBE_DEPTH * r[:, None] * dirs

@@ -138,26 +138,29 @@ def _kelvin_argument(x, what: str) -> tuple[np.ndarray, np.ndarray]:
     return z, r
 
 
-def kelvin_matrix(material: Material, x) -> np.ndarray:
-    """Fundamental matrix -delta_ij/(4 pi mu |x|) + mu' * Hess|x|, shape (..., 3, 3)."""
+def kelvin_matrix(material: Material, x, rows: slice = slice(None)) -> np.ndarray:
+    """Fundamental matrix -delta_ij/(4 pi mu |x|) + mu' * Hess|x|, shape (..., 3, 3),
+    or only its rows i in `rows`."""
     z, r = _kelvin_argument(x, "Kelvin matrix")
     a, b = _kelvin_coefficients(material)
     r = r[..., None, None]
-    return a * np.eye(3) / r + b * (z[..., :, None] * z[..., None, :]) / r**3
+    return a * np.eye(3)[rows] / r + b * (z[..., rows, None] * z[..., None, :]) / r**3
 
 
-def kelvin_gradient(material: Material, x) -> np.ndarray:
-    """Closed-form grad[..., i, j, k] = d Gamma_ij / d z_k, shape (..., 3, 3, 3)."""
+def kelvin_gradient(material: Material, x, rows: slice = slice(None)) -> np.ndarray:
+    """Closed-form grad[..., i, j, k] = d Gamma_ij / d z_k, shape (..., 3, 3, 3),
+    or only its rows i in `rows`."""
     z, r = _kelvin_argument(x, "Kelvin gradient")
     a, b = _kelvin_coefficients(material)
     eye = np.eye(3)
-    inv_r3 = (1.0 / r**3)[..., None, None, None]
-    inv_r5 = (1.0 / r**5)[..., None, None, None]
-    zi = z[..., :, None, None]
+    r = r[..., None, None, None]  # an array even for one point: numpy's scalar ** rounds unlike its array **
+    inv_r3 = 1.0 / r**3
+    inv_r5 = 1.0 / r**5
+    zi = z[..., rows, None, None]
     zj = z[..., None, :, None]
     zk = z[..., None, None, :]
-    d_ij = eye[:, :, None]
-    d_ik = eye[:, None, :]
+    d_ij = eye[rows, :, None]
+    d_ik = eye[rows, None, :]
     d_jk = eye[None, :, :]
     return (
         -a * d_ij * zk * inv_r3
@@ -165,11 +168,12 @@ def kelvin_gradient(material: Material, x) -> np.ndarray:
     )
 
 
-def kelvin_traction(material: Material, x, y, normal_y) -> np.ndarray:
+def kelvin_traction(material: Material, x, y, normal_y, rows: slice = slice(None)) -> np.ndarray:
     """Traction kernel: row i is T at y (normal nu(y)) of the field Gamma_i(x - .).
 
     x is a single point; y and normal_y are (..., 3).  Output (..., 3, 3)
-    with [..., i, j] the j-component of the traction of row field i.
+    with [..., i, j] the j-component of the traction of row field i, or
+    only the rows i in `rows`.
     """
     nrm = np.asarray(normal_y, dtype=float)
     _check_unit_normals(nrm)
@@ -177,7 +181,7 @@ def kelvin_traction(material: Material, x, y, normal_y) -> np.ndarray:
     if np.min(np.linalg.norm(z, axis=-1)) <= 0.0:
         raise ValueError("Kelvin traction kernel is singular at x = y")
     # d/dy_k Gamma_ij(x - y) = -(d Gamma_ij / d z_k)(x - y)
-    d = -kelvin_gradient(material, z)                         # d[..., i, j, k] = d(field_i)_j / d y_k
+    d = -kelvin_gradient(material, z, rows)                   # d[..., i, j, k] = d(field_i)_j / d y_k
     return traction_of_gradient(material, d, nrm[..., None, :])
 
 
@@ -193,12 +197,17 @@ class KelvinField:
         if self.row not in (1, 2, 3):
             raise ValueError(f"row must be 1, 2 or 3, got {self.row}")
 
+    @property
+    def _rows(self) -> slice:
+        """The one kernel row i of the field, as the `rows` of the kernels."""
+        return slice(self.row - 1, self.row)
+
     def eval(self, points) -> np.ndarray:
         z = np.asarray(points, dtype=float) - np.asarray(self.pole, dtype=float)
-        return kelvin_matrix(self.material, z)[..., self.row - 1, :]
+        return kelvin_matrix(self.material, z, self._rows)[..., 0, :]
 
     def traction(self, points, normals) -> np.ndarray:
         # Gamma is even, so the field Gamma_row(x - pole) is row `row` of the kernel at the pole
-        return kelvin_traction(self.material, self.pole, points, normals)[..., self.row - 1, :]
+        return kelvin_traction(self.material, self.pole, points, normals, self._rows)[..., 0, :]
 
     __call__ = eval

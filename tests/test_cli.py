@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -300,6 +301,24 @@ def test_check_samples_each_betti_field_once(monkeypatch, capsys):
     assert run(["check", "--degree", "2", "--n-theta", "16", "--n-phi", "32"]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
     assert walked.count(16 * 32) == 1 and walked.count(48 * 96) == 1
+
+
+def test_check_betti_pairs_reach_every_degree(monkeypatch, capsys):
+    # 20 pairs from a fixed rule, no random draws: field m is from degree m mod (K + 1)
+    from elastopoly import cli
+
+    columns = []
+    original = cli.reciprocity_matrix
+
+    def recording(basis, chosen, *args):
+        columns.append(list(chosen))
+        return original(basis, chosen, *args)
+
+    monkeypatch.setattr(cli, "reciprocity_matrix", recording)
+    assert run(["check", "--degree", "5", "--n-theta", "16", "--n-phi", "32"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 4
+    betti = columns[0]
+    assert len(betti) == 40 and [math.isqrt(n // 3) for n in betti] == [m % 6 for m in range(40)]
 
 
 def test_check_fails_when_the_basis_misses_equilibrium(monkeypatch, capsys):

@@ -239,6 +239,14 @@ def test_probe_points_are_deterministic_and_interior():
     assert np.all(np.linalg.norm(p1, axis=1) < radial_function(spec, dirs))
 
 
+def test_probe_directions_are_the_seeded_draws():
+    # the written-out table is the seeded normal draws, bit for bit
+    from elastopoly.harness import N_PROBES, PROBE_DIRECTIONS, PROBE_SEED
+
+    drawn = np.random.default_rng(PROBE_SEED).normal(size=(N_PROBES, 3))
+    assert np.array(PROBE_DIRECTIONS).tobytes() == drawn.tobytes()
+
+
 def test_study_report_csv_schema_and_determinism():
     config = StudyConfig(
         material=M,

@@ -234,12 +234,15 @@ def test_kelvin_field_traction_matches_finite_differences():
 @pytest.mark.parametrize("pole", [(0.0, 0.0, 3.0), (1.7, -2.2, 0.4)])
 def test_kelvin_field_traction_is_a_row_of_the_kernel(pole):
     """The row of the kernel at the pole equals the contraction of the field's
-    own gradient, d u_j / d x_k = (d Gamma_row,j / d z_k)(x - pole), bitwise."""
+    own gradient, d u_j / d x_k = (d Gamma_row,j / d z_k)(x - pole), bitwise.
+    The field computes only its row, bitwise that row of the full kernels."""
     pts, nrm = 0.8 * random_unit(7), random_unit(7)
     for row in (1, 2, 3):
         fld = KelvinField(M, pole, row)
         expected = traction_of_gradient(M, kelvin_gradient(M, pts - np.asarray(pole))[:, row - 1], nrm)
         np.testing.assert_array_equal(fld.traction(pts, nrm), expected)
+        np.testing.assert_array_equal(fld.traction(pts, nrm), kelvin_traction(M, pole, pts, nrm)[:, row - 1])
+        np.testing.assert_array_equal(fld.eval(pts), kelvin_matrix(M, pts - np.asarray(pole))[:, row - 1])
         assert fld.traction(pts[0], nrm[0]).shape == (3,)
         np.testing.assert_array_equal(fld.traction(pts[0], nrm[0]), expected[0])
 
@@ -265,6 +268,13 @@ def test_leading_axes_broadcast(name):
     batched = f(pts.reshape(2, 5, 3), nrm.reshape(2, 5, 3))
     np.testing.assert_array_equal(batched, flat.reshape(2, 5, *flat.shape[1:]), strict=True)
     np.testing.assert_array_equal(f(pts[0], nrm[0]), f(pts[:1], nrm[:1])[0], strict=True)
+
+
+def test_kelvin_gradient_of_one_point_is_its_batch_row():
+    # one point goes through the array power too: numpy's scalar ** rounds unlike its array **
+    z = rng.uniform(-2.0, 2.0, size=(200, 3))
+    batch = kelvin_gradient(M, z)
+    assert all(np.array_equal(kelvin_gradient(M, x), g) for x, g in zip(z, batch))
 
 
 def test_betti_pairing_with_basis_elements(sphere_quad, basis_k4):
