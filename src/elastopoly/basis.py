@@ -132,22 +132,12 @@ def lambda_coeff(material: Material, k: int) -> float:
     return -(lam + mu) / (2.0 * (lam * (k - 1) + mu * (3 * k - 2)))
 
 
-@lru_cache(maxsize=None)
-def _diff_map(d: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of m + e_a among the degree-d monomials and the factors
-    m_a + 1, for the degree-(d-1) monomials m; read-only, as it is cached."""
-    source = degree_monomials(d - 1)
-    source[:, a] += 1
-    position, factor = monomial_position(source), source[:, a].copy()
-    position.flags.writeable = factor.flags.writeable = False
-    return position, factor
-
-
 def _diff(rows: np.ndarray, d: int, a: int) -> np.ndarray:
     """d/dx_a of rows (..., n) over the degree-d monomials, as `Poly3.diff`:
     degree-(d-1) monomial m takes c(m + e_a) (m_a + 1)."""
-    position, factor = _diff_map(d, a)
-    return rows[..., position] * factor
+    source = degree_monomials(d - 1)
+    source[:, a] += 1
+    return rows[..., monomial_position(source)] * source[:, a]
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

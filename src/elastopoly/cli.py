@@ -295,26 +295,25 @@ def cmd_check(args) -> int:
         f"max |E p| coefficient {worst:.3e} (tol 1e-12), {len(residuals)} elements",
     )
 
-    # 1,000 unit normals on a Fibonacci lattice over the sphere, and points at
-    # radii 2 cbrt(s), s = 0..1 evenly, along the same directions in reverse order
-    i = np.arange(1000)
-    z = 1.0 - (2 * i + 1.0) / 1000
-    azimuth = np.pi * (3.0 - np.sqrt(5.0)) * i  # i golden angles
-    ring = np.sqrt((1.0 - z) * (1.0 + z))
-    nrm = np.stack([ring * np.cos(azimuth), ring * np.sin(azimuth), z], axis=1)
-    pts = 2.0 * np.cbrt(np.linspace(0.0, 1.0, 1000))[:, None] * nrm[::-1]
+    # the quadrature's unit normals, and points at radii 2 cbrt(s), s = 0..1 evenly,
+    # along the same directions in reverse order
+    nrm = quad.normals
+    pts = 2.0 * np.cbrt(np.linspace(0.0, 1.0, len(nrm)))[:, None] * nrm[::-1]
     rigid = RigidDisplacement(a=(0.3, -1.2, 0.7), b=(0.5, 0.25, -1.0), x0=(0.1, 0.0, -0.2))
     t = traction(material, rigid.as_vecpoly(), pts, nrm)
     worst_t = float(np.max(np.abs(t)))
     report("rigid-traction", worst_t <= 1e-13 * 2.0, f"max |T(rigid)| = {worst_t:.3e} (tol 1e-13 scale)")
 
-    # Betti pair p is fields 2p, 2p + 1, and field m is element 7m mod 3(2k + 1)
-    # of degree k = m mod (K + 1), so the 20 pairs reach every degree; the Somigliana
-    # elements and the three Kelvin row fields of each pole come last, and share
-    # the pass when the grids agree
-    m = np.arange(40)
-    k = m % (args.degree + 1)
-    betti = 3 * k * k + 7 * m % (6 * k + 3)
+    # Betti pair p is element j of degree k - s and element j of degree k, with
+    # s = min(K, 2), k = s + p mod (K + 1 - s) and j = 7p mod 3(2(k - s) + 1), so the
+    # 20 pairs reach every degree.  Only degrees two apart can show E v != 0: an odd
+    # degree sum makes both integrals vanish by antipodal symmetry, and within one
+    # degree the Lambda_k terms cancel.  The Somigliana elements and the three Kelvin
+    # row fields of each pole come last, and share the pass when the grids agree
+    step, p = min(args.degree, 2), np.arange(20)
+    k = step + p % (args.degree + 1 - step)
+    j = 7 * p % (6 * (k - step) + 3)
+    betti = np.ravel([3 * (k - step) ** 2 + j, 3 * k * k + j], order="F")
     somigliana = range(0, len(basis), max(1, len(basis) // 4))[:4]
     poles = np.array([[0.3, 0.1, -0.2], [0.0, 0.0, 5.0]])  # inside and outside the unit sphere
     somigliana_grid = (48, 96)

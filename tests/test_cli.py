@@ -277,8 +277,9 @@ def test_check_bad_input_exits_1(capsys, args, message):
 def test_check_samples_each_betti_field_once(monkeypatch, capsys):
     # check reads only the basis layout: no polynomial objects are evaluated,
     # the elements are never built, and one eval_blocks pass over each grid
-    # (the 16 x 32 Betti grid, the 48 x 96 Somigliana grid) samples every field
-    from elastopoly import polyalg
+    # (the 16 x 32 Betti grid, the 48 x 96 Somigliana grid) samples every field;
+    # the rigid-traction line walks its own field once, at the Betti grid's normals
+    from elastopoly import cli, polyalg
     from elastopoly.basis import ElasticBasis
     from elastopoly.polyalg import VecPoly3
 
@@ -296,15 +297,26 @@ def test_check_samples_each_betti_field_once(monkeypatch, capsys):
         monkeypatch.setattr(cls, "eval", refused)
         monkeypatch.setattr(cls, "__call__", refused)
     monkeypatch.setattr(ElasticBasis, "elements", property(refused))
+
+    def rigid(*args):
+        walked.append("rigid")
+        return traction(*args)
+
+    traction = cli.traction
+    monkeypatch.setattr(cli, "traction", rigid)
     for module in (polyalg, solver, harness):
         monkeypatch.setattr(module, "eval_blocks", counting)
     assert run(["check", "--degree", "2", "--n-theta", "16", "--n-phi", "32"]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
+    at = walked.index("rigid")
+    assert walked[at + 1] == 16 * 32
+    del walked[at:at + 2]
     assert walked.count(16 * 32) == 1 and walked.count(48 * 96) == 1
 
 
 def test_check_betti_pairs_reach_every_degree(monkeypatch, capsys):
-    # 20 pairs from a fixed rule, no random draws: field m is from degree m mod (K + 1)
+    # 20 pairs from a fixed rule, no random draws: pair p is element j of degrees
+    # k - 2 and k, k = 2 + p mod (K - 1), the only pairs that can show E v != 0
     from elastopoly import cli
 
     columns = []
@@ -318,17 +330,23 @@ def test_check_betti_pairs_reach_every_degree(monkeypatch, capsys):
     assert run(["check", "--degree", "5", "--n-theta", "16", "--n-phi", "32"]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
     betti = columns[0]
-    assert len(betti) == 40 and [math.isqrt(n // 3) for n in betti] == [m % 6 for m in range(40)]
+    degree = [math.isqrt(n // 3) for n in betti]
+    assert len(betti) == 40 and degree[1::2] == [2 + p % 4 for p in range(20)]
+    assert [high - low for low, high in zip(degree[::2], degree[1::2])] == [2] * 20
+    assert [high - low for low, high in zip(betti[::2], betti[1::2])] == [3 * (4 * k - 4) for k in degree[1::2]]
 
 
 def test_check_fails_when_the_basis_misses_equilibrium(monkeypatch, capsys):
-    # a wrong material factor Lambda_k leaves E v != 0 from degree 2 on
+    # a wrong material factor Lambda_k leaves E v != 0 from degree 2 on, and breaks
+    # reciprocity between degrees k - 2 and k, at odd and even K
     from elastopoly import basis
 
     original = basis.lambda_coeff
     monkeypatch.setattr(basis, "lambda_coeff", lambda material, k: 0.9 * original(material, k))
-    assert run(["check", "--degree", "3", "--n-theta", "16", "--n-phi", "32"]) == 2
-    assert "FAIL basis-identity" in capsys.readouterr().out
+    for degree in ("2", "3", "4", "6"):
+        assert run(["check", "--degree", degree, "--n-theta", "16", "--n-phi", "32"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL basis-identity" in out and "FAIL betti" in out
 
 
 def test_check_default_configuration_passes(capsys):

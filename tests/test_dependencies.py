@@ -46,12 +46,18 @@ kind = IV
 source = kelvin
 y0 = 0 0 3
 """
-RUN = "import sys; from elastopoly.cli import run; print(run(sys.argv[1:]), 'numpy.random' in sys.modules)"
+RUN = """\
+import sys, numpy
+bare = 'numpy.random' in sys.modules
+from elastopoly.cli import run
+print(run(sys.argv[1:]), bare, 'numpy.random' in sys.modules)
+"""
 
 
 @pytest.mark.parametrize("command", ["study", "solve", "check"])
 def test_no_command_imports_numpy_random(tmp_path, command):
-    # in a fresh interpreter: the suite itself imports numpy.random
+    # in a fresh interpreter, as the suite itself imports numpy.random; measured
+    # against a bare `import numpy` there
     config = tmp_path / "run.cfg"
     config.write_text(CONFIG.format(degree="degrees = 1 2" if command == "study" else "degree = 2"))
     args = (["--degree", "2", "--n-theta", "16", "--n-phi", "32"] if command == "check"
@@ -60,4 +66,9 @@ def test_no_command_imports_numpy_random(tmp_path, command):
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", RUN, command, *args], env=env, capture_output=True, text=True,
                           timeout=120)
-    assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
+    assert done.returncode == 0, done.stderr
+    code, bare, loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0", done.stdout
+    if bare == "True":  # numpy 1.x imports numpy.random with numpy itself
+        pytest.skip("numpy imports numpy.random on `import numpy`")
+    assert loaded == "False", done.stdout
