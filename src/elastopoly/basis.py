@@ -230,6 +230,28 @@ class ElasticBasis:
         """Ordered by degree, then harmonic index, then row."""
         return tuple(map(self.element, range(len(self))))
 
+    def pick(self, columns) -> tuple[list[tuple[int, int, np.ndarray]], list[np.ndarray]]:
+        """The layout of the elements at `columns` (basis positions, repeats
+        allowed) and, per degree with any of them, the positions in `columns`
+        that its two blocks fill, so ascending columns come in their order.
+        Component j of element i of a degree with e elements is row j e + i
+        of its value block, partial (a, j) row (3a + j) e + i of its gradient
+        block; a degree whose elements are all picked, in order, keeps its
+        blocks as they are."""
+        columns = np.asarray(columns, dtype=np.intp).reshape(-1)
+        layout, targets = [], []
+        for k in range(self.max_degree + 1):
+            cols = degree_columns(k)
+            mine = np.flatnonzero((cols.start <= columns) & (columns < cols.stop))
+            if len(mine):
+                picked, e, blocks = columns[mine] - cols.start, cols.stop - cols.start, self.layout[2 * k:2 * k + 2]
+                if not np.array_equal(picked, np.arange(e)):
+                    blocks = [(first, end, rows[(e * np.arange(n_rows)[:, None] + picked).ravel()])
+                              for (first, end, rows), n_rows in zip(blocks, (3, 9))]
+                layout.extend(blocks)
+                targets.append(mine)
+        return layout, targets
+
     def prefix(self, k: int) -> "ElasticBasis":
         """The basis through degree k <= max_degree, on the first 2k + 2 layout blocks."""
         if k == self.max_degree:

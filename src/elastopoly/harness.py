@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .basis import ElasticBasis, Material, degree_columns, elastic_basis
+from .basis import ElasticBasis, Material, elastic_basis
 from .geometry import Ellipsoid, Sphere, StarShaped, SurfaceQuadrature, SurfaceSpec, make_quadrature, radial_function
 from .ioutil import csv_lines, json_dumps
 from .operators import KelvinField, kelvin_matrix, kelvin_traction, traction_of_gradient
@@ -172,15 +172,7 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
     if not (len(columns) and 0 <= columns.min() and columns.max() < len(basis)):
         raise ValueError(f"columns must be one or more basis positions 0..{len(basis) - 1}")
     poles = np.array([_clear_of_surface(quad, x) for x in np.reshape(poles, (-1, 3))]).reshape(-1, 3)
-    layout, targets = [], []  # the chosen rows of each degree's two blocks, and the fields they fill
-    for k in range(basis.max_degree + 1):
-        cols = degree_columns(k)
-        mine = np.flatnonzero((cols.start <= columns) & (columns < cols.stop))
-        if len(mine):  # component c of element i is row c e + i of its block
-            picked, e = columns[mine] - cols.start, cols.stop - cols.start
-            for (first, end, rows), n_components in zip(basis.layout[2 * k:2 * k + 2], (3, 9)):
-                layout.append((first, end, rows[(e * np.arange(n_components)[:, None] + picked).ravel()]))
-            targets.append(mine)
+    layout, targets = basis.pick(columns)
     n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
     material = basis.material
     matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)

@@ -14,6 +14,9 @@ scale and are asserted at 1e-12 after max-normalization.
 Every evaluation is `eval_blocks`, CHUNK_POINTS points at a time, so its
 temporaries stay bounded; `batch_eval`, behind `Poly3.eval`, `VecPoly3.eval`,
 `operators.traction` and `solver.field_samples`, is its one-block case.
+`monomial_tables` holds the one point-chunk loop: `eval_blocks` streams its
+tables, one chunk at a time, unless the caller holds them to share across
+passes, as a folded fit does across parity classes.
 """
 
 from __future__ import annotations
@@ -367,19 +370,13 @@ def _degree_start(d: int) -> int:
     return d * (d + 1) * (d + 2) // 6
 
 
-def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points):
-    """Evaluate coefficient blocks at float points (n, 3), CHUNK_POINTS points at a time.
-
-    Each block (first, end, coefficients) is a (r, end - first) matrix over
-    the graded-lex monomials first .. end (one degree for a homogeneous
-    group): one matrix product that skips every other degree.  Yields (rows,
-    products) per chunk, `products` forming each block's values (r, len(rows))
-    at points[rows] in order, one at a time and only when it is asked for.
-    """
-    low = min((first for first, _, _ in blocks), default=0)
-    high = max((end for _, end, _ in blocks), default=0)
-    max_degree = next(d for d in count() if _degree_start(d + 1) >= high)
-    i, j, k = _graded_lex_table(max_degree)[low:high].T
+def monomial_tables(points, end: int, first: int = 0):
+    """The one point-chunk loop of every polynomial evaluation: yields (rows,
+    table) per chunk of CHUNK_POINTS of the float points (n, 3), `table`
+    the values (end - first, len(rows)) of the graded-lex monomials first ..
+    end at points[rows]."""
+    max_degree = next(d for d in count() if _degree_start(d + 1) >= end)
+    i, j, k = _graded_lex_table(max_degree)[first:end].T
     for start in range(0, len(points), CHUNK_POINTS):
         rows = slice(start, min(start + CHUNK_POINTS, len(points)))
         # cumulative power tables per coordinate, then each monomial as (x^i y^j) z^k
@@ -390,10 +387,32 @@ def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points):
         table = powers[0, i]  # (monomial, point)
         table *= powers[1, j]
         table *= powers[2, k]
-        # t binds this chunk's table, so products held past the chunk still read it; zeros for an empty block
-        yield rows, (coeffs @ t[first - low:end - low] for t in [table] for first, end, coeffs in blocks)
+        yield rows, table
         # freed before the next chunk allocates its tables, so the allocator reuses them, not fresh pages
         del powers, table
+
+
+def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points, tables=None):
+    """Evaluate coefficient blocks at float points (n, 3), CHUNK_POINTS points at a time.
+
+    Each block (first, end, coefficients) is a (r, end - first) matrix over
+    the graded-lex monomials first .. end (one degree for a homogeneous
+    group): one matrix product that skips every other degree.  Yields (rows,
+    products) per chunk, `products` forming each block's values (r, len(rows))
+    at points[rows] in order, one at a time and only when it is asked for.
+    The chunks' tables are built over the blocks' monomials, unless
+    `tables` holds them: the (rows, table) pairs of `monomial_tables(points,
+    end)` from monomial 0 through every block's end, kept so that several
+    passes over the same points build them once.
+    """
+    low = 0
+    if tables is None:
+        low = min((first for first, _, _ in blocks), default=0)
+        tables = monomial_tables(points, max((end for _, end, _ in blocks), default=0), low)
+    for rows, table in tables:
+        # t binds this chunk's table, so products held past the chunk still read it; zeros for an empty block
+        yield rows, (coeffs @ t[first - low:end - low] for t in [table] for first, end, coeffs in blocks)
+        del table  # a streamed table is freed before the next is built
 
 
 def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:

@@ -44,20 +44,25 @@ one up to rounding.  A quadrature without reflections (a generic star, an
 off-center surface, a hand-built quadrature) is the trivial group: one
 class over every sample, the same code.
 
-The trace rows are assembled from `ElasticBasis.layout` through
-`polyalg.eval_blocks`, per chunk of CHUNK_POINTS samples and per degree k,
-whose elements are columns 3k^2 .. 3(k+1)^2 (`basis.degree_columns`).  Each
-degree is contracted to tractions and written straight into three rows per
-sample: the scalar trace, and the vector trace in the sample's orthonormal
-tangent frame (`SurfaceQuadrature.tangents`).  The frames exist only in
-these rows and the matching rows of b; everything a fit reports is
-Cartesian.  The whole trace matrix T (3N, E) is never held: a fit assembles
-the traces of one block of whole domain samples at a time, at most
-QR_BLOCK_BYTES of [A | b] over all classes, copies each class's columns into
-its QR buffer and reduces R <- QR of [R; A[rows] | b[rows]] at once.  The
-peak footprint is the basis and its layout, a few block-sized arrays (the
-assembled block, the class buffers and the two working copies
-`np.linalg.qr` makes of one class's input) and O(E^2 / |G|) for the Rs.
+The trace rows are assembled from the layout rows of the chosen elements
+(`ElasticBasis.pick`) through `polyalg.eval_blocks`, per chunk of
+CHUNK_POINTS samples, a few consecutive degrees k at a time (columns
+3k^2 .. 3(k+1)^2, `basis.degree_columns`), each group no wider than the
+widest degree.  Each group is contracted to tractions and written straight
+into three rows per sample: the scalar trace, and the vector trace in the
+sample's orthonormal tangent frame (`SurfaceQuadrature.tangents`).  The
+frames exist only in these rows and the matching rows of b; everything a fit
+reports is Cartesian.  The whole trace matrix T (3N, E) is never held, nor
+a block of it over every class: a fit walks blocks of whole domain samples,
+at most QR_BLOCK_BYTES of [A | b] over every column, and within a block the
+classes take turns.  Each class writes its own columns' weighted traces and
+its b under its R in one buffer sized for the widest class and reduces
+R <- QR of [R; A[rows] | b[rows]] before the next class starts.  With more
+than one class the block's monomial tables are built once and read by every
+class; one class streams them.  The peak footprint is the basis and its
+layout, one class's QR buffer and the two working copies `np.linalg.qr`
+makes of it, the block's monomial tables, one chunk's products and
+O(E^2 / |G|) for the Rs.
 
 A fitted field is one polynomial, sampled once (`_collapse`): at the
 quadrature, its displacement and traction, split by `split_trace`, give the
@@ -77,7 +82,7 @@ from .basis import Material, ElasticBasis, _harmonic_rows, degree_columns
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
 from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_gradient
-from .polyalg import VecPoly3, batch_eval, degree_monomials, eval_blocks
+from .polyalg import VecPoly3, batch_eval, degree_monomials, eval_blocks, monomial_tables
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
 QR_BLOCK_BYTES = 16 << 20  # new rows per step of the least-squares QR, in bytes of [A | b]
@@ -154,7 +159,7 @@ class FitResult:
 # -- trace assembly ---------------------------------------------------------------
 
 
-def _field_chunks(layout, points: np.ndarray):
+def _field_chunks(layout, points: np.ndarray, tables=None, join: int = 0):
     """Sample fields laid out as pairs of blocks (values, then gradients, as
     in `ElasticBasis.layout`) through `eval_blocks`, chunk by chunk.
 
@@ -164,12 +169,35 @@ def _field_chunks(layout, points: np.ndarray):
     a basis layout is its degree k, so its columns are `degree_columns(k)`.
     Both are strided views of component-major products, so each component is
     a contiguous (e, n) block, normals (n, 3) broadcast over the fields and
-    the point axis runs innermost.
+    the point axis runs innermost.  Consecutive pairs that hold at most
+    `join` fields together come joined as one, their fields in layout order;
+    `tables` goes to `eval_blocks`.
     """
-    for rows, products in eval_blocks(layout, points):
+    groups = []
+    for e in (len(rows) // 3 for _, _, rows in layout[::2]):
+        if groups and sum(groups[-1]) + e <= join:
+            groups[-1].append(e)
+        else:
+            groups.append([e])
+    for rows, products in eval_blocks(layout, points, tables):
         m = rows.stop - rows.start
-        yield rows, ((values.reshape(3, -1, m).transpose(1, 2, 0), grads.reshape(3, 3, -1, m).transpose(2, 3, 0, 1))
-                     for values, grads in zip(products, products))  # consecutive blocks pair up
+        yield rows, (_joined(products, widths, m) for widths in groups)
+        del products  # it binds the chunk's table: freed before the next chunk builds its own
+
+
+def _joined(products, widths: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values (e, m, 3) and gradients (e, m, 3, 3) of the next pairs of
+    products, of widths[i] fields each: views of the products for one pair,
+    of component-major arrays filled one product at a time for several."""
+    if len(widths) == 1:
+        values, grads = next(products), next(products)
+    else:
+        values, grads, at = np.empty((3, sum(widths), m)), np.empty((9, sum(widths), m)), 0
+        for e in widths:
+            values[:, at:at + e] = next(products).reshape(3, e, m)
+            grads[:, at:at + e] = next(products).reshape(9, e, m)
+            at += e
+    return values.reshape(3, -1, m).transpose(1, 2, 0), grads.reshape(3, 3, -1, m).transpose(2, 3, 0, 1)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,31 +225,40 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
 
 
 def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
-                    samples: slice | np.ndarray = slice(None)) -> np.ndarray:
-    """Trace matrix (3m, E) of the basis on the m samples that `samples`
-    selects, a slice or an index array (every sample by default), three rows
-    per sample.
+                    samples: slice | np.ndarray = slice(None), columns=None, tables=None, out=None) -> np.ndarray:
+    """Trace matrix (3m, n) of the n basis elements at `columns`, ascending
+    basis positions (every element by default), on the m samples that
+    `samples` selects, a slice or an index array (every sample by default),
+    three rows per sample.
 
     Rows 3n, 3n + 1 and 3n + 2 hold the traces at the selection's sample n: the
     scalar trace, then full . e_a in the sample's tangent frame
     e_a = quad.tangents[n, a], with full the traction (III) or displacement
     (IV); as e_a is tangent, no projection is needed.  These frame rows are
-    the only place outside the QR input where the frames appear.  The basis
-    is evaluated in chunks of CHUNK_POINTS samples, one degree block at a time
-    (`ElasticBasis.layout`), and each block's traces are written straight
-    into the rows.
+    the only place outside the QR input where the frames appear.  Only the
+    chosen elements' layout rows (`ElasticBasis.pick`) are evaluated, in
+    chunks of CHUNK_POINTS samples, and their traces are written straight
+    into the rows, of `out` when given, an (m, 3, n) array.  `tables`, the
+    selected points' monomial tables when held, goes to `eval_blocks`.
     """
     points, normals, tangents = quad.points[samples], quad.normals[samples], quad.tangents[samples]
-    traces = np.empty((len(points), 3, len(basis)))
-    for rows, pairs in _field_chunks(basis.layout, points):
-        for k, (values, grads) in enumerate(pairs):
-            cols = degree_columns(k)
+    columns = np.arange(len(basis)) if columns is None else columns
+    layout, _ = basis.pick(columns)  # ascending columns: the fields come in their order
+    traces = np.empty((len(points), 3, len(columns))) if out is None else out
+    # consecutive degrees are contracted together while they hold at most the
+    # widest degree's elements: few calls per chunk for a narrow class, and no
+    # larger products than one degree's
+    for rows, pairs in _field_chunks(layout, points, tables, 3 * (2 * basis.max_degree + 1)):
+        cols = slice(0, 0)
+        for values, grads in pairs:
+            cols = slice(cols.stop, cols.stop + len(values))
             t = traction_of_gradient(basis.material, grads, normals[rows])
             scalar, full = _scalar_and_full(problem, values, t, normals[rows])
             traces[rows, 0, cols] = scalar.T
             for a in range(2):
                 traces[rows, a + 1, cols] = _dot(full, tangents[rows, a]).T
-    return traces.reshape(-1, len(basis))
+        del values, grads, t, scalar, full  # freed before the next chunk's products
+    return traces.reshape(len(points) * 3, -1)
 
 
 def _collapse(basis: ElasticBasis, coefficients: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,28 +372,33 @@ def _class_factors(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature, d
                    row_weights: np.ndarray, b: np.ndarray, columns: list[np.ndarray]) -> list[np.ndarray]:
     """R (n_c + 1, n_c + 1) of each class's [A | b], A = row_weights * T[:, columns[c]]
     on the domain samples, reduced as R <- qr([R; A[rows] | b[rows]]) over
-    blocks of whole samples.  Each block's traces are assembled once for
-    every class; a class with fewer rows than columns gets zero rows."""
+    blocks of whole samples.  Within a block the classes take turns: each
+    assembles only its own columns, weighted, under its R in one buffer sized
+    for the widest class.  With more than one class, each chunk's monomial
+    table is built once per block and read by every class.  A class with
+    fewer rows than columns gets zero rows."""
     m = len(domain)
     block_samples = max(1, QR_BLOCK_BYTES // (8 * 3 * (len(basis) + 1)))
-    buffers = [np.empty((len(cols) + 1 + 3 * min(block_samples, m), len(cols) + 1)) for cols in columns]
-    r_rows = [0] * len(columns)
+    width = max(map(len, columns)) + 1
+    buffer = np.empty((width + 3 * min(block_samples, m)) * width)
+    factors = [np.empty((0, len(cols) + 1)) for cols in columns]
     for start in range(0, m, block_samples):
-        rows = slice(3 * start, 3 * min(start + block_samples, m))
-        traces = assemble_traces(problem, basis, quad, domain[start:start + block_samples])
-        for cols, ab, top, b_class in zip(columns, buffers, r_rows, b):
-            new = ab[top:top + len(traces)]
-            np.multiply(row_weights[rows, None], traces[:, cols], out=new[:, :-1])
+        samples = domain[start:start + block_samples]
+        rows = slice(3 * start, 3 * (start + len(samples)))
+        tables = list(monomial_tables(quad.points[samples], basis.layout[-2][1])) if len(columns) > 1 else None
+        for c, (cols, b_class) in enumerate(zip(columns, b)):
+            top, w = len(factors[c]), len(cols) + 1
+            ab = buffer[:(top + 3 * len(samples)) * w].reshape(-1, w)
+            ab[:top] = factors[c]
+            factors[c] = None  # freed before the QR, which makes two working copies of its input
+            new = ab[top:]
+            assemble_traces(problem, basis, quad, samples, cols, tables, new.reshape(len(samples), 3, w)[..., :-1])
+            new[:, :-1] *= row_weights[rows, None]
             new[:, -1] = b_class[rows]
-        new_rows = len(traces)
-        del traces  # freed before the QRs, which make two working copies of their input
-        for c, ab in enumerate(buffers):
-            r = np.linalg.qr(ab[:r_rows[c] + new_rows], mode="r")
-            r_rows[c] = len(r)
-            ab[:len(r)] = r
-    for ab, top in zip(buffers, r_rows):
-        ab[top:ab.shape[1]] = 0.0
-    return [ab[:ab.shape[1]] for ab in buffers]
+            factors[c] = np.linalg.qr(ab, mode="r")
+        del tables  # freed before the next block builds its own
+    return [r if len(r) == r.shape[1] else np.vstack([r, np.zeros((r.shape[1] - len(r), r.shape[1]))])
+            for r in factors]
 
 
 def fit_degrees(
@@ -382,9 +424,9 @@ def fit_degrees(
     part; a normal part that passes counts in the residual and data norm.
     A fit with fewer than 3(k+1)^2 rows (3 per sample) is refused.  Only the
     basis through max(degrees) is assembled, on the fundamental domain of the
-    quadrature's reflections, in blocks of whole samples each reduced into
-    one R per parity class at once; tangent frames appear only in these rows
-    and b.
+    quadrature's reflections, in blocks of whole samples, each reduced into
+    one R per parity class, one class at a time; tangent frames appear only
+    in these rows and b.
     Reports are Cartesian: each degree's fitted field is sampled once
     (`_collapse`) and split by `split_trace`.  The misfits are against the
     data as given, the residual and data norm weighted norms against the
@@ -407,7 +449,7 @@ def fit_degrees(
     perms, signs, chars, columns = _parity_classes(basis, quad)
 
     # The long-lived arrays (the target, the weighted data rows and the QR
-    # buffers) come first: allocated among the block temporaries below, they
+    # buffer) come first: allocated among the block temporaries below, they
     # would keep freed heap from the system.
     target = data.vector
     if project_tangential:

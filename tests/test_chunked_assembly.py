@@ -207,3 +207,30 @@ def test_traction_of_gradient_matches_einsum_formula(grad, normals):
     t = traction_of_gradient(M, grad, normals)
     assert t.shape == expected.shape
     assert np.max(np.abs(t - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_streamed_tables_are_freed_chunk_by_chunk(monkeypatch):
+    # a one-class fit (assembly and collapse) and the reciprocity matrix of
+    # `check` stream their monomial tables: each chunk's table is freed
+    # before the next chunk's is built
+    import weakref
+
+    from elastopoly import polyalg
+    from elastopoly.harness import reciprocity_matrix
+
+    built, stream = [], polyalg.monomial_tables
+
+    def tracking(*args):
+        for rows, table in stream(*args):
+            assert all(ref() is None for ref in built), "a chunk's monomial table outlived its chunk"
+            built.append(weakref.ref(table))
+            yield rows, table
+            del table
+
+    monkeypatch.setattr(polyalg, "monomial_tables", tracking)
+    quad = make_quadrature(Sphere(center=(0.1, 0.2, 0.3)), 16, 32)  # no reflection: one class, two chunks
+    basis = elastic_basis(M, 6)
+    data, _ = kelvin_data(M, quad, (0.4, -0.3, 3.0), 1, "IV")
+    fit(data, basis, quad)
+    reciprocity_matrix(basis, [3, 20, 40], quad)
+    assert len(built) >= 6

@@ -289,9 +289,9 @@ def test_check_samples_each_betti_field_once(monkeypatch, capsys):
     walked = []
     original = polyalg.eval_blocks
 
-    def counting(blocks, points):
+    def counting(blocks, points, *tables):
         walked.append(len(points))
-        return original(blocks, points)
+        return original(blocks, points, *tables)
 
     for cls in (Poly3, VecPoly3):
         monkeypatch.setattr(cls, "eval", refused)

@@ -125,16 +125,23 @@ def single_qr_fits(data, basis, quad, degrees, svd_tol=1e-12):
 
 # 3N = 528 rows of 76 columns (K = 4 on 8 x 22) in blocks of whole samples, at
 # most 1, 50 or 170 rows: one sample (3 rows, narrower than [A | b]), and 16 or
-# 56 samples (48 or 168 rows) with a ragged tail
+# 56 samples (48 or 168 rows) with a ragged tail.  At the origin the triaxial
+# folds into 8 classes on a 22-sample domain: 22, 2 or 1 blocks per class.
+ROW_BLOCK_SURFACES = {**OFF_CENTER, "triaxial_at_origin": SURFACES["triaxial"]}
+
+
 @pytest.mark.parametrize("block_rows", [1, 50, 170])
 @pytest.mark.parametrize("problem", ["III", "IV"])
-@pytest.mark.parametrize("surface", ["sphere", "triaxial"])
+@pytest.mark.parametrize("surface", list(ROW_BLOCK_SURFACES))
 def test_row_block_qr_matches_one_qr_of_the_whole_matrix(monkeypatch, surface, problem, block_rows):
-    quad = make_quadrature(OFF_CENTER[surface], 8, 22)
+    quad = make_quadrature(ROW_BLOCK_SURFACES[surface], 8, 22)
     basis = elastic_basis(M, 4)
-    data, _ = kelvin_data(M, quad, POLES[surface], 1, problem)
+    data, _ = kelvin_data(M, quad, POLES[surface.removesuffix("_at_origin")], 1, problem)
     degrees = tuple(range(5))
     reference = single_qr_fits(data, basis, quad, degrees)
+    perms, _, _, columns = solver._parity_classes(basis, quad)
+    domain = len(np.unique(perms.min(axis=0)))
+    assert len(columns) == (8 if surface.endswith("_at_origin") else 1)
 
     qr_rows, qr = [], np.linalg.qr
 
@@ -145,7 +152,7 @@ def test_row_block_qr_matches_one_qr_of_the_whole_matrix(monkeypatch, surface, p
     monkeypatch.setattr(solver, "QR_BLOCK_BYTES", block_rows * 8 * (len(basis) + 1))
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     results = fit_degrees(data, basis, quad, degrees)
-    assert len(qr_rows) == -(-quad.n_samples // max(1, block_rows // 3)) >= 4
+    assert len(qr_rows) == len(columns) * -(-domain // max(1, block_rows // 3)) >= 4
 
     for degree, result, (rank, residual, coeffs, _) in zip(degrees, results, reference):
         assert result.kept_rank == rank, degree
@@ -170,6 +177,43 @@ def test_fit_never_holds_the_whole_trace_matrix(monkeypatch):
         tracemalloc.stop()
     assert result.kept_rank == len(basis)
     assert peak < 3 * quad.n_samples * len(basis) * 8
+
+
+def test_folded_fit_holds_one_class_buffer_at_a_time():
+    # The K=14 spheroid on 48 x 96 folds into 8 classes on a 600-sample
+    # domain, one QR block.  Above its inputs the fit holds the widest class's
+    # buffer [R; A | b] and the two working copies np.linalg.qr makes of it,
+    # the block's monomial tables, and one chunk's products: the values and
+    # nine partials of at most the widest degree's fields, the traction's
+    # three working arrays and the scalar and frame temporaries (24 floats per
+    # field and point).  A (3m, E) trace block, or every class's buffer at
+    # once, would not fit beside them.
+    import tracemalloc
+
+    from elastopoly.polyalg import CHUNK_POINTS
+
+    degree = 14
+    quad = make_quadrature(SURFACES["spheroid"], 48, 96)
+    basis = elastic_basis(M, degree)
+    data, _ = kelvin_data(M, quad, POLES["spheroid"], 1, "IV")
+    perms, _, _, columns = solver._parity_classes(basis, quad)
+    m = len(np.unique(perms.min(axis=0)))
+    block = min(m, solver.QR_BLOCK_BYTES // (8 * 3 * (len(basis) + 1)))
+    width = max(map(len, columns)) + 1
+    class_buffer = (width + 3 * block) * width
+    tables = block * basis.layout[-2][1]
+    products = 24 * 3 * (2 * degree + 1) * CHUNK_POINTS
+    bound = 8 * (3 * class_buffer + tables + products)
+    assert (len(columns), m, block) == (8, 600, 600)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result, = fit_degrees(data, basis, quad, (degree,))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert result.kept_rank == len(basis)
+    assert peak < bound
 
 
 STARS = {
@@ -242,20 +286,21 @@ def test_parities_are_the_reflection_signs_of_the_elements():
 
 
 def test_fit_assembles_only_the_degrees_it_fits(monkeypatch):
-    # a degree-2 fit on a K=8 basis assembles the 27 columns through degree 2,
-    # and equals the fit on the K=2 basis
+    # a degree-2 fit on a K=8 basis assembles, per block, each class's share
+    # of the 27 columns through degree 2, and equals the fit on the K=2 basis
     quad = make_quadrature(SURFACES["triaxial"], 16, 32)
     data, _ = kelvin_data(M, quad, POLES["triaxial"], 1, "III")
-    widths, assemble = [], solver.assemble_traces
+    widths, assemble = {}, solver.assemble_traces
 
-    def recording(*args, **kwargs):
-        traces = assemble(*args, **kwargs)
-        widths.append(traces.shape[1])
+    def recording(problem, basis, quad, samples, columns, *args):
+        traces = assemble(problem, basis, quad, samples, columns, *args)
+        widths.setdefault(samples[0], []).append(traces.shape[1])
+        assert traces.shape[1] == len(columns) and max(columns) < 27
         return traces
 
     monkeypatch.setattr(solver, "assemble_traces", recording)
     result, = fit_degrees(data, elastic_basis(M, 8), quad, (2,))
-    assert widths and set(widths) == {27}
+    assert widths and all(sum(block) == 27 and len(block) > 1 for block in widths.values())
     alone = fit(data, elastic_basis(M, 2), quad)
     tol = 1e-12 * result.data_norm
     assert result.kept_rank == alone.kept_rank
