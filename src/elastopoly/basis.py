@@ -167,16 +167,31 @@ _PAIR_OF = np.array([[_PAIRS.index((min(i, j), max(i, j))) for i in range(3)] fo
 
 
 def _degree_blocks(material: Material, k: int) -> list[tuple[int, int, np.ndarray]]:
-    """The two layout blocks of degree k (see `ElasticBasis`)."""
+    """The two read-only layout blocks of degree k (see `ElasticBasis`)."""
     harmonics = _harmonic_rows(k)
     hessian = np.stack([_diff(_diff(harmonics, k, a), k - 1, b) for a, b in _PAIRS])  # empty below k = 2
     # + 0.0 turns the -0.0 of a negative Lambda_k times a missing term into a plain zero
     values = (lambda_coeff(material, k) * _times_r2(hessian, k - 2) + 0.0)[_PAIR_OF].transpose(0, 2, 1, 3)
-    for j in range(3):  # component j of the element of harmonic s, row i, at values[j, s, i]
-        values[j, :, j] += harmonics
-    values = values.reshape(-1, harmonics.shape[1])
-    gradients = np.stack([_diff(values, k, a) for a in range(3)]).reshape(3 * len(values), k * (k + 1) // 2)
+    values[[0, 1, 2], :, [0, 1, 2]] += harmonics  # + omega where j = i; v_j of harmonic s, row i, at values[j, s, i]
+    values = values.reshape(3, 3 * len(harmonics), -1)  # element 3s + i, as `harmonic_and_row` reads it
+    gradients = np.ascontiguousarray(np.stack([_diff(values, k, a) for a in range(3)]))  # eval_blocks flattens it
+    values.flags.writeable = gradients.flags.writeable = False
     return [(_degree_start(k), _degree_start(k + 1), values), (_degree_start(k - 1), _degree_start(k), gradients)]
+
+
+def harmonic_and_row(i: int) -> tuple[int, int]:
+    """Harmonic index s and row, both from 1, of element i = 3(s - 1) + row - 1 of a degree."""
+    return i // 3 + 1, i % 3 + 1
+
+
+def _parities(max_degree: int) -> np.ndarray:
+    """Signs (E, 3): under x_a -> -x_a each element v maps to itself times
+    parities[e, a], g v(g x) = parities[e, a] v(x).  The element of row i on
+    the harmonic omega, delta_ij omega + Lambda_k |x|^2 d_i d_j omega in its
+    component j, has omega's x_a parity (every term of omega has it), with
+    one more sign when a = i."""
+    monos = [degree_monomials(k)[np.argmax(_harmonic_rows(k) != 0.0, axis=1)] for k in range(max_degree + 1)]
+    return np.where((np.concatenate(monos)[:, None] + np.eye(3, dtype=int)) % 2, -1.0, 1.0).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -198,13 +213,12 @@ def degree_columns(k: int) -> slice:
 @dataclass(frozen=True)
 class ElasticBasis:
     """The 3(K+1)^2 elastic polynomials through degree K, held as their
-    `layout` of `polyalg.eval_blocks` blocks, two per degree k: block 2k holds
-    the 3e components of the e degree-k elements over the degree-k monomials
-    (component j of element i at row j e + i), block 2k + 1 their 9e first
-    partials over the degree-(k-1) ones (d v_j / d x_a at row (3a + j) e + i).
-    `element(n)` reads one element from its three value rows, and `elements`
-    all of them on first use; a fit, `check` and the `basis` export read only
-    the layout."""
+    `layout` of read-only `polyalg.eval_blocks` blocks, two per degree k: the
+    values (3, e, n) of its e elements, v_j of element i at [j, i], over the
+    degree-k monomials, then their partials (3, 3, e, n), d v_j / d x_a at
+    [a, j, i], over the degree-(k-1) ones.  `element(3k^2 + i)` reads element
+    i of degree k, and `elements` all of them on first use; a fit, `check`
+    and the `basis` export read only the layout."""
 
     material: Material
     max_degree: int
@@ -217,13 +231,12 @@ class ElasticBasis:
         return iter(self.elements)
 
     def element(self, n: int) -> BasisElement:
-        """Element n of `elements` alone, from rows i, e + i and 2e + i of its
-        degree k's value block, i = n - 3k^2."""
+        """Element n of `elements` alone, from values[:, n - 3k^2] of its degree k."""
         if not 0 <= n < len(self):
             raise IndexError(f"basis element {n} out of range 0..{len(self) - 1}")
         k = math.isqrt(n // 3)
-        i, values = n - 3 * k * k, self.layout[2 * k][2]
-        return BasisElement(k, i // 3 + 1, i % 3 + 1, VecPoly3(*_polys(values[i::len(values) // 3], k)))
+        i = n - 3 * k * k
+        return BasisElement(k, *harmonic_and_row(i), VecPoly3(*_polys(self.layout[2 * k][2][:, i], k)))
 
     @cached_property
     def elements(self) -> tuple[BasisElement, ...]:
@@ -234,20 +247,18 @@ class ElasticBasis:
         """The layout of the elements at `columns` (basis positions, repeats
         allowed) and, per degree with any of them, the positions in `columns`
         that its two blocks fill, so ascending columns come in their order.
-        Component j of element i of a degree with e elements is row j e + i
-        of its value block, partial (a, j) row (3a + j) e + i of its gradient
-        block; a degree whose elements are all picked, in order, keeps its
-        blocks as they are."""
+        Each block takes them along its element axis, C-contiguous, so that
+        `eval_blocks` flattens it uncopied; a degree whose elements are all
+        picked, in order, keeps its blocks as they are."""
         columns = np.asarray(columns, dtype=np.intp).reshape(-1)
         layout, targets = [], []
         for k in range(self.max_degree + 1):
             cols = degree_columns(k)
             mine = np.flatnonzero((cols.start <= columns) & (columns < cols.stop))
             if len(mine):
-                picked, e, blocks = columns[mine] - cols.start, cols.stop - cols.start, self.layout[2 * k:2 * k + 2]
-                if not np.array_equal(picked, np.arange(e)):
-                    blocks = [(first, end, rows[(e * np.arange(n_rows)[:, None] + picked).ravel()])
-                              for (first, end, rows), n_rows in zip(blocks, (3, 9))]
+                picked, blocks = columns[mine] - cols.start, self.layout[2 * k:2 * k + 2]
+                if not np.array_equal(picked, np.arange(cols.stop - cols.start)):
+                    blocks = [(first, end, rows.take(picked, axis=-2)) for first, end, rows in blocks]
                 layout.extend(blocks)
                 targets.append(mine)
         return layout, targets

@@ -21,7 +21,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .basis import Material, elastic_basis
+from .basis import Material, elastic_basis, harmonic_and_row
 from .geometry import Sphere, make_quadrature
 from .harness import KINDS, StudyConfig, prepare, reciprocity_matrix, run_study
 from .ioutil import fmt17
@@ -255,11 +255,11 @@ def cmd_basis(args) -> int:
         raise CliError(str(exc)) from None
     blocks = []
     for k, (_, _, values) in enumerate(basis.layout[::2]):
-        texts, e = rows_text(values, k), len(values) // 3  # component j of element i is row j e + i
-        for i in range(e):
-            lines = [f"# degree={k} s={i // 3 + 1} row={i % 3 + 1}"]
-            for j in range(3):
-                lines += [f"# component={j + 1}", texts[j * e + i]]
+        texts = np.array(rows_text(values.reshape(-1, values.shape[-1]), k), dtype=object).reshape(values.shape[:-1])
+        for i in range(values.shape[1]):
+            lines = ["# degree={} s={} row={}".format(k, *harmonic_and_row(i))]
+            for j, text in enumerate(texts[:, i], start=1):
+                lines += [f"# component={j}", text]
             blocks.append("\n".join(filter(None, lines)))  # no line for a zero component
     payload = "\n\n".join(blocks) + "\n"
     if args.output == "-":

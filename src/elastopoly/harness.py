@@ -191,7 +191,7 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
     at_poles = np.empty((len(poles), n_basis, 3))
     for rows, products in eval_blocks(layout[::2], poles):
         for values, mine in zip(products, targets):
-            at_poles[rows, mine] = values.reshape(3, len(mine), -1).T
+            at_poles[rows, mine] = values.T
     return matrix, sq_norms, at_poles
 
 

@@ -32,14 +32,13 @@ def lame_residuals(material: Material, layout) -> np.ndarray:
     """Largest |coefficient| of `lame_apply` on each element of a basis layout
     (`ElasticBasis.layout`), scaled to largest |coefficient| 1, in basis order.
 
-    Works on the value rows of each degree.  The scaling, the partials and
+    Works on the value block (3, e, n) of each degree.  The scaling, the partials and
     the sums run in the order of `VecPoly3.normalized`, `laplacian`,
     `divergence` and `gradient`, so each figure is bitwise the dict one.
     """
     worst = []
     for k, (_, _, values) in enumerate(layout[::2]):
-        v = values.reshape(3, -1, values.shape[1])  # (component, element, monomial)
-        v = v * (1.0 / np.max(np.abs(v), axis=(0, 2)))[:, None]
+        v = values * (1.0 / np.max(np.abs(values), axis=(0, 2)))[:, None]
         second = [_diff(_diff(v, k, a), k - 1, a) for a in range(3)]
         div = _diff(v[0], k, 0) + _diff(v[1], k, 1) + _diff(v[2], k, 2)
         residual = (material.mu * (second[0] + second[1] + second[2])

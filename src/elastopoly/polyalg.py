@@ -395,11 +395,11 @@ def monomial_tables(points, end: int, first: int = 0):
 def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points, tables=None):
     """Evaluate coefficient blocks at float points (n, 3), CHUNK_POINTS points at a time.
 
-    Each block (first, end, coefficients) is a (r, end - first) matrix over
+    Each block (first, end, coefficients) holds rows (..., end - first) over
     the graded-lex monomials first .. end (one degree for a homogeneous
-    group): one matrix product that skips every other degree.  Yields (rows,
-    products) per chunk, `products` forming each block's values (r, len(rows))
-    at points[rows] in order, one at a time and only when it is asked for.
+    group), flattened into one matrix product that skips every other degree.
+    Yields (rows, products) per chunk, `products` forming each block's values
+    (..., len(rows)) at points[rows], in order, one at a time, when asked for.
     The chunks' tables are built over the blocks' monomials, unless
     `tables` holds them: the (rows, table) pairs of `monomial_tables(points,
     end)` from monomial 0 through every block's end, kept so that several
@@ -409,9 +409,11 @@ def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points, tables=No
     if tables is None:
         low = min((first for first, _, _ in blocks), default=0)
         tables = monomial_tables(points, max((end for _, end, _ in blocks), default=0), low)
+    flat = [(first, end, c.reshape(math.prod(c.shape[:-1]), end - first), c.shape[:-1]) for first, end, c in blocks]
     for rows, table in tables:
         # t binds this chunk's table, so products held past the chunk still read it; zeros for an empty block
-        yield rows, (coeffs @ t[first - low:end - low] for t in [table] for first, end, coeffs in blocks)
+        yield rows, ((c @ t[first - low:end - low]).reshape(*lead, t.shape[1])
+                     for t in [table] for first, end, c, lead in flat)
         del table  # a streamed table is freed before the next is built
 
 

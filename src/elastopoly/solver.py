@@ -44,7 +44,7 @@ one up to rounding.  A quadrature without reflections (a generic star, an
 off-center surface, a hand-built quadrature) is the trivial group: one
 class over every sample, the same code.
 
-The trace rows are assembled from the layout rows of the chosen elements
+The trace rows are assembled from the layout of the chosen elements
 (`ElasticBasis.pick`) through `polyalg.eval_blocks`, per chunk of
 CHUNK_POINTS samples, a few consecutive degrees k at a time (columns
 3k^2 .. 3(k+1)^2, `basis.degree_columns`), each group no wider than the
@@ -78,11 +78,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import Material, ElasticBasis, _harmonic_rows, degree_columns
+from .basis import Material, ElasticBasis, _parities, degree_columns
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
 from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_gradient
-from .polyalg import VecPoly3, batch_eval, degree_monomials, eval_blocks, monomial_tables
+from .polyalg import VecPoly3, batch_eval, eval_blocks, monomial_tables
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
 QR_BLOCK_BYTES = 16 << 20  # new rows per step of the least-squares QR, in bytes of [A | b]
@@ -160,21 +160,19 @@ class FitResult:
 
 
 def _field_chunks(layout, points: np.ndarray, tables=None, join: int = 0):
-    """Sample fields laid out as pairs of blocks (values, then gradients, as
-    in `ElasticBasis.layout`) through `eval_blocks`, chunk by chunk.
+    """Sample fields laid out as pairs of blocks, values (3, e, n) and
+    gradients (3, 3, e, n) as in `ElasticBasis.layout`, through `eval_blocks`.
 
     Yields (point rows, pairs) per chunk, where `pairs` forms each pair's
-    values (e, n, 3) and gradients (e, n, 3, 3) in layout order, with
-    values[..., j] = v_j and gradients[..., a, j] = d v_j / d x_a.  Pair k of
-    a basis layout is its degree k, so its columns are `degree_columns(k)`.
-    Both are strided views of component-major products, so each component is
-    a contiguous (e, n) block, normals (n, 3) broadcast over the fields and
-    the point axis runs innermost.  Consecutive pairs that hold at most
-    `join` fields together come joined as one, their fields in layout order;
-    `tables` goes to `eval_blocks`.
+    values (e, m, 3) and gradients (e, m, 3, 3): the products with their
+    block axes moved last, so each component is a contiguous (e, m) block,
+    normals (m, 3) broadcast over the fields and the point axis runs
+    innermost.  Pair k of a basis layout is its degree k, so its columns are
+    `degree_columns(k)`.  Consecutive pairs that hold at most `join` fields
+    together come joined as one, in layout order; `tables` goes to `eval_blocks`.
     """
     groups = []
-    for e in (len(rows) // 3 for _, _, rows in layout[::2]):
+    for e in (rows.shape[1] for _, _, rows in layout[::2]):
         if groups and sum(groups[-1]) + e <= join:
             groups[-1].append(e)
         else:
@@ -188,16 +186,15 @@ def _field_chunks(layout, points: np.ndarray, tables=None, join: int = 0):
 def _joined(products, widths: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     """Values (e, m, 3) and gradients (e, m, 3, 3) of the next pairs of
     products, of widths[i] fields each: views of the products for one pair,
-    of component-major arrays filled one product at a time for several."""
+    of arrays filled one product at a time along the element axis for several."""
     if len(widths) == 1:
         values, grads = next(products), next(products)
     else:
-        values, grads, at = np.empty((3, sum(widths), m)), np.empty((9, sum(widths), m)), 0
-        for e in widths:
-            values[:, at:at + e] = next(products).reshape(3, e, m)
-            grads[:, at:at + e] = next(products).reshape(9, e, m)
-            at += e
-    return values.reshape(3, -1, m).transpose(1, 2, 0), grads.reshape(3, 3, -1, m).transpose(2, 3, 0, 1)
+        values, grads = np.empty((3, sum(widths), m)), np.empty((3, 3, sum(widths), m))
+        for at, e in zip(np.cumsum([0, *widths]), widths):
+            values[:, at:at + e] = next(products)
+            grads[:, :, at:at + e] = next(products)
+    return values.transpose(1, 2, 0), grads.transpose(2, 3, 0, 1)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,7 +233,7 @@ def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
     e_a = quad.tangents[n, a], with full the traction (III) or displacement
     (IV); as e_a is tangent, no projection is needed.  These frame rows are
     the only place outside the QR input where the frames appear.  Only the
-    chosen elements' layout rows (`ElasticBasis.pick`) are evaluated, in
+    chosen elements' layout (`ElasticBasis.pick`) is evaluated, in
     chunks of CHUNK_POINTS samples, and their traces are written straight
     into the rows, of `out` when given, an (m, 3, n) array.  `tables`, the
     selected points' monomial tables when held, goes to `eval_blocks`.
@@ -271,12 +268,13 @@ def _collapse(basis: ElasticBasis, coefficients: np.ndarray, points: np.ndarray)
     degree, d = basis.prefix_degree(len(coefficients)), coefficients.shape[1]
     blocks = basis.layout[:2 * degree + 2]
     end = blocks[-2][1]  # the degree-k values reach the last monomial
-    values, grads = np.zeros((3, d, end)), np.zeros((9, d, end))
+    values, grads = np.zeros((3, d, end)), np.zeros((3, 3, d, end))
     for k in range(degree + 1):
         c = coefficients[degree_columns(k)].T
-        for out, (first, stop, rows) in zip((values, grads), blocks[2 * k:2 * k + 2]):
+        # one stack of 2-D products per block: c broadcast over both gradient axes rounds otherwise
+        for out, (first, stop, rows) in zip((values, grads.reshape(-1, d, end)), blocks[2 * k:2 * k + 2]):
             out[:, :, first:stop] += c @ rows.reshape(len(out), c.shape[1], -1)
-    layout = [(0, end, values.reshape(-1, end)), (0, end, grads.reshape(-1, end))]
+    layout = [(0, end, values), (0, end, grads)]
     disp, g = np.empty((d, len(points), 3)), np.empty((d, len(points), 3, 3))
     for rows, ((values, grads),) in _field_chunks(layout, points):
         disp[:, rows], g[:, rows] = values, grads
@@ -340,16 +338,6 @@ def check_tangential(vector: np.ndarray, quad: SurfaceQuadrature, what: str) -> 
         )
 
 
-def _parities(basis: ElasticBasis) -> np.ndarray:
-    """Signs (E, 3): under x_a -> -x_a each element v maps to itself times
-    parities[e, a], g v(g x) = parities[e, a] v(x).  The element of row i on
-    the harmonic omega, delta_ij omega + Lambda_k |x|^2 d_i d_j omega in its
-    component j, has omega's x_a parity (every term of omega has it), with
-    one more sign when a = i."""
-    monos = [degree_monomials(k)[np.argmax(_harmonic_rows(k) != 0.0, axis=1)] for k in range(basis.max_degree + 1)]
-    return np.where((np.concatenate(monos)[:, None] + np.eye(3, dtype=int)) % 2, -1.0, 1.0).reshape(-1, 3)
-
-
 def _parity_classes(basis: ElasticBasis, quad: SurfaceQuadrature):
     """The reflection group G of the quadrature and the basis columns by parity class.
 
@@ -363,7 +351,7 @@ def _parity_classes(basis: ElasticBasis, quad: SurfaceQuadrature):
         flip = np.where(np.arange(3) == axis, -1.0, 1.0)
         perms, signs = perms + [perm[p] for p in perms], signs + [s * flip for s in signs]
     signs = np.array(signs)
-    chars = np.prod(np.where(signs < 0.0, _parities(basis)[:, None], 1.0), axis=2)  # (E, |G|)
+    chars = np.prod(np.where(signs < 0.0, _parities(basis.max_degree)[:, None], 1.0), axis=2)  # (E, |G|)
     classes, label = np.unique(chars, axis=0, return_inverse=True)
     return np.array(perms), signs, classes, [np.flatnonzero(label.reshape(-1) == c) for c in range(len(classes))]
 

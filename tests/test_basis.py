@@ -255,10 +255,11 @@ def test_elements_homogeneous_of_tagged_degree():
 
 
 def test_element_builds_one_element_from_its_value_rows():
-    # reference: a degree's whole value block read at once, element i taking rows i, e + i and 2e + i
+    # reference: a degree's whole value block (3, e, n) read at once as its 3e
+    # component-major rows, element i taking rows i, e + i and 2e + i
     basis = elastic_basis(Material(1.3, 0.8), 8)
     for k, (_, _, values) in enumerate(basis.layout[::2]):
-        polys, e = _polys(values, k), len(values) // 3
+        polys, e = _polys(values.reshape(-1, values.shape[-1]), k), values.shape[1]
         for i in range(e):
             el = basis.element(3 * k * k + i)
             assert (el.degree, el.harmonic_index, el.row) == (k, i // 3 + 1, i % 3 + 1)
@@ -268,6 +269,38 @@ def test_element_builds_one_element_from_its_value_rows():
     for n in (-1, len(basis)):
         with pytest.raises(IndexError, match="out of range 0..242"):
             basis.element(n)
+
+
+def test_pick_takes_elements_along_the_element_axis():
+    basis = elastic_basis(Material(1.3, 0.8), 3)
+    columns = [20, 4, 9, 4, 30, 3]  # unsorted, with a repeat; none of degree 0
+    layout, targets = basis.pick(columns)
+    assert [t.tolist() for t in targets] == [[1, 2, 3, 5], [0], [4]]  # per degree 1, 2, 3, in column order
+    assert len(layout) == 6
+    for k, (_, _, values), (_, _, grads), mine in zip((1, 2, 3), layout[::2], layout[1::2], targets, strict=True):
+        assert values.shape == (3, len(mine), (k + 1) * (k + 2) // 2)
+        assert grads.shape == (3, 3, len(mine), k * (k + 1) // 2)
+        assert values.flags.c_contiguous and grads.flags.c_contiguous
+        for t, column in enumerate(np.asarray(columns)[mine]):
+            el = basis.element(column)
+            assert el.degree == k
+            assert [c.terms for c in _polys(values[:, t], k)] == [c.terms for c in el.field]
+            assert [[c.terms for c in _polys(grads[a, :, t], k - 1)] for a in range(3)] == [
+                [el.field[j].diff(a + 1).terms for j in range(3)] for a in range(3)]
+    # a whole degree picked in order hands out the layout's own blocks
+    layout, targets = basis.pick(range(3, 12))
+    assert [t.tolist() for t in targets] == [list(range(9))]
+    assert all(new is old for (_, _, new), (_, _, old) in zip(layout, basis.layout[2:4], strict=True))
+
+
+def test_layout_is_read_only():
+    basis = elastic_basis(Material(1.0, 1.0), 3)
+    whole_degree, _ = basis.pick(range(12, 27))
+    for _, _, rows in (*basis.layout, *basis.prefix(1).layout, *whole_degree):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[...] = 0.0
+    assert all(np.any(rows) for _, _, rows in basis.layout[2:])  # nothing was written
 
 
 def test_ordering_degree_then_index_then_row():

@@ -304,9 +304,11 @@ def test_basis_matches_old_construction_bitwise(lam, mu):
     for max_degree in (0, 1, 2, 20):  # every degree's blocks, and the layout ending at each of these
         basis = elastic_basis(material, max_degree)
         assert len(basis.layout) == 2 * max_degree + 2
-        for (first, end, coeffs), (old_first, old_end, old) in zip(basis.layout, blocks):
+        for b, ((first, end, coeffs), (old_first, old_end, old)) in enumerate(zip(basis.layout, blocks)):
             assert (first, end) == (old_first, old_end)
-            assert np.array_equal(coeffs, old) and coeffs.flags.c_contiguous
+            # values (3, e, n) and gradients (3, 3, e, n): the old rows are their leading axes flattened
+            assert coeffs.shape == (3,) * (1 + b % 2) + (3 * (2 * (b // 2) + 1), end - first)
+            assert np.array_equal(coeffs.reshape(old.shape), old) and coeffs.flags.c_contiguous
         assert [el.field for el in basis.elements] == fields[:len(basis)]
 
 

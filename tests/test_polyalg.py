@@ -279,7 +279,7 @@ def test_eval_blocks_yields_each_chunk_once_with_every_block(n_points):
     assert [(rows.start, rows.stop) for rows, _ in chunks] == [
         (start, min(start + CHUNK_POINTS, n_points)) for start in range(0, n_points, CHUNK_POINTS)]
     for rows, products in chunks:
-        assert [v.shape for v in products] == [(len(c), rows.stop - rows.start) for _, _, c in blocks]
+        assert [v.shape for v in products] == [(*c.shape[:-1], rows.stop - rows.start) for _, _, c in blocks]
 
 
 def test_products_held_past_the_next_chunk_read_their_own_chunk():
