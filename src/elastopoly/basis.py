@@ -132,12 +132,21 @@ def lambda_coeff(material: Material, k: int) -> float:
     return -(lam + mu) / (2.0 * (lam * (k - 1) + mu * (3 * k - 2)))
 
 
+@lru_cache(maxsize=None)
+def _shift_index(d: int, a: int, step: int) -> np.ndarray:
+    """The position of m + step e_a among the degree-(d + step) monomials,
+    or -1 where m_a + step < 0, for each degree-d monomial m; read-only, as
+    it is cached."""
+    source = degree_monomials(d) + step * np.eye(3, dtype=np.intp)[a]
+    index = np.where(source[:, a] >= 0, monomial_position(source), -1)
+    index.flags.writeable = False
+    return index
+
+
 def _diff(rows: np.ndarray, d: int, a: int) -> np.ndarray:
     """d/dx_a of rows (..., n) over the degree-d monomials, as `Poly3.diff`:
     degree-(d-1) monomial m takes c(m + e_a) (m_a + 1)."""
-    source = degree_monomials(d - 1)
-    source[:, a] += 1
-    return rows[..., monomial_position(source)] * source[:, a]
+    return rows[..., _shift_index(d - 1, a, 1)] * (degree_monomials(d - 1)[:, a] + 1)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +161,8 @@ def _times_r2(rows: np.ndarray, d: int) -> np.ndarray:
     degree-(d+2) monomial m sums c(m - 2 e_a) over the a with m_a >= 2,
     exactly rounded like `math.fsum` (Boldo & Melquiond, IEEE Trans. Comput.
     57 (2008) 462-471: two TwoSums, their errors added rounding to odd)."""
-    target, shifts = degree_monomials(d + 2), 2 * np.eye(3, dtype=np.intp)
     padded = np.concatenate([rows, np.zeros((*rows.shape[:-1], 1))], axis=-1)  # column -1: no term
-    a, b, c = (padded[..., np.where(target[:, e] >= 2, monomial_position(target - shifts[e]), -1)] for e in range(3))
+    a, b, c = (padded[..., _shift_index(d + 2, e, -2)] for e in range(3))
     uh, ul = _two_sum(b, c)
     th, tl = _two_sum(a, uh)
     v, err = _two_sum(tl, ul)

@@ -163,27 +163,33 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
     Also returns the elements' values at the poles (P, len(columns), 3).
 
     One `eval_blocks` pass samples only the rows of the chosen elements, one
-    chunk of CHUNK_POINTS points at a time.  The Kelvin kernels are
-    evaluated per chunk, and each chunk's products are summed into A as one
-    matrix product, so no field is held at every sample.  Poles closer to
-    the surface than three quadrature spacings are refused.
+    chunk of CHUNK_POINTS points at a time.  Per chunk, one traction
+    contraction serves each group of consecutive degrees that the fit would
+    join (at most 3(2K + 1) fields), one call of each Kelvin kernel serves
+    every pole, and the products are summed into A as one matrix product,
+    so no field is held at every sample.  Poles closer to the surface than
+    three quadrature spacings are refused.
     """
     columns = np.asarray(columns, dtype=np.intp).reshape(-1)
     if not (len(columns) and 0 <= columns.min() and columns.max() < len(basis)):
         raise ValueError(f"columns must be one or more basis positions 0..{len(basis) - 1}")
     poles = np.array([_clear_of_surface(quad, x) for x in np.reshape(poles, (-1, 3))]).reshape(-1, 3)
     layout, targets = basis.pick(columns)
+    order = np.concatenate(targets)  # the picked fields in layout order, as `_field_chunks` yields them
     n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
     material = basis.material
     matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)
-    for rows, pairs in _field_chunks(layout, quad.points):
+    for rows, pairs in _field_chunks(layout, quad.points, join=3 * (2 * basis.max_degree + 1)):  # the fit's rule
         u, t = np.empty((2, n_fields, rows.stop - rows.start, 3))
         points, normals = quad.points[rows], quad.normals[rows]
-        for (values, grads), mine in zip(pairs, targets):
+        at = 0
+        for values, grads in pairs:  # joined degrees: the next len(values) fields of `order`
+            mine, at = order[at:at + len(values)], at + len(values)
             u[mine], t[mine] = values, traction_of_gradient(material, grads, normals)
-        for f, x in zip(range(n_basis, n_fields, 3), poles):
-            u[f:f + 3] = kelvin_matrix(material, x - points).transpose(1, 0, 2)
-            t[f:f + 3] = kelvin_traction(material, x, points, normals).transpose(1, 0, 2)
+        # field n_basis + 3p + i is K_i(x_p - y): the kernels (P, m, i, j) as (3P, m, j)
+        x, m = poles[:, None], len(points)
+        u[n_basis:] = kelvin_matrix(material, x - points).transpose(0, 2, 1, 3).reshape(-1, m, 3)
+        t[n_basis:] = kelvin_traction(material, x, points, normals).transpose(0, 2, 1, 3).reshape(-1, m, 3)
         weighted = (u * quad.weights[rows, None]).reshape(n_fields, -1)
         matrix += weighted @ t.reshape(n_fields, -1).T
         sq_norms += np.einsum("fi,fi->f", weighted, u.reshape(n_fields, -1))

@@ -132,7 +132,7 @@ def _kelvin_argument(x, what: str) -> tuple[np.ndarray, np.ndarray]:
     """z = x (..., 3) and |z| (...), refused where |z| = 0."""
     z = np.asarray(x, dtype=float)
     r = np.linalg.norm(z, axis=-1)
-    if np.min(r) <= 0.0:
+    if np.min(r, initial=np.inf) <= 0.0:
         raise ValueError(f"{what} is singular at x = 0")
     return z, r
 
@@ -170,14 +170,14 @@ def kelvin_gradient(material: Material, x, rows: slice = slice(None)) -> np.ndar
 def kelvin_traction(material: Material, x, y, normal_y, rows: slice = slice(None)) -> np.ndarray:
     """Traction kernel: row i is T at y (normal nu(y)) of the field Gamma_i(x - .).
 
-    x is a single point; y and normal_y are (..., 3).  Output (..., 3, 3)
-    with [..., i, j] the j-component of the traction of row field i, or
-    only the rows i in `rows`.
+    x, y and normal_y are (..., 3), x broadcast against y (poles (P, 1, 3)
+    against points (m, 3), say).  Output (..., 3, 3) with [..., i, j] the
+    j-component of the traction of row field i, or only the rows i in `rows`.
     """
     nrm = np.asarray(normal_y, dtype=float)
     _check_unit_normals(nrm)
     z = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    if np.min(np.linalg.norm(z, axis=-1)) <= 0.0:
+    if np.min(np.linalg.norm(z, axis=-1), initial=np.inf) <= 0.0:
         raise ValueError("Kelvin traction kernel is singular at x = y")
     # d/dy_k Gamma_ij(x - y) = -(d Gamma_ij / d z_k)(x - y)
     d = -kelvin_gradient(material, z, rows)                   # d[..., i, j, k] = d(field_i)_j / d y_k

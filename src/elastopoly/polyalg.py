@@ -346,10 +346,13 @@ def laplacian(f):
     raise TypeError(f"expected Poly3 or VecPoly3, got {type(f).__name__}")
 
 
+@lru_cache(maxsize=None)
 def degree_monomials(d: int) -> np.ndarray:
     """The (d+1)(d+2)/2 exponents (n, 3) of degree d in graded-lex order,
-    (i, j, d - i - j) by ascending i, then j; none for d < 0."""
-    return np.array([(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)], dtype=np.intp).reshape(-1, 3)
+    (i, j, d - i - j) by ascending i, then j; none for d < 0; read-only, as cached."""
+    exps = np.array([(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)], dtype=np.intp).reshape(-1, 3)
+    exps.flags.writeable = False
+    return exps
 
 
 def monomial_position(exps: np.ndarray) -> np.ndarray:

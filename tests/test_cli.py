@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -312,6 +315,53 @@ def test_check_samples_each_betti_field_once(monkeypatch, capsys):
     assert walked[at + 1] == 16 * 32
     del walked[at:at + 2]
     assert walked.count(16 * 32) == 1 and walked.count(48 * 96) == 1
+
+
+def test_check_contracts_each_chunk_once(monkeypatch, capsys):
+    # the reciprocity pass at K = 12 on 48 x 96 (18 chunks of 256 points): per chunk one
+    # contraction for the joined degrees, and one Kelvin traction call, with its own
+    # contraction, for both poles; one call per degree or per pole made 270 and 36
+    from elastopoly import cli, operators
+
+    calls, inside = {"traction_of_gradient": 0, "kelvin_traction": 0}, []
+    reciprocity_matrix = cli.reciprocity_matrix
+
+    def in_pass(*args):
+        inside.append(True)
+        try:
+            return reciprocity_matrix(*args)
+        finally:
+            inside.pop()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += bool(inside)
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(cli, "reciprocity_matrix", in_pass)
+    for module in (harness, operators):  # where the pass and the Kelvin traction look them up
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert run(["check", "--degree", "12", "--n-theta", "48", "--n-phi", "96"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 4
+    assert calls == {"traction_of_gradient": 36, "kelvin_traction": 18}
+
+
+CHECK_RUN = "import sys; from elastopoly.cli import run; sys.exit(run(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_check_prints_the_same_bytes_at_a_fixed_blas_thread_count(threads):
+    # in fresh interpreters, as the BLAS thread count is read when numpy loads
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+    args = [sys.executable, "-c", CHECK_RUN, "check", "--degree", "12", "--n-theta", "48", "--n-phi", "96"]
+    first, second = (subprocess.run(args, env=env, capture_output=True, timeout=120) for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout.count(b"PASS") == 4
+    assert first.stdout == second.stdout
 
 
 def test_check_betti_pairs_reach_every_degree(monkeypatch, capsys):

@@ -1,7 +1,11 @@
 """The shared Hooke contraction, III/IV split, single-assembly fit,
 star-surface radius, surface element, symmetry description, array-built
-basis, and `check`'s row-wise Lamé identity and reciprocity matrix against
-the formulas and single-field paths they replaced, which are the reference."""
+basis, its cached monomial index tables, and `check`'s row-wise Lamé
+identity and reciprocity matrix (joined degrees, all poles in one kernel
+call) against the formulas and single-field paths they replaced, which are
+the reference."""
+
+import math
 
 import numpy as np
 import pytest
@@ -23,11 +27,13 @@ from elastopoly import (
     traction,
 )
 from elastopoly import polyalg, solver
-from elastopoly.basis import _times_r2, degree_columns
-from elastopoly.harness import reciprocity_matrix
-from elastopoly.operators import lame_apply, lame_residuals, traction_of_gradient
-from elastopoly.polyalg import R2, Poly3, VecPoly3, batch_eval, degree_monomials, gradient
-from elastopoly.solver import assemble_traces, evaluate_solution, field_samples, split_trace
+from elastopoly.basis import _diff, _shift_index, _times_r2, _two_sum, degree_columns
+from elastopoly.harness import _clear_of_surface, reciprocity_matrix
+from elastopoly.operators import kelvin_matrix, kelvin_traction, lame_apply, lame_residuals, traction_of_gradient
+from elastopoly.polyalg import (
+    R2, Poly3, VecPoly3, batch_eval, degree_monomials, eval_blocks, gradient, monomial_position,
+)
+from elastopoly.solver import _field_chunks, assemble_traces, evaluate_solution, field_samples, split_trace
 
 from conftest import cartesian_traces
 
@@ -325,6 +331,47 @@ def test_times_r2_rounds_like_fsum_at_ties():
         np.testing.assert_array_equal(got, [old.get(m, 0.0) for m in targets])
 
 
+def old_degree_monomials(d):
+    return np.array([(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)], dtype=np.intp).reshape(-1, 3)
+
+
+def old_diff(rows, d, a):
+    source = old_degree_monomials(d - 1)
+    source[:, a] += 1
+    return rows[..., monomial_position(source)] * source[:, a]
+
+
+def old_times_r2(rows, d):
+    target, shifts = old_degree_monomials(d + 2), 2 * np.eye(3, dtype=np.intp)
+    padded = np.concatenate([rows, np.zeros((*rows.shape[:-1], 1))], axis=-1)  # column -1: no term
+    a, b, c = (padded[..., np.where(target[:, e] >= 2, monomial_position(target - shifts[e]), -1)] for e in range(3))
+    uh, ul = _two_sum(b, c)
+    th, tl = _two_sum(a, uh)
+    v, err = _two_sum(tl, ul)
+    inexact_even = (err != 0.0) & ((v.view(np.int64) & 1) == 0)
+    return th + np.where(inexact_even, np.nextafter(v, np.copysign(np.inf, err)), v)
+
+
+def test_cached_index_tables_are_read_only_and_match_old_construction():
+    local = np.random.default_rng(26)
+    for d in range(21):
+        np.testing.assert_array_equal(degree_monomials(d), old_degree_monomials(d))
+        rows = local.normal(size=(2, 3, len(old_degree_monomials(d))))
+        rows[local.random(rows.shape) < 0.2] = 0.0  # missing terms, as in the sparse basis rows
+        for a in range(3):
+            got = _diff(rows, d, a)
+            assert got.dtype == rows.dtype and np.array_equal(got, old_diff(rows, d, a))
+        got = _times_r2(rows, d)
+        assert got.shape == (2, 3, len(old_degree_monomials(d + 2))) and np.array_equal(got, old_times_r2(rows, d))
+    # the cached arrays are shared by every caller: none may be written
+    tables = [degree_monomials(7), *(_shift_index(6, a, 1) for a in range(3)), *(_shift_index(9, a, -2) for a in range(3))]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert degree_monomials(7) is degree_monomials(7)
+    np.testing.assert_array_equal(degree_monomials(7), old_degree_monomials(7))
+
+
 @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.5, 0.7), (-0.5, 1.3)])
 def test_lame_residuals_match_dict_lame_apply_bitwise(lam, mu):
     material = Material(lam, mu)
@@ -365,6 +412,69 @@ def test_reciprocity_matrix_matches_betti_and_somigliana_checks(spec):
 def test_reciprocity_matrix_rejects_bad_columns_and_near_poles(sphere_quad, columns, poles, message):
     with pytest.raises(ValueError, match=message):
         reciprocity_matrix(elastic_basis(M, 2), columns, sphere_quad, poles)
+
+
+def old_reciprocity_matrix(basis, columns, quad, poles=()):
+    """`reciprocity_matrix` with one traction contraction per degree and one
+    pair of Kelvin kernel calls per pole."""
+    columns = np.asarray(columns, dtype=np.intp).reshape(-1)
+    if not (len(columns) and 0 <= columns.min() and columns.max() < len(basis)):
+        raise ValueError(f"columns must be one or more basis positions 0..{len(basis) - 1}")
+    poles = np.array([_clear_of_surface(quad, x) for x in np.reshape(poles, (-1, 3))]).reshape(-1, 3)
+    layout, targets = basis.pick(columns)
+    n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
+    material = basis.material
+    matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)
+    for rows, pairs in _field_chunks(layout, quad.points):
+        u, t = np.empty((2, n_fields, rows.stop - rows.start, 3))
+        points, normals = quad.points[rows], quad.normals[rows]
+        for (values, grads), mine in zip(pairs, targets):
+            u[mine], t[mine] = values, traction_of_gradient(material, grads, normals)
+        for f, x in zip(range(n_basis, n_fields, 3), poles):
+            u[f:f + 3] = kelvin_matrix(material, x - points).transpose(1, 0, 2)
+            t[f:f + 3] = kelvin_traction(material, x, points, normals).transpose(1, 0, 2)
+        weighted = (u * quad.weights[rows, None]).reshape(n_fields, -1)
+        matrix += weighted @ t.reshape(n_fields, -1).T
+        sq_norms += np.einsum("fi,fi->f", weighted, u.reshape(n_fields, -1))
+        del u, t, weighted  # freed before the next chunk's tables
+    at_poles = np.empty((len(poles), n_basis, 3))
+    for rows, products in eval_blocks(layout[::2], poles):
+        for values, mine in zip(products, targets):
+            at_poles[rows, mine] = values.T
+    return matrix, sq_norms, at_poles
+
+
+def check_k12_columns():
+    """The Betti pairs and Somigliana elements that `check --degree 12` picks."""
+    degree, step, p = 12, 2, np.arange(20)
+    k = step + p % (degree + 1 - step)
+    j = 7 * p % (6 * (k - step) + 3)
+    betti = np.ravel([3 * (k - step) ** 2 + j, 3 * k * k + j], order="F")
+    return [*betti, *range(0, 507, 507 // 4)[:4]]
+
+
+def spread_columns(max_degree):
+    """Unsorted columns with repeats: every degree's first element, a draw
+    over the basis, and one element taken more often than its degree is wide."""
+    n = degree_columns(max_degree).stop
+    draw = np.random.default_rng(max_degree).integers(0, n, size=30)
+    return [*draw, *(degree_columns(k).start for k in range(max_degree, -1, -1)), *[n - 2] * (6 * max_degree + 5), 7]
+
+
+@pytest.mark.parametrize("n_poles", [0, 1, 2])
+@pytest.mark.parametrize("spec", [Sphere(), Ellipsoid(semi_axes=(1.0, 1.3, 1.7))], ids=["sphere", "ellipsoid"])
+@pytest.mark.parametrize("max_degree, n_theta, n_phi, pick", [
+    (5, 16, 32, spread_columns),
+    (12, 48, 96, lambda _: check_k12_columns()),
+], ids=["K5-spread", "K12-check"])
+def test_reciprocity_matrix_matches_per_degree_per_pole_loop_bitwise(max_degree, n_theta, n_phi, pick, spec, n_poles):
+    basis, quad = elastic_basis(M, max_degree), make_quadrature(spec, n_theta, n_phi)
+    columns, poles = pick(max_degree), np.array([[0.3, 0.1, -0.2], [0.0, 0.0, 5.0]])[:n_poles]
+    assert {math.isqrt(c // 3) for c in columns} == set(range(max_degree + 1))
+    new, old = reciprocity_matrix(basis, columns, quad, poles), old_reciprocity_matrix(basis, columns, quad, poles)
+    assert new[0].shape == (len(columns) + 3 * n_poles,) * 2 and new[2].shape == (n_poles, len(columns), 3)
+    for got, want in zip(new, old):
+        assert np.array_equal(got, want)
 
 
 def test_field_samples_evaluate_once_and_match_values_and_traction(monkeypatch, sphere_quad):

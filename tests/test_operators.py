@@ -204,6 +204,27 @@ def test_kelvin_traction_rejects_coincident_points():
         kelvin_traction(M, p, p, np.array([1.0, 0.0, 0.0]))
 
 
+def test_kelvin_kernels_take_several_poles_bitwise():
+    # poles (P, 1, 3) against points (m, 3): pole p's slice is the single-pole call, bitwise
+    material = Material(1.3, 0.8)
+    y, nrm = 0.9 * random_unit(11), random_unit(11)
+    poles = np.array([[0.3, 0.1, -0.2], [0.0, 0.0, 5.0], [-1.2, 2.0, 0.7]])
+    np.testing.assert_array_equal(kelvin_matrix(material, poles[:, None] - y),
+                                  np.stack([kelvin_matrix(material, x - y) for x in poles]))
+    np.testing.assert_array_equal(kelvin_gradient(material, poles[:, None] - y),
+                                  np.stack([kelvin_gradient(material, x - y) for x in poles]))
+    np.testing.assert_array_equal(kelvin_traction(material, poles[:, None], y, nrm),
+                                  np.stack([kelvin_traction(material, x, y, nrm) for x in poles]))
+    # no poles: empty kernels, not a reduction error
+    assert kelvin_matrix(material, poles[:0, None] - y).shape == (0, 11, 3, 3)
+    assert kelvin_traction(material, poles[:0, None], y, nrm).shape == (0, 11, 3, 3)
+    # a pole on a sample point is still refused
+    with pytest.raises(ValueError, match="singular"):
+        kelvin_traction(material, np.array([poles[0], y[4]])[:, None], y, nrm)
+    with pytest.raises(ValueError, match="singular"):
+        kelvin_matrix(material, np.array([poles[0], y[4]])[:, None] - y)
+
+
 def test_somigliana_constant_field_dichotomy(sphere_quad):
     # oint e1 . T_y Gamma_i(x - y) dsigma = e1 interior, 0 exterior
     e1 = np.array([1.0, 0.0, 0.0])
