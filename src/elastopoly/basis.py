@@ -16,7 +16,8 @@ max-normalized float rows over the graded-lex monomials.  A degree of the
 basis is built at once from those rows, through fixed integer index maps: a
 derivative map twice for the Hessian, the |x|^2 product map (up to three
 terms per coefficient, exactly rounded), the Lambda_k scale and + omega, and
-one more derivative map for the first partials; bitwise the `Poly3` arithmetic.
+one more derivative map for the first partials, bitwise the `Poly3`
+arithmetic; Hooke's law (`hooke`) turns those into the six stress components.
 """
 
 from __future__ import annotations
@@ -50,6 +51,24 @@ class Material:
             )
         # follows from the two conditions above; kept as a guard
         assert self.lam + 2.0 * self.mu > 0.0
+
+
+_PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]  # the entries with a <= b of a symmetric tensor
+_PAIR_OF = np.array([[_PAIRS.index((min(i, j), max(i, j))) for i in range(3)] for j in range(3)])
+
+
+def hooke(material: Material, grad) -> np.ndarray:
+    """Hooke's law: the stress components (6, ...), sigma_ab = lam tr(g)
+    delta_ab + mu (g_ab + g_ba) for the pairs a <= b in `_PAIRS` order, of
+    gradients g[a][b] (3, 3, ...), an array or nested sequences.  Unchanged
+    when g is transposed, so either index convention of the gradient (d_a
+    u_b or d_b u_a) gives the stress, and an antisymmetric g (a rigid
+    rotation) gives exactly zero."""
+    sigma = np.stack([material.mu * (grad[a][b] + grad[b][a]) for a, b in _PAIRS])
+    div = material.lam * (grad[0][0] + grad[1][1] + grad[2][2])
+    for p in (0, 3, 5):  # the diagonal pairs
+        sigma[p] += div
+    return sigma
 
 
 # -- real solid harmonics -------------------------------------------------------
@@ -170,10 +189,6 @@ def _times_r2(rows: np.ndarray, d: int) -> np.ndarray:
     return th + np.where(inexact_even, np.nextafter(v, np.copysign(np.inf, err)), v)
 
 
-_PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]  # the Hessian entries with a <= b
-_PAIR_OF = np.array([[_PAIRS.index((min(i, j), max(i, j))) for i in range(3)] for j in range(3)])
-
-
 def _degree_blocks(material: Material, k: int) -> list[tuple[int, int, np.ndarray]]:
     """The two read-only layout blocks of degree k (see `ElasticBasis`)."""
     harmonics = _harmonic_rows(k)
@@ -182,9 +197,9 @@ def _degree_blocks(material: Material, k: int) -> list[tuple[int, int, np.ndarra
     values = (lambda_coeff(material, k) * _times_r2(hessian, k - 2) + 0.0)[_PAIR_OF].transpose(0, 2, 1, 3)
     values[[0, 1, 2], :, [0, 1, 2]] += harmonics  # + omega where j = i; v_j of harmonic s, row i, at values[j, s, i]
     values = values.reshape(3, 3 * len(harmonics), -1)  # element 3s + i, as `harmonic_and_row` reads it
-    gradients = np.ascontiguousarray(np.stack([_diff(values, k, a) for a in range(3)]))  # eval_blocks flattens it
-    values.flags.writeable = gradients.flags.writeable = False
-    return [(_degree_start(k), _degree_start(k + 1), values), (_degree_start(k - 1), _degree_start(k), gradients)]
+    stress = np.ascontiguousarray(hooke(material, [_diff(values, k, a) for a in range(3)]))  # eval_blocks flattens it
+    values.flags.writeable = stress.flags.writeable = False
+    return [(_degree_start(k), _degree_start(k + 1), values), (_degree_start(k - 1), _degree_start(k), stress)]
 
 
 def harmonic_and_row(i: int) -> tuple[int, int]:
@@ -223,8 +238,9 @@ class ElasticBasis:
     """The 3(K+1)^2 elastic polynomials through degree K, held as their
     `layout` of read-only `polyalg.eval_blocks` blocks, two per degree k: the
     values (3, e, n) of its e elements, v_j of element i at [j, i], over the
-    degree-k monomials, then their partials (3, 3, e, n), d v_j / d x_a at
-    [a, j, i], over the degree-(k-1) ones.  `element(3k^2 + i)` reads element
+    degree-k monomials, then their stresses (6, e, n), `hooke` of their
+    partials, sigma_ab at [p, i] for the pair p = (a, b), a <= b, in `_PAIRS`
+    order, over the degree-(k-1) ones.  `element(3k^2 + i)` reads element
     i of degree k, and `elements` all of them on first use; a fit, `check`
     and the `basis` export read only the layout."""
 

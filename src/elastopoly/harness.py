@@ -22,7 +22,7 @@ import numpy as np
 from .basis import ElasticBasis, Material, elastic_basis
 from .geometry import Ellipsoid, Sphere, StarShaped, SurfaceQuadrature, SurfaceSpec, make_quadrature, radial_function
 from .ioutil import csv_lines, json_dumps
-from .operators import KelvinField, kelvin_matrix, kelvin_traction, traction_of_gradient
+from .operators import KelvinField, kelvin_matrix, kelvin_traction, traction_of_stress
 from .polyalg import eval_blocks
 from .solver import (
     PROBLEM_III,
@@ -30,7 +30,6 @@ from .solver import (
     check_problem,
     check_scalar_weight,
     check_svd_tol,
-    _field_chunks,
     compatibility_defect,
     evaluate_solution,
     field_data,
@@ -162,30 +161,36 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
     A[f, g] - A[g, f] is the reciprocity integral `reciprocity` of u_f and u_g.
     Also returns the elements' values at the poles (P, len(columns), 3).
 
-    One `eval_blocks` pass samples only the rows of the chosen elements, one
-    chunk of CHUNK_POINTS points at a time.  Per chunk, one traction
-    contraction serves each group of consecutive degrees that the fit would
-    join (at most 3(2K + 1) fields), one call of each Kelvin kernel serves
-    every pole, and the products are summed into A as one matrix product,
-    so no field is held at every sample.  Poles closer to the surface than
-    three quadrature spacings are refused.
+    One `eval_blocks` pass samples only the rows of the chosen elements, their
+    values and stresses, one chunk of CHUNK_POINTS points at a time.  Per
+    chunk, consecutive degrees are joined while they hold at most 3(2K + 1)
+    fields, the widest degree, and one traction contraction (`traction_of_stress`)
+    serves each group; one call of each Kelvin kernel serves every pole, and
+    the products are summed into A as one matrix product, so no field is
+    held at every sample.  Poles closer to the surface than three quadrature
+    spacings are refused.
     """
     columns = np.asarray(columns, dtype=np.intp).reshape(-1)
     if not (len(columns) and 0 <= columns.min() and columns.max() < len(basis)):
         raise ValueError(f"columns must be one or more basis positions 0..{len(basis) - 1}")
     poles = np.array([_clear_of_surface(quad, x) for x in np.reshape(poles, (-1, 3))]).reshape(-1, 3)
     layout, targets = basis.pick(columns)
-    order = np.concatenate(targets)  # the picked fields in layout order, as `_field_chunks` yields them
+    groups = []  # (degrees, their targets) of consecutive degrees holding at most 3(2K + 1) fields
+    for mine in targets:
+        if groups and len(groups[-1][1]) + len(mine) <= 3 * (2 * basis.max_degree + 1):
+            groups[-1] = (groups[-1][0] + 1, np.concatenate([groups[-1][1], mine]))
+        else:
+            groups.append((1, mine))
     n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
     material = basis.material
     matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)
-    for rows, pairs in _field_chunks(layout, quad.points, join=3 * (2 * basis.max_degree + 1)):  # the fit's rule
+    for rows, products in eval_blocks(layout, quad.points):
         u, t = np.empty((2, n_fields, rows.stop - rows.start, 3))
         points, normals = quad.points[rows], quad.normals[rows]
-        at = 0
-        for values, grads in pairs:  # joined degrees: the next len(values) fields of `order`
-            mine, at = order[at:at + len(values)], at + len(values)
-            u[mine], t[mine] = values, traction_of_gradient(material, grads, normals)
+        for n_degrees, mine in groups:  # each degree's values (3, e, m), then its stresses (6, e, m)
+            pairs = [(next(products), next(products)) for _ in range(n_degrees)]
+            values, stress = (np.concatenate(b, axis=1) if n_degrees > 1 else b[0] for b in zip(*pairs))
+            u[mine], t[mine] = values.transpose(1, 2, 0), traction_of_stress(stress, normals)
         # field n_basis + 3p + i is K_i(x_p - y): the kernels (P, m, i, j) as (3P, m, j)
         x, m = poles[:, None], len(points)
         u[n_basis:] = kelvin_matrix(material, x - points).transpose(0, 2, 1, 3).reshape(-1, m, 3)
@@ -193,7 +198,7 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
         weighted = (u * quad.weights[rows, None]).reshape(n_fields, -1)
         matrix += weighted @ t.reshape(n_fields, -1).T
         sq_norms += np.einsum("fi,fi->f", weighted, u.reshape(n_fields, -1))
-        del u, t, weighted  # freed before the next chunk's tables
+        del u, t, weighted, products  # freed before the next chunk's tables
     at_poles = np.empty((len(poles), n_basis, 3))
     for rows, products in eval_blocks(layout[::2], poles):
         for values, mine in zip(products, targets):

@@ -8,7 +8,9 @@ checks downstream.
 
 Points, normals and sampled fields keep their vector or tensor axes last: a
 function of points takes (..., 3) arrays, any leading shape broadcasts, and a
-single (3,) point is the case with no leading axes.
+single (3,) point is the case with no leading axes.  Stress components alone
+lead, (6, ...) as `basis.hooke` gives them and the basis layout holds them,
+so that each component is one plane.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Material, _diff
+from .basis import _PAIR_OF, Material, _diff, hooke
 from .polyalg import Poly3, VecPoly3, divergence, gradient, laplacian, batch_eval
 
 _UNIT_NORMAL_TOL = 1e-12
@@ -47,27 +49,21 @@ def lame_residuals(material: Material, layout) -> np.ndarray:
     return np.concatenate(worst)
 
 
-def traction_of_gradient(material: Material, grad: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Hooke contraction lam tr(g) nu + mu (g^T nu + g nu) of gradients g (..., 3, 3).
+def traction_of_stress(stress: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """The traction sigma nu (..., 3) of stress components (6, ...)
+    (`basis.hooke`) at normals (..., 3), broadcast against each component.
 
-    Normals broadcast against the gradients' leading axes.  The result is
-    unchanged when g is transposed, so either index convention of the
-    gradient (d_a v_j or d_j v_a) gives the traction.  Each directional sum
-    is a multiply-add over (..., 3) slices of g, so a strided view of a
-    component-major table costs no copy, and g^T nu and g nu run in the same
-    order: an antisymmetric g (a rigid rotation) cancels exactly.
+    Component b is the sum of sigma_ab nu_a over a = 0, 1, 2, formed one
+    plane at a time: a component of a joined block or of the layout's
+    products is one contiguous plane, so nothing is copied to read it.
     """
-    nu = [normals[..., a, None] for a in range(3)]
-    t = grad[..., 0, :] * nu[0]
-    g_nu = grad[..., :, 0] * nu[0]
-    for a in (1, 2):
-        t += grad[..., a, :] * nu[a]
-        g_nu += grad[..., :, a] * nu[a]
-    t += g_nu
-    t *= material.mu
-    div = material.lam * (grad[..., 0, 0] + grad[..., 1, 1] + grad[..., 2, 2])
+    nu = [normals[..., a] for a in range(3)]
+    t = np.empty(np.broadcast_shapes(stress.shape[1:], normals.shape[:-1]) + (3,))
     for b in range(3):
-        t[..., b] += div * normals[..., b]
+        plane = stress[_PAIR_OF[0, b]] * nu[0]
+        plane += stress[_PAIR_OF[1, b]] * nu[1]
+        plane += stress[_PAIR_OF[2, b]] * nu[2]
+        t[..., b] = plane
     return t
 
 
@@ -89,8 +85,8 @@ def traction(material: Material, v: VecPoly3, points, normals) -> np.ndarray:
     if pts.shape != nrm.shape:
         raise ValueError("points and normals must have matching shapes")
     _check_unit_normals(nrm)
-    d = batch_eval(v.jacobian(), pts.reshape(-1, 3)).reshape(*pts.shape[:-1], 3, 3)  # d[..., a, j]
-    return traction_of_gradient(material, d, nrm)
+    d = batch_eval(v.jacobian(), pts.reshape(-1, 3)).T.reshape(3, 3, *pts.shape[:-1])  # d[a, j] = d v_j / d x_a
+    return traction_of_stress(hooke(material, d), nrm)
 
 
 @dataclass(frozen=True)
@@ -181,7 +177,7 @@ def kelvin_traction(material: Material, x, y, normal_y, rows: slice = slice(None
         raise ValueError("Kelvin traction kernel is singular at x = y")
     # d/dy_k Gamma_ij(x - y) = -(d Gamma_ij / d z_k)(x - y)
     d = -kelvin_gradient(material, z, rows)                   # d[..., i, j, k] = d(field_i)_j / d y_k
-    return traction_of_gradient(material, d, nrm[..., None, :])
+    return traction_of_stress(hooke(material, np.moveaxis(d, (-2, -1), (0, 1))), nrm[..., None, :])
 
 
 @dataclass(frozen=True)

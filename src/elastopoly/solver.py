@@ -46,12 +46,15 @@ class over every sample, the same code.
 
 The trace rows are assembled from the layout of the chosen elements
 (`ElasticBasis.pick`) through `polyalg.eval_blocks`, per chunk of
-CHUNK_POINTS samples, a few consecutive degrees k at a time (columns
-3k^2 .. 3(k+1)^2, `basis.degree_columns`), each group no wider than the
-widest degree.  Each group is contracted to tractions and written straight
-into three rows per sample: the scalar trace, and the vector trace in the
-sample's orthonormal tangent frame (`SurfaceQuadrature.tangents`).  The
-frames exist only in these rows and the matching rows of b; everything a fit
+CHUNK_POINTS samples, one degree k at a time (columns 3k^2 .. 3(k+1)^2,
+`basis.degree_columns`).  The layout holds each degree's values and the six
+components of its stress, Hooke's law applied once per basis
+(`basis.hooke`), so each of the three rows per sample (the scalar trace,
+and the vector trace in the sample's orthonormal tangent frame,
+`SurfaceQuadrature.tangents`) is a weighted sum of one block's components,
+with weights from the sample's normal and frame: one contraction per block
+writes its rows, and no traction is formed per sample.  The frames exist
+only in these weights and the matching rows of b; everything a fit
 reports is Cartesian.  The whole trace matrix T (3N, E) is never held, nor
 a block of it over every class: a fit walks blocks of whole domain samples,
 at most QR_BLOCK_BYTES of [A | b] over every column, and within a block the
@@ -64,10 +67,10 @@ layout, one class's QR buffer and the two working copies `np.linalg.qr`
 makes of it, the block's monomial tables, one chunk's products and
 O(E^2 / |G|) for the Rs.
 
-A fitted field is one polynomial, sampled once (`_collapse`): at the
-quadrature, its displacement and traction, split by `split_trace`, give the
-misfits, residuals and rotation components; at interior points, the
-displacement and stress of `evaluate_solution`.  A single polynomial, rigid
+A fitted field is one polynomial, sampled once (`_collapse`) with its
+stress: at the quadrature, its displacement and traction sigma nu, split by
+`split_trace`, give the misfits, residuals and rotation components; at
+interior points, the displacement and stress of `evaluate_solution`.  A single polynomial, rigid
 or Kelvin field is sampled by `field_samples` instead and split by the same
 `split_trace`; `field_data` makes that its `BoundaryData`.
 """
@@ -78,10 +81,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import Material, ElasticBasis, _parities, degree_columns
+from .basis import _PAIR_OF, _PAIRS, Material, ElasticBasis, _parities, degree_columns, hooke
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
-from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_gradient
+from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_stress
 from .polyalg import VecPoly3, batch_eval, eval_blocks, monomial_tables
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
@@ -159,52 +162,8 @@ class FitResult:
 # -- trace assembly ---------------------------------------------------------------
 
 
-def _field_chunks(layout, points: np.ndarray, tables=None, join: int = 0):
-    """Sample fields laid out as pairs of blocks, values (3, e, n) and
-    gradients (3, 3, e, n) as in `ElasticBasis.layout`, through `eval_blocks`.
-
-    Yields (point rows, pairs) per chunk, where `pairs` forms each pair's
-    values (e, m, 3) and gradients (e, m, 3, 3): the products with their
-    block axes moved last, so each component is a contiguous (e, m) block,
-    normals (m, 3) broadcast over the fields and the point axis runs
-    innermost.  Pair k of a basis layout is its degree k, so its columns are
-    `degree_columns(k)`.  Consecutive pairs that hold at most `join` fields
-    together come joined as one, in layout order; `tables` goes to `eval_blocks`.
-    """
-    groups = []
-    for e in (rows.shape[1] for _, _, rows in layout[::2]):
-        if groups and sum(groups[-1]) + e <= join:
-            groups[-1].append(e)
-        else:
-            groups.append([e])
-    for rows, products in eval_blocks(layout, points, tables):
-        m = rows.stop - rows.start
-        yield rows, (_joined(products, widths, m) for widths in groups)
-        del products  # it binds the chunk's table: freed before the next chunk builds its own
-
-
-def _joined(products, widths: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values (e, m, 3) and gradients (e, m, 3, 3) of the next pairs of
-    products, of widths[i] fields each: views of the products for one pair,
-    of arrays filled one product at a time along the element axis for several."""
-    if len(widths) == 1:
-        values, grads = next(products), next(products)
-    else:
-        values, grads = np.empty((3, sum(widths), m)), np.empty((3, 3, sum(widths), m))
-        for at, e in zip(np.cumsum([0, *widths]), widths):
-            values[:, at:at + e] = next(products)
-            grads[:, :, at:at + e] = next(products)
-    return values.transpose(1, 2, 0), grads.transpose(2, 3, 0, 1)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
-def _scalar_and_full(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The problem's scalar datum and the field whose tangential part is its vector datum."""
-    check_problem(problem)
-    return (_dot(u, normals), t) if problem == PROBLEM_III else (_dot(t, normals), u)
 
 
 def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +173,33 @@ def split_trace(problem: str, u: np.ndarray, t: np.ndarray, normals: np.ndarray)
     The vector part is tangential by construction.  Normals broadcast against
     the samples' leading axes.
     """
-    scalar, full = _scalar_and_full(problem, u, t, normals)
+    check_problem(problem)
+    scalar, full = (_dot(u, normals), t) if problem == PROBLEM_III else (_dot(t, normals), u)
     normal_part, vector = _dot(full, normals), np.empty_like(full)  # keeps the memory layout of full
     for b in range(3):
         vector[..., b] = full[..., b] - normal_part * normals[..., b]
     return scalar, vector
+
+
+def _pair_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weights (..., 6, m) of the stress components sigma_p (`basis.hooke`)
+    in x . sigma y, for vectors x (..., 3, m) and y (3, m) per sample:
+    x_a y_a on the diagonal pairs p = (a, a), x_a y_b + x_b y_a off it."""
+    a, b = np.array(_PAIRS).T
+    return x[..., a, :] * y[b] + (a != b)[:, None] * x[..., b, :] * y[a]
+
+
+def _trace_weights(problem: str, normals: np.ndarray, tangents: np.ndarray):
+    """The rows and per-sample weights of one chunk's traces: for a degree's
+    value block (3, e, m), then its stress block (6, e, m), the rows r of
+    each sample that the block fills and their weights (r, 3 or 6, m).
+    Problem III: u . nu, then e_a . sigma nu; problem IV: nu . sigma nu,
+    then u . e_a, for the sample's tangent frame e_a."""
+    check_problem(problem)
+    nu, frame = normals.T, tangents.transpose(1, 2, 0)
+    if problem == PROBLEM_III:
+        return (slice(0, 1), nu[None]), (slice(1, 3), _pair_weights(frame, nu))
+    return (slice(1, 3), frame), (slice(0, 1), _pair_weights(nu, nu)[None])
 
 
 def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
@@ -230,37 +211,33 @@ def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
 
     Rows 3n, 3n + 1 and 3n + 2 hold the traces at the selection's sample n: the
     scalar trace, then full . e_a in the sample's tangent frame
-    e_a = quad.tangents[n, a], with full the traction (III) or displacement
-    (IV); as e_a is tangent, no projection is needed.  These frame rows are
+    e_a = quad.tangents[n, a], with full the traction sigma nu (III) or the
+    displacement (IV); as e_a is tangent, no projection is needed.  These frame rows are
     the only place outside the QR input where the frames appear.  Only the
     chosen elements' layout (`ElasticBasis.pick`) is evaluated, in
-    chunks of CHUNK_POINTS samples, and their traces are written straight
-    into the rows, of `out` when given, an (m, 3, n) array.  `tables`, the
+    chunks of CHUNK_POINTS samples.  Each row is a weighted sum of a degree's
+    values or of its stress components, with per-sample weights
+    (`_trace_weights`), so one contraction per block writes its rows straight
+    into the traces, of `out` when given, an (m, 3, n) array.  `tables`, the
     selected points' monomial tables when held, goes to `eval_blocks`.
     """
     points, normals, tangents = quad.points[samples], quad.normals[samples], quad.tangents[samples]
     columns = np.arange(len(basis)) if columns is None else columns
     layout, _ = basis.pick(columns)  # ascending columns: the fields come in their order
     traces = np.empty((len(points), 3, len(columns))) if out is None else out
-    # consecutive degrees are contracted together while they hold at most the
-    # widest degree's elements: few calls per chunk for a narrow class, and no
-    # larger products than one degree's
-    for rows, pairs in _field_chunks(layout, points, tables, 3 * (2 * basis.max_degree + 1)):
-        cols = slice(0, 0)
-        for values, grads in pairs:
-            cols = slice(cols.stop, cols.stop + len(values))
-            t = traction_of_gradient(basis.material, grads, normals[rows])
-            scalar, full = _scalar_and_full(problem, values, t, normals[rows])
-            traces[rows, 0, cols] = scalar.T
-            for a in range(2):
-                traces[rows, a + 1, cols] = _dot(full, tangents[rows, a]).T
-        del values, grads, t, scalar, full  # freed before the next chunk's products
+    edges = np.cumsum([0, *(rows.shape[1] for _, _, rows in layout[::2])])
+    for rows, products in eval_blocks(layout, points, tables):
+        weights = _trace_weights(problem, normals[rows], tangents[rows])
+        for cols in map(slice, edges[:-1], edges[1:]):
+            for trace_rows, w in weights:  # the degree's values, then its stresses
+                np.einsum("cem,rcm->mre", next(products), w, out=traces[rows, trace_rows, cols])
+        del products  # it binds the chunk's table: freed before the next chunk builds its own
     return traces.reshape(len(points) * 3, -1)
 
 
 def _collapse(basis: ElasticBasis, coefficients: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Displacements (D, M, 3) and gradients (D, M, 3, 3), grad[..., a, j] =
-    d u_j / d x_a, at points (M, 3) of the D fields sum_e coefficients[e, d] v_e,
+    """Displacements (D, M, 3) and stresses (6, D, M), as `basis.hooke` orders
+    them, at points (M, 3) of the D fields sum_e coefficients[e, d] v_e,
     for coefficients (n, D) over a degree prefix of the basis.  Every degree
     block's rows of `ElasticBasis.layout` are contracted with the
     coefficients, which collapses each field to one polynomial, sampled once
@@ -268,17 +245,16 @@ def _collapse(basis: ElasticBasis, coefficients: np.ndarray, points: np.ndarray)
     degree, d = basis.prefix_degree(len(coefficients)), coefficients.shape[1]
     blocks = basis.layout[:2 * degree + 2]
     end = blocks[-2][1]  # the degree-k values reach the last monomial
-    values, grads = np.zeros((3, d, end)), np.zeros((3, 3, d, end))
+    values, stress = np.zeros((3, d, end)), np.zeros((6, d, end))
     for k in range(degree + 1):
         c = coefficients[degree_columns(k)].T
-        # one stack of 2-D products per block: c broadcast over both gradient axes rounds otherwise
-        for out, (first, stop, rows) in zip((values, grads.reshape(-1, d, end)), blocks[2 * k:2 * k + 2]):
-            out[:, :, first:stop] += c @ rows.reshape(len(out), c.shape[1], -1)
-    layout = [(0, end, values), (0, end, grads)]
-    disp, g = np.empty((d, len(points), 3)), np.empty((d, len(points), 3, 3))
-    for rows, ((values, grads),) in _field_chunks(layout, points):
-        disp[:, rows], g[:, rows] = values, grads
-    return disp, g
+        for out, (first, stop, rows) in zip((values, stress), blocks[2 * k:2 * k + 2]):
+            out[:, :, first:stop] += c @ rows
+    disp, sigma = np.empty((d, len(points), 3)), np.empty((6, d, len(points)))
+    for rows, products in eval_blocks([(0, end, values), (0, end, stress)], points):
+        disp[:, rows], sigma[..., rows] = next(products).transpose(1, 2, 0), next(products)
+        del products  # it binds the chunk's table
+    return disp, sigma
 
 
 def field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +264,7 @@ def field_samples(material: Material, obj, quad: SurfaceQuadrature) -> tuple[np.
     if isinstance(obj, VecPoly3):  # the values and the nine partials d v_j / d x_a (3 + 3a + j) in one evaluation
         _check_unit_normals(quad.normals)
         samples = batch_eval([*obj.components, *obj.jacobian()], quad.points)
-        return samples[:, :3], traction_of_gradient(material, samples[:, 3:].reshape(-1, 3, 3), quad.normals)
+        return samples[:, :3], traction_of_stress(hooke(material, samples.T[3:].reshape(3, 3, -1)), quad.normals)
     if isinstance(obj, KelvinField):
         if obj.material != material:
             raise ValueError("Kelvin field material differs from the check material")
@@ -487,9 +463,8 @@ def fit_degrees(
             kept += int(np.count_nonzero(keep))
         solves.append((kept, np.sort(np.concatenate([svd[3] for svd in svds]), kind="stable")[::-1]))
 
-    disp, grads = _collapse(basis, coefficients, quad.points)
-    t = traction_of_gradient(basis.material, grads, quad.normals)
-    scalar, vector = split_trace(data.problem, disp, t, quad.normals)
+    disp, stress = _collapse(basis, coefficients, quad.points)
+    scalar, vector = split_trace(data.problem, disp, traction_of_stress(stress, quad.normals), quad.normals)
     rotations = _rotations(data.problem, quad)
     results = []
     for d, (size, (kept, sigma)) in enumerate(zip(sizes, solves)):
@@ -534,18 +509,16 @@ def evaluate_solution(result: FitResult, basis: ElasticBasis, points) -> tuple[n
     """Displacements (..., 3) and stress tensors (..., 3, 3) of the fitted field
     at points (..., 3).
 
-    The stress is lam (div u) I + mu (grad u + grad u^T), symmetric by
-    construction; contracting with a surface normal reproduces the traction
-    of the fitted field.  The coefficients, a degree prefix of the basis
+    The stress is lam (div u) I + mu (grad u + grad u^T), its six components
+    (`basis.hooke`) sampled and set out symmetric; contracting with a surface
+    normal reproduces the traction of the fitted field.  The coefficients, a degree prefix of the basis
     (3(k+1)^2 elements for a fit through degree k), are collapsed to one
     polynomial field and sampled by `_collapse`, as a fit samples its fields
     at the quadrature.
     """
     pts = np.asarray(points, dtype=float)
-    disp, g = _collapse(basis, result.coefficients[:, None], pts.reshape(-1, 3))
-    # Row k is the traction sigma e_k on the plane with normal e_k; sigma is symmetric.
-    stress = traction_of_gradient(basis.material, g[0, :, None], np.eye(3))
-    return disp[0].reshape(pts.shape), stress.reshape(pts.shape + (3,))
+    disp, stress = _collapse(basis, result.coefficients[:, None], pts.reshape(-1, 3))
+    return disp[0].reshape(pts.shape), np.moveaxis(stress[_PAIR_OF, 0], -1, 0).reshape(pts.shape + (3,))
 
 
 def fit_result_json(result: FitResult) -> str:

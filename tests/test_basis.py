@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elastopoly import Material, elastic_basis, lambda_coeff, solid_harmonics
-from elastopoly.basis import _polys
+from elastopoly.basis import _PAIRS, _polys
 from elastopoly.operators import lame_apply
 from elastopoly.polyalg import Poly3, X, Y, Z, R2, laplacian
 
@@ -272,21 +272,26 @@ def test_element_builds_one_element_from_its_value_rows():
 
 
 def test_pick_takes_elements_along_the_element_axis():
-    basis = elastic_basis(Material(1.3, 0.8), 3)
+    material = Material(1.3, 0.8)
+    basis = elastic_basis(material, 3)
     columns = [20, 4, 9, 4, 30, 3]  # unsorted, with a repeat; none of degree 0
     layout, targets = basis.pick(columns)
     assert [t.tolist() for t in targets] == [[1, 2, 3, 5], [0], [4]]  # per degree 1, 2, 3, in column order
     assert len(layout) == 6
-    for k, (_, _, values), (_, _, grads), mine in zip((1, 2, 3), layout[::2], layout[1::2], targets, strict=True):
+    for k, (_, _, values), (_, _, stress), mine in zip((1, 2, 3), layout[::2], layout[1::2], targets, strict=True):
         assert values.shape == (3, len(mine), (k + 1) * (k + 2) // 2)
-        assert grads.shape == (3, 3, len(mine), k * (k + 1) // 2)
-        assert values.flags.c_contiguous and grads.flags.c_contiguous
+        assert stress.shape == (6, len(mine), k * (k + 1) // 2)
+        assert values.flags.c_contiguous and stress.flags.c_contiguous
         for t, column in enumerate(np.asarray(columns)[mine]):
             el = basis.element(column)
             assert el.degree == k
             assert [c.terms for c in _polys(values[:, t], k)] == [c.terms for c in el.field]
-            assert [[c.terms for c in _polys(grads[a, :, t], k - 1)] for a in range(3)] == [
-                [el.field[j].diff(a + 1).terms for j in range(3)] for a in range(3)]
+            # Hooke's law on the element's partials g[a][b] = d v_b / d x_a, in `hooke`'s order
+            g = [[el.field[b].diff(a + 1) for b in range(3)] for a in range(3)]
+            sigma = [material.mu * (g[a][b] + g[b][a]) for a, b in _PAIRS]
+            for p in (0, 3, 5):
+                sigma[p] = sigma[p] + material.lam * (g[0][0] + g[1][1] + g[2][2])
+            assert [c.terms for c in _polys(stress[:, t], k - 1)] == [c.terms for c in sigma]
     # a whole degree picked in order hands out the layout's own blocks
     layout, targets = basis.pick(range(3, 12))
     assert [t.tolist() for t in targets] == [list(range(9))]

@@ -1,7 +1,9 @@
 """The chunked, degree-blocked trace assembly and field evaluation against the
-full-table path they replaced, written out here as the reference: one
-`batch_eval` of all 12 E polynomials at every sample, the Hooke contraction as
-two einsums, and the III/IV split as einsum projections."""
+paths they replaced, written out here as the reference: the full-table path,
+one `batch_eval` of all 12 E polynomials at every sample, the Hooke
+contraction as two einsums, and the III/IV split as einsum projections; and
+the per-sample path, gradient products contracted to tractions at each
+sample, then split."""
 
 import numpy as np
 import pytest
@@ -11,16 +13,20 @@ from elastopoly import (
     Material,
     RigidDisplacement,
     Sphere,
+    StarShaped,
     elastic_basis,
     fit,
     kelvin_data,
     kelvin_gradient,
     make_quadrature,
 )
-from elastopoly.operators import traction_of_gradient
-from elastopoly.polyalg import CHUNK_POINTS, batch_eval
+from elastopoly import solver
+from elastopoly.basis import _diff, hooke
+from elastopoly.operators import traction_of_stress
+from elastopoly.polyalg import CHUNK_POINTS, _degree_start, batch_eval, eval_blocks, monomial_tables
 from elastopoly.solver import (
     assemble_traces,
+    split_trace,
     evaluate_solution,
     fit_degrees,
     trace_III,
@@ -110,6 +116,69 @@ def test_chunked_traces_match_full_table(surface, size, degree):
         assert_blocks_close(traces, expected, degree)
         for cols in degree_blocks(degree):  # the rows the frames drop carried nothing
             assert np.max(np.abs(normal[:, cols])) <= 1e-14 * np.max(np.abs(full_rows[:, cols])), cols
+
+
+def old_traction_of_gradient(material, grad, normals):
+    """The replaced per-sample Hooke contraction lam tr(g) nu + mu (g^T nu + g nu)."""
+    nu = [normals[..., a, None] for a in range(3)]
+    t = grad[..., 0, :] * nu[0]
+    g_nu = grad[..., :, 0] * nu[0]
+    for a in (1, 2):
+        t += grad[..., a, :] * nu[a]
+        g_nu += grad[..., :, a] * nu[a]
+    t += g_nu
+    t *= material.mu
+    div = material.lam * (grad[..., 0, 0] + grad[..., 1, 1] + grad[..., 2, 2])
+    for b in range(3):
+        t[..., b] += div * normals[..., b]
+    return t
+
+
+def old_sample_rows(problem, basis, quad, samples, columns):
+    """The rows of `assemble_traces` by the replaced per-sample path: each
+    picked degree's values and nine partials (3, 3, e, n), d v_j / d x_a, as
+    the layout held them, sampled per chunk; each sample's tractions from
+    `old_traction_of_gradient`, split by `split_trace`, the vector part on
+    the sample's frame."""
+    points, normals, tangents = quad.points[samples], quad.normals[samples], quad.tangents[samples]
+    layout = []
+    for first, end, values in basis.pick(columns)[0][::2]:
+        k = next(k for k in range(basis.max_degree + 1) if _degree_start(k) == first)
+        layout += [(first, end, values), (_degree_start(k - 1), first, np.stack([_diff(values, k, a) for a in range(3)]))]
+    traces = np.empty((len(points), 3, len(columns)))
+    for rows, products in eval_blocks(layout, points):
+        at = 0
+        for values, grads in zip(products, products):  # each degree's pair of products
+            cols, at = slice(at, at + values.shape[1]), at + values.shape[1]
+            t = old_traction_of_gradient(M, grads.transpose(2, 3, 0, 1), normals[rows])
+            scalar, vector = split_trace(problem, values.transpose(1, 2, 0), t, normals[rows])
+            traces[rows, 0, cols] = scalar.T
+            traces[rows, 1:, cols] = np.einsum("emj,maj->mae", vector, tangents[rows])
+    return traces.reshape(3 * len(points), -1)
+
+
+@pytest.mark.parametrize("problem", ["III", "IV"])
+@pytest.mark.parametrize("surface", ["spheroid", "star_generic"])
+def test_trace_rows_match_the_per_sample_traction_path(surface, problem):
+    """Per-sample weights on the value and stress rows give, column by
+    column, the traces of the gradient rows contracted to tractions at each
+    sample: the folded spheroid's 8 classes on its 600-sample domain (two
+    chunks and a ragged 88), with its shared tables, and a generic star's
+    one class on every sample."""
+    if surface == "spheroid":
+        quad, degree = make_quadrature(SURFACES["spheroid"], 48, 96), 14
+    else:
+        quad, degree = make_quadrature(StarShaped(coeffs=((0, 1, 1.0), (2, 2, 0.1), (2, 3, 0.15))), 16, 32), 8
+    basis = elastic_basis(M, degree)
+    perms, _, _, columns = solver._parity_classes(basis, quad)
+    domain = np.flatnonzero(perms.min(axis=0) == np.arange(quad.n_samples))
+    assert (len(columns), len(domain)) == ((8, 2 * CHUNK_POINTS + 88) if surface == "spheroid" else (1, 512))
+    tables = list(monomial_tables(quad.points[domain], basis.layout[-2][1]))
+    for cols in columns:
+        new = assemble_traces(problem, basis, quad, domain, cols, tables)
+        old = old_sample_rows(problem, basis, quad, domain, cols)
+        err, scale = np.max(np.abs(new - old), axis=0), np.max(np.abs(old), axis=0)
+        assert np.all(err <= 1e-14 * scale), np.max(err / scale)
 
 
 @pytest.mark.parametrize("problem", ["III", "IV"])
@@ -202,9 +271,9 @@ def test_evaluate_solution_matches_full_table(n_points, sphere_quad):
     (rng.normal(size=(12, 1, 3, 3)), np.eye(3)),            # stress rows sigma e_k
     (rng.normal(size=(3, 3, 7, 30)).transpose(2, 3, 0, 1), unit_normals(30)),  # the assembly's strided view
 ])
-def test_traction_of_gradient_matches_einsum_formula(grad, normals):
+def test_hooke_traction_matches_einsum_formula(grad, normals):
     expected = old_traction(grad, normals)
-    t = traction_of_gradient(M, grad, normals)
+    t = traction_of_stress(hooke(M, np.moveaxis(grad, (-2, -1), (0, 1))), normals)
     assert t.shape == expected.shape
     assert np.max(np.abs(t - expected)) <= 1e-14 * np.max(np.abs(expected))
 

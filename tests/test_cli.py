@@ -319,11 +319,11 @@ def test_check_samples_each_betti_field_once(monkeypatch, capsys):
 
 def test_check_contracts_each_chunk_once(monkeypatch, capsys):
     # the reciprocity pass at K = 12 on 48 x 96 (18 chunks of 256 points): per chunk one
-    # contraction for the joined degrees, and one Kelvin traction call, with its own
-    # contraction, for both poles; one call per degree or per pole made 270 and 36
+    # traction contraction of the joined degrees' stresses, and one Kelvin traction call,
+    # with its own contraction, for both poles; one call per degree or per pole made 270 and 36
     from elastopoly import cli, operators
 
-    calls, inside = {"traction_of_gradient": 0, "kelvin_traction": 0}, []
+    calls, inside = {"traction_of_stress": 0, "kelvin_traction": 0}, []
     reciprocity_matrix = cli.reciprocity_matrix
 
     def in_pass(*args):
@@ -345,7 +345,7 @@ def test_check_contracts_each_chunk_once(monkeypatch, capsys):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert run(["check", "--degree", "12", "--n-theta", "48", "--n-phi", "96"]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
-    assert calls == {"traction_of_gradient": 36, "kelvin_traction": 18}
+    assert calls == {"traction_of_stress": 36, "kelvin_traction": 18}
 
 
 CHECK_RUN = "import sys; from elastopoly.cli import run; sys.exit(run(sys.argv[1:]))"

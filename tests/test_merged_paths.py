@@ -1,4 +1,4 @@
-"""The shared Hooke contraction, III/IV split, single-assembly fit,
+"""The shared Hooke's law and traction contraction, III/IV split, single-assembly fit,
 star-surface radius, surface element, symmetry description, array-built
 basis, its cached monomial index tables, and `check`'s row-wise Lamé
 identity and reciprocity matrix (joined degrees, all poles in one kernel
@@ -27,13 +27,13 @@ from elastopoly import (
     traction,
 )
 from elastopoly import polyalg, solver
-from elastopoly.basis import _diff, _shift_index, _times_r2, _two_sum, degree_columns
+from elastopoly.basis import _PAIRS, _diff, _shift_index, _times_r2, _two_sum, degree_columns, hooke
 from elastopoly.harness import _clear_of_surface, reciprocity_matrix
-from elastopoly.operators import kelvin_matrix, kelvin_traction, lame_apply, lame_residuals, traction_of_gradient
+from elastopoly.operators import kelvin_matrix, kelvin_traction, lame_apply, lame_residuals, traction_of_stress
 from elastopoly.polyalg import (
     R2, Poly3, VecPoly3, batch_eval, degree_monomials, eval_blocks, gradient, monomial_position,
 )
-from elastopoly.solver import _field_chunks, assemble_traces, evaluate_solution, field_samples, split_trace
+from elastopoly.solver import assemble_traces, evaluate_solution, field_samples, split_trace
 
 from conftest import cartesian_traces
 
@@ -46,14 +46,15 @@ def unit_normals(n):
     return nu / np.linalg.norm(nu, axis=1)[:, None]
 
 
-def test_traction_of_gradient_matches_symmetrized_strain_formula():
+def test_hooke_traction_matches_symmetrized_strain_formula():
     g = rng.normal(size=(40, 5, 3, 3))
     nu = unit_normals(40)
     div = np.trace(g, axis1=2, axis2=3)
     strain2 = g + np.swapaxes(g, 2, 3)
     old = M.lam * div[:, :, None] * nu[:, None, :] + M.mu * np.einsum("neaj,na->nej", strain2, nu)
     for grad in (g, np.swapaxes(g, 2, 3)):  # either index convention
-        assert np.allclose(traction_of_gradient(M, grad, nu[:, None, :]), old, rtol=0.0, atol=1e-14)
+        stress = hooke(M, np.moveaxis(grad, (2, 3), (0, 1)))
+        assert np.allclose(traction_of_stress(stress, nu[:, None, :]), old, rtol=0.0, atol=1e-14)
 
 
 def test_split_trace_matches_explicit_projections():
@@ -312,9 +313,15 @@ def test_basis_matches_old_construction_bitwise(lam, mu):
         assert len(basis.layout) == 2 * max_degree + 2
         for b, ((first, end, coeffs), (old_first, old_end, old)) in enumerate(zip(basis.layout, blocks)):
             assert (first, end) == (old_first, old_end)
-            # values (3, e, n) and gradients (3, 3, e, n): the old rows are their leading axes flattened
-            assert coeffs.shape == (3,) * (1 + b % 2) + (3 * (2 * (b // 2) + 1), end - first)
-            assert np.array_equal(coeffs.reshape(old.shape), old) and coeffs.flags.c_contiguous
+            e = 3 * (2 * (b // 2) + 1)
+            if b % 2:  # stresses (6, e, n): Hooke's law on the old gradient rows g[a, j] = d v_j / d x_a
+                g = old.reshape(3, 3, e, end - first)
+                old = np.stack([material.mu * (g[a, j] + g[j, a]) for a, j in _PAIRS])
+                for p in (0, 3, 5):
+                    old[p] += material.lam * (g[0, 0] + g[1, 1] + g[2, 2])
+            # values (3, e, n): the old rows are their leading axes flattened
+            assert coeffs.shape == (6 if b % 2 else 3, e, end - first)
+            assert np.array_equal(coeffs, old.reshape(coeffs.shape)) and coeffs.flags.c_contiguous
         assert [el.field for el in basis.elements] == fields[:len(basis)]
 
 
@@ -415,8 +422,8 @@ def test_reciprocity_matrix_rejects_bad_columns_and_near_poles(sphere_quad, colu
 
 
 def old_reciprocity_matrix(basis, columns, quad, poles=()):
-    """`reciprocity_matrix` with one traction contraction per degree and one
-    pair of Kelvin kernel calls per pole."""
+    """`reciprocity_matrix` with one traction contraction of the stress rows
+    per degree and one pair of Kelvin kernel calls per pole."""
     columns = np.asarray(columns, dtype=np.intp).reshape(-1)
     if not (len(columns) and 0 <= columns.min() and columns.max() < len(basis)):
         raise ValueError(f"columns must be one or more basis positions 0..{len(basis) - 1}")
@@ -425,11 +432,11 @@ def old_reciprocity_matrix(basis, columns, quad, poles=()):
     n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
     material = basis.material
     matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)
-    for rows, pairs in _field_chunks(layout, quad.points):
+    for rows, products in eval_blocks(layout, quad.points):
         u, t = np.empty((2, n_fields, rows.stop - rows.start, 3))
         points, normals = quad.points[rows], quad.normals[rows]
-        for (values, grads), mine in zip(pairs, targets):
-            u[mine], t[mine] = values, traction_of_gradient(material, grads, normals)
+        for mine in targets:  # each degree's values (3, e, m), then its stresses (6, e, m)
+            u[mine], t[mine] = next(products).transpose(1, 2, 0), traction_of_stress(next(products), normals)
         for f, x in zip(range(n_basis, n_fields, 3), poles):
             u[f:f + 3] = kelvin_matrix(material, x - points).transpose(1, 0, 2)
             t[f:f + 3] = kelvin_traction(material, x, points, normals).transpose(1, 0, 2)

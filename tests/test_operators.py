@@ -11,7 +11,8 @@ from elastopoly import (
     lame_apply,
     traction,
 )
-from elastopoly.operators import traction_of_gradient
+from elastopoly.basis import hooke
+from elastopoly.operators import traction_of_stress
 from elastopoly.polyalg import Poly3, VecPoly3, X, Y, Z, divergence
 
 rng = np.random.default_rng(2024)
@@ -260,7 +261,8 @@ def test_kelvin_field_traction_is_a_row_of_the_kernel(pole):
     pts, nrm = 0.8 * random_unit(7), random_unit(7)
     for row in (1, 2, 3):
         fld = KelvinField(M, pole, row)
-        expected = traction_of_gradient(M, kelvin_gradient(M, pts - np.asarray(pole))[:, row - 1], nrm)
+        grad = kelvin_gradient(M, pts - np.asarray(pole))[:, row - 1]  # (7, j, k)
+        expected = traction_of_stress(hooke(M, np.moveaxis(grad, (1, 2), (0, 1))), nrm)
         np.testing.assert_array_equal(fld.traction(pts, nrm), expected)
         np.testing.assert_array_equal(fld.traction(pts, nrm), kelvin_traction(M, pole, pts, nrm)[:, row - 1])
         np.testing.assert_array_equal(fld.eval(pts), kelvin_matrix(M, pts - np.asarray(pole))[:, row - 1])
