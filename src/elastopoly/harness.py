@@ -175,24 +175,27 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
         raise ValueError(f"columns must be one or more basis positions 0..{len(basis) - 1}")
     poles = np.array([_clear_of_surface(quad, x) for x in np.reshape(poles, (-1, 3))]).reshape(-1, 3)
     layout, targets = basis.pick(columns)
-    groups = []  # (degrees, their targets) of consecutive degrees holding at most 3(2K + 1) fields
+    groups = []  # the targets of consecutive degrees, joined while they hold at most 3(2K + 1) fields
     for mine in targets:
-        if groups and len(groups[-1][1]) + len(mine) <= 3 * (2 * basis.max_degree + 1):
-            groups[-1] = (groups[-1][0] + 1, np.concatenate([groups[-1][1], mine]))
+        if groups and sum(map(len, groups[-1])) + len(mine) <= 3 * (2 * basis.max_degree + 1):
+            groups[-1].append(mine)
         else:
-            groups.append((1, mine))
+            groups.append([mine])
     n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
     material = basis.material
     matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)
     for rows, products in eval_blocks(layout, quad.points):
-        u, t = np.empty((2, n_fields, rows.stop - rows.start, 3))
-        points, normals = quad.points[rows], quad.normals[rows]
-        for n_degrees, mine in groups:  # each degree's values (3, e, m), then its stresses (6, e, m)
-            pairs = [(next(products), next(products)) for _ in range(n_degrees)]
-            values, stress = (np.concatenate(b, axis=1) if n_degrees > 1 else b[0] for b in zip(*pairs))
+        points, normals, m = quad.points[rows], quad.normals[rows], rows.stop - rows.start
+        u, t = np.empty((2, n_fields, m, 3))
+        for group in groups:  # filled one product at a time: each degree's values, then its stresses
+            mine = np.concatenate(group)
+            values, stress, at = np.empty((3, len(mine), m)), np.empty((6, len(mine), m)), 0
+            for e in map(len, group):
+                values[:, at:at + e], stress[:, at:at + e] = next(products), next(products)
+                at += e
             u[mine], t[mine] = values.transpose(1, 2, 0), traction_of_stress(stress, normals)
         # field n_basis + 3p + i is K_i(x_p - y): the kernels (P, m, i, j) as (3P, m, j)
-        x, m = poles[:, None], len(points)
+        x = poles[:, None]
         u[n_basis:] = kelvin_matrix(material, x - points).transpose(0, 2, 1, 3).reshape(-1, m, 3)
         t[n_basis:] = kelvin_traction(material, x, points, normals).transpose(0, 2, 1, 3).reshape(-1, m, 3)
         weighted = (u * quad.weights[rows, None]).reshape(n_fields, -1)

@@ -70,9 +70,10 @@ O(E^2 / |G|) for the Rs.
 A fitted field is one polynomial, sampled once (`_collapse`) with its
 stress: at the quadrature, its displacement and traction sigma nu, split by
 `split_trace`, give the misfits, residuals and rotation components; at
-interior points, the displacement and stress of `evaluate_solution`.  A single polynomial, rigid
-or Kelvin field is sampled by `field_samples` instead and split by the same
-`split_trace`; `field_data` makes that its `BoundaryData`.
+interior points, the displacement and stress of `evaluate_solution`.  A
+single polynomial, rigid or Kelvin field is sampled by `field_samples`
+instead and split by the same `split_trace`; `field_data` makes that its
+`BoundaryData`.
 """
 
 from __future__ import annotations
@@ -212,14 +213,15 @@ def assemble_traces(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature,
     Rows 3n, 3n + 1 and 3n + 2 hold the traces at the selection's sample n: the
     scalar trace, then full . e_a in the sample's tangent frame
     e_a = quad.tangents[n, a], with full the traction sigma nu (III) or the
-    displacement (IV); as e_a is tangent, no projection is needed.  These frame rows are
-    the only place outside the QR input where the frames appear.  Only the
-    chosen elements' layout (`ElasticBasis.pick`) is evaluated, in
-    chunks of CHUNK_POINTS samples.  Each row is a weighted sum of a degree's
-    values or of its stress components, with per-sample weights
-    (`_trace_weights`), so one contraction per block writes its rows straight
-    into the traces, of `out` when given, an (m, 3, n) array.  `tables`, the
-    selected points' monomial tables when held, goes to `eval_blocks`.
+    displacement (IV); as e_a is tangent, no projection is needed.  These
+    frame rows are the only place outside the QR input where the frames
+    appear.  Only the chosen elements' layout (`ElasticBasis.pick`) is
+    evaluated, in chunks of CHUNK_POINTS samples.  Each row is a weighted
+    sum of a degree's values or of its stress components, with per-sample
+    weights (`_trace_weights`), so one contraction per block writes its rows
+    straight into the traces, of `out` when given, an (m, 3, n) array.
+    `tables`, the selected points' monomial tables when held, goes to
+    `eval_blocks`.
     """
     points, normals, tangents = quad.points[samples], quad.normals[samples], quad.tangents[samples]
     columns = np.arange(len(basis)) if columns is None else columns
@@ -511,10 +513,10 @@ def evaluate_solution(result: FitResult, basis: ElasticBasis, points) -> tuple[n
 
     The stress is lam (div u) I + mu (grad u + grad u^T), its six components
     (`basis.hooke`) sampled and set out symmetric; contracting with a surface
-    normal reproduces the traction of the fitted field.  The coefficients, a degree prefix of the basis
-    (3(k+1)^2 elements for a fit through degree k), are collapsed to one
-    polynomial field and sampled by `_collapse`, as a fit samples its fields
-    at the quadrature.
+    normal reproduces the traction of the fitted field.  The coefficients, a
+    degree prefix of the basis (3(k+1)^2 elements for a fit through degree
+    k), are collapsed to one polynomial field and sampled by `_collapse`, as
+    a fit samples its fields at the quadrature.
     """
     pts = np.asarray(points, dtype=float)
     disp, stress = _collapse(basis, result.coefficients[:, None], pts.reshape(-1, 3))

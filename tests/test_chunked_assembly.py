@@ -144,7 +144,8 @@ def old_sample_rows(problem, basis, quad, samples, columns):
     layout = []
     for first, end, values in basis.pick(columns)[0][::2]:
         k = next(k for k in range(basis.max_degree + 1) if _degree_start(k) == first)
-        layout += [(first, end, values), (_degree_start(k - 1), first, np.stack([_diff(values, k, a) for a in range(3)]))]
+        partials = np.stack([_diff(values, k, a) for a in range(3)])
+        layout += [(first, end, values), (_degree_start(k - 1), first, partials)]
     traces = np.empty((len(points), 3, len(columns)))
     for rows, products in eval_blocks(layout, points):
         at = 0
