@@ -267,14 +267,24 @@ class ElasticBasis:
         """Ordered by degree, then harmonic index, then row."""
         return tuple(map(self.element, range(len(self))))
 
+    def positions(self, columns) -> np.ndarray:
+        """`columns` as an index array, refused unless it holds one or more
+        integers, each a basis position 0..len(self) - 1."""
+        positions = np.asarray(columns).reshape(-1)
+        if not (len(positions) and positions.dtype.kind in "iu" and 0 <= positions.min()
+                and positions.max() < len(self)):
+            raise ValueError(f"columns must be one or more basis positions 0..{len(self) - 1}")
+        return positions.astype(np.intp, copy=False)
+
     def pick(self, columns) -> tuple[list[tuple[int, int, np.ndarray]], list[np.ndarray]]:
         """The layout of the elements at `columns` (basis positions, repeats
-        allowed) and, per degree with any of them, the positions in `columns`
-        that its two blocks fill, so ascending columns come in their order.
-        Each block takes them along its element axis, C-contiguous, so that
-        `eval_blocks` flattens it uncopied; a degree whose elements are all
-        picked, in order, keeps its blocks as they are."""
-        columns = np.asarray(columns, dtype=np.intp).reshape(-1)
+        allowed, as `positions` checks them) and, per degree with any of
+        them, the positions in `columns` that its two blocks fill, so
+        ascending columns come in their order.  Each block takes them along
+        its element axis, C-contiguous, so that `eval_blocks` flattens it
+        uncopied; a degree whose elements are all picked, in order, keeps its
+        blocks as they are."""
+        columns = self.positions(columns)
         layout, targets = [], []
         for k in range(self.max_degree + 1):
             cols = degree_columns(k)

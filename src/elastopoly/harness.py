@@ -15,11 +15,12 @@ which computes them once for rotation data, the fits and the defect columns;
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .basis import ElasticBasis, Material, elastic_basis
+from .basis import ElasticBasis, Material, _check_degree, elastic_basis
 from .geometry import Ellipsoid, Sphere, StarShaped, SurfaceQuadrature, SurfaceSpec, make_quadrature, radial_function
 from .ioutil import csv_lines, json_dumps
 from .operators import KelvinField, kelvin_matrix, kelvin_traction, traction_of_stress
@@ -170,9 +171,7 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
     held at every sample.  Poles closer to the surface than three quadrature
     spacings are refused.
     """
-    columns = np.asarray(columns, dtype=np.intp).reshape(-1)
-    if not (len(columns) and 0 <= columns.min() and columns.max() < len(basis)):
-        raise ValueError(f"columns must be one or more basis positions 0..{len(basis) - 1}")
+    columns = basis.positions(columns)
     poles = np.array([_clear_of_surface(quad, x) for x in np.reshape(poles, (-1, 3))]).reshape(-1, 3)
     layout, targets = basis.pick(columns)
     groups = []  # the targets of consecutive degrees, joined while they hold at most 3(2K + 1) fields
@@ -212,15 +211,28 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
 # -- studies ----------------------------------------------------------------------
 
 
+def _check_integer(value, name: str) -> int:
+    """value as a Python int: an integer of any type but bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KelvinSource:
     y0: tuple[float, float, float]
     row: int = 1
 
+    def __post_init__(self):
+        object.__setattr__(self, "row", _check_integer(self.row, "row"))
+
 
 @dataclass(frozen=True)
 class BasisElementSource:
     index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", _check_integer(self.index, "basis element index"))
 
 
 @dataclass(frozen=True)
@@ -228,6 +240,9 @@ class RotationSource:
     """Pure tangential-rotation data: the incompleteness probe for problem III."""
 
     index: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", _check_integer(self.index, "rotation index"))
 
 
 @dataclass(frozen=True)
@@ -256,6 +271,7 @@ class StudyConfig:
             raise ValueError("at least one degree is required")
         if min(self.degrees) < 0:
             raise ValueError(f"degrees must be non-negative, got {list(self.degrees)}")
+        object.__setattr__(self, "degrees", tuple(_check_degree(k, "degrees") for k in self.degrees))
         if len(set(self.degrees)) != len(self.degrees):
             raise ValueError(f"degrees must not repeat, got {list(self.degrees)}")
         check_svd_tol(self.svd_tol)

@@ -28,21 +28,8 @@ backward stable, so scaling after the QR keeps the guarantee of scaling
 before it.  Truncation only affects the solution below the cutoff; the
 reported residual is always recomputed directly from the fitted field.
 
-A fit is folded by the surface's reflections.  Each basis element has a
-parity under every coordinate reflection x_a -> -x_a, and under the group G
-that the quadrature's `reflections` generate (|G| = 1, 2, 4 or 8) the traces
-of different parity classes are orthogonal in the weighted inner product:
-R is block-diagonal by class.  So each class is fitted on its own, on the
-fundamental domain (one sample per orbit of G, weighted by the whole
-orbit), against the class's part of the data, (1/|G|) sum_g chi(g) D_g
-b(g n) with D_g = diag(1, g) on [scalar; Cartesian vector].  The fit keeps
-one R per class and takes one SVD per class and degree, over the class's
-columns through that degree; the cutoff stays svd_tol times the degree's
-largest singular value over all classes, and the reported singular values
-are all classes' merged in descending order, so the fit is the unfolded
-one up to rounding.  A quadrature without reflections (a generic star, an
-off-center surface, a hand-built quadrature) is the trivial group: one
-class over every sample, the same code.
+A fit is folded by the surface's reflections: `plan_fit` decides the fold,
+its fundamental domain and the QR row blocks once, before any assembly.
 
 The trace rows are assembled from the layout of the chosen elements
 (`ElasticBasis.pick`) through `polyalg.eval_blocks`, per chunk of
@@ -56,16 +43,15 @@ with weights from the sample's normal and frame: one contraction per block
 writes its rows, and no traction is formed per sample.  The frames exist
 only in these weights and the matching rows of b; everything a fit
 reports is Cartesian.  The whole trace matrix T (3N, E) is never held, nor
-a block of it over every class: a fit walks blocks of whole domain samples,
-at most QR_BLOCK_BYTES of [A | b] over every column, and within a block the
-classes take turns.  Each class writes its own columns' weighted traces and
-its b under its R in one buffer sized for the widest class and reduces
-R <- QR of [R; A[rows] | b[rows]] before the next class starts.  With more
-than one class the block's monomial tables are built once and read by every
-class; one class streams them.  The peak footprint is the basis and its
-layout, one class's QR buffer and the two working copies `np.linalg.qr`
-makes of it, the block's monomial tables, one chunk's products and
-O(E^2 / |G|) for the Rs.
+a block of it over every class: a fit walks the plan's blocks of whole
+domain samples, and within a block the classes take turns.  Each class
+writes its own columns' weighted traces and its b under its R in one
+buffer sized for the widest class and reduces R <- QR of [R; A[rows] |
+b[rows]] before the next class starts.  With more than one class the
+block's monomial tables are built once and read by every class; one class
+streams them.  The peak footprint is the basis and its layout, one class's
+QR buffer and the two working copies `np.linalg.qr` makes of it, the
+block's monomial tables, one chunk's products and O(E^2 / |G|) for the Rs.
 
 A fitted field is one polynomial, sampled once (`_collapse`) with its
 stress: at the quadrature, its displacement and traction sigma nu, split by
@@ -82,7 +68,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import _PAIR_OF, _PAIRS, Material, ElasticBasis, _parities, degree_columns, hooke
+from .basis import _PAIR_OF, _PAIRS, Material, ElasticBasis, _check_degree, _parities, degree_columns, hooke
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_lines
 from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_stress
@@ -316,43 +302,77 @@ def check_tangential(vector: np.ndarray, quad: SurfaceQuadrature, what: str) -> 
         )
 
 
-def _parity_classes(basis: ElasticBasis, quad: SurfaceQuadrature):
-    """The reflection group G of the quadrature and the basis columns by parity class.
+@dataclass(frozen=True)
+class FitPlan:
+    """The fold and the QR blocks of one fit, made by `plan_fit`."""
 
-    Returns each element g's sample permutation (|G|, N) and axis signs
-    (|G|, 3), the classes' characters (C, |G|), chi(g) the sign of the
-    class's elements under g, and each class's columns in basis order.  The
-    trivial group is one class of every column.
+    perms: np.ndarray  # (|G|, N): each group element g's sample permutation
+    signs: np.ndarray  # (|G|, 3): g's axis signs
+    chars: np.ndarray  # (C, |G|): chi(g), the sign of class c's elements under g
+    columns: list[np.ndarray]  # class c's basis columns, ascending
+    domain: np.ndarray  # (m,): one sample per orbit of G, ascending
+    weights: np.ndarray  # (m,): the quadrature weight of each domain sample's orbit
+    blocks: tuple[slice, ...]  # the QR row blocks: consecutive runs of domain positions
+    buffer: tuple[int, int]  # one class's QR buffer [R; A[rows] | b[rows]] at the widest class and block
+
+
+def plan_fit(basis: ElasticBasis, quad: SurfaceQuadrature) -> FitPlan:
+    """The plan of a fit over every column of `basis` on `quad`; it evaluates no trace.
+
+    A fit is folded by the surface's reflections.  Each basis element has a
+    parity under every coordinate reflection x_a -> -x_a, and under the group G
+    that the quadrature's `reflections` generate (|G| = 1, 2, 4 or 8) the traces
+    of different parity classes are orthogonal in the weighted inner product: R
+    is block-diagonal by class.  So each class is fitted on its own, on the
+    fundamental domain (one sample per orbit of G, weighted by the whole orbit),
+    against the class's part of the data, (1/|G|) sum_g chi(g) D_g b(g n) with
+    D_g = diag(1, g) on [scalar; Cartesian vector].  The fit keeps one R per
+    class and takes one SVD per class and degree, over the class's columns
+    through that degree; the cutoff stays svd_tol times the degree's largest
+    singular value over all classes, and the reported singular values are all
+    classes' merged in descending order, so the fit is the unfolded one up to
+    rounding.  A quadrature without reflections (a generic star, an off-center
+    surface, a hand-built quadrature) is the trivial group: one class over every
+    sample, the same code.  A QR block holds at most QR_BLOCK_BYTES of [A | b]
+    over every column, and at least one sample; a fit with fewer rows than
+    columns, 3N < E, is refused.
     """
-    perms, signs = [np.arange(quad.n_samples)], [np.ones(3)]
+    n = quad.n_samples
+    if 3 * n < len(basis):
+        raise ValueError(f"the fit through degree {basis.max_degree} is underdetermined: {3 * n} rows "
+                         f"(3 per sample) for {len(basis)} coefficients; refine the quadrature or lower the degree")
+    perms, signs = [np.arange(n)], [np.ones(3)]
     for axis, perm in quad.reflections:
         flip = np.where(np.arange(3) == axis, -1.0, 1.0)
         perms, signs = perms + [perm[p] for p in perms], signs + [s * flip for s in signs]
-    signs = np.array(signs)
+    perms, signs = np.array(perms), np.array(signs)
     chars = np.prod(np.where(signs < 0.0, _parities(basis.max_degree)[:, None], 1.0), axis=2)  # (E, |G|)
-    classes, label = np.unique(chars, axis=0, return_inverse=True)
-    return np.array(perms), signs, classes, [np.flatnonzero(label.reshape(-1) == c) for c in range(len(classes))]
+    chars, label = np.unique(chars, axis=0, return_inverse=True)
+    columns = [np.flatnonzero(label.reshape(-1) == c) for c in range(len(chars))]
+    representative = perms.min(axis=0)
+    domain = np.flatnonzero(representative == np.arange(n))
+    m, step = len(domain), max(1, QR_BLOCK_BYTES // (8 * 3 * (len(basis) + 1)))
+    width = max(map(len, columns)) + 1
+    return FitPlan(perms, signs, chars, columns, domain, np.bincount(representative, weights=quad.weights)[domain],
+                   tuple(slice(s, min(s + step, m)) for s in range(0, m, step)), (width + 3 * min(step, m), width))
 
 
-def _class_factors(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature, domain: np.ndarray,
-                   row_weights: np.ndarray, b: np.ndarray, columns: list[np.ndarray]) -> list[np.ndarray]:
-    """R (n_c + 1, n_c + 1) of each class's [A | b], A = row_weights * T[:, columns[c]]
+def _class_factors(problem: str, basis: ElasticBasis, quad: SurfaceQuadrature, plan: FitPlan,
+                   row_weights: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """R (n_c + 1, n_c + 1) of each class's [A | b], A = row_weights * T[:, plan.columns[c]]
     on the domain samples, reduced as R <- qr([R; A[rows] | b[rows]]) over
-    blocks of whole samples.  Within a block the classes take turns: each
-    assembles only its own columns, weighted, under its R in one buffer sized
-    for the widest class.  With more than one class, each chunk's monomial
+    the plan's blocks.  Within a block the classes take turns: each
+    assembles only its own columns, weighted, under its R in one buffer of
+    the plan's shape.  With more than one class, each chunk's monomial
     table is built once per block and read by every class.  A class with
     fewer rows than columns gets zero rows."""
-    m = len(domain)
-    block_samples = max(1, QR_BLOCK_BYTES // (8 * 3 * (len(basis) + 1)))
-    width = max(map(len, columns)) + 1
-    buffer = np.empty((width + 3 * min(block_samples, m)) * width)
-    factors = [np.empty((0, len(cols) + 1)) for cols in columns]
-    for start in range(0, m, block_samples):
-        samples = domain[start:start + block_samples]
-        rows = slice(3 * start, 3 * (start + len(samples)))
-        tables = list(monomial_tables(quad.points[samples], basis.layout[-2][1])) if len(columns) > 1 else None
-        for c, (cols, b_class) in enumerate(zip(columns, b)):
+    buffer = np.empty(plan.buffer).reshape(-1)
+    factors = [np.empty((0, len(cols) + 1)) for cols in plan.columns]
+    for block in plan.blocks:
+        samples = plan.domain[block]
+        rows = slice(3 * block.start, 3 * block.stop)
+        tables = list(monomial_tables(quad.points[samples], basis.layout[-2][1])) if len(plan.columns) > 1 else None
+        for c, (cols, b_class) in enumerate(zip(plan.columns, b)):
             top, w = len(factors[c]), len(cols) + 1
             ab = buffer[:(top + 3 * len(samples)) * w].reshape(-1, w)
             ab[:top] = factors[c]
@@ -389,8 +409,8 @@ def fit_degrees(
     fails `check_tangential` is rejected unless project_tangential drops that
     part; a normal part that passes counts in the residual and data norm.
     A fit with fewer than 3(k+1)^2 rows (3 per sample) is refused.  Only the
-    basis through max(degrees) is assembled, on the fundamental domain of the
-    quadrature's reflections, in blocks of whole samples, each reduced into
+    basis through max(degrees) is assembled, on the fundamental domain and in
+    the blocks of whole samples that `plan_fit` decides, each reduced into
     one R per parity class, one class at a time; tangent frames appear only
     in these rows and b.
     Reports are Cartesian: each degree's fitted field is sampled once
@@ -404,46 +424,38 @@ def fit_degrees(
     check_scalar_weight(scalar_weight)
     if not degrees or not all(0 <= k <= basis.max_degree for k in degrees):
         raise ValueError(f"degrees must lie in 0..{basis.max_degree}, got {list(degrees)}")
-    n, n_columns = quad.n_samples, degree_columns(max(degrees)).stop
-    if 3 * n < n_columns:
-        raise ValueError(f"the fit through degree {max(degrees)} is underdetermined: {3 * n} rows "
-                         f"(3 per sample) for {n_columns} coefficients; refine the quadrature or lower the degree")
-
+    degrees = tuple(_check_degree(k, "degrees") for k in degrees)
+    basis = basis.prefix(max(degrees))
+    plan = plan_fit(basis, quad)
     if not project_tangential:
         check_tangential(data.vector, quad, _DATA_NAMES[data.problem][1])
-    basis = basis.prefix(max(degrees))
-    perms, signs, chars, columns = _parity_classes(basis, quad)
 
-    # The long-lived arrays (the target, the weighted data rows and the QR
-    # buffer) come first: allocated among the block temporaries below, they
-    # would keep freed heap from the system.
+    # The long-lived arrays (the plan, the target, the weighted data rows and
+    # the QR buffer) come first: allocated among the block temporaries below,
+    # they would keep freed heap from the system.
     target = data.vector
     if project_tangential:
         target = target - _dot(target, quad.normals)[:, None] * quad.normals
     sqrt_weight = np.sqrt(scalar_weight)
     data_norm = float(np.hypot(sqrt_weight * quad.norm(data.scalar), quad.norm(target)))
-    # The fundamental domain: one sample per orbit of G, weighted by its orbit.
-    representative = perms.min(axis=0)
-    domain = np.flatnonzero(representative == np.arange(n))
-    weights = np.bincount(representative, weights=quad.weights)[domain]
     # Each class's part of the data, (1/|G|) sum_g chi(g) D_g [scalar; vector](g n)
     # on the domain, then sample n's rows 3n, 3n + 1, 3n + 2: the scalar and
     # the vector in the sample's tangent frame.
-    mirrored = np.concatenate([data.scalar[perms[:, domain], None], data.vector[perms[:, domain]] * signs[:, None]],
-                              axis=2)
-    parts = np.einsum("cg,gmk->cmk", chars, mirrored) / len(perms)
-    row_weights = (np.sqrt(weights)[:, None] * [sqrt_weight, 1.0, 1.0]).reshape(-1)
+    images = plan.perms[:, plan.domain]  # g n of each domain sample n
+    mirrored = np.concatenate([data.scalar[images, None], data.vector[images] * plan.signs[:, None]], axis=2)
+    parts = np.einsum("cg,gmk->cmk", plan.chars, mirrored) / len(images)
+    row_weights = (np.sqrt(plan.weights)[:, None] * [sqrt_weight, 1.0, 1.0]).reshape(-1)
     b = row_weights * np.concatenate(
-        [parts[..., :1], np.einsum("cmj,maj->cma", parts[..., 1:], quad.tangents[domain])], axis=2
-    ).reshape(len(chars), -1)
+        [parts[..., :1], np.einsum("cmj,maj->cma", parts[..., 1:], quad.tangents[plan.domain])], axis=2
+    ).reshape(len(plan.chars), -1)
 
     # Elements are ordered by degree, so with D = diag(scales) every degree's
     # scaled matrix is a column prefix of its class's: A[:, :n] D^-1 =
     # Q_n R[:n, :n] D^-1 and Q_n^T b = R[:n, -1].  One SVD per class and
     # degree; the cutoff is relative to the degree's largest singular value.
-    factors = _class_factors(data.problem, basis, quad, domain, row_weights, b, columns)
+    factors = _class_factors(data.problem, basis, quad, plan, row_weights, b)
     scales = np.empty(len(basis))
-    for cols, r in zip(columns, factors):
+    for cols, r in zip(plan.columns, factors):
         col_norms = np.linalg.norm(r[:, :-1], axis=0)
         scales[cols] = np.where(col_norms > 0.0, col_norms, 1.0)
     sizes = [degree_columns(degree).stop for degree in degrees]
@@ -451,7 +463,7 @@ def fit_degrees(
     solves = []
     for d, size in enumerate(sizes):
         svds = []
-        for cols, r in zip(columns, factors):
+        for cols, r in zip(plan.columns, factors):
             cols = cols[:np.searchsorted(cols, size)]
             if len(cols):
                 svds.append((cols, r[:len(cols), -1],

@@ -296,6 +296,9 @@ def test_pick_takes_elements_along_the_element_axis():
     layout, targets = basis.pick(range(3, 12))
     assert [t.tolist() for t in targets] == [list(range(9))]
     assert all(new is old for (_, _, new), (_, _, old) in zip(layout, basis.layout[2:4], strict=True))
+    for bad in ([2.7], [], [48], [-1], [True]):  # never truncated, dropped or wrapped around
+        with pytest.raises(ValueError, match="columns must be one or more basis positions 0..47"):
+            basis.pick(bad)
 
 
 def test_layout_is_read_only():

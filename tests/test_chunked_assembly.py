@@ -171,8 +171,8 @@ def test_trace_rows_match_the_per_sample_traction_path(surface, problem):
     else:
         quad, degree = make_quadrature(StarShaped(coeffs=((0, 1, 1.0), (2, 2, 0.1), (2, 3, 0.15))), 16, 32), 8
     basis = elastic_basis(M, degree)
-    perms, _, _, columns = solver._parity_classes(basis, quad)
-    domain = np.flatnonzero(perms.min(axis=0) == np.arange(quad.n_samples))
+    plan = solver.plan_fit(basis, quad)
+    columns, domain = plan.columns, plan.domain
     assert (len(columns), len(domain)) == ((8, 2 * CHUNK_POINTS + 88) if surface == "spheroid" else (1, 512))
     tables = list(monomial_tables(quad.points[domain], basis.layout[-2][1]))
     for cols in columns:

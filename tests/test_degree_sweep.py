@@ -24,6 +24,7 @@ from elastopoly import (
     fit_degrees,
     kelvin_data,
     make_quadrature,
+    polyalg,
     run_study,
     solid_harmonics,
     solver,
@@ -141,8 +142,8 @@ def test_row_block_qr_matches_one_qr_of_the_whole_matrix(monkeypatch, surface, p
     data, _ = kelvin_data(M, quad, POLES[surface.removesuffix("_at_origin")], 1, problem)
     degrees = tuple(range(5))
     reference, _ = single_qr_fits(data, basis, quad, degrees)
-    perms, _, _, columns = solver._parity_classes(basis, quad)
-    domain = len(np.unique(perms.min(axis=0)))
+    plan = solver.plan_fit(basis, quad)
+    columns, domain = plan.columns, len(plan.domain)
     assert len(columns) == (8 if surface.endswith("_at_origin") else 1)
 
     qr_rows, qr = [], np.linalg.qr
@@ -198,9 +199,8 @@ def test_folded_fit_holds_one_class_buffer_at_a_time():
     quad = make_quadrature(SURFACES["spheroid"], 48, 96)
     basis = elastic_basis(M, degree)
     data, _ = kelvin_data(M, quad, POLES["spheroid"], 1, "IV")
-    perms, _, _, columns = solver._parity_classes(basis, quad)
-    m = len(np.unique(perms.min(axis=0)))
-    block = min(m, solver.QR_BLOCK_BYTES // (8 * 3 * (len(basis) + 1)))
+    plan = solver.plan_fit(basis, quad)
+    columns, m, block = plan.columns, len(plan.domain), plan.blocks[0].stop
     width = max(map(len, columns)) + 1
     class_buffer = (width + 3 * block) * width
     tables = block * basis.layout[-2][1]
@@ -300,9 +300,44 @@ def test_folded_fit_at_the_row_limit_keeps_the_rank_of_one_qr(surface, problem, 
             assert abs(result.residual_norm - residual) <= 1e-12 * result.data_norm, k
     if surface == "star_x":
         quad = make_quadrature(STARS[surface], 5, 10)
-        perms, _, _, columns = solver._parity_classes(elastic_basis(M, 6), quad)
-        domain = np.unique(perms.min(axis=0))
-        assert len(domain) == 25 and max(len(cols) for cols in columns) == 77
+        plan = solver.plan_fit(elastic_basis(M, 6), quad)
+        assert len(plan.domain) == 25 and max(len(cols) for cols in plan.columns) == 77
+
+
+# surface, grid, degree, then the classes, the widest class's columns and the domain samples
+PLAN_CASES = {
+    "spheroid": (SURFACES["spheroid"], 48, 96, 14, 8, 92, 600),
+    "triaxial": (SURFACES["triaxial"], 32, 64, 8, 8, None, 272),
+    "star_generic": (STARS["star_generic"], 24, 48, 8, 1, 243, 1152),
+}
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 20])
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_plan_fit_decides_the_fold_and_the_blocks_without_evaluating(monkeypatch, case, block_bytes):
+    def refuse(*args, **kwargs):
+        raise AssertionError("plan_fit evaluated the basis")
+
+    surface, n_theta, n_phi, degree, n_classes, widest, m = PLAN_CASES[case]
+    quad, basis = make_quadrature(surface, n_theta, n_phi), elastic_basis(M, degree)
+    for module in (solver, polyalg):
+        monkeypatch.setattr(module, "eval_blocks", refuse)
+        monkeypatch.setattr(module, "monomial_tables", refuse)
+    if block_bytes:
+        monkeypatch.setattr(solver, "QR_BLOCK_BYTES", block_bytes)
+    plan = solver.plan_fit(basis, quad)
+    assert (len(plan.columns), len(plan.domain)) == (n_classes, m)
+    assert widest is None or max(map(len, plan.columns)) == widest
+    assert np.array_equal(np.sort(np.concatenate(plan.columns)), np.arange(len(basis)))
+    assert abs(plan.weights.sum() - quad.area) <= 1e-14 * quad.area
+    if n_classes == 1:
+        assert np.array_equal(plan.domain, np.arange(quad.n_samples)) and np.array_equal(plan.weights, quad.weights)
+    # the blocks cover the domain in order, each at most QR_BLOCK_BYTES of [A | b] over every column
+    step = solver.QR_BLOCK_BYTES // (8 * 3 * (len(basis) + 1))
+    assert [(b.start, b.stop) for b in plan.blocks] == [(s, min(s + step, m)) for s in range(0, m, step)]
+    assert block_bytes or len(plan.blocks) == 1
+    width = max(map(len, plan.columns)) + 1
+    assert plan.buffer == (width + 3 * min(step, m), width)
 
 
 def test_parities_are_the_reflection_signs_of_the_elements():
@@ -371,6 +406,9 @@ def test_fit_degrees_rejects_degrees_outside_the_basis(sphere_quad):
     basis = elastic_basis(M, 2)
     for degrees in [(), (3,), (-1, 2)]:
         with pytest.raises(ValueError, match="degrees must lie in 0..2"):
+            fit_degrees(data, basis, sphere_quad, degrees)
+    for degrees in [(True,), (1, 2.0), (2.5,)]:  # not integers
+        with pytest.raises(ValueError, match="degrees must"):
             fit_degrees(data, basis, sphere_quad, degrees)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -280,10 +282,21 @@ def test_study_invariants_residual_column(sphere_quad):
         assert b <= a * (1.0 + 1e-9) + 1e-14 * report.rows[0].data_norm
 
 
-@pytest.mark.parametrize("degrees", [(2, 2), (3, 2, 3), (-1,), (2, -1)])
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2, 3), (-1,), (2, -1), (True, 2), (2.0,), (2.5,)])
 def test_study_config_rejects_negative_or_repeated_degrees(degrees):
     with pytest.raises(ValueError, match="degrees must"):
         StudyConfig(M, Sphere(), "III", degrees, KelvinSource((0.0, 0.0, 3.0)))
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5])
+@pytest.mark.parametrize("name, make", [("row", lambda v: KelvinSource((0.0, 0.0, 3.0), row=v)),
+                                        ("basis element index", BasisElementSource),
+                                        ("rotation index", RotationSource)])
+def test_sources_refuse_bool_or_non_integer_fields(name, make, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        make(value)
+    kept = dataclasses.astuple(make(np.int64(2)))[-1]  # a numpy integer is kept as a Python int
+    assert kept == 2 and type(kept) is int
 
 
 @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])

@@ -414,6 +414,7 @@ def test_reciprocity_matrix_matches_betti_and_somigliana_checks(spec):
     ([], (), "basis positions"),
     ([0, 30], (), "basis positions"),  # the degree-2 basis has 27 elements
     ([-1], (), "basis positions"),
+    ([1.5], (), "basis positions"),  # not truncated to element 1
     ([3], [[0.0, 0.0, 0.99]], "quadrature spacings"),
 ])
 def test_reciprocity_matrix_rejects_bad_columns_and_near_poles(sphere_quad, columns, poles, message):
