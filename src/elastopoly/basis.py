@@ -74,15 +74,16 @@ def hooke(material: Material, grad) -> np.ndarray:
 # -- real solid harmonics -------------------------------------------------------
 
 
-def _check_degree(k, name: str = "degree") -> int:
-    """k as a Python int: a degree is a non-negative integer of any type but bool."""
+def _check_integer(value, name: str, non_negative: bool = False) -> int:
+    """value as a Python int: an integer of any type but bool, and >= 0 if
+    non_negative (a degree)."""
     try:
-        degree = -1 if isinstance(k, bool) else operator.index(k)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        degree = -1
-    if degree < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {k}")
-    return degree
+        n = None
+    if n is None or (non_negative and n < 0):
+        raise ValueError(f"{name} must be {'a non-negative' if non_negative else 'an'} integer, got {value}")
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +134,7 @@ def solid_harmonics(k: int) -> tuple[Poly3, ...]:
     the (cos, sin) pair R_{k,m} for m = 1, 2, ..., k, the real and imaginary
     parts of the closed form of `_harmonic_rows`, summed exactly in integers
     and max-normalized."""
-    k = _check_degree(k)
+    k = _check_integer(k, "degree", non_negative=True)
     return tuple(_polys(_harmonic_rows(k), k))
 
 
@@ -146,7 +147,7 @@ def lambda_coeff(material: Material, k: int) -> float:
     The denominator is nonzero for every k >= 0 under material admissibility
     (negative at k = 0, positive for k >= 1).
     """
-    k = _check_degree(k)
+    k = _check_integer(k, "degree", non_negative=True)
     lam, mu = material.lam, material.mu
     return -(lam + mu) / (2.0 * (lam * (k - 1) + mu * (3 * k - 2)))
 
@@ -256,6 +257,7 @@ class ElasticBasis:
 
     def element(self, n: int) -> BasisElement:
         """Element n of `elements` alone, from values[:, n - 3k^2] of its degree k."""
+        n = _check_integer(n, "basis element index")
         if not 0 <= n < len(self):
             raise IndexError(f"basis element {n} out of range 0..{len(self) - 1}")
         k = math.isqrt(n // 3)
@@ -315,6 +317,6 @@ class ElasticBasis:
 def elastic_basis(material: Material, max_degree: int) -> ElasticBasis:
     """All elastic polynomials of degree <= max_degree, 3(K+1)^2 in total,
     built as their layout.  Ordered by degree, then harmonic index, then row."""
-    max_degree = _check_degree(max_degree, "max_degree")
+    max_degree = _check_integer(max_degree, "max_degree", non_negative=True)
     return ElasticBasis(material, max_degree,
                         tuple(block for k in range(max_degree + 1) for block in _degree_blocks(material, k)))

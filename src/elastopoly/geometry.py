@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ioutil import csv_lines
+from .ioutil import csv_text
 from .polyalg import Poly3, batch_eval, gradient
 from .basis import solid_harmonics
 
@@ -161,8 +161,7 @@ class SurfaceQuadrature:
         return np.stack([e1, np.cross(nu, e1)], axis=1)
 
     def to_csv(self) -> str:
-        lines = csv_lines(np.column_stack([self.points, self.normals, self.weights]))
-        return "\n".join(["x,y,z,nx,ny,nz,w", *lines]) + "\n"
+        return csv_text("x,y,z,nx,ny,nz,w", np.column_stack([self.points, self.normals, self.weights]))
 
 
 def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadrature:

@@ -15,14 +15,13 @@ which computes them once for rotation data, the fits and the defect columns;
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .basis import ElasticBasis, Material, _check_degree, elastic_basis
+from .basis import ElasticBasis, Material, _check_integer, elastic_basis
 from .geometry import Ellipsoid, Sphere, StarShaped, SurfaceQuadrature, SurfaceSpec, make_quadrature, radial_function
-from .ioutil import csv_lines, json_dumps
+from .ioutil import csv_text, json_dumps
 from .operators import KelvinField, kelvin_matrix, kelvin_traction, traction_of_stress
 from .polyalg import eval_blocks
 from .solver import (
@@ -121,9 +120,11 @@ def reciprocity(quad: SurfaceQuadrature, u, t, v, tv) -> np.ndarray:
 
 
 def _clear_of_surface(quad: SurfaceQuadrature, x) -> np.ndarray:
-    """x as a float point, refused closer to the surface samples than three
-    quadrature spacings: the near-singular regime is out of scope."""
+    """x as a finite float point, refused closer to the surface samples than
+    three quadrature spacings: the near-singular regime is out of scope."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"evaluation point must be finite, got {x.tolist()}")
     spacing = np.sqrt(quad.area / quad.n_samples)
     min_dist = float(np.min(np.linalg.norm(quad.points - x, axis=1)))
     if min_dist < 3.0 * spacing:
@@ -164,35 +165,27 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
 
     One `eval_blocks` pass samples only the rows of the chosen elements, their
     values and stresses, one chunk of CHUNK_POINTS points at a time.  Per
-    chunk, consecutive degrees are joined while they hold at most 3(2K + 1)
-    fields, the widest degree, and one traction contraction (`traction_of_stress`)
-    serves each group; one call of each Kelvin kernel serves every pole, and
-    the products are summed into A as one matrix product, so no field is
-    held at every sample.  Poles closer to the surface than three quadrature
-    spacings are refused.
+    chunk, one traction contraction (`traction_of_stress`) serves every
+    element and one call of each Kelvin kernel every pole, and the products
+    are summed into A as one matrix product, so no field is held at every
+    sample.  Poles that are not finite, or closer to the surface than three
+    quadrature spacings, are refused.
     """
     columns = basis.positions(columns)
     poles = np.array([_clear_of_surface(quad, x) for x in np.reshape(poles, (-1, 3))]).reshape(-1, 3)
     layout, targets = basis.pick(columns)
-    groups = []  # the targets of consecutive degrees, joined while they hold at most 3(2K + 1) fields
-    for mine in targets:
-        if groups and sum(map(len, groups[-1])) + len(mine) <= 3 * (2 * basis.max_degree + 1):
-            groups[-1].append(mine)
-        else:
-            groups.append([mine])
+    order = np.concatenate(targets)  # the positions in `columns` of the layout's elements
     n_basis, n_fields = len(columns), len(columns) + 3 * len(poles)
     material = basis.material
     matrix, sq_norms = np.zeros((n_fields, n_fields)), np.zeros(n_fields)
     for rows, products in eval_blocks(layout, quad.points):
         points, normals, m = quad.points[rows], quad.normals[rows], rows.stop - rows.start
         u, t = np.empty((2, n_fields, m, 3))
-        for group in groups:  # filled one product at a time: each degree's values, then its stresses
-            mine = np.concatenate(group)
-            values, stress, at = np.empty((3, len(mine), m)), np.empty((6, len(mine), m)), 0
-            for e in map(len, group):
-                values[:, at:at + e], stress[:, at:at + e] = next(products), next(products)
-                at += e
-            u[mine], t[mine] = values.transpose(1, 2, 0), traction_of_stress(stress, normals)
+        values, stress, at = np.empty((3, n_basis, m)), np.empty((6, n_basis, m)), 0
+        for e in map(len, targets):  # filled one product at a time: each degree's values, then its stresses
+            values[:, at:at + e], stress[:, at:at + e] = next(products), next(products)
+            at += e
+        u[order], t[order] = values.transpose(1, 2, 0), traction_of_stress(stress, normals)
         # field n_basis + 3p + i is K_i(x_p - y): the kernels (P, m, i, j) as (3P, m, j)
         x = poles[:, None]
         u[n_basis:] = kelvin_matrix(material, x - points).transpose(0, 2, 1, 3).reshape(-1, m, 3)
@@ -209,13 +202,6 @@ def reciprocity_matrix(basis: ElasticBasis, columns, quad: SurfaceQuadrature, po
 
 
 # -- studies ----------------------------------------------------------------------
-
-
-def _check_integer(value, name: str) -> int:
-    """value as a Python int: an integer of any type but bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -269,9 +255,9 @@ class StudyConfig:
         check_problem(self.problem)
         if not self.degrees:
             raise ValueError("at least one degree is required")
+        object.__setattr__(self, "degrees", tuple(_check_integer(k, "degrees") for k in self.degrees))
         if min(self.degrees) < 0:
             raise ValueError(f"degrees must be non-negative, got {list(self.degrees)}")
-        object.__setattr__(self, "degrees", tuple(_check_degree(k, "degrees") for k in self.degrees))
         if len(set(self.degrees)) != len(self.degrees):
             raise ValueError(f"degrees must not repeat, got {list(self.degrees)}")
         check_svd_tol(self.svd_tol)
@@ -298,9 +284,8 @@ class StudyReport:
 
     def to_csv(self) -> str:
         """One line per row: its fields in order, the defects spread over three columns."""
-        lines = csv_lines(np.array([np.hstack(astuple(r)) for r in self.rows]))
-        return "\n".join(["K,residual_l2,residual_max,data_norm,kept_rank,defect_1,defect_2,defect_3,probe_err_max",
-                          *lines]) + "\n"
+        return csv_text("K,residual_l2,residual_max,data_norm,kept_rank,defect_1,defect_2,defect_3,probe_err_max",
+                        np.array([np.hstack(astuple(r)) for r in self.rows]))
 
     def metadata_json(self) -> str:
         return json_dumps(self.metadata) + "\n"

@@ -10,11 +10,11 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def csv_lines(table) -> list[str]:
-    """Comma-joined `fmt17` fields of each row of a 2-D float array, formatted
-    with one %-operation per row."""
+def csv_text(header: str, table) -> str:
+    """A CSV report: the header line, then the comma-joined `fmt17` fields of
+    each row of a 2-D float array, one %-operation per row, and a final newline."""
     line = ",".join(["%.17g"] * table.shape[1])
-    return [line % tuple(row) for row in table.tolist()]
+    return "\n".join([header, *(line % tuple(row) for row in table.tolist())]) + "\n"
 
 
 def json_dumps(obj) -> str:

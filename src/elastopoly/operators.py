@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _PAIR_OF, Material, _diff, hooke
+from .basis import _PAIR_OF, Material, _check_integer, _diff, hooke
 from .polyalg import Poly3, VecPoly3, divergence, gradient, laplacian, batch_eval
 
 _UNIT_NORMAL_TOL = 1e-12
@@ -189,6 +189,7 @@ class KelvinField:
     row: int  # 1 .. 3
 
     def __post_init__(self):
+        object.__setattr__(self, "row", _check_integer(self.row, "row"))
         if self.row not in (1, 2, 3):
             raise ValueError(f"row must be 1, 2 or 3, got {self.row}")
 

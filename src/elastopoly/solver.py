@@ -68,9 +68,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import _PAIR_OF, _PAIRS, Material, ElasticBasis, _check_degree, _parities, degree_columns, hooke
+from .basis import _PAIR_OF, _PAIRS, Material, ElasticBasis, _check_integer, _parities, degree_columns, hooke
 from .geometry import SurfaceQuadrature
-from .ioutil import csv_lines
+from .ioutil import csv_text
 from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_stress
 from .polyalg import VecPoly3, batch_eval, eval_blocks, monomial_tables
 
@@ -422,9 +422,9 @@ def fit_degrees(
         raise ValueError(f"data has {data.n_samples} samples but quadrature has {quad.n_samples}")
     check_svd_tol(svd_tol)
     check_scalar_weight(scalar_weight)
+    degrees = tuple(_check_integer(k, "degrees") for k in degrees)
     if not degrees or not all(0 <= k <= basis.max_degree for k in degrees):
         raise ValueError(f"degrees must lie in 0..{basis.max_degree}, got {list(degrees)}")
-    degrees = tuple(_check_degree(k, "degrees") for k in degrees)
     basis = basis.prefix(max(degrees))
     plan = plan_fit(basis, quad)
     if not project_tangential:
@@ -542,5 +542,5 @@ def fit_result_json(result: FitResult) -> str:
 
 
 def misfit_csv(result: FitResult, quad: SurfaceQuadrature) -> str:
-    lines = csv_lines(np.column_stack([quad.points, quad.weights, result.scalar_misfit, result.vector_misfit]))
-    return "\n".join(["x,y,z,w,scalar_misfit,vec_misfit_x,vec_misfit_y,vec_misfit_z", *lines]) + "\n"
+    return csv_text("x,y,z,w,scalar_misfit,vec_misfit_x,vec_misfit_y,vec_misfit_z",
+                    np.column_stack([quad.points, quad.weights, result.scalar_misfit, result.vector_misfit]))

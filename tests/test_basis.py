@@ -269,6 +269,9 @@ def test_element_builds_one_element_from_its_value_rows():
     for n in (-1, len(basis)):
         with pytest.raises(IndexError, match="out of range 0..242"):
             basis.element(n)
+    for n in (True, 2.5):  # not element 1, nor a TypeError from math.isqrt
+        with pytest.raises(ValueError, match=f"^basis element index must be an integer, got {n}$"):
+            basis.element(n)
 
 
 def test_pick_takes_elements_along_the_element_axis():

@@ -317,10 +317,16 @@ def test_check_samples_each_betti_field_once(monkeypatch, capsys):
     assert walked.count(16 * 32) == 1 and walked.count(48 * 96) == 1
 
 
-def test_check_contracts_each_chunk_once(monkeypatch, capsys):
-    # the reciprocity pass at K = 12 on 48 x 96 (18 chunks of 256 points): per chunk one
-    # traction contraction of the joined degrees' stresses, and one Kelvin traction call,
-    # with its own contraction, for both poles; one call per degree or per pole made 270 and 36
+@pytest.mark.parametrize("args, expected", [
+    (["--degree", "12", "--n-theta", "48", "--n-phi", "96"], {"traction_of_stress": 36, "kelvin_traction": 18}),
+    ([], {"traction_of_stress": 52, "kelvin_traction": 26}),
+], ids=["k12", "default"])
+def test_check_contracts_each_chunk_once(monkeypatch, capsys, args, expected):
+    # the reciprocity pass, per chunk of 256 points: one traction contraction of every picked
+    # element's stresses, and one Kelvin traction call, with its own contraction, for every pole.
+    # At K = 12 on 48 x 96 that is 18 chunks, where one call per degree or per pole made 270 and
+    # 36; the default K = 6 check makes a Betti pass on 32 x 64 and a Somigliana pass on 48 x 96,
+    # 8 + 18 chunks, where a contraction per group of at most 3(2K + 1) elements made 60 and 26
     from elastopoly import cli, operators
 
     calls, inside = {"traction_of_stress": 0, "kelvin_traction": 0}, []
@@ -343,9 +349,9 @@ def test_check_contracts_each_chunk_once(monkeypatch, capsys):
     for module in (harness, operators):  # where the pass and the Kelvin traction look them up
         for name in calls:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    assert run(["check", "--degree", "12", "--n-theta", "48", "--n-phi", "96"]) == 0
+    assert run(["check", *args]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
-    assert calls == {"traction_of_stress": 36, "kelvin_traction": 18}
+    assert calls == expected
 
 
 CHECK_RUN = "import sys; from elastopoly.cli import run; sys.exit(run(sys.argv[1:]))"

@@ -407,7 +407,7 @@ def test_fit_degrees_rejects_degrees_outside_the_basis(sphere_quad):
     for degrees in [(), (3,), (-1, 2)]:
         with pytest.raises(ValueError, match="degrees must lie in 0..2"):
             fit_degrees(data, basis, sphere_quad, degrees)
-    for degrees in [(True,), (1, 2.0), (2.5,)]:  # not integers
+    for degrees in [(True,), (1, 2.0), (2.5,), ("a",), (2, None)]:  # not integers
         with pytest.raises(ValueError, match="degrees must"):
             fit_degrees(data, basis, sphere_quad, degrees)
 

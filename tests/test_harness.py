@@ -134,6 +134,8 @@ def test_somigliana_rejects_near_surface_point(sphere_quad48):
     basis = elastic_basis(M, 1)
     with pytest.raises(ValueError, match="quadrature spacings"):
         somigliana_check(M, basis.elements[0].field, sphere_quad48, np.array([0.0, 0.0, 0.999]), "interior")
+    with pytest.raises(ValueError, match=r"^evaluation point must be finite, got \[nan, 0.0, 0.0\]$"):
+        somigliana_check(M, basis.elements[0].field, sphere_quad48, [np.nan, 0.0, 0.0], "interior")
 
 
 # -- studies ------------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def test_study_invariants_residual_column(sphere_quad):
         assert b <= a * (1.0 + 1e-9) + 1e-14 * report.rows[0].data_norm
 
 
-@pytest.mark.parametrize("degrees", [(2, 2), (3, 2, 3), (-1,), (2, -1), (True, 2), (2.0,), (2.5,)])
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 2, 3), (-1,), (2, -1), (True, 2), (2.0,), (2.5,), ("a",), (2, None)])
 def test_study_config_rejects_negative_or_repeated_degrees(degrees):
     with pytest.raises(ValueError, match="degrees must"):
         StudyConfig(M, Sphere(), "III", degrees, KelvinSource((0.0, 0.0, 3.0)))
@@ -291,7 +293,8 @@ def test_study_config_rejects_negative_or_repeated_degrees(degrees):
 @pytest.mark.parametrize("value", [True, 2.0, 2.5])
 @pytest.mark.parametrize("name, make", [("row", lambda v: KelvinSource((0.0, 0.0, 3.0), row=v)),
                                         ("basis element index", BasisElementSource),
-                                        ("rotation index", RotationSource)])
+                                        ("rotation index", RotationSource),
+                                        ("row", lambda v: KelvinField(M, (0.0, 0.0, 3.0), v))])
 def test_sources_refuse_bool_or_non_integer_fields(name, make, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
         make(value)

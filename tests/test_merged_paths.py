@@ -416,6 +416,7 @@ def test_reciprocity_matrix_matches_betti_and_somigliana_checks(spec):
     ([-1], (), "basis positions"),
     ([1.5], (), "basis positions"),  # not truncated to element 1
     ([3], [[0.0, 0.0, 0.99]], "quadrature spacings"),
+    ([1, 2], [[np.inf, 0.0, 0.0]], r"^evaluation point must be finite, got \[inf, 0.0, 0.0\]$"),
 ])
 def test_reciprocity_matrix_rejects_bad_columns_and_near_poles(sphere_quad, columns, poles, message):
     with pytest.raises(ValueError, match=message):
