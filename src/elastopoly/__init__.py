@@ -42,7 +42,7 @@ from .operators import (
     lame_apply,
     traction,
 )
-from .polyalg import Poly3, VecPoly3, batch_eval, divergence, gradient, laplacian
+from .polyalg import Poly3, VecPoly3, batch_eval
 from .solver import (
     BoundaryData,
     FitResult,
@@ -65,7 +65,7 @@ __all__ = [
     "betti_check", "kelvin_data", "probe_points", "run_study", "somigliana_check",
     "KelvinField", "RigidDisplacement",
     "kelvin_gradient", "kelvin_matrix", "kelvin_traction", "lame_apply", "traction",
-    "Poly3", "VecPoly3", "batch_eval", "divergence", "gradient", "laplacian",
+    "Poly3", "VecPoly3", "batch_eval",
     "BoundaryData", "FitResult",
     "compatibility_defect", "evaluate_solution", "fit", "fit_degrees", "trace_III", "trace_IV",
 ]

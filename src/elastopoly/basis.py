@@ -16,20 +16,22 @@ max-normalized float rows over the graded-lex monomials.  A degree of the
 basis is built at once from those rows, through fixed integer index maps: a
 derivative map twice for the Hessian, the |x|^2 product map (up to three
 terms per coefficient, exactly rounded), the Lambda_k scale and + omega, and
-one more derivative map for the first partials, bitwise the `Poly3`
-arithmetic; Hooke's law (`hooke`) turns those into the six stress components.
+one more derivative map for the first partials, each coefficient rounded as
+a term-by-term construction rounds it; Hooke's law (`hooke`) turns those
+into the six stress components.
+A harmonic (`solid_harmonics`) or a basis element (`ElasticBasis.element`) is
+one of these rows wrapped as a `Poly3` or `VecPoly3`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .polyalg import Poly3, VecPoly3, _degree_start, degree_monomials, monomial_position
+from .polyalg import Poly3, VecPoly3, _check_integer, _degree_start, _diff, _shift_index, degree_monomials
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,6 @@ def hooke(material: Material, grad) -> np.ndarray:
 # -- real solid harmonics -------------------------------------------------------
 
 
-def _check_integer(value, name: str, non_negative: bool = False) -> int:
-    """value as a Python int: an integer of any type but bool, and >= 0 if
-    non_negative (a degree)."""
-    try:
-        n = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or (non_negative and n < 0):
-        raise ValueError(f"{name} must be {'a non-negative' if non_negative else 'an'} integer, got {value}")
-    return n
-
-
 @lru_cache(maxsize=None)
 def _harmonic_rows(k: int) -> np.ndarray:
     """The (2k+1, n) coefficient rows of the degree-k solid harmonics over
@@ -120,14 +110,6 @@ def _harmonic_rows(k: int) -> np.ndarray:
     return rows
 
 
-def _polys(rows: np.ndarray, k: int) -> list[Poly3]:
-    """The polynomials of coefficient rows (r, n) over `degree_monomials(k)`:
-    one term per nonzero entry, with one key tuple per monomial."""
-    monos = list(map(tuple, degree_monomials(k).tolist()))
-    return [Poly3.of_terms(dict(zip(map(monos.__getitem__, np.flatnonzero(row)), row[row != 0.0].tolist())))
-            for row in rows]
-
-
 @lru_cache(maxsize=None, typed=True)  # typed: True is not a cached degree 1
 def solid_harmonics(k: int) -> tuple[Poly3, ...]:
     """The 2k+1 harmonic homogeneous polynomials of degree k: R_{k,0}, then
@@ -135,7 +117,7 @@ def solid_harmonics(k: int) -> tuple[Poly3, ...]:
     parts of the closed form of `_harmonic_rows`, summed exactly in integers
     and max-normalized."""
     k = _check_integer(k, "degree", non_negative=True)
-    return tuple(_polys(_harmonic_rows(k), k))
+    return tuple(Poly3.of_row(row, _degree_start(k)) for row in _harmonic_rows(k))
 
 
 # -- elastic polynomials --------------------------------------------------------
@@ -152,23 +134,6 @@ def lambda_coeff(material: Material, k: int) -> float:
     return -(lam + mu) / (2.0 * (lam * (k - 1) + mu * (3 * k - 2)))
 
 
-@lru_cache(maxsize=None)
-def _shift_index(d: int, a: int, step: int) -> np.ndarray:
-    """The position of m + step e_a among the degree-(d + step) monomials,
-    or -1 where m_a + step < 0, for each degree-d monomial m; read-only, as
-    it is cached."""
-    source = degree_monomials(d) + step * np.eye(3, dtype=np.intp)[a]
-    index = np.where(source[:, a] >= 0, monomial_position(source), -1)
-    index.flags.writeable = False
-    return index
-
-
-def _diff(rows: np.ndarray, d: int, a: int) -> np.ndarray:
-    """d/dx_a of rows (..., n) over the degree-d monomials, as `Poly3.diff`:
-    degree-(d-1) monomial m takes c(m + e_a) (m_a + 1)."""
-    return rows[..., _shift_index(d - 1, a, 1)] * (degree_monomials(d - 1)[:, a] + 1)
-
-
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a + b rounded, and its rounding error exactly (Knuth's TwoSum)."""
     s = a + b
@@ -177,8 +142,8 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _times_r2(rows: np.ndarray, d: int) -> np.ndarray:
-    """|x|^2 times rows (..., n) over the degree-d monomials, as `R2 * p`:
-    degree-(d+2) monomial m sums c(m - 2 e_a) over the a with m_a >= 2,
+    """|x|^2 times rows (..., n) over the degree-d monomials: degree-(d+2)
+    monomial m sums c(m - 2 e_a) over the a with m_a >= 2,
     exactly rounded like `math.fsum` (Boldo & Melquiond, IEEE Trans. Comput.
     57 (2008) 462-471: two TwoSums, their errors added rounding to odd)."""
     padded = np.concatenate([rows, np.zeros((*rows.shape[:-1], 1))], axis=-1)  # column -1: no term
@@ -262,7 +227,8 @@ class ElasticBasis:
             raise IndexError(f"basis element {n} out of range 0..{len(self) - 1}")
         k = math.isqrt(n // 3)
         i = n - 3 * k * k
-        return BasisElement(k, *harmonic_and_row(i), VecPoly3(*_polys(self.layout[2 * k][2][:, i], k)))
+        first, _, values = self.layout[2 * k]
+        return BasisElement(k, *harmonic_and_row(i), VecPoly3.of_row(values[:, i], first))
 
     @cached_property
     def elements(self) -> tuple[BasisElement, ...]:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .ioutil import csv_text
-from .polyalg import Poly3, batch_eval, gradient
+from .polyalg import Poly3, _check_integer, batch_eval
 from .basis import solid_harmonics
 
 _TANGENCY_DROP_TOL = 1e-13  # drop a rotation left with this fraction of its norm by orthogonalization
@@ -83,7 +83,8 @@ class StarShaped:
     def __post_init__(self):
         _check_finite(self)
         for k, s, _ in self.coeffs:
-            if k < 0 or not (1 <= s <= 2 * k + 1):
+            k, s = _check_integer(k, "harmonic degree", non_negative=True), _check_integer(s, "harmonic index")
+            if not 1 <= s <= 2 * k + 1:
                 raise ValueError(f"invalid harmonic index (k={k}, s={s})")
         if self.axis is not None and not np.linalg.norm(self.axis) > 0.0:
             raise ValueError("declared symmetry axis must be a nonzero vector")
@@ -183,7 +184,7 @@ def make_quadrature(spec: SurfaceSpec, n_theta: int, n_phi: int) -> SurfaceQuadr
     # each kind gives x - center and the parametric tangents x_theta, x_phi
     if isinstance(spec, StarShaped):  # x = center + r(u) u, with analytic dr along u_theta, u_phi
         radius = _star_radius(spec)
-        vals = batch_eval([radius, *gradient(radius)], u)
+        vals = batch_eval([radius, radius.diff(1), radius.diff(2), radius.diff(3)], u)
         r, grad = vals[:, :1], vals[:, 1:]
         if np.min(r) <= 0.0:
             raise ValueError(f"radial function must be positive on the sphere (min {np.min(r):.3e})")
@@ -223,16 +224,16 @@ def classify_symmetry(spec: SurfaceSpec) -> Symmetry:
     Rotation axes: the coordinate axes on a sphere or an ellipsoid with equal
     semi-axes, the axis of the distinct semi-axis on a spheroid, a star
     surface's declared axis (normalized), none otherwise.  Reflections:
-    center[j] == 0, and for a star surface an even x_j exponent in every term
-    of its radius polynomial.
+    center[j] == 0, and for a star surface an even x_j exponent in every
+    nonzero coefficient of its radius polynomial.
     """
+    exponents = _star_radius(spec).exponents() if isinstance(spec, StarShaped) else np.zeros((0, 3), dtype=int)
     if isinstance(spec, StarShaped):
         axes = np.zeros((0, 3)) if spec.axis is None else np.asarray([spec.axis]) / np.linalg.norm(spec.axis)
-        terms = _star_radius(spec).terms
     else:
         a, b, c = _semi_axes(spec)
-        axes, terms = np.eye(3)[np.array([b == c, a == c, a == b])], {}  # all three rows when a == b == c
-    reflections = tuple(j for j in range(3) if spec.center[j] == 0.0 and all(mono[j] % 2 == 0 for mono in terms))
+        axes = np.eye(3)[np.array([b == c, a == c, a == b])]  # all three rows when a == b == c
+    reflections = tuple(j for j in range(3) if spec.center[j] == 0.0 and not np.any(exponents[:, j] % 2))
     return Symmetry(axes, reflections)
 
 

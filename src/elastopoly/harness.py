@@ -19,11 +19,11 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .basis import ElasticBasis, Material, _check_integer, elastic_basis
+from .basis import ElasticBasis, Material, elastic_basis
 from .geometry import Ellipsoid, Sphere, StarShaped, SurfaceQuadrature, SurfaceSpec, make_quadrature, radial_function
 from .ioutil import csv_text, json_dumps
 from .operators import KelvinField, kelvin_matrix, kelvin_traction, traction_of_stress
-from .polyalg import eval_blocks
+from .polyalg import _check_integer, eval_blocks
 from .solver import (
     PROBLEM_III,
     BoundaryData,

@@ -19,33 +19,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _PAIR_OF, Material, _check_integer, _diff, hooke
-from .polyalg import Poly3, VecPoly3, divergence, gradient, laplacian, batch_eval
+from .basis import _PAIR_OF, Material, hooke
+from .polyalg import VecPoly3, _check_integer, _diff, batch_eval
 
 _UNIT_NORMAL_TOL = 1e-12
 
 
+def _lame(material: Material, v: np.ndarray, k: int) -> np.ndarray:
+    """mu Laplacian(v) + (lam + mu) grad(div v) of value rows v (3, ..., n) over
+    the degree-k monomials, over the degree-(k-2) ones, with the Laplacian
+    summed as d_1 d_1 + d_2 d_2 + d_3 d_3 and div v as d_1 v_1 + d_2 v_2 + d_3 v_3."""
+    second = [_diff(_diff(v, k, a), k - 1, a) for a in range(3)]
+    div = _diff(v[0], k, 0) + _diff(v[1], k, 1) + _diff(v[2], k, 2)
+    return (material.mu * (second[0] + second[1] + second[2])
+            + (material.lam + material.mu) * np.stack([_diff(div, k - 1, a) for a in range(3)]))
+
+
 def lame_apply(material: Material, v: VecPoly3) -> VecPoly3:
-    """mu * Laplacian(v) + (lam + mu) * grad(div v), exactly on coefficients."""
-    return material.mu * laplacian(v) + (material.lam + material.mu) * gradient(divergence(v))
+    """mu * Laplacian(v) + (lam + mu) * grad(div v), exactly on coefficients, degree by degree."""
+    return v._by_degree(lambda rows, k: _lame(material, rows, k))
 
 
 def lame_residuals(material: Material, layout) -> np.ndarray:
-    """Largest |coefficient| of `lame_apply` on each element of a basis layout
-    (`ElasticBasis.layout`), scaled to largest |coefficient| 1, in basis order.
-
-    Works on the value block (3, e, n) of each degree.  The scaling, the partials and
-    the sums run in the order of `VecPoly3.normalized`, `laplacian`,
-    `divergence` and `gradient`, so each figure is bitwise the dict one.
-    """
+    """Largest |coefficient| of `lame_apply(material, field.normalized())` on
+    each element of a basis layout (`ElasticBasis.layout`), in basis order,
+    bitwise, taken on the value block (3, e, n) of each degree at once."""
     worst = []
     for k, (_, _, values) in enumerate(layout[::2]):
         v = values * (1.0 / np.max(np.abs(values), axis=(0, 2)))[:, None]
-        second = [_diff(_diff(v, k, a), k - 1, a) for a in range(3)]
-        div = _diff(v[0], k, 0) + _diff(v[1], k, 1) + _diff(v[2], k, 2)
-        residual = (material.mu * (second[0] + second[1] + second[2])
-                    + (material.lam + material.mu) * np.stack([_diff(div, k - 1, a) for a in range(3)]))
-        worst.append(np.max(np.abs(residual), axis=(0, 2), initial=0.0))
+        worst.append(np.max(np.abs(_lame(material, v, k)), axis=(0, 2), initial=0.0))
     return np.concatenate(worst)
 
 
@@ -99,13 +101,9 @@ class RigidDisplacement:
 
     def as_vecpoly(self) -> VecPoly3:
         a, b, x0 = (np.asarray(v, dtype=float) for v in (self.a, self.b, self.x0))
-        comps = []
-        for j in range(3):
-            p = Poly3.constant(a[j] - (b[(j + 1) % 3] * x0[(j + 2) % 3] - b[(j + 2) % 3] * x0[(j + 1) % 3]))
-            p = p + Poly3.variable((j + 2) % 3 + 1) * b[(j + 1) % 3]
-            p = p - Poly3.variable((j + 1) % 3 + 1) * b[(j + 2) % 3]
-            comps.append(p)
-        return VecPoly3(*comps)
+        skew = np.array([[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]])  # b x x = skew @ x
+        # the constant a - b x x0, then the degree-1 monomials in graded-lex order: z, y, x
+        return VecPoly3.of_row(np.column_stack([a - np.cross(b, x0), skew[:, ::-1]]))
 
     def eval(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

@@ -1,10 +1,14 @@
-"""Sparse trivariate polynomial algebra.
+"""Trivariate polynomials as coefficient rows over the graded-lex monomials.
 
-A polynomial in (x, y, z) is a map from exponent triples (i, j, k) to float
-coefficients; x^i y^j z^k is the monomial.  The zero polynomial is the empty
-map, and no stored coefficient is ever exactly zero, so two polynomials are
-equal iff their term maps are equal.  Values are treated as immutable after
-construction and every operation returns a new polynomial in canonical form.
+A polynomial in (x, y, z) is a row of float coefficients over the monomials
+x^i y^j z^k in graded-lex order: by degree d, then (i, j, d - i - j) by
+ascending i, then j (`degree_monomials`), degree d from monomial
+d(d+1)(d+2)/6 on (`_degree_start`), the order of the basis layout's blocks.
+`Poly3` holds one row (n,) and `VecPoly3` three (3, n), through the last
+degree with a nonzero coefficient and every zero +0.0, so that equal
+polynomials have equal rows.  Rows are read-only: each operation returns a
+new polynomial, a derivative formed degree by degree through cached index
+maps (`_diff`).  `Poly3.terms` reads a row as its nonzero coefficients.
 
 Coefficients are double-precision floats.  The basis constructions downstream
 only involve small rational combinations, so symbolic identities (vanishing
@@ -22,9 +26,11 @@ passes, as a folded fit does across parity classes.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
-from itertools import chain, count
-from typing import Iterable, Sequence
+from itertools import count
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,35 +42,130 @@ _AXES = (1, 2, 3)
 CHUNK_POINTS = 256  # points per chunk of every polynomial evaluation
 
 
-class Poly3:
-    """Sparse polynomial in three variables with float coefficients."""
+def _check_integer(value, name: str, non_negative: bool = False) -> int:
+    """value as a Python int: an integer of any type but bool, and >= 0 if
+    non_negative (a degree)."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or (non_negative and n < 0):
+        raise ValueError(f"{name} must be {'a non-negative' if non_negative else 'an'} integer, got {value}")
+    return n
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, float] | Iterable[tuple[Monomial, float]] | None = None):
-        canonical: dict[Monomial, float] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                i, j, k = mono
-                if not all(isinstance(e, int) and e >= 0 for e in (i, j, k)):
-                    raise ValueError(f"exponents must be non-negative integers, got {mono!r}")
-                c = canonical.get((i, j, k), 0.0) + float(coeff)
-                if c == 0.0:
-                    canonical.pop((i, j, k), None)
-                else:
-                    canonical[(i, j, k)] = c
-        self.terms = canonical
+def _check_axis(axis) -> int:
+    axis = _check_integer(axis, "axis")
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {_AXES}, got {axis}")
+    return axis
 
-    # -- constructors ------------------------------------------------------
+
+def _canonical(coeffs, first: int = 0) -> np.ndarray:
+    """Read-only rows (..., end) of coefficient rows (..., m) over the
+    graded-lex monomials first .. first + m, first a degree start and m whole
+    degrees: zeros before first, cut after the last degree with a nonzero."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    columns = np.nonzero(coeffs)[-1]  # the monomial of each nonzero, less first
+    end = _degree_start(_degree_of(first + columns.max()) + 1) if columns.size else 0
+    # + 0.0 turns each -0.0 (a negated or scaled zero) into the +0.0 of a missing term
+    rows = np.concatenate([np.zeros((*coeffs.shape[:-1], first)), coeffs], axis=-1)[..., :end] + 0.0
+    rows.flags.writeable = False
+    return rows
+
+
+def _widened(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Rows (..., m) padded with zeros to (..., n), n >= m."""
+    return np.concatenate([coeffs, np.zeros((*coeffs.shape[:-1], n - coeffs.shape[-1]))], axis=-1)
+
+
+class _Rows:
+    """The arithmetic that `Poly3` (one row) and `VecPoly3` (three rows)
+    share, entry by entry on their rows `coeffs` (..., n)."""
+
+    __slots__ = ("coeffs",)
 
     @classmethod
-    def of_terms(cls, terms: dict[Monomial, float]) -> "Poly3":
-        """Wrap a term map already in canonical form (exponent tuples, no
-        zero coefficient) as it is: no check, no copy."""
+    def of_row(cls, coeffs, first: int = 0):
+        """The polynomial of rows (..., m) over the graded-lex monomials first
+        .. first + m, first a degree start and m whole degrees (a layout row)."""
         p = cls.__new__(cls)
-        p.terms = terms
+        p.coeffs = _canonical(coeffs, first)
         return p
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coeffs.shape[-1] == 0
+
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return _degree_of(self.coeffs.shape[-1] - 1)
+
+    def max_abs_coeff(self) -> float:
+        return float(np.max(np.abs(self.coeffs), initial=0.0))
+
+    def _combined(self, other, op):
+        """op of the two polynomials' rows, each padded to the longer; only of the same type."""
+        if type(other) is not type(self):
+            return NotImplemented
+        n = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
+        return self.of_row(op(_widened(self.coeffs, n), _widened(other.coeffs, n)))
+
+    def __add__(self, other):
+        return self._combined(other, np.add)
+
+    def __sub__(self, other):
+        return self._combined(other, np.subtract)
+
+    def __neg__(self):
+        return self.of_row(-self.coeffs)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, float)):
+            return NotImplemented
+        return self.of_row(float(scalar) * self.coeffs)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.coeffs, other.coeffs)
+
+    __hash__ = None  # compared by value
+
+    def diff(self, axis: int):
+        """Formal partial derivative along axis 1, 2 or 3."""
+        axis = _check_axis(axis)
+        return self._by_degree(lambda rows, d: _diff(rows, d, axis - 1))
+
+    def _by_degree(self, fn):
+        """The polynomial of fn(rows, d) of the rows of each degree d in turn,
+        fn taking degree d to degree d - s for one s >= 1 (to nothing below s)."""
+        c = self.coeffs
+        blocks = [fn(c[..., _degree_start(d):_degree_start(d + 1)], d) for d in range(self.degree() + 1)]
+        return self.of_row(np.concatenate([c[..., :0], *blocks], axis=-1))
+
+
+class Poly3(_Rows):
+    """Polynomial in three variables with float coefficients: one row (n,)."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: dict[Monomial, float] | Iterable[tuple[Monomial, float]] | None = None):
+        """The polynomial of a term map {(i, j, k): coefficient}, or of
+        (exponents, coefficient) pairs, a repeated monomial's summed in order."""
+        summed: dict[Monomial, float] = {}
+        for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
+            i, j, k = mono
+            if not all(isinstance(e, int) and e >= 0 for e in (i, j, k)):
+                raise ValueError(f"exponents must be non-negative integers, got {mono!r}")
+            summed[i, j, k] = summed.get((i, j, k), 0.0) + float(coeff)
+        exps = np.array(list(summed), dtype=np.intp).reshape(-1, 3)
+        degrees = exps.sum(axis=1)
+        row = np.zeros(_degree_start(degrees.max(initial=-1) + 1))
+        row[_degree_start(degrees) + monomial_position(exps)] = list(summed.values())
+        self.coeffs = _canonical(row)
 
     @classmethod
     def zero(cls) -> "Poly3":
@@ -76,123 +177,22 @@ class Poly3:
 
     @classmethod
     def variable(cls, axis: int) -> "Poly3":
-        if axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {axis}")
-        mono = [0, 0, 0]
-        mono[axis - 1] = 1
-        return cls({tuple(mono): 1.0})
+        return cls.of_row(np.eye(3)[3 - _check_axis(axis)], 1)  # the degree-1 monomials z, y, x
 
-    # -- predicates and metrics --------------------------------------------
+    def exponents(self) -> np.ndarray:
+        """The exponents (t, 3) of the nonzero coefficients, in graded-lex order."""
+        return _graded_lex_table(max(self.degree(), 0))[np.flatnonzero(self.coeffs)]
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(i + j + k for (i, j, k) in self.terms)
-
-    def max_abs_coeff(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(c) for c in self.terms.values())
+    def terms(self) -> Mapping[Monomial, float]:
+        """The nonzero coefficients by exponent triple, in graded-lex order; read-only."""
+        exps = map(tuple, self.exponents().tolist())
+        return MappingProxyType(dict(zip(exps, self.coeffs[self.coeffs != 0.0].tolist())))
 
     def normalized(self) -> "Poly3":
-        """Scale so the largest |coefficient| is 1; zero stays zero."""
+        """Divide by the largest |coefficient|, so that it is 1; zero stays zero."""
         m = self.max_abs_coeff()
-        if m == 0.0:
-            return Poly3()
-        return Poly3({mono: c / m for mono, c in self.terms.items()})
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other) -> "Poly3 | None":
-        if isinstance(other, Poly3):
-            return other
-        if isinstance(other, (int, float)):
-            return Poly3.constant(other)
-        return None
-
-    def __add__(self, other) -> "Poly3":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, c in q.terms.items():
-            s = out.get(mono, 0.0) + c
-            if s == 0.0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return Poly3.of_terms(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly3":
-        return Poly3.of_terms({mono: -c for mono, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly3":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other) -> "Poly3":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
-
-    def __mul__(self, other) -> "Poly3":
-        if isinstance(other, (int, float)):
-            c = float(other)
-            if c == 0.0:
-                return Poly3()
-            return Poly3.of_terms({mono: c * v for mono, v in self.terms.items()})
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        # Per-monomial contributions are summed with fsum, which is exactly
-        # rounded and hence independent of operand order: p*q == q*p bitwise.
-        contrib: dict[Monomial, list[float]] = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                contrib.setdefault((i1 + i2, j1 + j2, k1 + k2), []).append(c1 * c2)
-        out: dict[Monomial, float] = {}
-        for mono, parts in contrib.items():
-            s = math.fsum(parts)
-            if s != 0.0:
-                out[mono] = s
-        return Poly3.of_terms(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None  # mutable container inside
-
-    # -- calculus ------------------------------------------------------------
-
-    def diff(self, axis: int) -> "Poly3":
-        """Formal partial derivative along axis 1, 2 or 3."""
-        if axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {axis}")
-        a = axis - 1
-        out: dict[Monomial, float] = {}
-        for mono, c in self.terms.items():
-            e = mono[a]
-            if e == 0:
-                continue
-            lowered = list(mono)
-            lowered[a] = e - 1
-            out[tuple(lowered)] = c * e
-        return Poly3.of_terms(out)
-
-    # -- evaluation ------------------------------------------------------------
+        return self if m == 0.0 else self.of_row(self.coeffs / m)
 
     def eval(self, points):
         """Evaluate at points (..., 3); returns the shape (...), () for one point (3,)."""
@@ -201,118 +201,47 @@ class Poly3:
 
     __call__ = eval
 
-    # -- serialization ---------------------------------------------------------
-
-    @classmethod
-    def from_text(cls, text: str) -> "Poly3":
-        terms: list[tuple[Monomial, float]] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ValueError(f"expected 'i j k coefficient', got {line!r}")
-            i, j, k = (int(f) for f in fields[:3])
-            terms.append(((i, j, k), float(fields[3])))
-        return cls(terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Poly3(0)"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (sum(m), m)):  # graded lex
-            c = self.terms[mono]
-            factors = [f"{v}^{e}" if e > 1 else v
-                       for v, e in zip("xyz", mono) if e > 0]
-            body = "*".join(factors)
-            parts.append(f"{c:g}*{body}" if body else f"{c:g}")
-        shown = " + ".join(parts[:8]).replace("+ -", "- ")
-        if len(parts) > 8:
-            shown += f" + ... ({len(parts)} terms)"
-        return f"Poly3({shown})"
-
 
 def rows_text(rows: np.ndarray, k: int) -> list[str]:
-    """Per coefficient row (r, n) over `degree_monomials(k)`, lines `i j k coefficient`
-    of its nonzero entries in graded-lex order; `Poly3.from_text` reads them."""
+    """Per coefficient row (r, n) over `degree_monomials(k)`, lines `i j k
+    coefficient` of its nonzero entries in graded-lex order."""
     monos = [f"{i} {j} {l} " for i, j, l in degree_monomials(k).tolist()]
     return ["\n".join(monos[m] + fmt17(c) for m, c in zip(np.flatnonzero(row).tolist(), row[row != 0.0].tolist()))
             for row in rows]
 
 
-class VecPoly3:
-    """Vector field with three Poly3 components."""
+class VecPoly3(_Rows):
+    """Vector field with three polynomial components: rows (3, n)."""
 
-    __slots__ = ("components",)
+    __slots__ = ()
 
     def __init__(self, u1: Poly3, u2: Poly3, u3: Poly3):
-        self.components = (u1, u2, u3)
+        n = max(len(u.coeffs) for u in (u1, u2, u3))
+        self.coeffs = _canonical([_widened(u.coeffs, n) for u in (u1, u2, u3)])
 
     @classmethod
     def zero(cls) -> "VecPoly3":
-        return cls(Poly3(), Poly3(), Poly3())
+        return cls.of_row(np.zeros((3, 0)))
 
     @classmethod
     def constant(cls, vec) -> "VecPoly3":
-        a1, a2, a3 = (float(v) for v in vec)
-        return cls(Poly3.constant(a1), Poly3.constant(a2), Poly3.constant(a3))
-
-    def __getitem__(self, idx: int) -> Poly3:
-        return self.components[idx]
-
-    def __iter__(self):
-        return iter(self.components)
+        return cls.of_row(np.asarray(vec, dtype=float).reshape(3, 1))
 
     @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+    def components(self) -> tuple[Poly3, Poly3, Poly3]:
+        return tuple(map(Poly3.of_row, self.coeffs))
 
-    def degree(self) -> int:
-        return max(c.degree() for c in self.components)
-
-    def max_abs_coeff(self) -> float:
-        return max(c.max_abs_coeff() for c in self.components)
+    def __getitem__(self, idx: int) -> Poly3:  # iterating yields the three components
+        return Poly3.of_row(self.coeffs[idx])
 
     def normalized(self) -> "VecPoly3":
+        """Multiply by the reciprocal of the largest |coefficient|, so that it is 1; zero stays zero."""
         m = self.max_abs_coeff()
-        if m == 0.0:
-            return VecPoly3.zero()
-        return VecPoly3(*(c * (1.0 / m) for c in self.components))
-
-    def __add__(self, other: "VecPoly3") -> "VecPoly3":
-        if not isinstance(other, VecPoly3):
-            return NotImplemented
-        return VecPoly3(*(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VecPoly3") -> "VecPoly3":
-        if not isinstance(other, VecPoly3):
-            return NotImplemented
-        return VecPoly3(*(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "VecPoly3":
-        return VecPoly3(*(-c for c in self.components))
-
-    def __mul__(self, scalar) -> "VecPoly3":
-        if not isinstance(scalar, (int, float, Poly3)):
-            return NotImplemented
-        return VecPoly3(*(c * scalar for c in self.components))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VecPoly3):
-            return NotImplemented
-        return self.components == other.components
-
-    __hash__ = None
-
-    def diff(self, axis: int) -> "VecPoly3":
-        return VecPoly3(*(c.diff(axis) for c in self.components))
+        return self if m == 0.0 else self.of_row(self.coeffs * (1.0 / m))
 
     def jacobian(self) -> list[Poly3]:
         """The nine partials d v_j / d x_a in a-major order (entry 3a + j)."""
-        return [c.diff(a) for a in _AXES for c in self.components]
+        return [c for a in _AXES for c in self.diff(a)]
 
     def eval(self, points):
         """Evaluate at points (..., 3), a single point being (3,); returns the same shape."""
@@ -321,29 +250,6 @@ class VecPoly3:
         return vals.reshape(pts.shape)
 
     __call__ = eval
-
-    def __repr__(self) -> str:
-        return f"VecPoly3({self.components[0]!r}, {self.components[1]!r}, {self.components[2]!r})"
-
-
-# -- vector calculus -----------------------------------------------------------
-
-
-def divergence(v: VecPoly3) -> Poly3:
-    return v[0].diff(1) + v[1].diff(2) + v[2].diff(3)
-
-
-def gradient(s: Poly3) -> VecPoly3:
-    return VecPoly3(s.diff(1), s.diff(2), s.diff(3))
-
-
-def laplacian(f):
-    """Scalar or componentwise vector Laplacian."""
-    if isinstance(f, Poly3):
-        return f.diff(1).diff(1) + f.diff(2).diff(2) + f.diff(3).diff(3)
-    if isinstance(f, VecPoly3):
-        return VecPoly3(*(laplacian(c) for c in f.components))
-    raise TypeError(f"expected Poly3 or VecPoly3, got {type(f).__name__}")
 
 
 @lru_cache(maxsize=None)
@@ -373,12 +279,34 @@ def _degree_start(d: int) -> int:
     return d * (d + 1) * (d + 2) // 6
 
 
+def _degree_of(n: int) -> int:
+    """The degree of graded-lex monomial n; -1 for n = -1, no monomial."""
+    return next(d for d in count(-1) if _degree_start(d + 1) > n)
+
+
+@lru_cache(maxsize=None)
+def _shift_index(d: int, a: int, step: int) -> np.ndarray:
+    """The position of m + step e_a among the degree-(d + step) monomials,
+    or -1 where m_a + step < 0, for each degree-d monomial m; read-only, as
+    it is cached."""
+    source = degree_monomials(d) + step * np.eye(3, dtype=np.intp)[a]
+    index = np.where(source[:, a] >= 0, monomial_position(source), -1)
+    index.flags.writeable = False
+    return index
+
+
+def _diff(rows: np.ndarray, d: int, a: int) -> np.ndarray:
+    """d/dx_a of rows (..., n) over the degree-d monomials: degree-(d-1)
+    monomial m takes c(m + e_a) (m_a + 1)."""
+    return rows[..., _shift_index(d - 1, a, 1)] * (degree_monomials(d - 1)[:, a] + 1)
+
+
 def monomial_tables(points, end: int, first: int = 0):
     """The one point-chunk loop of every polynomial evaluation: yields (rows,
     table) per chunk of CHUNK_POINTS of the float points (n, 3), `table`
     the values (end - first, len(rows)) of the graded-lex monomials first ..
     end at points[rows]."""
-    max_degree = next(d for d in count() if _degree_start(d + 1) >= end)
+    max_degree = max(_degree_of(end - 1), 0)
     i, j, k = _graded_lex_table(max_degree)[first:end].T
     for start in range(0, len(points), CHUNK_POINTS):
         rows = slice(start, min(start + CHUNK_POINTS, len(points)))
@@ -422,24 +350,14 @@ def eval_blocks(blocks: Sequence[tuple[int, int, np.ndarray]], points, tables=No
 
 def batch_eval(polys: Sequence[Poly3], points) -> np.ndarray:
     """Evaluate many polynomials at many points (n, 3) through one block of
-    `eval_blocks` over the degree range of their terms.  Returns (n_points,
-    len(polys)), the transpose of a (len(polys), n_points) array."""
-    counts = [len(p.terms) for p in polys]
-    exps = np.fromiter(chain.from_iterable(p.terms for p in polys), np.dtype((np.intp, 3)), sum(counts))
-    degrees = exps.sum(axis=1)
-    first, end = (_degree_start(degrees.min()), _degree_start(degrees.max() + 1)) if len(exps) else (0, 0)
-    coeffs = np.zeros((len(polys), end - first))
-    coeffs[np.repeat(np.arange(len(polys)), counts), _degree_start(degrees) + monomial_position(exps) - first] = (
-        np.fromiter(chain.from_iterable(p.terms.values() for p in polys), float, len(exps)))
+    `eval_blocks`, their rows over the degree range of their nonzero
+    coefficients.  Returns (n_points, len(polys)), the transpose of a
+    (len(polys), n_points) array."""
+    low = min((_degree_of(np.flatnonzero(p.coeffs)[0]) for p in polys if not p.is_zero), default=0)
+    first, end = _degree_start(low), max((len(p.coeffs) for p in polys), default=0)
+    coeffs = np.array([_widened(p.coeffs, end)[first:] for p in polys]).reshape(len(polys), end - first)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty((len(polys), len(pts)))
     for rows, (values,) in eval_blocks([(first, end, coeffs)], pts):
         out[:, rows] = values
     return out.T
-
-
-# convenient generators
-X = Poly3.variable(1)
-Y = Poly3.variable(2)
-Z = Poly3.variable(3)
-R2 = X * X + Y * Y + Z * Z

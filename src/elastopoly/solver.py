@@ -68,11 +68,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import _PAIR_OF, _PAIRS, Material, ElasticBasis, _check_integer, _parities, degree_columns, hooke
+from .basis import _PAIR_OF, _PAIRS, Material, ElasticBasis, _parities, degree_columns, hooke
 from .geometry import SurfaceQuadrature
 from .ioutil import csv_text
 from .operators import KelvinField, RigidDisplacement, _check_unit_normals, traction_of_stress
-from .polyalg import VecPoly3, batch_eval, eval_blocks, monomial_tables
+from .polyalg import VecPoly3, _check_integer, batch_eval, eval_blocks, monomial_tables
 
 TANGENCY_TOL = 1e-8  # relative to max |data|, floored at 1
 QR_BLOCK_BYTES = 16 << 20  # new rows per step of the least-squares QR, in bytes of [A | b]

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from elastopoly import Material, elastic_basis, lambda_coeff, solid_harmonics
-from elastopoly.basis import _PAIRS, _polys
+from elastopoly.basis import _PAIRS, _harmonic_rows
 from elastopoly.operators import lame_apply
-from elastopoly.polyalg import Poly3, X, Y, Z, R2, laplacian
+from elastopoly.polyalg import Poly3, batch_eval
+
+import dictpoly
+from dictpoly import R2, X, Y, Z, bits, dict_of, laplacian, polys_of_rows, rows_of
 
 rng = np.random.default_rng(42)
 
@@ -75,7 +78,7 @@ def test_solid_harmonics_count_homogeneity_harmonicity(k):
     assert len(hs) == 2 * k + 1
     for h in hs:
         assert {i + j + kk for (i, j, kk) in h.terms} == {k}
-        assert laplacian(h).max_abs_coeff() <= 1e-12  # symbolic oracle
+        assert laplacian(dict_of(h)).max_abs_coeff() <= 1e-12  # symbolic oracle
         assert h.max_abs_coeff() == pytest.approx(1.0)
 
 
@@ -128,7 +131,7 @@ def per_degree_harmonics(k):
 
     def to_poly(p):
         peak = max(abs(c) for c in p.values())
-        return Poly3({mono: float(c / peak) for mono, c in p.items()})
+        return dictpoly.Poly3({mono: float(c / peak) for mono, c in p.items()})
 
     return [to_poly(cos[(k, 0)])] + [to_poly(t[(k, m)]) for m in range(1, k + 1) for t in (cos, sin)]
 
@@ -139,6 +142,18 @@ def test_solid_harmonics_match_the_per_degree_recurrence():
     for k in range(21):
         for ours, reference in zip(solid_harmonics(k), per_degree_harmonics(k), strict=True):
             assert ours.terms == reference.terms
+
+
+def test_solid_harmonics_match_the_dict_algebra_bitwise():
+    # each harmonic wraps its row of `_harmonic_rows`; read term by term, as the dict polynomials were
+    # built, it has the same terms, values and partials, bit for bit
+    pts = rng.uniform(-1.2, 1.2, size=(30, 3))
+    for k in range(13):
+        hs, old = solid_harmonics(k), polys_of_rows(_harmonic_rows(k), k)
+        polys = [*hs, *(h.diff(a) for h in hs for a in (1, 2, 3))]
+        reference = [*old, *(p.diff(a) for p in old for a in (1, 2, 3))]
+        assert list(map(bits, polys)) == list(map(bits, reference))
+        np.testing.assert_array_equal(batch_eval(polys, pts), dictpoly.batch_eval(reference, pts))
 
 
 # -- degree coefficient ----------------------------------------------------------
@@ -222,10 +237,10 @@ def test_row_formula_for_xy_harmonic():
     basis = elastic_basis(m, 2)
     target = None
     for el in basis:
-        if el.degree == 2 and el.row == 1 and el.field[0] == X * Y:
+        if el.degree == 2 and el.row == 1 and el.field[0] == rows_of(X * Y):
             target = el
     assert target is not None
-    assert target.field[1] == -0.2 * R2
+    assert target.field[1] == rows_of(-0.2 * R2)
     assert target.field[2].is_zero
     assert lame_apply(m, target.field).max_abs_coeff() <= 1e-12
 
@@ -259,7 +274,7 @@ def test_element_builds_one_element_from_its_value_rows():
     # component-major rows, element i taking rows i, e + i and 2e + i
     basis = elastic_basis(Material(1.3, 0.8), 8)
     for k, (_, _, values) in enumerate(basis.layout[::2]):
-        polys, e = _polys(values.reshape(-1, values.shape[-1]), k), values.shape[1]
+        polys, e = polys_of_rows(values.reshape(-1, values.shape[-1]), k), values.shape[1]
         for i in range(e):
             el = basis.element(3 * k * k + i)
             assert (el.degree, el.harmonic_index, el.row) == (k, i // 3 + 1, i % 3 + 1)
@@ -288,13 +303,13 @@ def test_pick_takes_elements_along_the_element_axis():
         for t, column in enumerate(np.asarray(columns)[mine]):
             el = basis.element(column)
             assert el.degree == k
-            assert [c.terms for c in _polys(values[:, t], k)] == [c.terms for c in el.field]
+            assert [c.terms for c in polys_of_rows(values[:, t], k)] == [c.terms for c in el.field]
             # Hooke's law on the element's partials g[a][b] = d v_b / d x_a, in `hooke`'s order
             g = [[el.field[b].diff(a + 1) for b in range(3)] for a in range(3)]
             sigma = [material.mu * (g[a][b] + g[b][a]) for a, b in _PAIRS]
             for p in (0, 3, 5):
                 sigma[p] = sigma[p] + material.lam * (g[0][0] + g[1][1] + g[2][2])
-            assert [c.terms for c in _polys(stress[:, t], k - 1)] == [c.terms for c in sigma]
+            assert [c.terms for c in polys_of_rows(stress[:, t], k - 1)] == [c.terms for c in sigma]
     # a whole degree picked in order hands out the layout's own blocks
     layout, targets = basis.pick(range(3, 12))
     assert [t.tolist() for t in targets] == [list(range(9))]

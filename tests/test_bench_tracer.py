@@ -3,6 +3,10 @@ which drops or renames one fails here instead of in a `--trace 1` run."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,3 +95,20 @@ def test_fit_reduces_r_over_row_blocks_of_bounded_size(monkeypatch):
     assert len(shapes) > 1
     assert all(n <= block_rows + width and m == width for n, m in shapes)
     assert sum(n for n, _ in shapes) == rows + (len(shapes) - 1) * width
+
+
+def test_traced_check_runs_and_counts_the_rigid_traction_product(tmp_path):
+    # a `--trace 1` run in its own interpreter, as the benchmark makes it: the
+    # tracer wraps every target and reads `.terms` of each polynomial handed to
+    # batch_eval; at K=3 that is the rigid field's nine constant partials, six
+    # of them nonzero, at the 16 x 32 = 512 Betti samples
+    root = TRACER_PATH.parents[1]
+    result = tmp_path / "result.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    subprocess.run([sys.executable, str(root / "bench" / "child.py"), str(result), "trace", "check", "--degree", "3",
+                    "--n-theta", "16", "--n-phi", "32"], env=env, check=True, capture_output=True, timeout=300)
+    report = json.loads(result.read_text(encoding="utf-8"))
+    assert report["exit_code"] == 0
+    counts = {name: report["trace"]["counts"][f"polyalg.batch_eval.{name}"]
+              for name in ("gemm_flop", "gemm_bytes", "nnz", "dense")}
+    assert counts == {"gemm_flop": 9216, "gemm_bytes": 41032, "nnz": 6, "dense": 9}

@@ -17,6 +17,8 @@ from elastopoly.harness import KelvinSource, StudyConfig, config_metadata
 from elastopoly.ioutil import json_dumps
 from elastopoly.polyalg import Poly3
 
+import dictpoly
+
 STUDY_CONFIG = """\
 [material]
 lambda = 1.0
@@ -199,7 +201,7 @@ def test_basis_export_parses_back_to_the_elements(tmp_path, lam, mu):
         assert len(components) == 3
         for j, (chunk, comp) in enumerate(zip(components, el.field), start=1):
             number, _, text = chunk.partition("\n")
-            parsed = Poly3.from_text(text)
+            parsed = dictpoly.Poly3.from_text(text)
             assert number == str(j)
             assert list(parsed.terms) == sorted(comp.terms)  # graded lex within the degree
             assert {m: c.hex() for m, c in parsed.terms.items()} == {m: c.hex() for m, c in comp.terms.items()}

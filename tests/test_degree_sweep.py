@@ -384,11 +384,14 @@ def test_basis_of_lower_degree_is_a_prefix():
 def test_fit_builds_no_element_and_prefixes_share_the_layout(monkeypatch, sphere_quad):
     data, _ = kelvin_data(M, sphere_quad, (0.4, -0.3, 2.5), 2, "IV")
     built, polys = [], []
-    init, poly_init, of_terms = VecPoly3.__init__, Poly3.__init__, Poly3.of_terms
+    init, poly_init = VecPoly3.__init__, Poly3.__init__
+    # a polynomial is made by its constructor or by of_row, which wraps coefficient rows
     monkeypatch.setattr(VecPoly3, "__init__", lambda self, *comps: built.append(self) or init(self, *comps))
-    # a Poly3 is made by its constructor or by of_terms
     monkeypatch.setattr(Poly3, "__init__", lambda self, *args: polys.append(self) or poly_init(self, *args))
-    monkeypatch.setattr(Poly3, "of_terms", classmethod(lambda cls, terms: polys.append(terms) or of_terms(terms)))
+    for cls, made in ((VecPoly3, built), (Poly3, polys)):
+        wrap = cls.of_row
+        record = classmethod(lambda _, *args, made=made, wrap=wrap: made.append(args) or wrap(*args))
+        monkeypatch.setattr(cls, "of_row", record)
     solid_harmonics.cache_clear()
     basis = elastic_basis(M, 6)
     fit(data, basis, sphere_quad)

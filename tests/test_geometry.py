@@ -85,6 +85,11 @@ def test_invalid_specs_rejected():
         Ellipsoid(semi_axes=(1.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         StarShaped(coeffs=((1, 4, 1.0),))  # s out of 1..2k+1
+    with pytest.raises(ValueError, match="^harmonic index must be an integer, got 1.5$"):
+        StarShaped(coeffs=((0, 1, 1.0), (2, 1.5, 0.1)))
+    for degree in (2.0, True, "2"):  # refused where they enter, not inside make_quadrature
+        with pytest.raises(ValueError, match=f"^harmonic degree must be a non-negative integer, got {degree}$"):
+            StarShaped(coeffs=((0, 1, 1.0), (degree, 1, 0.1)))
 
 
 @pytest.mark.parametrize("make, name", [

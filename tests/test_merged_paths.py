@@ -27,15 +27,17 @@ from elastopoly import (
     traction,
 )
 from elastopoly import polyalg, solver
-from elastopoly.basis import _PAIRS, _diff, _shift_index, _times_r2, _two_sum, degree_columns, hooke
+from elastopoly.basis import _PAIRS, _times_r2, _two_sum, degree_columns, hooke
 from elastopoly.harness import _clear_of_surface, reciprocity_matrix
 from elastopoly.operators import kelvin_matrix, kelvin_traction, lame_apply, lame_residuals, traction_of_stress
 from elastopoly.polyalg import (
-    R2, Poly3, VecPoly3, batch_eval, degree_monomials, eval_blocks, gradient, monomial_position,
+    VecPoly3, _diff, _shift_index, batch_eval, degree_monomials, eval_blocks, monomial_position,
 )
 from elastopoly.solver import assemble_traces, evaluate_solution, field_samples, split_trace
 
+import dictpoly
 from conftest import cartesian_traces
+from dictpoly import R2, bits, dict_of
 
 rng = np.random.default_rng(2024)
 M = Material(1.3, 0.8)
@@ -136,7 +138,7 @@ def test_star_radius_matches_per_harmonic_sum(coeffs):
     polys = [solid_harmonics(k)[s - 1] for k, s, _ in coeffs]
     cvec = np.array([c for _, _, c in coeffs])
     r = batch_eval(polys, u) @ cvec
-    grads = [gradient(p) for p in polys]
+    grads = [[p.diff(a) for a in (1, 2, 3)] for p in polys]
     gvals = np.stack([batch_eval([g[a] for g in grads], u) @ cvec for a in range(3)], axis=1)
     x_th = np.einsum("ni,ni->n", gvals, u_th)[:, None] * u + r[:, None] * u_th
     x_ph = np.einsum("ni,ni->n", gvals, u_ph)[:, None] * u + r[:, None] * u_ph
@@ -231,7 +233,7 @@ def old_reflections(spec, n_theta, n_phi):
     permutation on the theta-major grid, sample n = i n_phi + j."""
     terms = {}
     if isinstance(spec, StarShaped):
-        terms = sum((float(c) * solid_harmonics(k)[s - 1] for k, s, c in spec.coeffs), Poly3()).terms
+        terms = sum((float(c) * dict_of(solid_harmonics(k)[s - 1]) for k, s, c in spec.coeffs), dictpoly.Poly3()).terms
     i, j = np.divmod(np.arange(n_theta * n_phi), n_phi)
     perms = {0: i * n_phi + (n_phi // 2 - j) % n_phi, 1: i * n_phi + (n_phi - j) % n_phi,
              2: (n_theta - 1 - i) * n_phi + j}
@@ -280,21 +282,22 @@ def old_of_polys(groups):
 
 
 def old_basis(material, max_degree):
-    """The replaced construction, term by term through `Poly3`: per harmonic
-    omega the Hessian by `diff` (smaller axis first), `R2 *` (fsum per
-    monomial), `lam_k *` and `+ omega` on the diagonal; then the layout from
-    the elements' components and jacobians through `of_polys`."""
+    """The replaced construction, term by term through the dict `Poly3`: per
+    harmonic omega the Hessian by `diff` (smaller axis first), `R2 *` (fsum
+    per monomial), `lam_k *` and `+ omega` on the diagonal; then the layout
+    from the elements' components and jacobians through `of_polys`."""
     fields = []
     for k in range(max_degree + 1):
         lam_k = lambda_coeff(material, k)
-        for omega in solid_harmonics(k):
+        for omega in map(dict_of, solid_harmonics(k)):
             d2 = [[None] * 3 for _ in range(3)]
             for a in range(3):
                 for b in range(a, 3):
                     d2[a][b] = d2[b][a] = omega.diff(a + 1).diff(b + 1)
             correction = [[lam_k * (R2 * d2[a][b]) for b in range(3)] for a in range(3)]
             for i in range(3):
-                fields.append(VecPoly3(*(correction[j][i] + omega if j == i else correction[j][i] for j in range(3))))
+                fields.append(dictpoly.VecPoly3(*(correction[j][i] + omega if j == i else correction[j][i]
+                                                  for j in range(3))))
     groups = []
     for k in range(max_degree + 1):
         block = fields[degree_columns(k)]
@@ -322,7 +325,7 @@ def test_basis_matches_old_construction_bitwise(lam, mu):
             # values (3, e, n): the old rows are their leading axes flattened
             assert coeffs.shape == (6 if b % 2 else 3, e, end - first)
             assert np.array_equal(coeffs, old.reshape(coeffs.shape)) and coeffs.flags.c_contiguous
-        assert [el.field for el in basis.elements] == fields[:len(basis)]
+        assert [dict_of(el.field) for el in basis.elements] == fields[:len(basis)]
 
 
 def test_times_r2_rounds_like_fsum_at_ties():
@@ -334,7 +337,7 @@ def test_times_r2_rounds_like_fsum_at_ties():
     rows = rng.choice(tricky, size=(400, len(monos)))
     new = _times_r2(rows, 4)
     for row, got in zip(rows, new):
-        old = (R2 * Poly3(dict(zip(monos, row)))).terms
+        old = (R2 * dictpoly.Poly3(dict(zip(monos, row)))).terms
         np.testing.assert_array_equal(got, [old.get(m, 0.0) for m in targets])
 
 
@@ -383,8 +386,18 @@ def test_cached_index_tables_are_read_only_and_match_old_construction():
 def test_lame_residuals_match_dict_lame_apply_bitwise(lam, mu):
     material = Material(lam, mu)
     basis = elastic_basis(material, 12)
-    expected = [lame_apply(material, el.field.normalized()).max_abs_coeff() for el in basis.elements]
+    expected = [dictpoly.lame_apply(material, dict_of(el.field).normalized()).max_abs_coeff() for el in basis.elements]
     assert lame_residuals(material, basis.layout).tolist() == expected
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.5, 0.7), (-0.5, 1.0)])  # the acceptance materials
+def test_lame_apply_matches_dict_lame_apply_bitwise(lam, mu):
+    material = Material(lam, mu)
+    for el in elastic_basis(material, 8).elements:
+        new = lame_apply(material, el.field.normalized())
+        old = dictpoly.lame_apply(material, dict_of(el.field).normalized())
+        assert list(map(bits, new)) == list(map(bits, old))
+        assert new.max_abs_coeff() == old.max_abs_coeff()
 
 
 @pytest.mark.parametrize("spec", [Sphere(), Ellipsoid(semi_axes=(1.0, 1.3, 1.7))])

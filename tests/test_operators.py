@@ -13,7 +13,10 @@ from elastopoly import (
 )
 from elastopoly.basis import hooke
 from elastopoly.operators import traction_of_stress
-from elastopoly.polyalg import Poly3, VecPoly3, X, Y, Z, divergence
+from elastopoly.polyalg import Poly3, VecPoly3
+
+import dictpoly
+from dictpoly import X, Y, Z, bits, divergence, dict_of, rows_of
 
 rng = np.random.default_rng(2024)
 M = Material(1.0, 1.0)
@@ -33,12 +36,26 @@ def test_lame_annihilates_rigid_fields():
 
 
 def test_lame_on_linear_field_is_zero():
-    assert lame_apply(M, VecPoly3(X, Poly3.zero(), Poly3.zero())).is_zero
+    assert lame_apply(M, VecPoly3(rows_of(X), Poly3.zero(), Poly3.zero())).is_zero
 
 
 def test_lame_on_x_squared_field():
-    out = lame_apply(M, VecPoly3(X * X, Poly3.zero(), Poly3.zero()))
+    out = lame_apply(M, VecPoly3(rows_of(X * X), Poly3.zero(), Poly3.zero()))
     assert out == VecPoly3(Poly3.constant(6.0), Poly3.zero(), Poly3.zero())
+
+
+def test_rigid_field_rows_match_the_dict_construction_bitwise():
+    # the replaced construction: per component j, a_j - (b x x0)_j + b_{j+1} x_{j+2} - b_{j+2} x_{j+1}
+    # term by term through the dict algebra; zeros in a, b or x0 leave terms out
+    for a, b, x0 in [rng.normal(size=(3, 3)), ((1.0, 0.0, 0.5), (0.0, 0.7, -1.1), (0.2, 0.0, 0.0)), np.zeros((3, 3))]:
+        comps = []
+        for j in range(3):
+            p = dictpoly.Poly3.constant(a[j] - (b[(j + 1) % 3] * x0[(j + 2) % 3] - b[(j + 2) % 3] * x0[(j + 1) % 3]))
+            p = p + dictpoly.Poly3.variable((j + 2) % 3 + 1) * b[(j + 1) % 3]
+            p = p - dictpoly.Poly3.variable((j + 1) % 3 + 1) * b[(j + 2) % 3]
+            comps.append(p)
+        rigid = RigidDisplacement(a=tuple(a), b=tuple(b), x0=tuple(x0)).as_vecpoly()
+        assert list(map(bits, rigid)) == list(map(bits, comps))
 
 
 # -- traction ---------------------------------------------------------------------
@@ -52,7 +69,7 @@ def test_traction_of_rigid_rotation_is_exactly_zero():
 
 
 def test_traction_of_radial_field_is_5nu():
-    v = VecPoly3(X, Y, Z)
+    v = VecPoly3(*map(rows_of, (X, Y, Z)))
     nrm = random_unit(20)
     pts = rng.uniform(-1, 1, size=(20, 3))
     t = traction(M, v, pts, nrm)
@@ -67,8 +84,8 @@ def test_traction_of_constant_field_is_zero():
 
 
 def test_traction_linearity():
-    u = VecPoly3(X * Y, Z * Z, X)
-    v = VecPoly3(Y, X * Z, Y * Y)
+    u = VecPoly3(*map(rows_of, (X * Y, Z * Z, X)))
+    v = VecPoly3(*map(rows_of, (Y, X * Z, Y * Y)))
     pts = rng.uniform(-1, 1, size=(10, 3))
     nrm = random_unit(10)
     a, b = 1.7, -0.6
@@ -79,10 +96,10 @@ def test_traction_linearity():
 
 def test_traction_equals_three_term_formula():
     # 2 mu du/dn + lam (div u) nu + mu (nu x curl u), assembled independently
-    u = VecPoly3(X * X * Y, Y * Z, X * Z * Z)
+    u = VecPoly3(*map(rows_of, (X * X * Y, Y * Z, X * Z * Z)))
     pts = rng.uniform(-1, 1, size=(15, 3))
     nrm = random_unit(15)
-    div_u = divergence(u)
+    div_u = divergence(dict_of(u))
     curl_u = VecPoly3(u[2].diff(2) - u[1].diff(3), u[0].diff(3) - u[2].diff(1), u[1].diff(1) - u[0].diff(2))
     grads = [[u[j].diff(a + 1) for j in range(3)] for a in range(3)]
     expected = np.empty((15, 3))
@@ -95,7 +112,7 @@ def test_traction_equals_three_term_formula():
 
 def test_traction_rejects_non_unit_normal():
     with pytest.raises(ValueError):
-        traction(M, VecPoly3(X, Y, Z), np.zeros(3), np.array([0.0, 0.0, 1.1]))
+        traction(M, VecPoly3(*map(rows_of, (X, Y, Z))), np.zeros(3), np.array([0.0, 0.0, 1.1]))
 
 
 def test_rigid_displacement_evaluates_a_plus_b_cross():
@@ -273,7 +290,7 @@ def test_kelvin_field_traction_is_a_row_of_the_kernel(pole):
 # Each function of points (..., 3) and normals (..., 3) whose leading axes broadcast.
 _POLE = (0.3, -2.5, 1.9)
 _OF_POINTS = {
-    "traction": lambda p, n: traction(M, VecPoly3(X * X * Y, Y * Z, X * Z * Z), p, n),
+    "traction": lambda p, n: traction(M, VecPoly3(*map(rows_of, (X * X * Y, Y * Z, X * Z * Z))), p, n),
     "kelvin_matrix": lambda p, n: kelvin_matrix(M, p),
     "kelvin_gradient": lambda p, n: kelvin_gradient(M, p),
     "kelvin_traction": lambda p, n: kelvin_traction(M, _POLE, p, n),

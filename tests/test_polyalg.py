@@ -5,17 +5,17 @@ import pytest
 
 from elastopoly.basis import Material, elastic_basis
 from elastopoly.operators import traction
-from elastopoly.polyalg import (
-    CHUNK_POINTS, Poly3, VecPoly3, X, Y, Z, R2,
-    batch_eval, degree_monomials, divergence, eval_blocks, gradient, laplacian, rows_text,
-)
+from elastopoly.polyalg import CHUNK_POINTS, Poly3, VecPoly3, batch_eval, degree_monomials, eval_blocks, rows_text
+
+import dictpoly
+from dictpoly import R2, X, Y, Z, bits, divergence, gradient, laplacian, rows_of
 
 rng = np.random.default_rng(1905)
 
 
 def curl(v):
-    """Reference curl, written out for the vector-calculus identities below."""
-    return VecPoly3(
+    """Reference curl, written out for the vector-calculus identities below, of either vector type."""
+    return type(v)(
         v[2].diff(2) - v[1].diff(3),
         v[0].diff(3) - v[2].diff(1),
         v[1].diff(1) - v[0].diff(2),
@@ -32,11 +32,12 @@ def term_sum(p, pts):
 
 
 def random_poly(max_degree=4, n_terms=6):
+    """A dict polynomial (the reference algebra); `rows_of` gives its row type."""
     terms = {}
     for _ in range(n_terms):
         mono = tuple(int(e) for e in rng.integers(0, max_degree + 1, size=3))
         terms[mono] = terms.get(mono, 0.0) + float(rng.uniform(-1, 1))
-    return Poly3(terms)
+    return dictpoly.Poly3(terms)
 
 
 def random_dyadic_poly(max_degree=4, n_terms=6):
@@ -46,7 +47,7 @@ def random_dyadic_poly(max_degree=4, n_terms=6):
     for _ in range(n_terms):
         mono = tuple(int(e) for e in rng.integers(0, max_degree + 1, size=3))
         terms[mono] = terms.get(mono, 0.0) + int(rng.integers(-8, 9)) / 16.0
-    return Poly3(terms)
+    return dictpoly.Poly3(terms)
 
 
 def test_product_difference_of_squares():
@@ -54,7 +55,7 @@ def test_product_difference_of_squares():
 
 
 def test_product_identity_element():
-    one = Poly3.constant(1.0)
+    one = dictpoly.Poly3.constant(1.0)
     assert one * R2 == R2
 
 
@@ -68,19 +69,19 @@ def test_product_degree_additivity():
 
 
 def test_diff_power_rule():
-    assert (X * X * Y).diff(1) == 2.0 * (X * Y)
-    assert (X * X * Y).diff(3).is_zero
-    assert R2.diff(2) == 2.0 * Y
+    assert rows_of(X * X * Y).diff(1) == rows_of(2.0 * (X * Y))
+    assert rows_of(X * X * Y).diff(3).is_zero
+    assert rows_of(R2).diff(2) == rows_of(2.0 * Y)
 
 
 def test_eval_examples():
-    assert R2.eval((1.0, 2.0, 2.0)) == pytest.approx(9.0)
-    assert (X * Y).eval((3.0, -2.0, 5.0)) == pytest.approx(-6.0)
+    assert rows_of(R2).eval((1.0, 2.0, 2.0)) == pytest.approx(9.0)
+    assert rows_of(X * Y).eval((3.0, -2.0, 5.0)) == pytest.approx(-6.0)
     assert Poly3.constant(1.0).eval(rng.uniform(-5, 5, size=3)) == 1.0
 
 
 def test_eval_batch_matches_pointwise():
-    p = random_poly()
+    p = rows_of(random_poly())
     pts = rng.uniform(-2, 2, size=(17, 3))
     vals = p.eval(pts)
     assert vals.shape == (17,)
@@ -89,19 +90,20 @@ def test_eval_batch_matches_pointwise():
     nested = pts[:16].reshape(2, 8, 3)
     assert p.eval(nested).shape == (2, 8)
     assert np.allclose(p.eval(nested), vals[:16].reshape(2, 8), rtol=0.0, atol=1e-14)
-    v = VecPoly3(p, random_poly(), Poly3.zero())
+    v = VecPoly3(p, rows_of(random_poly()), Poly3.zero())
     assert v.eval(pts[0]).shape == (3,) and v.eval(nested).shape == (2, 8, 3)
     assert np.allclose(v.eval(nested)[..., 0], p.eval(nested), rtol=0.0, atol=1e-14)
 
 
 def test_jacobian_is_a_major():
-    v = random_vecpoly()
+    v = rows_of(random_vecpoly())
     assert v.jacobian() == [v[j].diff(a) for a in (1, 2, 3) for j in range(3)]
 
 
 def test_zero_polynomial_is_empty_map():
-    assert (X - X).terms == {}
-    assert (X - X) == Poly3.zero()
+    x = Poly3.variable(1)
+    assert (x - x).terms == {} and (x - x).coeffs.shape == (0,)
+    assert (x - x) == Poly3.zero()
     assert Poly3({(1, 0, 0): 0.0}).is_zero
 
 
@@ -143,29 +145,32 @@ def test_evaluation_homomorphism():
 
 
 def random_vecpoly():
-    return VecPoly3(random_poly(), random_poly(), random_poly())
+    return dictpoly.VecPoly3(random_poly(), random_poly(), random_poly())
 
 
 def test_div_of_position_field():
-    v = VecPoly3(X, Y, Z)
-    assert divergence(v) == Poly3.constant(3.0)
+    v = dictpoly.VecPoly3(X, Y, Z)
+    assert divergence(v) == dictpoly.Poly3.constant(3.0)
 
 
 def test_curl_of_rigid_rotation():
-    v = VecPoly3(-1.0 * Y, X, Poly3.zero())
-    assert curl(v) == VecPoly3(Poly3.zero(), Poly3.zero(), Poly3.constant(2.0))
+    zero = dictpoly.Poly3.zero()
+    v = dictpoly.VecPoly3(-1.0 * Y, X, zero)
+    assert curl(v) == dictpoly.VecPoly3(zero, zero, dictpoly.Poly3.constant(2.0))
+    assert curl(rows_of(v)) == VecPoly3(Poly3.zero(), Poly3.zero(), Poly3.constant(2.0))
 
 
 def test_laplacian_example():
-    v = VecPoly3(R2, Poly3.zero(), Poly3.zero())
-    assert laplacian(v) == VecPoly3(Poly3.constant(6.0), Poly3.zero(), Poly3.zero())
+    zero = dictpoly.Poly3.zero()
+    v = dictpoly.VecPoly3(R2, zero, zero)
+    assert laplacian(v) == dictpoly.VecPoly3(dictpoly.Poly3.constant(6.0), zero, zero)
 
 
 def test_div_curl_and_curl_grad_vanish_exactly():
     # bitwise cancellation for dyadic coefficients (the int scalings of diff
     # round nothing); generic float coefficients cancel to rounding level
     for _ in range(20):
-        v = VecPoly3(random_dyadic_poly(), random_dyadic_poly(), random_dyadic_poly())
+        v = dictpoly.VecPoly3(random_dyadic_poly(), random_dyadic_poly(), random_dyadic_poly())
         assert divergence(curl(v)).terms == {}
         s = random_dyadic_poly()
         assert curl(gradient(s)).is_zero
@@ -179,7 +184,7 @@ def test_div_curl_float_coefficients_cancel_to_rounding():
 
 
 def test_serialization_round_trip_and_order():
-    p = Poly3({(0, 0, 2): -0.25, (1, 1, 0): 3.0, (0, 0, 0): 1.0, (2, 0, 0): 0.5, (0, 2, 0): 1.0 / 3.0})
+    p = dictpoly.Poly3({(0, 0, 2): -0.25, (1, 1, 0): 3.0, (0, 0, 0): 1.0, (2, 0, 0): 0.5, (0, 2, 0): 1.0 / 3.0})
     rows = [np.array([[p.terms.get(m, 0.0) for m in map(tuple, degree_monomials(k).tolist())]]) for k in range(3)]
     text = "\n".join(filter(None, (line for k, row in enumerate(rows) for line in rows_text(row, k))))
     lines = text.splitlines()
@@ -187,11 +192,11 @@ def test_serialization_round_trip_and_order():
     assert lines[0].startswith("0 0 0 ")
     assert [ln.rsplit(" ", 1)[0] for ln in lines] == ["0 0 0", "0 0 2", "0 2 0", "1 1 0", "2 0 0"]
     assert rows_text(rows[1], 1) == [""]
-    assert Poly3.from_text(text) == p
+    assert dictpoly.Poly3.from_text(text) == p
 
 
 def test_batch_eval_matches_single_eval():
-    polys = [random_poly() for _ in range(7)] + [Poly3.zero()]
+    polys = [rows_of(random_poly()) for _ in range(7)] + [Poly3.zero()]
     pts = rng.uniform(-1.5, 1.5, size=(23, 3))
     table = batch_eval(polys, pts)
     assert table.shape == (23, 8)
@@ -201,17 +206,42 @@ def test_batch_eval_matches_single_eval():
 
 
 def test_normalized_scales_to_unit_max():
-    p = random_poly()
+    p = rows_of(random_poly())
     if not p.is_zero:
         assert p.normalized().max_abs_coeff() == pytest.approx(1.0)
     assert Poly3.zero().normalized().is_zero
 
 
 def test_diff_axis_validation():
-    with pytest.raises(ValueError):
-        X.diff(0)
-    with pytest.raises(ValueError):
-        X.diff(4)
+    for axis in (0, 4, True, 2.0, "2"):  # True is not axis 1, nor 2.0 axis 2
+        with pytest.raises(ValueError, match="axis must be"):
+            Poly3.variable(1).diff(axis)
+        with pytest.raises(ValueError, match="axis must be"):
+            VecPoly3.constant((1.0, 0.0, 0.0)).diff(axis)
+        with pytest.raises(ValueError, match="axis must be"):
+            Poly3.variable(axis)
+
+
+@pytest.mark.parametrize("make", [random_poly, random_dyadic_poly], ids=["float", "dyadic"])
+def test_rows_match_the_dict_algebra_bitwise(make):
+    pts = rng.uniform(-1.5, 1.5, size=(40, 3))
+    for _ in range(30):
+        p, q, s = make(), make(), float(rng.uniform(-2.0, 2.0))
+        rp, rq = rows_of(p), rows_of(q)
+        pairs = [(rp, p), (rp + rq, p + q), (rp - rq, p - q), (rp - rp, p - p), (-rp, -p), (s * rp, s * p),
+                 (rp * 0.0, p * 0.0), (rp.normalized(), p.normalized()), *((rp.diff(a), p.diff(a)) for a in (1, 2, 3))]
+        for new, old in pairs:
+            assert bits(new) == bits(old) and list(new.terms) == sorted(old.terms, key=lambda m: (sum(m), m))
+            assert not np.any(np.signbit(new.coeffs[new.coeffs == 0.0]))  # every zero +0.0, as a missing term
+            assert new.eval(pts).tobytes() == old.eval(pts).tobytes()
+        u, v = (dictpoly.VecPoly3(make(), make(), make()) for _ in range(2))
+        ru, rv = rows_of(u), rows_of(v)
+        pairs = [(ru + rv, u + v), (ru - rv, u - v), (-ru, -u), (s * ru, s * u), (ru.normalized(), u.normalized()),
+                 *((ru.diff(a), u.diff(a)) for a in (1, 2, 3))]
+        for new, old in pairs:
+            assert [bits(c) for c in new] == [bits(c) for c in old]
+            assert new.eval(pts).tobytes() == old.eval(pts).tobytes()
+        assert [bits(c) for c in ru.jacobian()] == [bits(c) for c in u.jacobian()]
 
 
 # -- chunked evaluation ------------------------------------------------------------

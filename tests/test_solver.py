@@ -19,7 +19,7 @@ from elastopoly import (
     trace_IV,
     traction,
 )
-from elastopoly.polyalg import VecPoly3, X, Y, Z
+from elastopoly.polyalg import Poly3, VecPoly3
 from elastopoly.ioutil import fmt17
 from elastopoly.solver import FitResult, fit_result_json, misfit_csv
 
@@ -38,7 +38,7 @@ def test_trace_III_of_tangential_rotation_vanishes(sphere_quad):
 
 
 def test_trace_III_of_radial_field(sphere_quad):
-    scalar, vector = trace_III(M, VecPoly3(X, Y, Z), sphere_quad)
+    scalar, vector = trace_III(M, VecPoly3(*map(Poly3.variable, (1, 2, 3))), sphere_quad)
     assert np.allclose(scalar, 1.0, atol=1e-13)       # u.nu = |x|^2 = 1
     assert np.max(np.abs(vector)) <= 1e-13            # Tu = 5 nu is purely normal
 
@@ -51,7 +51,7 @@ def test_trace_III_vector_part_exactly_tangential(sphere_quad, basis_k4):
 
 
 def test_trace_IV_examples(sphere_quad):
-    vector, scalar = trace_IV(M, VecPoly3(X, Y, Z), sphere_quad)
+    vector, scalar = trace_IV(M, VecPoly3(*map(Poly3.variable, (1, 2, 3))), sphere_quad)
     assert np.max(np.abs(vector)) <= 1e-13
     assert np.allclose(scalar, 5.0, atol=1e-12)
 
